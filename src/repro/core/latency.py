@@ -112,9 +112,11 @@ class LatencySearch:
         strict: EXACT strategy only — require the distance constraint on
             the whole prefix up to ``t_n`` (see the module docstring).
         backend: ``"scalar"`` runs the reference loops; ``"batched"``
-            routes EXACT searches through the engine kernel. The PAPER
-            strategy is inherently sequential (each Eq 3 step depends on
-            the previous gap) and always runs scalar.
+            and ``"crosstrace"`` route EXACT searches through the engine
+            kernel (for one actor at a time the two are the same
+            program). The PAPER strategy is inherently sequential (each
+            Eq 3 step depends on the previous gap) and always runs
+            scalar.
     """
 
     params: ZhuyiParams = field(default_factory=ZhuyiParams)
@@ -142,7 +144,7 @@ class LatencySearch:
         enters the confirmation delay ``alpha = K * (l - l0)``.
         """
         if (
-            self.backend == "batched"
+            self.backend in ("batched", "crosstrace")
             and self.strategy is SearchStrategy.EXACT
         ):
             if self._engine is None:

@@ -90,7 +90,9 @@ class OnlineEstimator:
         backend: ``"batched"`` (default) solves the tick's full batch —
             every predicted future of every confirmed actor — in one
             :class:`repro.core.engine.LatencyEngine` call; ``"scalar"``
-            loops the reference search. Bit-identical estimates.
+            loops the reference search. ``"crosstrace"`` batches across
+            traces, which one estimator never sees, so it runs the
+            ``"batched"`` program. Bit-identical estimates.
         noise: optional stochastic perception injected into
             :meth:`replay` (undetected ticks drop the actor from the
             replayed world model; position noise perturbs the perceived
@@ -122,7 +124,7 @@ class OnlineEstimator:
             self.search = LatencySearch(params=self.params)
         self._engine = None
         if (
-            self.backend == "batched"
+            self.backend in ("batched", "crosstrace")
             and self.search.strategy is SearchStrategy.EXACT
         ):
             self._engine = LatencyEngine(
@@ -237,10 +239,11 @@ class OnlineEstimator:
         undetected actors vanish from the replayed world model for that
         tick and perceived positions carry the counter-keyed jitter.
 
-        With ``backend="batched"`` the whole replay is one array
-        program: the predictor's batch protocol (``predict_trace``)
-        rolls every hypothesis out over all ticks at once, the threat
-        assessor gates and samples each hypothesis' futures batch
+        With ``backend="batched"`` (or ``"crosstrace"``) the whole
+        replay is one array program: the predictor's batch protocol
+        (``predict_trace``) rolls every hypothesis out over all ticks at
+        once, the threat assessor gates and samples each hypothesis'
+        futures batch
         (:meth:`repro.core.threat.ThreatAssessor.could_collide_futures`
         / ``sample_threat_futures``), every surviving (tick, actor,
         hypothesis) row solves through a single
@@ -277,7 +280,7 @@ class OnlineEstimator:
         detected = samples.detected
 
         visibility_tables = None
-        if self.backend == "batched":
+        if self.backend in ("batched", "crosstrace"):
             visibility_tables = self.rig.visible_actors_trace(
                 ego_states, samples.actor_positions, detected=detected
             )

@@ -121,6 +121,12 @@ def travel_arrays(
             over = rising & (v0 >= max_speed)
             distance = np.where(over, v0 * t, distance)
             end_speed = np.where(over, v0, end_speed)
+    # Zero-duration rows pass through as the scalar early return does:
+    # a subnormal speed's time to zero can underflow to 0 and would
+    # otherwise count the row as stopped.
+    still = t == 0.0
+    distance = np.where(still, 0.0, distance)
+    end_speed = np.where(still, v0, end_speed)
     return distance, end_speed
 
 

@@ -1,4 +1,4 @@
-"""Per-frame actor detection for one camera.
+"""Per-frame actor detection for the cameras due at one instant.
 
 Detection here is geometric: an actor is detected when its centre lies in
 the camera's FOV sector, is not occluded by another actor (optional — the
@@ -7,20 +7,24 @@ survives a configurable miss probability. Measured position carries
 Gaussian noise; downstream velocity estimation differentiates positions,
 so noise and frame rate interact exactly as in a real stack.
 
-The geometric stages run as array programs: the FOV gate goes through the
-same :meth:`repro.geometry.fov.AngularSector.contains_local_batch` kernel
-the trace-level visibility tables use, and the occlusion test solves the
-slab intersection against every potential blocker at once
-(:func:`occlusion_mask`). The random stages (miss sampling, position
-noise) draw through the counter-based generator of
-:mod:`repro.core.rng`: every draw is a pure function of ``(seed, stream,
-camera, capture time, actor id)``, so a frame's verdicts do not depend
-on how many frames any camera captured before it — the whole frame's
-draws compute as one vectorized call, and re-simulating from any point
-of a run reproduces them bit for bit. (Traces recorded before this
-counter-keyed scheme consumed a stateful ``np.random.Generator`` in
-iteration order and drew different streams; see docs/TESTING.md's RNG
-determinism contract for the deliberate break.)
+Every stage runs as one array program over all the frames captured at
+an instant (:meth:`DetectionModel.detect_frames`; a single camera's
+:meth:`DetectionModel.detect` is the one-camera case). The FOV gate goes
+through the same :meth:`repro.geometry.fov.AngularSector.contains_local_batch`
+kernel the trace-level visibility tables use; the occlusion test solves
+the slab intersection for every (camera, in-FOV target) sight ray
+against every potential blocker at once (:func:`occlusion_mask`). The
+random stages (miss sampling, position noise) draw through the
+counter-based generator of :mod:`repro.core.rng`: every draw is a pure
+function of ``(seed, stream, camera, capture time, actor id)``, so a
+frame's verdicts depend neither on how many frames any camera captured
+before it nor on which other cameras fired at the same instant — all of
+an instant's draws compute as one vectorized call, and re-simulating
+from any point of a run reproduces them bit for bit. (Traces recorded
+before this counter-keyed scheme consumed a stateful
+``np.random.Generator`` in iteration order and drew different streams;
+see docs/TESTING.md's RNG determinism contract for the deliberate
+break.)
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ from repro.perception.sensor import Camera
 #: target's own footprint never "occludes" itself (metres).
 _TARGET_CLEARANCE = 2.8
 
+#: The x and y position-noise streams as a column of tag words.
+_NOISE_STREAMS = np.array(
+    [[STREAM_NOISE_X], [STREAM_NOISE_Y]], dtype=np.uint64
+)
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -63,75 +72,108 @@ class Detection:
     true_heading: float
 
 
+@dataclass(frozen=True)
+class CameraFrame:
+    """What one camera frame detected, and what it could have seen.
+
+    Attributes:
+        camera: the capturing camera's name.
+        detections: detected actors, in the actor mapping's order.
+        in_view: ids of the actors inside the camera's FOV, occluded or
+            missed ones included — the tracker's "expected" set.
+    """
+
+    camera: str
+    detections: tuple[Detection, ...]
+    in_view: frozenset
+
+
+class KeyWords(dict):
+    """Memoized :func:`repro.core.rng.stable_key` words, id → word.
+
+    A word is a pure function of its id, so one memo serves camera
+    names and actor ids alike and may live as long as its owner: a
+    :class:`repro.perception.pipeline.PerceptionSystem` keeps one per
+    run, hashing each camera and actor id once instead of every frame.
+    """
+
+    def __missing__(self, value: Hashable) -> np.uint64:
+        word = self[value] = stable_key(value)
+        return word
+
+    def array(self, values: Sequence[Hashable]) -> np.ndarray:
+        """The words of ``values`` as a uint64 array."""
+        return np.array([self[value] for value in values], dtype=np.uint64)
+
+
 def occlusion_mask(
-    eye: Vec2,
-    targets: Sequence[tuple[int, Vec2]],
+    eye_x: np.ndarray,
+    eye_y: np.ndarray,
+    targets: np.ndarray,
     actors: Sequence[tuple[VehicleState, VehicleSpec]],
 ) -> np.ndarray:
-    """Which targets' sight rays are blocked by another actor's footprint.
+    """Which sight rays are blocked by another actor's footprint.
 
-    The vectorized counterpart of looping
-    :func:`repro.geometry.boxes.segment_intersects_box` over blockers:
-    for each target the (clearance-shortened) sight ray is tested against
-    every actor's oriented box with the slab method, all blockers at
-    once. The slab arithmetic mirrors the scalar test operation for
-    operation, so box verdicts on a given ray are identical; the ray
-    shortening itself uses the kernels' sqrt-of-squares distance (not
-    ``math.hypot``), which clearance-boundary cases can feel at the
-    last ulp.
+    Row ``r`` is the ray from the eye ``(eye_x[r], eye_y[r])`` to the
+    centre of actor ``targets[r]``; the rows of one instant may mix any
+    number of eyes (one per capturing camera). All rows are tested
+    against every actor's oriented box at once with the slab method —
+    the vectorized counterpart of looping
+    :func:`repro.geometry.boxes.segment_intersects_box` over rows and
+    blockers. The slab arithmetic mirrors the scalar test operation for
+    operation, so box verdicts on a given ray are identical; the ray is
+    shortened by the clearance with the kernels' sqrt-of-squares
+    distance (not ``math.hypot``), which clearance-boundary cases can
+    feel at the last ulp.
 
     Args:
-        eye: the camera origin (world frame).
-        targets: ``(actor_index, position)`` pairs to test; the index
-            identifies the target within ``actors`` so its own footprint
-            is excluded.
+        eye_x / eye_y: per row, the ray origin (world frame).
+        targets: per row, the target's index in ``actors``; its own
+            footprint is excluded.
         actors: every actor's ``(state, spec)`` in a fixed order.
 
     Returns:
-        Boolean array aligned with ``targets``.
+        Boolean array aligned with the rows.
     """
-    blocker_count = len(actors)
-    occluded = np.zeros(len(targets), dtype=bool)
-    if blocker_count < 2 or not targets:
-        return occluded
-    center_x = np.empty(blocker_count)
-    center_y = np.empty(blocker_count)
-    fwd_x = np.empty(blocker_count)
-    fwd_y = np.empty(blocker_count)
-    half_len = np.empty(blocker_count)
-    half_wid = np.empty(blocker_count)
-    for b, (state, spec) in enumerate(actors):
-        center_x[b] = state.position.x
-        center_y[b] = state.position.y
-        # The box axes OrientedBox.axes() derives: forward = unit(heading),
-        # left = forward.perp() = (-fwd_y, fwd_x).
-        fwd_x[b] = math.cos(state.heading)
-        fwd_y[b] = math.sin(state.heading)
-        half_len[b] = spec.length / 2.0
-        half_wid[b] = spec.width / 2.0
-    # The ray start in each blocker's frame is target-independent.
-    eye_dx = eye.x - center_x
-    eye_dy = eye.y - center_y
+    targets = np.asarray(targets, dtype=np.intp)
+    rows = targets.size
+    if len(actors) < 2 or rows == 0:
+        return np.zeros(rows, dtype=bool)
+    # The blocker arrays, shared by every row. The box axes are the ones
+    # OrientedBox.axes() derives: forward = unit(heading), left =
+    # forward.perp() = (-fwd_y, fwd_x).
+    center_x = np.array([state.position.x for state, _ in actors])
+    center_y = np.array([state.position.y for state, _ in actors])
+    fwd_x = np.array([math.cos(state.heading) for state, _ in actors])
+    fwd_y = np.array([math.sin(state.heading) for state, _ in actors])
+    half_len = np.array([spec.length / 2.0 for _, spec in actors])
+    half_wid = np.array([spec.width / 2.0 for _, spec in actors])
+
+    # Rows down, blockers across.
+    eye_x = np.asarray(eye_x, dtype=float)[:, None]
+    eye_y = np.asarray(eye_y, dtype=float)[:, None]
+    eye_dx = eye_x - center_x
+    eye_dy = eye_y - center_y
     start_x = eye_dx * fwd_x + eye_dy * fwd_y
     start_y = eye_dx * -fwd_y + eye_dy * fwd_x
 
-    for row, (target_index, target) in enumerate(targets):
-        ray_x = target.x - eye.x
-        ray_y = target.y - eye.y
-        distance = math.sqrt(ray_x * ray_x + ray_y * ray_y)
-        if distance <= _TARGET_CLEARANCE:
-            continue
+    ray_x = center_x[targets][:, None] - eye_x
+    ray_y = center_y[targets][:, None] - eye_y
+    distance = np.sqrt(ray_x * ray_x + ray_y * ray_y)
+    # Rays no longer than the clearance are never blocked; their
+    # (meaningless, possibly non-finite) slab values are masked below.
+    clear = distance[:, 0] > _TARGET_CLEARANCE
+    with np.errstate(divide="ignore", invalid="ignore"):
         scale = (distance - _TARGET_CLEARANCE) / distance
-        end_x = eye.x + ray_x * scale
-        end_y = eye.y + ray_y * scale
-        end_dx = end_x - center_x
-        end_dy = end_y - center_y
+        end_dx = (eye_x + ray_x * scale) - center_x
+        end_dy = (eye_y + ray_y * scale) - center_y
         local_end_x = end_dx * fwd_x + end_dy * fwd_y
         local_end_y = end_dx * -fwd_y + end_dy * fwd_x
 
-        t_min = np.zeros(blocker_count)
-        t_max = np.ones(blocker_count)
-        parallel_miss = np.zeros(blocker_count, dtype=bool)
+        shape = (rows, len(actors))
+        t_min = np.zeros(shape)
+        t_max = np.ones(shape)
+        parallel_miss = np.zeros(shape, dtype=bool)
         for start, end, half in (
             (start_x, local_end_x, half_len),
             (start_y, local_end_y, half_wid),
@@ -146,10 +188,9 @@ def occlusion_mask(
             hi = np.maximum(t1, t2)
             t_min = np.where(parallel, t_min, np.maximum(t_min, lo))
             t_max = np.where(parallel, t_max, np.minimum(t_max, hi))
-        intersects = ~parallel_miss & (t_min <= t_max)
-        intersects[target_index] = False
-        occluded[row] = bool(np.any(intersects))
-    return occluded
+    intersects = ~parallel_miss & (t_min <= t_max)
+    intersects[np.arange(rows), targets] = False
+    return clear & intersects.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -182,94 +223,125 @@ class DetectionModel:
         time: float,
         actors: Mapping[Hashable, tuple[VehicleState, VehicleSpec]],
         seed: int,
-        in_fov: np.ndarray | None = None,
     ) -> list[Detection]:
         """Detections produced by one camera frame captured at ``time``.
 
-        Miss sampling and position noise are counter-keyed on
-        ``(seed, stream, camera name, time, actor id)`` — order-free:
-        the frame draws the same values no matter which cameras fired
-        before it or where along a run the simulation (re)started.
-
-        ``in_fov`` optionally supplies the camera's FOV membership for
-        this frame, aligned with ``actors`` iteration order — callers
-        that already ran the batch membership kernel for this exact
-        (camera, ego state, actors) frame pass it to avoid recomputing
-        the geometry; omitted, it is computed here.
+        The one-camera case of :meth:`detect_frames`.
         """
-        if not actors:
-            return []
-        camera_frame = camera.world_frame(ego_state)
+        frame = self.detect_frames((camera,), ego_state, time, actors, seed)[0]
+        return list(frame.detections)
+
+    def detect_frames(
+        self,
+        cameras: Sequence[Camera],
+        ego_state: VehicleState,
+        time: float,
+        actors: Mapping[Hashable, tuple[VehicleState, VehicleSpec]],
+        seed: int,
+        words: KeyWords | None = None,
+    ) -> list[CameraFrame]:
+        """The frames ``cameras`` capture together at ``time``.
+
+        One array program over (camera, actor) pairs: the FOV gate per
+        camera, then the occlusion test over every in-FOV pair's sight
+        ray, then one counter-RNG draw batch over every surviving pair
+        (one call for the misses, one for both noise axes). Miss
+        sampling and position noise are
+        counter-keyed on ``(seed, stream, camera name, time, actor
+        id)`` — order-free: a camera's frame draws the same values
+        whether it is captured alone or with other cameras, whichever
+        cameras fired before it and wherever along a run the simulation
+        (re)started.
+
+        Args:
+            cameras: the capturing cameras, each at most once.
+            ego_state: the ego's state at ``time``.
+            time: the capture time.
+            actors: every actor's ``(state, spec)`` at ``time``.
+            seed: root seed of the detection draws.
+            words: optional id → key word memo reused across calls.
+
+        Returns:
+            One frame per camera, in ``cameras`` order.
+        """
         ids = list(actors)
-        states = [actors[actor_id][0] for actor_id in ids]
-        if in_fov is None:
-            xs = np.array([state.position.x for state in states])
-            ys = np.array([state.position.y for state in states])
-            local_x, local_y = camera_frame.to_local_batch(xs, ys)
-            in_fov = camera.fov.contains_local_batch(local_x, local_y)
-        occluded = np.zeros(len(ids), dtype=bool)
-        if self.occlusion:
-            target_rows = [
-                (index, states[index].position)
-                for index in np.flatnonzero(in_fov)
+        if not ids or not cameras:
+            return [
+                CameraFrame(camera.name, (), frozenset()) for camera in cameras
             ]
+        pairs = list(actors.values())
+        states = [state for state, _ in pairs]
+        xs = np.array([state.position.x for state in states])
+        ys = np.array([state.position.y for state in states])
+        frames = [camera.world_frame(ego_state) for camera in cameras]
+        in_fov = np.array(
+            [
+                camera.fov.contains_local_batch(*frame.to_local_batch(xs, ys))
+                for camera, frame in zip(cameras, frames)
+            ]
+        )
+        visible = in_fov
+        if self.occlusion:
+            rows, targets = np.nonzero(in_fov)
+            eye_x = np.array([frame.origin.x for frame in frames])
+            eye_y = np.array([frame.origin.y for frame in frames])
             blocked = occlusion_mask(
-                camera_frame.origin,
-                target_rows,
-                [actors[actor_id] for actor_id in ids],
+                eye_x[rows], eye_y[rows], targets, pairs
             )
-            for (index, _), hit in zip(target_rows, blocked):
-                occluded[index] = hit
+            visible = in_fov.copy()
+            visible[rows[blocked], targets[blocked]] = False
 
-        keep = np.flatnonzero(np.asarray(in_fov, dtype=bool) & ~occluded)
-        if keep.size == 0:
-            return []
-
-        # One vectorized draw batch per frame, keyed per actor — the
-        # values are independent of the candidate set, so geometric
-        # pre-filtering cannot shift any survivor's draws.
-        camera_word = stable_key(camera.name)
-        time_word = time_key(time)
-        if self.miss_rate > 0.0 or self.position_noise > 0.0:
-            actor_words = np.array(
-                [stable_key(ids[int(index)]) for index in keep],
-                dtype=np.uint64,
+        # One draw batch over every surviving (camera, actor) pair. Each
+        # value is a pure function of its own key, so the batch's
+        # composition cannot shift any pair's draws.
+        rows, kept = np.nonzero(visible)
+        missed = np.zeros(rows.size, dtype=bool)
+        noise_x = noise_y = np.zeros(rows.size)
+        if rows.size and (self.miss_rate > 0.0 or self.position_noise > 0.0):
+            words = words if words is not None else KeyWords()
+            keys = (
+                words.array([camera.name for camera in cameras])[rows],
+                time_key(time),
+                words.array(ids)[kept],
             )
-        if self.miss_rate > 0.0:
-            missed = (
-                counter_uniform(
-                    seed, STREAM_MISS, camera_word, time_word, actor_words
+            if self.miss_rate > 0.0:
+                uniform = counter_uniform(seed, STREAM_MISS, *keys)
+                missed = uniform < self.miss_rate
+            if self.position_noise > 0.0:
+                # Both axes in one call: the stream tags broadcast as a
+                # column against the pairs.
+                noise_x, noise_y = self.position_noise * counter_normal(
+                    seed, _NOISE_STREAMS, *keys
                 )
-                < self.miss_rate
-            )
-        else:
-            missed = np.zeros(keep.size, dtype=bool)
-        if self.position_noise > 0.0:
-            noise_x = self.position_noise * counter_normal(
-                seed, STREAM_NOISE_X, camera_word, time_word, actor_words
-            )
-            noise_y = self.position_noise * counter_normal(
-                seed, STREAM_NOISE_Y, camera_word, time_word, actor_words
-            )
 
-        detections: list[Detection] = []
-        for row, index in enumerate(keep):
-            if missed[row]:
+        detections: list[list[Detection]] = [[] for _ in cameras]
+        for row, index, miss, dx, dy in zip(
+            rows.tolist(),
+            kept.tolist(),
+            missed.tolist(),
+            noise_x.tolist(),
+            noise_y.tolist(),
+        ):
+            if miss:
                 continue
             state = states[index]
-            noise = (
-                Vec2(float(noise_x[row]), float(noise_y[row]))
-                if self.position_noise > 0.0
-                else Vec2(0.0, 0.0)
-            )
-            detections.append(
+            detections[row].append(
                 Detection(
-                    actor_id=ids[int(index)],
-                    camera=camera.name,
+                    actor_id=ids[index],
+                    camera=cameras[row].name,
                     time=time,
-                    position=state.position + noise,
+                    position=state.position + Vec2(dx, dy),
                     true_speed=state.speed,
                     true_heading=state.heading,
                 )
             )
-        return detections
+        return [
+            CameraFrame(
+                camera=camera.name,
+                detections=tuple(found),
+                in_view=frozenset(
+                    ids[index] for index in np.flatnonzero(in_fov[row])
+                ),
+            )
+            for row, (camera, found) in enumerate(zip(cameras, detections))
+        ]

@@ -14,11 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-import numpy as np
-
 from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import ConfigurationError
-from repro.perception.detection import Detection, DetectionModel
+from repro.perception.detection import Detection, DetectionModel, KeyWords
 from repro.perception.sensor import CameraRig, default_rig
 from repro.perception.tracker import ConfirmationTracker
 from repro.perception.world_model import PerceivedActor, WorldModel
@@ -88,6 +86,9 @@ class PerceptionSystem:
         }
         self._pending: list[tuple[float, int, _PendingFrame]] = []
         self._sequence = itertools.count()
+        # Camera and actor key words, hashed once per run (a word is a
+        # pure function of its id, so reset() keeps them).
+        self._key_words = KeyWords()
         if isinstance(fpr, Mapping):
             rates = dict(fpr)
             missing = set(self.rig.names) - set(rates)
@@ -167,8 +168,9 @@ class PerceptionSystem:
     ) -> None:
         """Advance perception to ``now``.
 
-        Captures any camera frames that are due, then applies every
-        pending frame whose processing has finished.
+        Captures the camera frames that are due — all of them as one
+        detection batch — then applies every pending frame whose
+        processing has finished.
         """
         self._capture_due_frames(now, ego_state, actors)
         self._apply_ready_frames(now)
@@ -179,45 +181,18 @@ class PerceptionSystem:
         ego_state: VehicleState,
         actors: Mapping[Hashable, tuple[VehicleState, VehicleSpec]],
     ) -> None:
-        actor_ids: list | None = None
-        for camera in self.rig.cameras:
-            if now + 1e-9 < self._next_capture[camera.name]:
-                continue
-            if actor_ids is None:
-                # Built lazily on the first due camera: most sim steps
-                # capture nothing and must stay allocation-free.
-                actor_ids = list(actors)
-                actor_xs = np.array(
-                    [actors[a][0].position.x for a in actor_ids]
-                )
-                actor_ys = np.array(
-                    [actors[a][0].position.y for a in actor_ids]
-                )
-            frame_camera = camera
-            camera_frame = frame_camera.world_frame(ego_state)
-            if actor_ids:
-                local_x, local_y = camera_frame.to_local_batch(
-                    actor_xs, actor_ys
-                )
-                in_fov = frame_camera.fov.contains_local_batch(
-                    local_x, local_y
-                )
-                expected = frozenset(
-                    actor_id
-                    for actor_id, visible in zip(actor_ids, in_fov)
-                    if visible
-                )
-            else:
-                in_fov = None
-                expected = frozenset()
-            # The frame's FOV membership is handed down so detection
-            # does not recompute the same geometry.
-            detections = tuple(
-                self.detection_model.detect(
-                    frame_camera, ego_state, now, actors, self.seed,
-                    in_fov=in_fov,
-                )
-            )
+        due = [
+            camera
+            for camera in self.rig.cameras
+            if now + 1e-9 >= self._next_capture[camera.name]
+        ]
+        if not due:
+            # Most sim steps capture nothing.
+            return
+        frames = self.detection_model.detect_frames(
+            due, ego_state, now, actors, self.seed, self._key_words
+        )
+        for camera, frame in zip(due, frames):
             ready = now + self.processing_latency(camera.name)
             heapq.heappush(
                 self._pending,
@@ -227,8 +202,8 @@ class PerceptionSystem:
                     _PendingFrame(
                         ready_time=ready,
                         capture_time=now,
-                        detections=detections,
-                        expected=expected,
+                        detections=frame.detections,
+                        expected=frame.in_view,
                     ),
                 ),
             )

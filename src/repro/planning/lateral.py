@@ -35,9 +35,19 @@ class LaneKeeper:
         # Validate the lane index eagerly.
         self.road.lane_offset(self.target_lane)
 
-    def steer(self, state: VehicleState, spec: VehicleSpec) -> float:
-        """Steering angle (radians) for the current state."""
-        frenet = self.road.to_frenet(state.position)
+    def steer(
+        self,
+        state: VehicleState,
+        spec: VehicleSpec,
+        frenet: FrenetPoint | None = None,
+    ) -> float:
+        """Steering angle (radians) for the current state.
+
+        ``frenet`` is the road projection of ``state.position`` when the
+        caller has already computed it.
+        """
+        if frenet is None:
+            frenet = self.road.to_frenet(state.position)
         lookahead = max(self.min_lookahead, state.speed * self.lookahead_time)
         target_s = min(frenet.s + lookahead, self.road.length)
         target = self.road.to_world(

@@ -24,6 +24,7 @@ from repro.perception.world_model import PerceivedActor, WorldModel
 from repro.planning.aeb import AEBMonitor, AEBParams
 from repro.planning.idm import IDMParams, idm_acceleration
 from repro.planning.lateral import LaneKeeper
+from repro.road.lane import FrenetPoint
 from repro.road.track import Road
 from repro.units import wrap_angle
 
@@ -98,8 +99,11 @@ class Planner:
         self, now: float, ego_state: VehicleState, world_model: WorldModel
     ) -> PlanOutput:
         """One control decision from the perceived world."""
-        lead = self._select_lead(now, ego_state, world_model)
-        steer = self._lane_keeper.steer(ego_state, self.spec)
+        # One road projection of the ego serves lead selection and lane
+        # keeping.
+        ego_frenet = self.config.road.to_frenet(ego_state.position)
+        lead = self._select_lead(now, ego_frenet, world_model)
+        steer = self._lane_keeper.steer(ego_state, self.spec, ego_frenet)
 
         if lead is None:
             self._aeb.update(ego_state.speed, None, None)
@@ -132,11 +136,10 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _select_lead(
-        self, now: float, ego_state: VehicleState, world_model: WorldModel
+        self, now: float, ego_frenet: FrenetPoint, world_model: WorldModel
     ) -> tuple[Hashable, float, float, float] | None:
         """(id, bumper gap, longitudinal speed, accel) of the binding lead."""
         road = self.config.road
-        ego_frenet = road.to_frenet(ego_state.position)
         corridor = (
             (self.spec.width + self.config.assumed_actor_width) / 2.0
             + self.config.corridor_margin

@@ -5,7 +5,13 @@ applies frames whose processing latency elapsed), the planner decides
 from the perceived world model, the ego integrates one bicycle step,
 scripted actors advance their choreography, and collisions are checked.
 Hooks (e.g. the Zhuyi-based online safety system) run after perception
-so they can both read the world model and retune camera rates.
+so they can both read the world model and retune camera rates; they
+observe the actors but never move them.
+
+The actors' ground truth is read once per step: the snapshot taken
+after the actors move serves that instant's collision check and settle
+test, then the next step's perception, choreography context and trace
+record.
 
 Stochastic perception (miss sampling, position noise) draws through the
 counter-based generator of :mod:`repro.core.rng`, keyed on the frame's
@@ -18,7 +24,7 @@ the original run made from that instant on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.actors.behavior import ScenarioContext
 from repro.actors.vehicle import Actor
@@ -103,10 +109,19 @@ class Simulator:
         """Ground-truth states of all actors right now."""
         return {actor.actor_id: actor.state for actor in self.actors}
 
-    def actor_map(self) -> dict[str, tuple[VehicleState, VehicleSpec]]:
-        """(state, spec) pairs keyed by actor id — the perception input."""
+    def actor_map(
+        self, states: Mapping[str, VehicleState] | None = None
+    ) -> dict[str, tuple[VehicleState, VehicleSpec]]:
+        """(state, spec) pairs keyed by actor id — the perception input.
+
+        ``states`` reuses an :meth:`actor_states` snapshot of this
+        instant instead of reading every actor again.
+        """
+        if states is None:
+            states = self.actor_states()
         return {
-            actor.actor_id: (actor.state, actor.spec) for actor in self.actors
+            actor.actor_id: (states[actor.actor_id], actor.spec)
+            for actor in self.actors
         }
 
     @property
@@ -124,9 +139,10 @@ class Simulator:
         steps_total = int(round(config.duration / config.dt))
         stopped_since: float | None = None
 
+        states = self.actor_states()
+        actor_map = self.actor_map(states)
         for _ in range(steps_total):
             now = self.time
-            actor_map = self.actor_map()
 
             self.perception.step(now, self.ego_state, actor_map)
             plan = self.planner.plan(
@@ -137,15 +153,11 @@ class Simulator:
             for hook in self.hooks:
                 hook.on_step(now, self)
 
-            self._record(now)
+            self._record(now, states)
 
             # Integrate the ego and advance the choreography.
             context = ScenarioContext(
-                road=self.road,
-                ego_state=self.ego_state,
-                actor_states={
-                    actor_id: state for actor_id, (state, _) in actor_map.items()
-                },
+                road=self.road, ego_state=self.ego_state, actor_states=states
             )
             self.ego_state = self._integrator.step(
                 self.ego_state, plan.accel, plan.steer, config.dt
@@ -154,29 +166,32 @@ class Simulator:
                 actor.step(now, config.dt, context)
             self.time = now + config.dt
 
+            # The step's one snapshot of the moved actors.
+            states = self.actor_states()
+            actor_map = self.actor_map(states)
             events = self._collision_checker.check(
-                self.time, self.ego_state, self.actor_map()
+                self.time, self.ego_state, actor_map
             )
             self._collisions.extend(events)
             if events and config.stop_on_collision:
-                self._record(self.time)
+                self._record(self.time, states)
                 break
 
             # End early once everything has settled to a stop.
             if config.settle_after_stop > 0.0:
                 moving = self.ego_state.speed > 0.05 or any(
-                    actor.state.speed > 0.05 for actor in self.actors
+                    state.speed > 0.05 for state in states.values()
                 )
                 if moving:
                     stopped_since = None
                 elif stopped_since is None:
                     stopped_since = self.time
                 elif self.time - stopped_since >= config.settle_after_stop:
-                    self._record(self.time)
+                    self._record(self.time, states)
                     break
 
         if not self._steps or self._steps[-1].time < self.time - 1e-9:
-            self._record(self.time)
+            self._record(self.time, states)
 
         return ScenarioTrace(
             scenario=self.scenario_name,
@@ -189,12 +204,12 @@ class Simulator:
             actor_specs={actor.actor_id: actor.spec for actor in self.actors},
         )
 
-    def _record(self, now: float) -> None:
+    def _record(self, now: float, states: Mapping[str, VehicleState]) -> None:
         self._steps.append(
             TraceStep(
                 time=now,
                 ego=self.ego_state,
-                actors=self.actor_states(),
+                actors=states,
                 planner_mode=self._last_mode,
                 camera_fprs=self.perception.fprs(),
             )

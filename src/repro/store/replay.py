@@ -429,14 +429,7 @@ def execute_replay_cell(
                         ),
                         aggregator=_build_aggregator(variant.aggregator),
                         road=built.road,
-                        # crosstrace is a cross-cell batching strategy;
-                        # a single replayed trace runs its equal-output
-                        # whole-trace array program.
-                        backend=(
-                            "batched"
-                            if plan.backend == "crosstrace"
-                            else plan.backend
-                        ),
+                        backend=plan.backend,
                         noise=cell_noise,
                     )
                     series = estimator.replay(trace, period=plan.stride)

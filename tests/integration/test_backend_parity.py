@@ -102,3 +102,53 @@ class TestOnlineParity:
             assert a.time == b.time
             assert dict(a.actor_latencies) == dict(b.actor_latencies)
             assert dict(a.camera_estimates) == dict(b.camera_estimates)
+
+
+class TestCrosstraceRunsTheEngine:
+    """``crosstrace`` names the engine, never the scalar reference.
+
+    Both per-trace facades once accepted the name and quietly ran the
+    scalar loops: equal output, several times slower.
+    """
+
+    def test_latency_search(self):
+        from repro.core.ego_profile import EgoMotion
+        from repro.core.latency import LatencySearch
+        from repro.core.parameters import ZhuyiParams
+        from repro.core.threat import FixedGapThreat
+
+        params = ZhuyiParams()
+        cases = [(10.0, 500.0, 8.0), (30.0, 5.0, 0.0), (11.2, 30.0, 0.0)]
+        results = {}
+        for backend in ("batched", "crosstrace"):
+            search = LatencySearch(params=params, backend=backend)
+            results[backend] = [
+                search.tolerable_latency(
+                    EgoMotion.from_state(speed, 0.0, params),
+                    FixedGapThreat(gap=gap, actor_speed=actor_speed),
+                    0.1,
+                )
+                for speed, gap, actor_speed in cases
+            ]
+            assert search._engine is not None, backend
+        assert results["crosstrace"] == results["batched"]
+
+    def test_online_estimator(self, cut_in_trace_30):
+        from repro.core.online import OnlineEstimator
+        from repro.core.parameters import ZhuyiParams
+        from repro.prediction.maneuver import ManeuverPredictor
+
+        scenario = build_scenario("cut_in", seed=0)
+        series = {}
+        for backend in ("batched", "crosstrace"):
+            estimator = OnlineEstimator(
+                params=ZhuyiParams(),
+                predictor=ManeuverPredictor(
+                    road=scenario.road, target_lane=scenario.spec.ego_lane
+                ),
+                road=scenario.road,
+                backend=backend,
+            )
+            assert estimator._engine is not None, backend
+            series[backend] = estimator.replay(cut_in_trace_30, period=0.5)
+        assert_series_identical(series["batched"], series["crosstrace"])

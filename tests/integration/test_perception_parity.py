@@ -218,13 +218,21 @@ class TestOcclusionMaskParity:
                 )
                 for _ in range(5)
             ]
-            eye = Vec2(*rng.uniform(-5.0, 5.0, 2))
-            targets = [
-                (index, actors[index][0].position)
-                for index in range(len(actors))
+            # Multi-eye rows, as one instant's due cameras produce them:
+            # every (eye, target) pair in one call.
+            eyes = [Vec2(*rng.uniform(-5.0, 5.0, 2)) for _ in range(3)]
+            rows = [
+                (eye, index) for eye in eyes for index in range(len(actors))
             ]
-            batched = occlusion_mask(eye, targets, actors)
-            for row, (target_index, target) in enumerate(targets):
+            batched = occlusion_mask(
+                np.array([eye.x for eye, _ in rows]),
+                np.array([eye.y for eye, _ in rows]),
+                np.array([index for _, index in rows]),
+                actors,
+            )
+            assert batched.shape == (len(rows),)
+            for row, (eye, target_index) in enumerate(rows):
+                target = actors[target_index][0].position
                 ray = target - eye
                 distance = np.sqrt(ray.x * ray.x + ray.y * ray.y)
                 if distance <= _TARGET_CLEARANCE:
@@ -241,3 +249,32 @@ class TestOcclusionMaskParity:
                         if blocker_index != target_index
                     )
                 assert bool(batched[row]) == expected
+
+    def test_rows_independent_of_batch(self):
+        # A row's verdict does not depend on which other rows share the
+        # call (each row alone == the same row inside the full batch).
+        from repro.dynamics.state import VehicleSpec, VehicleState
+        from repro.geometry.vec import Vec2
+        from repro.perception.detection import occlusion_mask
+
+        actors = [
+            (VehicleState(Vec2(x, y), 0.0, 10.0), VehicleSpec())
+            for x, y in ((25.0, 0.0), (60.0, 0.0), (40.0, 3.5), (-30.0, 0.0))
+        ]
+        eye_x = np.array([1.5, 1.5, 0.5, -2.0, 0.5])
+        eye_y = np.array([0.0, 0.0, 0.9, 0.0, -0.9])
+        targets = np.array([1, 2, 2, 3, 1])
+        whole = occlusion_mask(eye_x, eye_y, targets, actors)
+        assert whole[0]  # the lead hides the car 60 m ahead
+        for row in range(len(targets)):
+            alone = occlusion_mask(
+                eye_x[row:row + 1],
+                eye_y[row:row + 1],
+                targets[row:row + 1],
+                actors,
+            )
+            assert alone.tolist() == [whole[row]]
+        empty = occlusion_mask(
+            np.empty(0), np.empty(0), np.empty(0, dtype=int), actors
+        )
+        assert empty.shape == (0,)

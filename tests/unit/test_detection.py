@@ -5,7 +5,8 @@ import pytest
 from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import ConfigurationError
 from repro.geometry.vec import Vec2
-from repro.perception.detection import DetectionModel
+from repro.core.rng import stable_key
+from repro.perception.detection import DetectionModel, KeyWords
 from repro.perception.sensor import default_rig
 
 
@@ -108,6 +109,104 @@ class TestCounterKeyedDraws:
         )
         assert base[0].position != other_seed[0].position
         assert base[0].position != other_camera[0].position
+
+
+class TestBatchedFrames:
+    """One instant's due cameras detect as one batch, bit for bit."""
+
+    SCENE = {
+        "lead": (vstate(25), SPEC),
+        "hidden": (vstate(60), SPEC),
+        "left_car": (vstate(3.0, 3.5), SPEC),
+        "right_car": (vstate(-1.0, -3.5), SPEC),
+        "far_left": (vstate(30.0, 7.0), SPEC),
+        "behind": (vstate(-30.0), SPEC),
+    }
+
+    @pytest.mark.parametrize("occlusion", [True, False])
+    def test_alone_equals_batched(self, rig, occlusion):
+        model = DetectionModel(
+            position_noise=0.5, miss_rate=0.3, occlusion=occlusion
+        )
+        cameras = rig.cameras
+        for frame_index in range(20):
+            time = 0.1 * frame_index
+            batched = model.detect_frames(
+                cameras, vstate(0), time, self.SCENE, seed=5
+            )
+            assert [frame.camera for frame in batched] == list(rig.names)
+            for camera, frame in zip(cameras, batched):
+                alone = model.detect(
+                    camera, vstate(0), time, self.SCENE, seed=5
+                )
+                assert list(frame.detections) == alone, (camera.name, time)
+            # Any subset of the due cameras draws the same values too.
+            pair = model.detect_frames(
+                cameras[1:4:2], vstate(0), time, self.SCENE, seed=5
+            )
+            assert pair == [batched[1], batched[3]]
+
+    def test_each_camera_occludes_from_its_own_eye(self):
+        # Two cameras 10 m apart: the blocker hides the target from one
+        # eye only, so a batch must ray-cast each row from its camera.
+        import math
+
+        from repro.geometry.fov import AngularSector
+        from repro.geometry.transforms import Frame2
+        from repro.perception.sensor import Camera
+
+        fov = AngularSector(0.0, math.radians(120.0), 100.0)
+        cameras = [
+            Camera("north", Frame2(Vec2(0.0, 5.0), 0.0), fov),
+            Camera("south", Frame2(Vec2(0.0, -5.0), 0.0), fov),
+        ]
+        scene = {
+            "blocker": (vstate(20.0, 5.0), SPEC),
+            "target": (vstate(40.0, 5.0), SPEC),
+        }
+        model = DetectionModel(position_noise=0.0, occlusion=True)
+        batched = model.detect_frames(cameras, vstate(0), 0.0, scene, 0)
+        seen = [{d.actor_id for d in frame.detections} for frame in batched]
+        assert seen == [{"blocker"}, {"blocker", "target"}]
+        for camera, frame in zip(cameras, batched):
+            alone = model.detect(camera, vstate(0), 0.0, scene, 0)
+            assert list(frame.detections) == alone
+
+    def test_in_view_is_fov_membership(self, rig):
+        model = DetectionModel(position_noise=0.0, occlusion=True)
+        frames = model.detect_frames(
+            rig.cameras, vstate(0), 0.0, self.SCENE, seed=0
+        )
+        by_camera = {frame.camera: frame for frame in frames}
+        front = by_camera["front_120"]
+        # Occluded actors stay in view (the tracker still expects them).
+        assert {"lead", "hidden"} <= front.in_view
+        assert "hidden" not in {d.actor_id for d in front.detections}
+        assert "behind" in by_camera["rear"].in_view
+        for frame in frames:
+            assert {d.actor_id for d in frame.detections} <= frame.in_view
+
+    def test_shared_key_words(self, rig):
+        model = DetectionModel(position_noise=0.5, miss_rate=0.2)
+        words = KeyWords()
+        with_memo = model.detect_frames(
+            rig.cameras, vstate(0), 0.5, self.SCENE, seed=2, words=words
+        )
+        again = model.detect_frames(
+            rig.cameras, vstate(0), 0.5, self.SCENE, seed=2, words=words
+        )
+        fresh = model.detect_frames(
+            rig.cameras, vstate(0), 0.5, self.SCENE, seed=2
+        )
+        assert with_memo == again == fresh
+        for value, word in words.items():
+            assert word == stable_key(value)
+
+    def test_no_actors_or_cameras(self, rig):
+        model = DetectionModel()
+        frames = model.detect_frames(rig.cameras, vstate(0), 0.0, {}, seed=0)
+        assert [f.detections for f in frames] == [()] * len(rig)
+        assert model.detect_frames((), vstate(0), 0.0, self.SCENE, 0) == []
 
 
 class TestMissRate:
