@@ -1,22 +1,17 @@
-"""Per-cell vs cross-trace campaign benchmark (and the CI parity smoke).
+"""Per-cell vs super-cell campaign benchmark (and the CI parity smoke).
 
 Runs the same multi-scenario, multi-seed, multi-variant campaign twice —
-``backend="batched"`` (one evaluator pass per run) and
-``backend="crosstrace"`` (whole super-cells of traces and variants
-solved through shared array programs) — asserts the streamed JSONL
-files are byte-identical line for line (header ``backend`` tag and
-footer wall-clock normalized, since those *should* differ), and records
-the measured wall-clock speedup under ``benchmarks/out/``.
+``backend="batched"`` (one cell per block-kernel call) and
+``backend="crosstrace"`` (super-cells of several cells per call) —
+asserts the streamed JSONL files are byte-identical line for line
+(header ``backend`` tag and footer wall-clock normalized, since those
+*should* differ), and records the measured wall-clock ratio under
+``benchmarks/out/``.
 
-Target (1-core container): >= 1.5x asserted as the hard floor on the
-multi-variant campaign at ``workers=1`` — the cross-trace win comes
-from amortizing candidate grids, threat sampling, visibility passes and
-per-tick ego profiles across every (trace, actor, variant) of a block,
-so the speedup grows with actor and variant counts. The timed grid
-therefore sweeps the 8-actor density variants: multi-actor traffic is
-exactly the workload whole-shard campaigns exist for, while the
-simulation side (identical work in both backends) caps what any
-evaluator can show on near-empty roads.
+Both backends run one code path, ``evaluate_trace_block``; they differ
+only in how many cells it stacks, so the ratio measures the block size
+and carries no floor. The timed grid sweeps the 8-actor density
+variants, the multi-actor traffic that block stacking exists for.
 
 Usage::
 
@@ -38,9 +33,6 @@ from dataclasses import replace
 from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
-
-#: Hard floor asserted on the full multi-variant campaign.
-CAMPAIGN_FLOOR = 1.5
 
 FULL_SCENARIOS = (
     "cut_in_dense8",
@@ -192,19 +184,12 @@ def main(argv=None) -> int:
         "batched_s": round(best["batched"], 3),
         "crosstrace_s": round(best["crosstrace"], 3),
         "speedup": round(speedup, 2),
-        "floor": CAMPAIGN_FLOOR,
         "parity": "identical",
     }
     OUT_DIR.mkdir(exist_ok=True)
     out = OUT_DIR / "campaign_batch_speedup.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"campaign speedup {speedup:.2f}x at workers=1 "
-        f"(floor >= {CAMPAIGN_FLOOR:.1f}x); written to {out}"
-    )
-    assert speedup >= CAMPAIGN_FLOOR, (
-        f"only {speedup:.2f}x (floor {CAMPAIGN_FLOOR}x)"
-    )
+    print(f"campaign speedup {speedup:.2f}x at workers=1; written to {out}")
     return 0
 
 

@@ -9,9 +9,9 @@ any summary. The runner exploits that three ways:
   ``ProcessPoolExecutor`` and reassembles summaries in run-index order.
 * Runs sharing a (scenario, seed, fpr) **cell** differ only in their
   ``ZhuyiParams`` variant, which the closed-loop simulation never
-  reads; the cell's trace is simulated once and re-evaluated per
-  variant (:func:`execute_cell`), turning an N-variant campaign into
-  ~1 simulation + N cheap offline evaluations.
+  reads; the cell's trace is simulated once and every variant is
+  evaluated against it (:func:`execute_cell`), turning an N-variant
+  campaign into ~1 simulation + one offline evaluation block.
 * With ``out=`` the runner streams each summary to JSONL the moment it
   completes (via :class:`repro.batch.results.CampaignWriter`), so a
   killed campaign keeps its finished runs and :meth:`CampaignRunner.resume`
@@ -233,16 +233,15 @@ def execute_cell(
 ) -> list[RunSummary]:
     """Run one (scenario, seed, fpr) cell for every requested variant.
 
-    The closed-loop simulation depends only on the cell coordinates —
-    ``ZhuyiParams`` variants enter nothing but the offline evaluator,
-    which is a pure function of (trace, params). So the cell simulates
-    its trace once, presamples the trajectories once (also
-    param-independent) and evaluates per variant. With a single variant
-    this is exactly the old one-run-one-simulation path; with N
-    variants it is the cross-variant trace cache. A ``store`` extends
-    the cache across campaigns: the cell loads its recorded trace when
-    present and records it otherwise (see :func:`_simulate_cell`), with
-    byte-identical summaries either way.
+    A one-cell :func:`execute_supercell`. The closed-loop simulation
+    depends only on the cell coordinates — ``ZhuyiParams`` variants
+    enter nothing but the offline evaluator, which is a pure function
+    of (trace, params). So the cell simulates its trace once, presamples
+    the trajectories once (also param-independent) and evaluates every
+    variant against them: the cross-variant trace cache. A ``store``
+    extends the cache across campaigns: the cell loads its recorded
+    trace when present and records it otherwise (see
+    :func:`_simulate_cell`), with byte-identical summaries either way.
 
     Args:
         specs: the cell's runs — same scenario, seed, fpr and stride,
@@ -257,46 +256,37 @@ def execute_cell(
         simulation failure; an evaluation failure only into the failing
         variant's (with the trace's duration preserved).
     """
-    if not specs:
-        return []
-    contract_error = _cell_contract_error(specs)
-    if contract_error is not None:
-        return [_failure_summary(spec, contract_error) for spec in specs]
-    early, built, trace = _simulate_cell(specs, store)
-    try:
-        if early is not None:
-            return early
-        return _evaluate_cell(specs, built, trace)
-    finally:
-        _close_trace(trace)
+    return execute_supercell([specs], store)
 
 
 def execute_supercell(
     cells: Sequence[Sequence[RunSpec]],
     store: "TraceStore | None" = None,
 ) -> list[RunSummary]:
-    """Run a block of cells through the cross-trace evaluation kernel.
+    """Run a block of cells, evaluating their traces together.
 
-    The ``"crosstrace"`` backend's unit of work: each cell still
-    simulates its own trace (choreographies are independent), but the
-    surviving traces evaluate *together* — every (trace, tick, actor,
+    The runner's unit of work. Each cell still simulates its own trace
+    (choreographies are independent), but on a vectorized backend the
+    surviving traces evaluate *together*: every (trace, tick, actor,
     variant) row of the block solves through the shared array programs
-    of :func:`repro.core.evaluator.evaluate_trace_block`, amortizing
-    the candidate grids, visibility passes and ego profiles across the
-    whole block. Summaries are byte-identical to per-cell
-    :func:`execute_cell` execution (the block kernel's parity
+    of :func:`repro.core.evaluator.evaluate_trace_block`, amortizing the
+    candidate grids, visibility passes and ego profiles across the
+    whole block. The ``"scalar"`` backend evaluates each variant
+    through the per-tick reference loop instead. Summaries are
+    byte-identical whatever the block size (the block kernel's parity
     contract).
 
-    Never raises, like :func:`execute_cell`: contract violations,
-    simulation failures and collisions resolve per cell exactly as
-    there, and if the block kernel itself fails the surviving cells
-    fall back to the per-cell batched evaluation (keeping per-variant
-    failure granularity).
+    Never raises: contract violations, simulation failures and
+    collisions resolve per cell, and if the block kernel itself fails
+    the surviving cells are retried per variant through
+    :func:`_evaluate_cell` (keeping per-variant failure granularity).
 
     Args:
         cells: the block's cells, each a single-cell spec list sharing
             one variant sequence and stride across the block (the
             :func:`_group_supercells` grouping contract).
+        store: optional :class:`repro.store.TraceStore` to consult
+            before simulating and to record misses into.
 
     Returns:
         One summary per spec, cells in the given order, specs in
@@ -340,18 +330,20 @@ def _evaluate_supercell(
         lead = survivors[0][1]
         variants = [spec.resolved_params() for spec in lead]
         stride = lead[0].stride
-        # Cells that do not share the block's variant sequence or
-        # stride cannot ride its kernels; they evaluate per cell
-        # (defensive — _group_supercells never builds such blocks).
-        mismatched = [
+        # The scalar reference evaluates per variant. Cells that do not
+        # share the block's variant sequence or stride cannot ride its
+        # kernels either; they evaluate per cell (defensive —
+        # _group_supercells never builds such blocks).
+        per_cell = [
             entry
             for entry in survivors
-            if [spec.resolved_params() for spec in entry[1]] != variants
+            if lead[0].backend == "scalar"
+            or [spec.resolved_params() for spec in entry[1]] != variants
             or entry[1][0].stride != stride
         ]
-        for pos, specs, built, trace in mismatched:
+        for pos, specs, built, trace in per_cell:
             results[pos] = _evaluate_cell(specs, built, trace)
-        survivors = [entry for entry in survivors if entry not in mismatched]
+        survivors = [entry for entry in survivors if entry not in per_cell]
     if survivors:
         try:
             # Per-cell noise rides inside the samples (detection masks
@@ -375,10 +367,9 @@ def _evaluate_supercell(
                     for spec, series in zip(specs, series_row)
                 ]
         except Exception:  # noqa: BLE001 - block-level failure capture
-            # The parity reference doubles as the failure fallback: a
-            # block kernel error demotes the surviving cells to the
-            # per-cell batched path, which keeps per-variant failure
-            # granularity instead of failing the whole block.
+            # A block kernel error retries the surviving cells per
+            # variant, which keeps per-variant failure granularity
+            # instead of failing the whole block.
             for pos, specs, built, trace in survivors:
                 results[pos] = _evaluate_cell(specs, built, trace)
     return results
@@ -498,9 +489,9 @@ class CampaignRunner:
             executor's memory on very large grids).
         supercell: on the ``"crosstrace"`` backend, how many cells one
             :func:`execute_supercell` block evaluates together through
-            the shared cross-trace kernels. 1 degenerates to per-cell
-            execution; larger blocks amortize more but hold more traces
-            in a worker's memory at once. Other backends ignore it.
+            the shared cross-trace kernels. 1 is per-cell execution,
+            which the other backends always use; larger blocks amortize
+            more but hold more traces in a worker's memory at once.
         store: optional :class:`repro.store.TraceStore`. Cells consult
             it before simulating and record their traces on miss, so a
             campaign only ever simulates each ``(scenario, seed, fpr)``
@@ -698,33 +689,26 @@ class CampaignRunner:
     ) -> list[tuple[Callable, object, list[RunSpec]]]:
         """The executable units of a spec list, in run order.
 
-        Per-cell :func:`execute_cell` calls normally; on the
-        ``"crosstrace"`` backend (a campaign-level setting, so the
-        first spec decides), :func:`execute_supercell` blocks of up to
-        :attr:`supercell` cells. Each task carries its flat spec list
-        for worker-crash failure capture.
+        :func:`execute_supercell` blocks of up to :attr:`supercell`
+        cells on the ``"crosstrace"`` backend (a campaign-level setting,
+        so the first spec decides), of one cell otherwise. Each task
+        carries its flat spec list for worker-crash failure capture.
         """
         cells = _group_cells(specs)
-        run_cell = (
-            execute_cell
-            if self.store is None
-            else partial(execute_cell, store=self.store)
+        size = (
+            self.supercell
+            if specs and specs[0].backend == "crosstrace"
+            else 1
         )
-        if specs and specs[0].backend == "crosstrace":
-            run_block = (
-                execute_supercell
-                if self.store is None
-                else partial(execute_supercell, store=self.store)
-            )
-            return [
-                (
-                    run_block,
-                    block,
-                    [spec for cell in block for spec in cell],
-                )
-                for block in _group_supercells(cells, self.supercell)
-            ]
-        return [(run_cell, cell, list(cell)) for cell in cells]
+        run_block = (
+            execute_supercell
+            if self.store is None
+            else partial(execute_supercell, store=self.store)
+        )
+        return [
+            (run_block, block, [spec for cell in block for spec in cell])
+            for block in _group_supercells(cells, size)
+        ]
 
     def _run_sequential(
         self,

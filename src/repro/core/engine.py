@@ -8,19 +8,20 @@ profile, re-samples the threat and scans for a feasible check time.
 Offline evaluation multiplies that by every actor at every trace tick —
 the dominant interpreter overhead of a campaign.
 
-This module replaces the inner loops with one array program per tick:
+This module replaces the inner loops with one array program over rows,
+where a row is one (tick, threat) pair — any number of ticks, actors,
+predicted futures or parameter variants solved together:
 
 * Latency candidates only shift the reaction time ``t_r``, so the whole
   family of ego distance/speed profiles is a single broadcasted
   ``(L, T)`` computation over a shared master time grid
-  (:func:`repro.core.ego_profile.ego_profile_arrays`).
-* Each actor's threat is sampled once over that master grid (plus the
-  ``L`` reaction instants) instead of once per candidate
-  (:func:`repro.core.threat.sample_grid`).
+  (:func:`repro.core.ego_profile.ego_profile_arrays`), built once per
+  distinct tick.
+* Each row's threat is sampled once over that master grid (plus the
+  ``L`` reaction instants) instead of once per candidate.
 * Eq 1/2 feasibility, the strict-prefix mask and the per-candidate scan
-  windows evaluate simultaneously as ``(A, L, T)`` boolean arrays for
-  all actors of a tick; the largest feasible latency falls out of a
-  single argmax per actor.
+  windows evaluate simultaneously as ``(R, L, T)`` boolean arrays; the
+  largest feasible latency falls out of a single argmax per row.
 
 Exact-parity contract: results are **bit-identical** to the scalar
 EXACT search — ``latency``, ``check_time`` *and* the ``iterations``
@@ -40,7 +41,7 @@ subtle, and each is reproduced here rather than approximated:
 * The strict semantics kill every candidate ``t_n`` at or after the
   first distance violation anywhere in the scanned prefix; in index
   form that is "feasible iff the first candidate index precedes the
-  first violation index", computed per (actor, candidate) pair.
+  first violation index", computed per (row, candidate) pair.
 """
 
 from __future__ import annotations
@@ -83,79 +84,35 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=-1), mask.argmax(axis=-1), _NO_INDEX)
 
 
-def _reaction_anchors(
-    ego: EgoMotion, reactions: np.ndarray, cap: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(d_e1, v_tr)`` per candidate, via the scalar closed forms."""
-    pairs = [ego.reaction_travel(float(r), cap) for r in reactions]
-    return (
-        np.array([p[0] for p in pairs]),
-        np.array([p[1] for p in pairs]),
-    )
-
-
-@dataclass(frozen=True)
-class _TickGrid:
-    """Per-(ego, l0) precomputation shared by every actor of a tick.
-
-    Everything here depends only on the ego state and the current
-    processing latency — never on an actor — so one grid serves a whole
-    tick's actor batch. Only the cheap scalar bookkeeping is eager; the
-    ``(L, T)`` ego profile family is materialized per candidate slice
-    inside :meth:`LatencyEngine._solve_slice`, so a tick whose actors
-    all resolve at ``l_max`` never pays for the other L-1 rows.
-    """
-
-    latencies: np.ndarray  #: (L,) candidate latencies, descending
-    reactions: np.ndarray  #: (L,) reaction time t_r per candidate
-    times: np.ndarray  #: (T,) master scan grid (candidate grids are prefixes)
-    lengths: np.ndarray  #: (L,) per-candidate prefix length on the master grid
-    insert_at: np.ndarray  #: (L,) sorted position of t_r within the prefix
-    inserted: np.ndarray  #: (L,) bool: t_r occupies its own merged slot
-    sizes: np.ndarray  #: (L,) merged scan size (length + inserted)
-
-
 @dataclass(frozen=True)
 class TraceGrid:
-    """Trace-level candidate/time bookkeeping for every tick at once.
+    """Candidate/time bookkeeping for every tick at once.
 
     The latency candidates and their reaction times depend only on the
     Zhuyi constants and ``l0`` — never on the ego — so they are shared
-    by the whole trace; the per-tick quantities (scan horizons, prefix
+    by every tick; the per-tick quantities (scan horizons, prefix
     lengths, ``t_r`` insertions) vectorize over ticks. ``times`` is one
-    trace-wide master grid: every tick's scan grid is a bit-exact
-    prefix of it, so per-tick arrays never need rebuilding.
+    master grid: every tick's scan grid is a bit-exact prefix of it, so
+    per-tick arrays never need rebuilding.
     """
 
     latencies: np.ndarray  #: (L,) candidate latencies, descending
     reactions: np.ndarray  #: (L,) reaction time t_r per candidate
-    times: np.ndarray  #: (T,) trace-wide master scan grid
+    times: np.ndarray  #: (T,) master scan grid
     insert_at: np.ndarray  #: (L,) sorted position of t_r on the master grid
     lengths: np.ndarray  #: (N, L) per-tick candidate prefix lengths
     inserted: np.ndarray  #: (N, L) bool: t_r occupies its own merged slot
     sizes: np.ndarray  #: (N, L) merged scan size (length + inserted)
 
-    def tick(self, n: int) -> _TickGrid:
-        """The single-tick view — drives the per-tick wave machinery."""
-        return _TickGrid(
-            latencies=self.latencies,
-            reactions=self.reactions,
-            times=self.times,
-            lengths=self.lengths[n],
-            insert_at=self.insert_at,
-            inserted=self.inserted[n],
-            sizes=self.sizes[n],
-        )
-
 
 @dataclass
 class LatencyEngine:
-    """Batched per-tick tolerable-latency solver.
+    """Batched tolerable-latency solver.
 
     Drop-in equivalent of the scalar EXACT :class:`LatencySearch` —
     same :class:`LatencyResult`, bit-identical values — evaluated as
-    one vectorized program over the full latency grid, and over every
-    actor of a tick at once via :meth:`solve_batch`.
+    one vectorized program over the full latency grid and over a whole
+    batch of (tick, threat) rows via :meth:`solve_rows`.
 
     Attributes:
         params: the Zhuyi constants.
@@ -180,6 +137,9 @@ class LatencyEngine:
     ) -> list[LatencyResult]:
         """Solve every actor of a tick against the full latency grid.
 
+        A one-tick :meth:`trace_grid` plus one :meth:`solve_rows` call
+        with a row per threat.
+
         Args:
             ego: the ego's longitudinal state at the tick.
             threats: one threat view per actor (any mix of threat
@@ -192,15 +152,18 @@ class LatencyEngine:
         """
         if not threats:
             return []
-        grid = self._tick_grid(ego, l0)
-
-        # One flattened sample per actor covers both the master grid
+        grid = self.trace_grid([ego], l0)
+        # One flattened sample per threat covers both the master grid
         # and the L reaction instants.
         all_times = np.concatenate([grid.times, grid.reactions])
         sampled = [sample_grid(threat, all_times) for threat in threats]
-        gaps = np.stack([g for g, _ in sampled])  # (A, T + L)
-        aspeeds = np.stack([s for _, s in sampled])
-        return self._solve_tick(grid, ego, gaps, aspeeds)
+        return self.solve_rows(
+            grid,
+            np.zeros(len(threats), dtype=np.int64),
+            [ego],
+            np.stack([g for g, _ in sampled]),
+            np.stack([s for _, s in sampled]),
+        )
 
     @staticmethod
     def _waves(n_latencies: int) -> list[tuple[int, int]]:
@@ -224,58 +187,6 @@ class LatencyEngine:
             width *= 2
         return waves
 
-    def _solve_tick(
-        self,
-        grid: _TickGrid,
-        ego: EgoMotion,
-        gaps: np.ndarray,
-        aspeeds: np.ndarray,
-    ) -> list[LatencyResult]:
-        """Wave loop over one tick's actor rows (arrays ``(R, T + L)``).
-
-        Iterations accumulate every merged grid scanned before the hit,
-        exactly like the scalar loop.
-        """
-        n_times = grid.times.size
-        gaps_m, gaps_r = gaps[:, :n_times], gaps[:, n_times:]
-        va_m, va_r = aspeeds[:, :n_times], aspeeds[:, n_times:]
-        miss_prefix = np.concatenate([[0], np.cumsum(grid.sizes)])
-        results: list[LatencyResult | None] = [None] * gaps.shape[0]
-        active = np.arange(gaps.shape[0])
-        for lo, hi in self._waves(grid.latencies.size):
-            if active.size == 0:
-                break
-            found, hit, check_times, scanned = self._solve_slice(
-                grid,
-                lo,
-                hi,
-                ego,
-                gaps_m[active],
-                va_m[active],
-                gaps_r[active, lo:hi],
-                va_r[active, lo:hi],
-            )
-            for k in np.flatnonzero(found):
-                row = int(active[k])
-                h = lo + int(hit[k])
-                results[row] = LatencyResult(
-                    latency=float(grid.latencies[h]),
-                    check_time=float(check_times[k]),
-                    iterations=int(miss_prefix[h] + scanned[k]),
-                )
-            active = active[~found]
-        for row in active:
-            results[int(row)] = LatencyResult(
-                latency=None,
-                check_time=None,
-                iterations=int(miss_prefix[-1]),
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    # trace-level batching (the "ticks" axis)
-    # ------------------------------------------------------------------
-
     def trace_grid(
         self, ego_motions: Sequence[EgoMotion], l0: float
     ) -> TraceGrid:
@@ -284,8 +195,7 @@ class LatencyEngine:
         The reactions are tick-independent; the per-tick horizons (and
         the prefix lengths / ``t_r`` insertions they induce) vectorize
         over ticks with the same closed forms the scalar path evaluates
-        one call at a time, so :meth:`TraceGrid.tick` views are
-        bit-identical to per-tick :meth:`_tick_grid` builds.
+        one call at a time.
 
         Cross-trace stacking: ``ego_motions`` may concatenate the ticks
         of *many* traces (sharing ``l0``) along the tick axis — the
@@ -373,16 +283,21 @@ class LatencyEngine:
 
         Each row pairs a tick index with that actor's threat samples
         over ``concatenate([grid.times, grid.reactions])`` (shape
-        ``(R, T + L)``). The l_max candidate — where most rows of most
-        workloads resolve — is evaluated for every row in one
-        cross-tick array program; only the survivors fall back to the
-        per-tick wave machinery, sharing the already-sampled rows.
-        Rows need not be unique per (tick, actor): the online replay
-        feeds one row per (tick, actor, prediction hypothesis), each
-        solved independently against its tick's ego profile — and the
+        ``(R, T + L)``). Candidates are solved in :meth:`_waves`, every
+        still-unresolved row of a wave in one array program. Rows need
+        not be unique per (tick, actor): the online replay feeds one
+        row per (tick, actor, prediction hypothesis), each solved
+        independently against its tick's ego profile — and the
         cross-trace campaign path feeds one row per (trace, tick,
         actor, parameter variant), with ``tick_indices`` offset into a
         stacked multi-trace :meth:`trace_grid`.
+
+        Each wave picks its kernel from the rows-per-distinct-tick
+        density: sparse waves gather per-row ego profiles
+        (:meth:`_solve_rows_slice`), dense ones broadcast each tick's
+        profile against all of its rows (:meth:`_solve_rows_grouped`).
+        Both run the same feasibility program (:meth:`_scan`), so the
+        choice only moves the clock.
 
         Args:
             grid: the :meth:`trace_grid` for these ticks.
@@ -406,7 +321,10 @@ class LatencyEngine:
         n_rows = tick_indices.size
         if n_rows == 0:
             return []
-        if constraints is not None:
+        if constraints is None:
+            row_c1 = np.full(n_rows, self.params.c1)
+            row_c2 = np.full(n_rows, self.params.c2)
+        else:
             row_c1 = np.asarray(constraints[0], dtype=float)
             row_c2 = np.asarray(constraints[1], dtype=float)
             if row_c1.shape != (n_rows,) or row_c2.shape != (n_rows,):
@@ -414,7 +332,6 @@ class LatencyEngine:
                     "per-row constraints must be (R,) arrays matching "
                     f"{n_rows} rows, got {row_c1.shape} and {row_c2.shape}"
                 )
-        n_times = grid.times.size
         # Per-tick cumulative merged scan sizes — the iterations charged
         # for missing every candidate before a hit.
         miss_prefix = np.concatenate(
@@ -430,88 +347,33 @@ class LatencyEngine:
         for lo, hi in self._waves(grid.latencies.size):
             if active.size == 0:
                 break
-            if active.size >= _GROUPED_MIN_ROWS_PER_TICK * np.unique(
+            dense = active.size >= _GROUPED_MIN_ROWS_PER_TICK * np.unique(
                 tick_indices[active]
-            ).size:
-                # Tick-dense waves — many rows per distinct tick, the
-                # shape of variant-stacked campaign blocks — go through
-                # the tick-resident kernel: one (S, T) profile stays
-                # cache-hot while every row of its tick compares against
-                # it, with no (R, S, T) gather copies at all.
-                found, hit, check_times, scanned = self._solve_rows_grouped(
-                    grid,
-                    lo,
-                    hi,
-                    active,
-                    tick_indices,
-                    ego_motions,
-                    gaps,
-                    aspeeds,
-                    constraints=(
-                        None if constraints is None else (row_c1, row_c2)
-                    ),
-                )
-                for k in np.flatnonzero(found):
-                    row = int(active[k])
-                    h = lo + int(hit[k])
-                    results[row] = LatencyResult(
-                        latency=float(grid.latencies[h]),
-                        check_time=float(check_times[k]),
-                        iterations=int(
-                            miss_prefix[tick_indices[row], h] + scanned[k]
-                        ),
-                    )
-                active = active[~found]
-                continue
-            # Cap each kernel call's cache working set; survivor counts
-            # shrink wave over wave, so chunk counts fall off quickly.
-            # The width estimate uses the survivors' longest candidate
-            # scan, not the master axis, so chunks stay as large as the
-            # budget allows when the time trim below bites.
-            wave_cap = int(grid.lengths[tick_indices[active], lo:hi].max())
-            chunk = max(
-                1, int(_ROWS_CHUNK_ELEMENTS / ((hi - lo) * max(1, wave_cap)))
+            ).size
+            kernel = self._solve_rows_grouped if dense else self._solve_rows_slice
+            found, hit, check_times, scanned = kernel(
+                grid,
+                lo,
+                hi,
+                active,
+                tick_indices,
+                ego_motions,
+                gaps,
+                aspeeds,
+                row_c1,
+                row_c2,
             )
-            still: list[np.ndarray] = []
-            for begin in range(0, active.size, chunk):
-                rows = active[begin : begin + chunk]
-                # Trim the chunk's time axis to the longest prefix any
-                # of its (row, candidate) scans admits: every instant
-                # past a row's ``lengths`` is masked invalid anyway, so
-                # the answers are identical and the (R, S, T) program
-                # never pays for the master grid's tail — which, on
-                # stacked multi-trace grids, belongs to *other* traces'
-                # horizons.
-                t_cap = int(grid.lengths[tick_indices[rows], lo:hi].max())
-                found, hit, check_times, scanned = self._solve_rows_slice(
-                    grid,
-                    lo,
-                    hi,
-                    tick_indices[rows],
-                    ego_motions,
-                    gaps[rows, :t_cap],
-                    aspeeds[rows, :t_cap],
-                    gaps[rows, n_times + lo : n_times + hi],
-                    aspeeds[rows, n_times + lo : n_times + hi],
-                    constraints=(
-                        None
-                        if constraints is None
-                        else (row_c1[rows], row_c2[rows])
+            for k in np.flatnonzero(found):
+                row = int(active[k])
+                h = lo + int(hit[k])
+                results[row] = LatencyResult(
+                    latency=float(grid.latencies[h]),
+                    check_time=float(check_times[k]),
+                    iterations=int(
+                        miss_prefix[tick_indices[row], h] + scanned[k]
                     ),
-                    t_cap=t_cap,
                 )
-                for k in np.flatnonzero(found):
-                    row = int(rows[k])
-                    h = lo + int(hit[k])
-                    results[row] = LatencyResult(
-                        latency=float(grid.latencies[h]),
-                        check_time=float(check_times[k]),
-                        iterations=int(
-                            miss_prefix[tick_indices[row], h] + scanned[k]
-                        ),
-                    )
-                still.append(rows[~found])
-            active = np.concatenate(still) if still else active[:0]
+            active = active[~found]
         for row in active:
             results[int(row)] = LatencyResult(
                 latency=None,
@@ -530,30 +392,23 @@ class LatencyEngine:
         ego_motions: Sequence[EgoMotion],
         gaps: np.ndarray,
         aspeeds: np.ndarray,
-        constraints: tuple[np.ndarray, np.ndarray] | None = None,
+        row_c1: np.ndarray,
+        row_c2: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Candidates ``[lo, hi)`` for tick-dense row batches.
 
-        The tick-resident sibling of :meth:`_solve_rows_slice`: rows are
-        grouped by tick and each group runs the feasibility program by
-        broadcasting against its tick's own ``(S, T)`` ego profile —
-        trimmed to that tick's longest candidate scan — instead of
-        gathering per-row ``(R, S, T)`` profile copies. Elementwise the
-        arithmetic is unchanged, so results stay bit-identical to the
-        gathered path; it simply wins when many rows (actor x variant
-        stacks) share each distinct tick. ``gaps``/``aspeeds`` are the
-        full ``(R, T + L)`` sample arrays of :meth:`solve_rows`, indexed
-        here per group; ``rows`` selects the still-active row subset.
-        ``constraints`` likewise carries full-length per-row c1/c2
-        arrays. Returns ``(found, hit, check_times, scanned)`` aligned
-        with ``rows``.
+        The tick-resident kernel: rows are grouped by tick and each
+        group runs :meth:`_scan` by broadcasting against its tick's own
+        ``(S, T)`` ego profile — trimmed to that tick's longest
+        candidate scan — instead of gathering per-row ``(R, S, T)``
+        profile copies. It wins when many rows (actor x variant stacks)
+        share each distinct tick. ``gaps``/``aspeeds`` and the c1/c2
+        columns are the full per-row arrays of :meth:`solve_rows`;
+        ``rows`` selects the still-active subset. Returns ``(found,
+        hit, check_times, scanned)`` aligned with ``rows``.
         """
-        cap = self.params.ego_speed_cap
         n_times = grid.times.size
-        n_slice = hi - lo
         reactions = grid.reactions[lo:hi]
-        pos = grid.insert_at[lo:hi]
-
         found = np.zeros(rows.size, dtype=bool)
         hit = np.zeros(rows.size, dtype=np.int64)
         check_times = np.zeros(rows.size, dtype=float)
@@ -571,97 +426,43 @@ class LatencyEngine:
             lengths = grid.lengths[n, lo:hi]
             t_cap = int(lengths.max())
             times = grid.times[:t_cap]
-            ego = ego_motions[n]
-            anchors = _reaction_anchors(ego, reactions, cap)
-            dist, speed = ego_profile_arrays(
-                ego,
-                reactions[:, None],
-                times,
-                cap,
-                anchors=(anchors[0][:, None], anchors[1][:, None]),
+            profiles = tuple(
+                profile[None]
+                for profile in self._tick_profile(
+                    ego_motions[n], reactions, times
+                )
             )
-            dist_r, speed_r = ego_profile_arrays(
-                ego, reactions, reactions, cap, anchors=anchors
-            )
-            # Row-independent per-tick masks: the scan window, the
-            # per-candidate prefix lengths and the t_r insertion slots.
             valid = np.arange(t_cap)[None, :] < lengths[:, None]
-            window = times[None, :] >= reactions[:, None] - _EPS
-            wv = window & valid
             ins = grid.inserted[n, lo:hi]
 
             group = order[bounds[g] : bounds[g + 1]]
             # Bound the (G, S, T) workspace for pathologically wide
             # groups; ordinary campaign stacks fit in one pass.
-            step = max(1, int(_ROWS_CHUNK_ELEMENTS / (n_slice * t_cap)))
+            step = max(1, int(_ROWS_CHUNK_ELEMENTS / ((hi - lo) * t_cap)))
             for begin in range(0, group.size, step):
                 sel = group[begin : begin + step]
-                r_glob = rows[sel]
-                if constraints is None:
-                    c1: float | np.ndarray = self.params.c1
-                    c2: float | np.ndarray = self.params.c2
-                    c1_r: float | np.ndarray = c1
-                    c2_r: float | np.ndarray = c2
-                else:
-                    c1 = constraints[0][r_glob][:, None, None]
-                    c2 = constraints[1][r_glob][:, None, None]
-                    c1_r = constraints[0][r_glob][:, None]
-                    c2_r = constraints[1][r_glob][:, None]
-                gaps_m = gaps[r_glob, :t_cap][:, None, :]
-                va_m = aspeeds[r_glob, :t_cap][:, None, :]
-                gaps_r = gaps[r_glob, n_times + lo : n_times + hi]
-                va_r = aspeeds[r_glob, n_times + lo : n_times + hi]
-
-                d_ok = dist[None] <= c1 * gaps_m + _EPS
-                v_ok = speed[None] <= c2 * va_m + _EPS
-                candidate = d_ok & v_ok & wv[None]
-                d_bad = ~d_ok & valid[None]
-
-                fv_m = _first_true(d_bad)  # (G, S)
-                cf_m = _first_true(candidate)
-                first_violation = np.where(
-                    fv_m != _NO_INDEX,
-                    fv_m + (ins[None] & (fv_m >= pos[None])),
-                    _NO_INDEX,
+                r = rows[sel]
+                (
+                    found[sel],
+                    hit[sel],
+                    check_times[sel],
+                    scanned[sel],
+                ) = self._scan(
+                    grid,
+                    lo,
+                    hi,
+                    times,
+                    profiles,
+                    slice(None),
+                    gaps[r, :t_cap],
+                    aspeeds[r, :t_cap],
+                    gaps[r, n_times + lo : n_times + hi],
+                    aspeeds[r, n_times + lo : n_times + hi],
+                    row_c1[r],
+                    row_c2[r],
+                    valid[None],
+                    ins[None],
                 )
-                first_candidate = np.where(
-                    cf_m != _NO_INDEX,
-                    cf_m + (ins[None] & (cf_m >= pos[None])),
-                    _NO_INDEX,
-                )
-                d_ok_r = dist_r[None] <= c1_r * gaps_r + _EPS
-                v_ok_r = speed_r[None] <= c2_r * va_r + _EPS
-                first_violation = np.minimum(
-                    first_violation,
-                    np.where(ins[None] & ~d_ok_r, pos[None], _NO_INDEX),
-                )
-                first_candidate = np.minimum(
-                    first_candidate,
-                    np.where(
-                        ins[None] & d_ok_r & v_ok_r, pos[None], _NO_INDEX
-                    ),
-                )
-
-                feasible = first_candidate < _NO_INDEX
-                if self.strict:
-                    feasible &= first_candidate < first_violation
-
-                f = feasible.any(axis=-1)
-                h = feasible.argmax(axis=-1)
-                sub = np.arange(f.size)
-                best = first_candidate[sub, h]
-                ins_h = ins[h]
-                pos_h = grid.insert_at[lo + h]
-                from_reaction = ins_h & (best == pos_h)
-                master_index = best - (ins_h & (best > pos_h))
-                found[sel] = f
-                hit[sel] = h
-                check_times[sel] = np.where(
-                    from_reaction,
-                    grid.reactions[lo + h],
-                    times[np.minimum(master_index, t_cap - 1)],
-                )
-                scanned[sel] = best + 1
         return found, hit, check_times, scanned
 
     def _solve_rows_slice(
@@ -669,170 +470,161 @@ class LatencyEngine:
         grid: TraceGrid,
         lo: int,
         hi: int,
-        tick_idx: np.ndarray,
+        rows: np.ndarray,
+        tick_indices: np.ndarray,
         ego_motions: Sequence[EgoMotion],
-        gaps_m: np.ndarray,
-        va_m: np.ndarray,
-        gaps_r: np.ndarray,
-        va_r: np.ndarray,
-        constraints: tuple[np.ndarray, np.ndarray] | None = None,
-        t_cap: int | None = None,
+        gaps: np.ndarray,
+        aspeeds: np.ndarray,
+        row_c1: np.ndarray,
+        row_c2: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Candidates ``[lo, hi)`` for rows spanning many ticks.
 
-        The cross-tick generalization of :meth:`_solve_slice`: ego
-        profile slices are built once per distinct tick and gathered to
-        rows, the feasibility program runs as one ``(R, S, T)`` batch,
-        and the ``t_r``-insertion bookkeeping indexes per (row,
-        candidate). ``constraints`` optionally carries per-row c1/c2
-        columns (broadcast over candidates and instants) in place of
-        the engine constants. ``t_cap`` trims the master time axis to
-        its first ``t_cap`` instants (``gaps_m``/``va_m`` must arrive
-        pre-sliced to match); it must cover every row's candidate
-        lengths, in which case the trim is invisible to the results
-        because all trimmed instants were ``valid``-masked anyway. Same
-        returns as :meth:`_solve_slice`.
+        The gathered kernel: per chunk of rows, ego profile slices are
+        built once per distinct tick and gathered to rows, and
+        :meth:`_scan` runs as one ``(R, S, T)`` batch. Chunks cap each
+        program's cache working set at ``_ROWS_CHUNK_ELEMENTS``, sized
+        from the rows' longest candidate scan rather than the master
+        axis; each chunk's time axis is then trimmed to the longest
+        prefix its (row, candidate) scans admit. Every instant past a
+        row's ``lengths`` is masked invalid anyway, so the answers are
+        identical and the program never pays for the master grid's
+        tail — which, on stacked multi-trace grids, belongs to *other*
+        traces' horizons. Same arguments and returns as
+        :meth:`_solve_rows_grouped`.
         """
-        if constraints is None:
-            c1: float | np.ndarray = self.params.c1
-            c2: float | np.ndarray = self.params.c2
-            c1_r: float | np.ndarray = c1
-            c2_r: float | np.ndarray = c2
-        else:
-            # (R, 1, 1) columns against the (R, S, T) master program
-            # and (R, 1) against the (R, S) t_r samples: each row
-            # multiplies by its own scalar, exactly as a scalar c1/c2
-            # would have multiplied it.
-            c1 = constraints[0][:, None, None]
-            c2 = constraints[1][:, None, None]
-            c1_r = constraints[0][:, None]
-            c2_r = constraints[1][:, None]
-        cap = self.params.ego_speed_cap
-        n_times = grid.times.size if t_cap is None else t_cap
-        times = grid.times[:n_times]
-        n_slice = hi - lo
+        n_times = grid.times.size
         reactions = grid.reactions[lo:hi]
+        found = np.zeros(rows.size, dtype=bool)
+        hit = np.zeros(rows.size, dtype=np.int64)
+        check_times = np.zeros(rows.size, dtype=float)
+        scanned = np.zeros(rows.size, dtype=np.int64)
 
-        unique_ticks, row_pos = np.unique(tick_idx, return_inverse=True)
-        dist = np.empty((unique_ticks.size, n_slice, n_times))
-        speed = np.empty((unique_ticks.size, n_slice, n_times))
-        dist_r = np.empty((unique_ticks.size, n_slice))
-        speed_r = np.empty((unique_ticks.size, n_slice))
-        for i, n in enumerate(unique_ticks):
-            ego = ego_motions[int(n)]
-            anchors = _reaction_anchors(ego, reactions, cap)
-            dist[i], speed[i] = ego_profile_arrays(
-                ego,
-                reactions[:, None],
+        wave_cap = int(grid.lengths[tick_indices[rows], lo:hi].max())
+        chunk = max(
+            1, int(_ROWS_CHUNK_ELEMENTS / ((hi - lo) * max(1, wave_cap)))
+        )
+        for begin in range(0, rows.size, chunk):
+            sel = slice(begin, begin + chunk)
+            r = rows[sel]
+            ticks = tick_indices[r]
+            t_cap = int(grid.lengths[ticks, lo:hi].max())
+            times = grid.times[:t_cap]
+            unique_ticks, row_pos = np.unique(ticks, return_inverse=True)
+            shape = (unique_ticks.size, hi - lo)
+            profiles = (
+                np.empty(shape + (t_cap,)),
+                np.empty(shape + (t_cap,)),
+                np.empty(shape),
+                np.empty(shape),
+            )
+            for i, n in enumerate(unique_ticks):
+                tick = self._tick_profile(ego_motions[int(n)], reactions, times)
+                for profile, values in zip(profiles, tick):
+                    profile[i] = values
+            valid = (
+                np.arange(t_cap)[None, None, :]
+                < grid.lengths[ticks, lo:hi][:, :, None]
+            )
+            (
+                found[sel],
+                hit[sel],
+                check_times[sel],
+                scanned[sel],
+            ) = self._scan(
+                grid,
+                lo,
+                hi,
                 times,
-                cap,
-                anchors=(anchors[0][:, None], anchors[1][:, None]),
+                profiles,
+                row_pos,
+                gaps[r, :t_cap],
+                aspeeds[r, :t_cap],
+                gaps[r, n_times + lo : n_times + hi],
+                aspeeds[r, n_times + lo : n_times + hi],
+                row_c1[r],
+                row_c2[r],
+                valid,
+                grid.inserted[ticks, lo:hi],
             )
-            dist_r[i], speed_r[i] = ego_profile_arrays(
-                ego, reactions, reactions, cap, anchors=anchors
-            )
+        return found, hit, check_times, scanned
 
-        d_ok = dist[row_pos] <= c1 * gaps_m[:, None, :] + _EPS
-        v_ok = speed[row_pos] <= c2 * va_m[:, None, :] + _EPS
-        window = times[None, None, :] >= reactions[None, :, None] - _EPS
-        valid = (
-            np.arange(n_times)[None, None, :]
-            < grid.lengths[tick_idx, lo:hi][:, :, None]
-        )
-        candidate = d_ok & v_ok & window & valid
-        d_bad = ~d_ok & valid
+    def _tick_profile(
+        self, ego: EgoMotion, reactions: np.ndarray, times: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One tick's ego profiles for a candidate slice.
 
-        ins = grid.inserted[tick_idx, lo:hi]  # (R, S)
-        pos = grid.insert_at[None, lo:hi]
-        fv_m = _first_true(d_bad)  # (R, S)
-        cf_m = _first_true(candidate)
-        first_violation = np.where(
-            fv_m != _NO_INDEX, fv_m + (ins & (fv_m >= pos)), _NO_INDEX
+        ``(dist, speed)`` of shape ``(S, T)`` over ``times`` and
+        ``(dist_r, speed_r)`` of shape ``(S,)`` at each candidate's own
+        ``t_r``; the scalar reaction-travel anchors are computed once
+        and shared by both.
+        """
+        cap = self.params.ego_speed_cap
+        pairs = [ego.reaction_travel(float(r), cap) for r in reactions]
+        d_e1 = np.array([p[0] for p in pairs])
+        v_tr = np.array([p[1] for p in pairs])
+        dist, speed = ego_profile_arrays(
+            ego,
+            reactions[:, None],
+            times,
+            cap,
+            anchors=(d_e1[:, None], v_tr[:, None]),
         )
-        first_candidate = np.where(
-            cf_m != _NO_INDEX, cf_m + (ins & (cf_m >= pos)), _NO_INDEX
+        dist_r, speed_r = ego_profile_arrays(
+            ego, reactions, reactions, cap, anchors=(d_e1, v_tr)
         )
-        d_ok_r = dist_r[row_pos] <= c1_r * gaps_r + _EPS
-        v_ok_r = speed_r[row_pos] <= c2_r * va_r + _EPS
-        first_violation = np.minimum(
-            first_violation, np.where(ins & ~d_ok_r, pos, _NO_INDEX)
-        )
-        first_candidate = np.minimum(
-            first_candidate, np.where(ins & d_ok_r & v_ok_r, pos, _NO_INDEX)
-        )
+        return dist, speed, dist_r, speed_r
 
-        feasible = first_candidate < _NO_INDEX
-        if self.strict:
-            feasible &= first_candidate < first_violation
-
-        found = feasible.any(axis=-1)
-        hit = feasible.argmax(axis=-1)
-        rows = np.arange(feasible.shape[0])
-        best = first_candidate[rows, hit]
-        ins_h = ins[rows, hit]
-        pos_h = grid.insert_at[lo + hit]
-        from_reaction = ins_h & (best == pos_h)
-        master_index = best - (ins_h & (best > pos_h))
-        check_times = np.where(
-            from_reaction,
-            grid.reactions[lo + hit],
-            times[np.minimum(master_index, n_times - 1)],
-        )
-        return found, hit, check_times, best + 1
-
-    def _solve_slice(
+    def _scan(
         self,
-        grid: _TickGrid,
+        grid: TraceGrid,
         lo: int,
         hi: int,
-        ego: EgoMotion,
+        times: np.ndarray,
+        profiles: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        row_pos: np.ndarray | slice,
         gaps_m: np.ndarray,
         va_m: np.ndarray,
         gaps_r: np.ndarray,
         va_r: np.ndarray,
+        c1: np.ndarray,
+        c2: np.ndarray,
+        valid: np.ndarray,
+        ins: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Feasibility of candidates ``[lo, hi)`` for a batch of actors.
+        """Eq 1/2 feasibility of candidates ``[lo, hi)`` for ``R`` rows.
 
-        Returns per-actor arrays ``(found, hit, check_time, scanned)``:
-        whether some candidate in the slice is feasible, the first
-        feasible slice-local candidate index, its check time, and how
-        many merged grid points that candidate's scan consumed.
+        ``profiles`` holds per-tick ego ``(dist, speed)`` over ``times``
+        and ``(dist_r, speed_r)`` at ``t_r``, with a leading tick axis;
+        ``row_pos`` maps rows onto it — an index array gathers one
+        profile per row (one gathered array alive at a time), while
+        ``slice(None)`` over a single tick's profile broadcasts it to
+        every row without copies. ``valid`` (prefix lengths,
+        ``(·, S, T)``) and ``ins`` (``t_r`` insertions, ``(·, S)``) are
+        per row or broadcast the same way.
+        ``gaps_m``/``va_m`` are the ``(R, T)`` threat samples on
+        ``times``, ``gaps_r``/``va_r`` the ``(R, S)`` samples at
+        ``t_r``, ``c1``/``c2`` the ``(R,)`` constraint columns.
+
+        Returns per-row ``(found, hit, check_time, scanned)``: whether
+        some candidate in the slice is feasible, the first feasible
+        slice-local candidate index, its check time, and how many
+        merged grid points that candidate's scan consumed.
         """
-        c1, c2 = self.params.c1, self.params.c2
-        cap = self.params.ego_speed_cap
-        n_times = grid.times.size
-
-        # The slice's ego profile family, materialized on demand; the
-        # scalar reaction-travel anchors are computed once and shared
-        # between the grid rows and the t_r point evaluation.
+        dist, speed, dist_r, speed_r = profiles
         reactions = grid.reactions[lo:hi]
-        anchors = _reaction_anchors(ego, reactions, cap)
-        ego_distance, ego_speed = ego_profile_arrays(
-            ego,
-            reactions[:, None],
-            grid.times,
-            cap,
-            anchors=(anchors[0][:, None], anchors[1][:, None]),
-        )
-        ego_distance_r, ego_speed_r = ego_profile_arrays(
-            ego, reactions, reactions, cap, anchors=anchors
-        )
-        window = grid.times[None, :] >= reactions[:, None] - _EPS
-        valid = (
-            np.arange(n_times)[None, :] < grid.lengths[lo:hi, None]
-        )
+        pos = grid.insert_at[lo:hi]
 
-        # Eq 1/2 feasibility for every (actor, candidate, instant).
-        d_ok = ego_distance[None] <= c1 * gaps_m[:, None, :] + _EPS
-        v_ok = ego_speed[None] <= c2 * va_m[:, None, :] + _EPS
-        candidate = d_ok & v_ok & window[None] & valid[None]
-        d_bad = ~d_ok & valid[None]
+        # Eq 1/2 for every (row, candidate, instant).
+        d_ok = dist[row_pos] <= c1[:, None, None] * gaps_m[:, None, :] + _EPS
+        v_ok = speed[row_pos] <= c2[:, None, None] * va_m[:, None, :] + _EPS
+        window = times[None, :] >= reactions[:, None] - _EPS
+        candidate = d_ok & v_ok & (window & valid)
+        d_bad = ~d_ok & valid
 
         # First indices on the master grid, then mapped onto the merged
         # (t_r-inserted) grid the scalar search scans.
-        ins = grid.inserted[None, lo:hi]
-        pos = grid.insert_at[None, lo:hi]
-        fv_m = _first_true(d_bad)  # (A, hi - lo)
+        fv_m = _first_true(d_bad)  # (R, S)
         cf_m = _first_true(candidate)
         first_violation = np.where(
             fv_m != _NO_INDEX, fv_m + (ins & (fv_m >= pos)), _NO_INDEX
@@ -842,8 +634,8 @@ class LatencyEngine:
         )
 
         # The t_r sample itself (t_n = t_r is always inside the window).
-        d_ok_r = ego_distance_r[None] <= c1 * gaps_r + _EPS
-        v_ok_r = ego_speed_r[None] <= c2 * va_r + _EPS
+        d_ok_r = dist_r[row_pos] <= c1[:, None] * gaps_r + _EPS
+        v_ok_r = speed_r[row_pos] <= c2[:, None] * va_r + _EPS
         first_violation = np.minimum(
             first_violation, np.where(ins & ~d_ok_r, pos, _NO_INDEX)
         )
@@ -865,25 +657,13 @@ class LatencyEngine:
 
         # Check times: merged index ``pos`` is the inserted t_r when an
         # insertion happened (master indices then map around it).
-        ins_h = grid.inserted[lo + hit]
-        pos_h = grid.insert_at[lo + hit]
+        ins_h = np.broadcast_to(ins, feasible.shape)[rows, hit]
+        pos_h = pos[hit]
         from_reaction = ins_h & (best == pos_h)
         master_index = best - (ins_h & (best > pos_h))
         check_times = np.where(
             from_reaction,
-            grid.reactions[lo + hit],
-            grid.times[np.minimum(master_index, n_times - 1)],
+            reactions[hit],
+            times[np.minimum(master_index, times.size - 1)],
         )
         return found, hit, check_times, best + 1
-
-    # ------------------------------------------------------------------
-    # per-tick precomputation
-    # ------------------------------------------------------------------
-
-    def _tick_grid(self, ego: EgoMotion, l0: float) -> _TickGrid:
-        """One tick's candidate/time bookkeeping.
-
-        A single-tick :meth:`trace_grid` — one derivation of the
-        parity-critical grid arithmetic, not two that could drift.
-        """
-        return self.trace_grid([ego], l0).tick(0)

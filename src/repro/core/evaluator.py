@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.ego_profile import EgoMotion
 from repro.core.engine import LatencyEngine
 from repro.core.fpr import CameraEstimate, estimate_camera_fprs
-from repro.core.latency import BACKENDS, LatencySearch, SearchStrategy
+from repro.core.latency import BACKENDS, LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import EgoPathRows, ThreatAssessor
 from repro.errors import EstimationError
@@ -258,27 +258,20 @@ class OfflineEvaluator:
     Attributes:
         params: the Zhuyi constants.
         rig: camera rig used for FOV grouping (the paper's five cameras).
-        search: the per-actor latency solver.
         road: road geometry for lateral threat gating (falls back to the
             ego heading frame when omitted).
         stride: evaluation period along the trace (seconds). The paper
             evaluates at every simulation step; 50 ms is the coarsest
             stride that still catches the shortest binding windows in
             the catalog scenarios.
-        backend: ``"batched"`` (default) solves each tick's whole actor
-            batch through the :class:`repro.core.engine.LatencyEngine`
-            array kernel and groups actors by camera FOV through the
-            trace-level Equation 5 visibility tables
-            (:meth:`repro.perception.sensor.CameraRig.visible_actors_trace`);
-            ``"scalar"`` runs the per-actor, per-tick reference loop;
-            ``"crosstrace"`` additionally routes
-            :meth:`evaluate_many` through the whole-block kernels of
-            :func:`evaluate_trace_block` (single-trace :meth:`evaluate`
-            calls behave exactly like ``"batched"``). Results are
-            bit-identical across all three; only the clock differs. A
-            PAPER-strategy ``search`` always solves latencies scalar
-            (Eq 3 stepping is sequential by construction), though the
-            visibility tables still batch.
+        backend: ``"batched"`` (default) and ``"crosstrace"`` evaluate
+            the trace as a one-job :func:`evaluate_trace_block`: every
+            gated (tick, actor) row solves through the
+            :class:`repro.core.engine.LatencyEngine` array kernel, and
+            actors group by camera FOV through the trace-level Equation
+            5 visibility tables. ``"scalar"`` runs the per-actor,
+            per-tick reference loop. Results are bit-identical across
+            all three; only the clock differs.
         noise: optional stochastic perception
             (:class:`~repro.perception.noise.PerceptionNoise`) injected
             into the sampled trace: undetected actors place no latency
@@ -289,7 +282,6 @@ class OfflineEvaluator:
 
     params: ZhuyiParams = field(default_factory=ZhuyiParams)
     rig: CameraRig = field(default_factory=default_rig)
-    search: LatencySearch | None = None
     road: Road | None = None
     stride: float = 0.05
     backend: str = "batched"
@@ -302,16 +294,7 @@ class OfflineEvaluator:
             raise EstimationError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
-        if self.search is None:
-            self.search = LatencySearch(params=self.params)
-        self._engine = None
-        if (
-            self.backend in ("batched", "crosstrace")
-            and self.search.strategy is SearchStrategy.EXACT
-        ):
-            self._engine = LatencyEngine(
-                params=self.search.params, strict=self.search.strict
-            )
+        self._search = LatencySearch(params=self.params)
 
     def evaluate(
         self,
@@ -350,6 +333,12 @@ class OfflineEvaluator:
                 f"evaluator noise {self.noise}"
             )
 
+        if self.backend != "scalar":
+            job = TraceJob(trace=trace, samples=samples, l0=l0, road=self.road)
+            return evaluate_trace_block(
+                [job], [self.params], self.stride, rig=self.rig
+            )[0][0]
+
         assessor = ThreatAssessor(params=self.params, road=self.road)
         times = samples.times
         ego_states = samples.ego_states
@@ -369,47 +358,13 @@ class OfflineEvaluator:
             )
             for actor_id, trajectory in actor_trajectories.items()
         }
-
         # Injected misses gate exactly like geometric impossibility: an
-        # undetected actor places no latency demand at that tick. One
-        # AND here covers both the per-tick loop and the trace kernel.
+        # undetected actor places no latency demand at that tick.
         if samples.detected is not None:
             gate_tables = {
                 actor_id: table & samples.detected[actor_id]
                 for actor_id, table in gate_tables.items()
             }
-
-        # The batched backend solves the whole actors x latency-grid x
-        # ticks problem through the trace-level kernel; per-tick latency
-        # dictionaries come back precomputed. (The no-road +
-        # lateral-gating combination needs per-tick ego frames for the
-        # corridor and keeps the per-tick path.)
-        latency_tables = None
-        if self._engine is not None and (
-            self.road is not None or not self.params.gate_lateral
-        ):
-            latency_tables = self._solve_trace_latencies(
-                trace, samples, assessor, gate_tables, l0
-            )
-
-        # Equation 5 FOV grouping for every tick in one array program —
-        # the trace-level visibility kernel (groupings bit-identical to
-        # the per-tick rig.visible_actors the scalar backend runs).
-        visibility_tables = None
-        if self.backend in ("batched", "crosstrace"):
-            positions = samples.actor_positions
-            if positions is None:
-                positions = {
-                    actor_id: (
-                        np.array([state.position.x for state in states]),
-                        np.array([state.position.y for state in states]),
-                    )
-                    for actor_id, states in actor_states.items()
-                }
-            visibility_tables = self.rig.visible_actors_trace(
-                ego_states, positions, detected=samples.detected
-            )
-
         ticks = [
             self._evaluate_tick(
                 float(times[i]),
@@ -420,12 +375,6 @@ class OfflineEvaluator:
                 actor_trajectories,
                 assessor,
                 l0,
-                precomputed=(
-                    None if latency_tables is None else latency_tables[i]
-                ),
-                visibility=(
-                    None if visibility_tables is None else visibility_tables[i]
-                ),
                 detected=(
                     None
                     if samples.detected is None
@@ -441,167 +390,6 @@ class OfflineEvaluator:
             scenario=trace.scenario, ticks=ticks, params=self.params, l0=l0
         )
 
-    def evaluate_many(
-        self,
-        traces: Sequence[ScenarioTrace],
-        samples: Sequence[TraceSamples | None] | None = None,
-        l0s: Sequence[float | None] | None = None,
-    ) -> list[EvaluationSeries]:
-        """Evaluate a whole stack of traces, one series each.
-
-        On the ``"crosstrace"`` backend the stack routes through
-        :func:`evaluate_trace_block`, which solves every trace's gated
-        (tick, actor) rows through shared array kernels — visibility
-        tables in one rig pass, latencies through stacked
-        :meth:`~repro.core.engine.LatencyEngine.trace_grid` programs
-        per ``l0`` group. Other backends (and a PAPER-strategy search,
-        whose Eq 3 stepping is sequential) simply loop
-        :meth:`evaluate`. Series are identical either way, element for
-        element.
-
-        Args:
-            traces: the recorded closed-loop runs.
-            samples: optional per-trace :func:`presample_trace` output
-                (entries may be ``None`` to sample here).
-            l0s: optional per-trace processing latencies; ``None``
-                entries default like :meth:`evaluate`'s ``l0``.
-
-        Returns:
-            One :class:`EvaluationSeries` per trace, in input order.
-        """
-        if samples is None:
-            samples = [None] * len(traces)
-        if l0s is None:
-            l0s = [None] * len(traces)
-        if len(samples) != len(traces) or len(l0s) != len(traces):
-            raise EstimationError(
-                "samples and l0s must align with traces: "
-                f"{len(traces)} traces, {len(samples)} samples, "
-                f"{len(l0s)} l0s"
-            )
-        if (
-            self.backend != "crosstrace"
-            or self.search.strategy is not SearchStrategy.EXACT
-        ):
-            return [
-                self.evaluate(trace, l0=l0, samples=trace_samples)
-                for trace, trace_samples, l0 in zip(traces, samples, l0s)
-            ]
-        for trace_samples in samples:
-            if (
-                trace_samples is not None
-                and trace_samples.noise != effective_noise(self.noise)
-            ):
-                raise EstimationError(
-                    f"presampled noise {trace_samples.noise} does not "
-                    f"match evaluator noise {self.noise}"
-                )
-        jobs = [
-            TraceJob(
-                trace=trace,
-                samples=(
-                    presample_trace(trace, self.stride, noise=self.noise)
-                    if trace_samples is None
-                    else trace_samples
-                ),
-                l0=trace.default_l0() if l0 is None else l0,
-                road=self.road,
-            )
-            for trace, trace_samples, l0 in zip(traces, samples, l0s)
-        ]
-        block = evaluate_trace_block(
-            jobs,
-            [self.params],
-            self.stride,
-            rig=self.rig,
-            strict=self.search.strict,
-        )
-        return [series[0] for series in block]
-
-    def _solve_trace_latencies(
-        self,
-        trace: ScenarioTrace,
-        samples: TraceSamples,
-        assessor: ThreatAssessor,
-        gate_tables,
-        l0: float,
-    ) -> list[dict[str, float | None]]:
-        """Per-tick actor latencies via the trace-level batched kernel.
-
-        Ticks are processed in blocks (bounding the sampled-row arrays'
-        memory): per block, every gated (actor, tick) pair becomes one
-        row — its threat quantities sampled in one batched pass per
-        actor (:meth:`ThreatAssessor.sample_threats_trace`) — and the
-        engine solves all rows through
-        :meth:`repro.core.engine.LatencyEngine.solve_rows`. Values are
-        bit-identical to the per-tick path; see those methods for the
-        parity arguments.
-        """
-        times = samples.times
-        ego_states = samples.ego_states
-        ego_motions = [
-            EgoMotion.from_state(state.speed, state.accel, self.params)
-            for state in ego_states
-        ]
-        grid = self._engine.trace_grid(ego_motions, l0)
-        rel_times = np.concatenate([grid.times, grid.reactions])
-        tables: list[dict[str, float | None]] = [
-            {} for _ in range(len(times))
-        ]
-        # Block size targets ~2M row-elements per kernel call: big
-        # enough to amortize per-call overhead, small enough that the
-        # row arrays stay cache-resident instead of going memory-bound.
-        n_actors = max(len(samples.actor_trajectories), 1)
-        block = max(1, int(2_000_000 / (rel_times.size * n_actors)))
-        for start in range(0, len(times), block):
-            stop = min(start + block, len(times))
-            tick_chunks: list[np.ndarray] = []
-            row_actors: list[str] = []
-            gap_chunks: list[np.ndarray] = []
-            speed_chunks: list[np.ndarray] = []
-            for actor_id, trajectory in samples.actor_trajectories.items():
-                gated = start + np.flatnonzero(
-                    gate_tables[actor_id][start:stop]
-                )
-                if gated.size == 0:
-                    continue
-                gaps, speeds = assessor.sample_threats_trace(
-                    [ego_states[i] for i in gated],
-                    trace.ego_spec,
-                    trajectory,
-                    trace.actor_spec(actor_id),
-                    times[gated],
-                    rel_times,
-                )
-                tick_chunks.append(gated)
-                row_actors.extend([actor_id] * gated.size)
-                gap_chunks.append(gaps)
-                speed_chunks.append(speeds)
-            if not tick_chunks:
-                continue
-            results = self._engine.solve_rows(
-                grid,
-                np.concatenate(tick_chunks),
-                ego_motions,
-                np.vstack(gap_chunks),
-                np.vstack(speed_chunks),
-            )
-            for tick, actor_id, result in zip(
-                np.concatenate(tick_chunks), row_actors, results
-            ):
-                tables[int(tick)][actor_id] = result.latency
-        # Row order above is actor-major; per-tick dictionaries must
-        # list actors in trajectory order like the per-tick path does.
-        order = list(samples.actor_trajectories)
-        return [
-            {
-                actor_id: table[actor_id]
-                for actor_id in order
-                if actor_id in table
-            }
-            for table in tables
-        ]
-
     def _evaluate_tick(
         self,
         t0: float,
@@ -612,10 +400,9 @@ class OfflineEvaluator:
         actor_trajectories,
         assessor: ThreatAssessor,
         l0: float,
-        precomputed: dict[str, float | None] | None = None,
-        visibility: Mapping[str, Sequence] | None = None,
         detected: Mapping[str, bool] | None = None,
     ) -> EvaluationTick:
+        """One tick of the scalar reference: per actor, per candidate."""
         # An undetected actor is invisible to perception this tick: it
         # joins no camera grouping (its gate is already off upstream).
         actor_positions = {
@@ -623,44 +410,26 @@ class OfflineEvaluator:
             for actor_id in actor_trajectories
             if detected is None or detected[actor_id]
         }
-        if precomputed is not None:
-            actor_latencies = precomputed
-        else:
-            ego_motion = EgoMotion.from_state(
-                ego_state.speed, ego_state.accel, self.params
+        ego_motion = EgoMotion.from_state(
+            ego_state.speed, ego_state.accel, self.params
+        )
+        # Offline: |T| = 1, so Equation 4 reduces to the single value.
+        actor_latencies: dict[str, float | None] = {}
+        for actor_id, trajectory in actor_trajectories.items():
+            if not gates[actor_id]:
+                continue
+            threat = assessor.build_threat(
+                ego_state,
+                trace.ego_spec,
+                trajectory,
+                trace.actor_spec(actor_id),
+                t0=t0,
             )
-            threats = {}
-            for actor_id, trajectory in actor_trajectories.items():
-                if not gates[actor_id]:
-                    continue
-                threats[actor_id] = assessor.build_threat(
-                    ego_state,
-                    trace.ego_spec,
-                    trajectory,
-                    trace.actor_spec(actor_id),
-                    t0=t0,
-                )
+            actor_latencies[actor_id] = self._search.tolerable_latency(
+                ego_motion, threat, l0
+            ).latency
 
-            # Offline: |T| = 1, so Equation 4 reduces to the single
-            # value.
-            if self._engine is not None:
-                results = self._engine.solve_batch(
-                    ego_motion, list(threats.values()), l0
-                )
-                actor_latencies: dict[str, float | None] = {
-                    actor_id: result.latency
-                    for actor_id, result in zip(threats, results)
-                }
-            else:
-                actor_latencies = {
-                    actor_id: self.search.tolerable_latency(
-                        ego_motion, threat, l0
-                    ).latency
-                    for actor_id, threat in threats.items()
-                }
-
-        if visibility is None:
-            visibility = self.rig.visible_actors(ego_state, actor_positions)
+        visibility = self.rig.visible_actors(ego_state, actor_positions)
         estimates = estimate_camera_fprs(actor_latencies, visibility, self.params)
         return EvaluationTick(
             time=t0,
@@ -688,12 +457,12 @@ class TraceJob:
     road: Road | None = None
 
 
-#: Target element count of one tiled solve block: ``base rows x
-#: variants x scan instants`` per :meth:`LatencyEngine.solve_rows`
-#: call stays near this, bounding peak array memory (~32 MB of
-#: float64 threat samples) while amortizing the per-unique-tick ego
-#: profile construction across every variant of the block.
-_BLOCK_ELEMENTS = 4_000_000
+#: Row-element budget of one block window: stacked ticks x actors x
+#: variants x scan instants of threat samples per
+#: :meth:`LatencyEngine.solve_rows` call stays near this — big enough to
+#: amortize per-call overhead, small enough that the row arrays (~2 x 16
+#: MB of float64 samples) stay cache-friendly instead of memory-bound.
+_ROW_ELEMENTS = 2_000_000
 
 
 def evaluate_trace_block(
@@ -701,12 +470,13 @@ def evaluate_trace_block(
     variants: Sequence[ZhuyiParams],
     stride: float,
     rig: CameraRig | None = None,
-    strict: bool = True,
 ) -> list[list[EvaluationSeries]]:
     """Evaluate many traces under many parameter variants in one block.
 
-    The campaign super-cell kernel: instead of one evaluator pass per
-    (trace, variant), the whole block shares its array programs —
+    The vectorized evaluation path: a single-trace
+    :meth:`OfflineEvaluator.evaluate` is a one-job block, and the
+    campaign super-cell a many-job one. Instead of one evaluator pass
+    per (trace, variant), the whole block shares its array programs —
 
     * Equation 5 visibility tables build in one
       :meth:`~repro.perception.sensor.CameraRig.visible_actors_traces`
@@ -718,26 +488,26 @@ def evaluate_trace_block(
       comparisons differ, carried as per-row constraint columns;
     * within a group, traces sharing ``l0`` stack into one
       :meth:`~repro.core.engine.LatencyEngine.trace_grid` whose tick
-      axis concatenates their ego motions, and every gated (trace,
-      tick, actor, variant) row solves through shared
-      :meth:`~repro.core.engine.LatencyEngine.solve_rows` calls.
+      axis concatenates their ego motions. Gates and ego path rows are
+      built once per trace; then, one bounded window of stacked ticks
+      at a time, every gated (trace, tick, actor) row is sampled, tiled
+      once per variant and solved through one
+      :meth:`~repro.core.engine.LatencyEngine.solve_rows` call. The
+      windows bound the block's peak memory however many traces and
+      variants it holds.
 
-    Every constituent kernel is bit-identical to its per-trace
+    Every constituent kernel is bit-identical to its per-tick scalar
     counterpart (see each method's parity argument), so the returned
-    series equal per-trace ``backend="batched"`` evaluations element
-    for element. Traces with no road while a variant gates laterally
-    need per-tick ego frames and quietly take the per-trace batched
-    path for that variant group.
+    series equal ``backend="scalar"`` evaluations element for element.
 
     Args:
         jobs: the traces, presampled at ``stride``. Noise-injected
             samples travel self-contained — their detection masks AND
-            into the gates and visibility groupings here exactly as
-            :meth:`OfflineEvaluator.evaluate` applies them.
+            into the gates and visibility groupings here exactly as the
+            scalar :meth:`OfflineEvaluator.evaluate` applies them.
         variants: the parameter variants to evaluate each trace under.
         stride: evaluation period (must match every job's samples).
         rig: camera rig (the paper's five-camera default when omitted).
-        strict: strict prefix semantics of the EXACT search.
 
     Returns:
         ``series[j][v]``: job ``j`` evaluated under variant ``v``.
@@ -786,161 +556,25 @@ def evaluate_trace_block(
         groups.setdefault(params.solver_grid_key(), []).append(v)
 
     for vlist in groups.values():
-        gparams = variants[vlist[0]]
-        engine = LatencyEngine(params=gparams, strict=strict)
-        c1s = np.array([variants[v].c1 for v in vlist])
-        c2s = np.array([variants[v].c2 for v in vlist])
-
-        # The no-road + lateral-gating combination needs per-tick ego
-        # frames for the corridor; those (job, variant) pairs keep the
-        # per-trace batched path (identical output by construction).
-        stackable: list[int] = []
-        for j, job in enumerate(jobs):
-            if job.road is None and gparams.gate_lateral:
-                for v in vlist:
-                    fallback = OfflineEvaluator(
-                        params=variants[v],
-                        rig=rig,
-                        search=LatencySearch(
-                            params=variants[v], strict=strict
-                        ),
-                        road=job.road,
-                        stride=stride,
-                        backend="batched",
-                        noise=job.samples.noise,
-                    )
-                    output[j][v] = fallback.evaluate(
-                        job.trace, l0=job.l0, samples=job.samples
-                    )
-            else:
-                stackable.append(j)
-
+        # Per (job, variant): per-tick {actor: latency} dictionaries,
+        # gated actors only.
+        tables: dict[tuple[int, int], list[dict[str, float | None]]] = {
+            (j, v): [{} for _ in job.samples.times]
+            for j, job in enumerate(jobs)
+            for v in vlist
+        }
         # Stack traces sharing l0 into one grid (reactions — hence the
         # master time axis — depend on l0).
         l0_groups: dict[float, list[int]] = {}
-        for j in stackable:
-            l0_groups.setdefault(jobs[j].l0, []).append(j)
-
-        # Per (job, variant): per-tick {actor: latency} dictionaries,
-        # gated actors only, filled by the scatter below.
-        tables: dict[tuple[int, int], list[dict[str, float | None]]] = {
-            (j, v): [{} for _ in jobs[j].samples.times]
-            for j in stackable
-            for v in vlist
-        }
-
+        for j, job in enumerate(jobs):
+            l0_groups.setdefault(job.l0, []).append(j)
         for l0, job_indices in l0_groups.items():
-            motions: list = []
-            offsets: list[int] = []
-            for j in job_indices:
-                offsets.append(len(motions))
-                motions.extend(
-                    EgoMotion.from_state(state.speed, state.accel, gparams)
-                    for state in jobs[j].samples.ego_states
-                )
-            grid = engine.trace_grid(motions, l0)
-            rel_times = np.concatenate([grid.times, grid.reactions])
+            _solve_stack(jobs, job_indices, l0, variants, vlist, tables)
 
-            # One row per gated (trace, tick, actor): threat samples
-            # batch per actor, ego-side arrays batch once per trace.
-            row_meta: list[tuple[int, str, np.ndarray]] = []
-            tick_chunks: list[np.ndarray] = []
-            gap_chunks: list[np.ndarray] = []
-            speed_chunks: list[np.ndarray] = []
-            for j, offset in zip(job_indices, offsets):
-                job = jobs[j]
-                samples = job.samples
-                assessor = ThreatAssessor(params=gparams, road=job.road)
-                ego_rows = assessor.ego_path_rows(samples.ego_states)
-                for actor_id, trajectory in samples.actor_trajectories.items():
-                    spec = job.trace.actor_spec(actor_id)
-                    gate = assessor.could_collide_trace(
-                        samples.ego_states,
-                        job.trace.ego_spec,
-                        trajectory,
-                        spec,
-                        samples.times,
-                        ego_rows=ego_rows,
-                    )
-                    if samples.detected is not None:
-                        # Injected misses gate like geometric
-                        # impossibility (same AND evaluate() applies).
-                        gate = gate & samples.detected[actor_id]
-                    gated = np.flatnonzero(gate)
-                    if gated.size == 0:
-                        continue
-                    gaps, speeds = assessor.sample_threats_trace(
-                        [samples.ego_states[i] for i in gated],
-                        job.trace.ego_spec,
-                        trajectory,
-                        spec,
-                        samples.times[gated],
-                        rel_times,
-                        ego_rows=EgoPathRows(
-                            xs=ego_rows.xs[gated],
-                            ys=ego_rows.ys[gated],
-                            s=ego_rows.s[gated],
-                            d=ego_rows.d[gated],
-                        ),
-                    )
-                    row_meta.append((j, actor_id, gated))
-                    tick_chunks.append(gated + offset)
-                    gap_chunks.append(gaps)
-                    speed_chunks.append(speeds)
-            if not tick_chunks:
-                continue
-            base_ticks = np.concatenate(tick_chunks)
-            base_gaps = np.vstack(gap_chunks)
-            base_speeds = np.vstack(speed_chunks)
-            # Row -> (job, actor, local tick) for the scatter.
-            scatter: list[tuple[int, str, int]] = []
-            for j, actor_id, gated in row_meta:
-                scatter.extend((j, actor_id, int(i)) for i in gated)
-            # Tick-major row order: every solve block then carries all
-            # (actor, variant) rows of its ticks together, which is the
-            # row density the engine's tick-resident grouped kernel
-            # keys on. Pure permutation — rows are independent and the
-            # scatter above travels with them.
-            tick_order = np.argsort(base_ticks, kind="stable")
-            base_ticks = base_ticks[tick_order]
-            base_gaps = base_gaps[tick_order]
-            base_speeds = base_speeds[tick_order]
-            scatter = [scatter[i] for i in tick_order]
-
-            # Variant-tiled solves in base-row blocks: each block's
-            # rows repeat once per variant with that variant's c1/c2
-            # as per-row constraint columns, so the per-tick ego
-            # profile work amortizes across every variant at bounded
-            # peak memory.
-            n_variants = len(vlist)
-            block = max(
-                1, int(_BLOCK_ELEMENTS / (n_variants * rel_times.size))
-            )
-            for start in range(0, base_ticks.size, block):
-                stop = min(start + block, base_ticks.size)
-                width = stop - start
-                results = engine.solve_rows(
-                    grid,
-                    np.tile(base_ticks[start:stop], n_variants),
-                    motions,
-                    np.tile(base_gaps[start:stop], (n_variants, 1)),
-                    np.tile(base_speeds[start:stop], (n_variants, 1)),
-                    constraints=(
-                        np.repeat(c1s, width),
-                        np.repeat(c2s, width),
-                    ),
-                )
-                for vi, v in enumerate(vlist):
-                    for r in range(width):
-                        j, actor_id, tick = scatter[start + r]
-                        result = results[vi * width + r]
-                        tables[(j, v)][tick][actor_id] = result.latency
-
-        # Assemble each (job, variant) series exactly like the
-        # single-trace precomputed path: trajectory-ordered latency
-        # dictionaries, shared visibility tables, Equation 5 rollup.
-        for j in stackable:
-            job = jobs[j]
+        # Assemble each (job, variant) series: trajectory-ordered
+        # latency dictionaries, shared visibility tables, Equation 5
+        # rollup.
+        for j, job in enumerate(jobs):
             samples = job.samples
             order = list(samples.actor_trajectories)
             for v in vlist:
@@ -973,3 +607,117 @@ def evaluate_trace_block(
                     l0=job.l0,
                 )
     return [list(row) for row in output]
+
+
+def _solve_stack(
+    jobs: Sequence[TraceJob],
+    job_indices: Sequence[int],
+    l0: float,
+    variants: Sequence[ZhuyiParams],
+    vlist: Sequence[int],
+    tables: dict[tuple[int, int], list[dict[str, float | None]]],
+) -> None:
+    """Solve one l0 stack of a variant group into ``tables``.
+
+    The jobs' ticks concatenate into one :meth:`LatencyEngine.trace_grid`;
+    rows are sampled and solved one window of stacked ticks at a time,
+    each row repeated once per variant with that variant's c1/c2 as
+    per-row constraint columns.
+    """
+    gparams = variants[vlist[0]]
+    engine = LatencyEngine(params=gparams)
+    c1s = np.array([variants[v].c1 for v in vlist])
+    c2s = np.array([variants[v].c2 for v in vlist])
+    motions: list[EgoMotion] = []
+    offsets: list[int] = []
+    for j in job_indices:
+        offsets.append(len(motions))
+        motions.extend(
+            EgoMotion.from_state(state.speed, state.accel, gparams)
+            for state in jobs[j].samples.ego_states
+        )
+    grid = engine.trace_grid(motions, l0)
+    rel_times = np.concatenate([grid.times, grid.reactions])
+
+    # Gates and ego path rows once per job: one entry per (job, actor)
+    # with any gated tick, holding its gated stacked tick indices.
+    gated_actors = []
+    for j, offset in zip(job_indices, offsets):
+        job = jobs[j]
+        samples = job.samples
+        assessor = ThreatAssessor(params=gparams, road=job.road)
+        ego_rows = assessor.ego_path_rows(samples.ego_states)
+        for actor_id, trajectory in samples.actor_trajectories.items():
+            spec = job.trace.actor_spec(actor_id)
+            gate = assessor.could_collide_trace(
+                samples.ego_states,
+                job.trace.ego_spec,
+                trajectory,
+                spec,
+                samples.times,
+                ego_rows=ego_rows,
+            )
+            if samples.detected is not None:
+                # Injected misses gate like geometric impossibility: an
+                # undetected actor places no latency demand at that tick.
+                gate = gate & samples.detected[actor_id]
+            gated = offset + np.flatnonzero(gate)
+            if gated.size:
+                gated_actors.append(
+                    (j, offset, assessor, ego_rows, actor_id, trajectory, spec, gated)
+                )
+
+    n_variants = len(vlist)
+    n_actors = max(len(jobs[j].samples.actor_trajectories) for j in job_indices)
+    window = max(
+        1, int(_ROW_ELEMENTS / (rel_times.size * max(1, n_actors) * n_variants))
+    )
+    for start in range(0, len(motions), window):
+        stop = start + window
+        tick_chunks: list[np.ndarray] = []
+        gap_chunks: list[np.ndarray] = []
+        speed_chunks: list[np.ndarray] = []
+        scatter: list[tuple[int, str, int]] = []
+        for j, offset, assessor, ego_rows, actor_id, trajectory, spec, gated in (
+            gated_actors
+        ):
+            ticks = gated[
+                np.searchsorted(gated, start) : np.searchsorted(gated, stop)
+            ]
+            if ticks.size == 0:
+                continue
+            local = ticks - offset
+            samples = jobs[j].samples
+            gaps, speeds = assessor.sample_threats_trace(
+                [samples.ego_states[i] for i in local],
+                jobs[j].trace.ego_spec,
+                trajectory,
+                spec,
+                samples.times[local],
+                rel_times,
+                ego_rows=EgoPathRows(
+                    xs=ego_rows.xs[local],
+                    ys=ego_rows.ys[local],
+                    s=ego_rows.s[local],
+                    d=ego_rows.d[local],
+                ),
+            )
+            tick_chunks.append(ticks)
+            gap_chunks.append(gaps)
+            speed_chunks.append(speeds)
+            scatter.extend((j, actor_id, int(i)) for i in local)
+        if not scatter:
+            continue
+        width = len(scatter)
+        results = engine.solve_rows(
+            grid,
+            np.concatenate(tick_chunks * n_variants),
+            motions,
+            np.vstack(gap_chunks * n_variants),
+            np.vstack(speed_chunks * n_variants),
+            constraints=(np.repeat(c1s, width), np.repeat(c2s, width)),
+        )
+        for vi, v in enumerate(vlist):
+            solved = results[vi * width : (vi + 1) * width]
+            for (j, actor_id, tick), result in zip(scatter, solved):
+                tables[(j, v)][tick][actor_id] = result.latency

@@ -42,7 +42,6 @@ import numpy as np
 from repro.core.ego_profile import EgoMotion, ego_profile_arrays
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import LongitudinalThreat, sample_grid
-from repro.errors import ConfigurationError
 
 #: Latency value used in aggregations for unavoidable-collision verdicts.
 UNAVOIDABLE_LATENCY = 0.0
@@ -51,12 +50,12 @@ UNAVOIDABLE_LATENCY = 0.0
 _EPS = 1e-9
 
 #: Latency-solver backends: the scalar per-candidate reference loop,
-#: the batched array program of :mod:`repro.core.engine` (one
-#: vectorized kernel per latency grid), or the cross-trace campaign
-#: stacking (``crosstrace``: whole groups of traces and parameter
-#: variants solved through shared kernels — see
-#: :func:`repro.core.evaluator.evaluate_trace_block`). All three
-#: produce bit-identical results; only the clock differs.
+#: or the vectorized block kernel
+#: (:func:`repro.core.evaluator.evaluate_trace_block` over the array
+#: programs of :mod:`repro.core.engine`). ``batched`` and
+#: ``crosstrace`` both name the kernel; they differ only in how many
+#: campaign cells one runner task hands it (one, or a super-cell). All
+#: three produce bit-identical results; only the clock differs.
 BACKENDS = ("scalar", "batched", "crosstrace")
 
 
@@ -96,14 +95,13 @@ class LatencyResult:
 
 @dataclass
 class LatencySearch:
-    """Per-actor tolerable-latency solver.
+    """Per-actor tolerable-latency solver — the scalar reference.
 
-    A thin facade over two equivalent solvers: the scalar reference
-    loop below (one latency candidate at a time), and the batched array
-    kernel of :class:`repro.core.engine.LatencyEngine` (the whole grid
-    at once, bit-identical results). Tick-level consumers that batch
-    actors should call the engine directly; this facade serves
-    per-actor callers.
+    One latency candidate at a time, exactly as the paper states the
+    search. The batched array kernel of
+    :class:`repro.core.engine.LatencyEngine` reproduces its EXACT
+    results bit for bit; every vectorized path runs that kernel and is
+    tested against this loop.
 
     Attributes:
         params: the Zhuyi constants.
@@ -111,26 +109,11 @@ class LatencySearch:
             paper's Eq 3 accelerated stepping).
         strict: EXACT strategy only — require the distance constraint on
             the whole prefix up to ``t_n`` (see the module docstring).
-        backend: ``"scalar"`` runs the reference loops; ``"batched"``
-            and ``"crosstrace"`` route EXACT searches through the engine
-            kernel (for one actor at a time the two are the same
-            program). The PAPER strategy is inherently sequential (each
-            Eq 3 step depends on the previous gap) and always runs
-            scalar.
     """
 
     params: ZhuyiParams = field(default_factory=ZhuyiParams)
     strategy: SearchStrategy = SearchStrategy.EXACT
     strict: bool = True
-    backend: str = "scalar"
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown latency backend {self.backend!r}; "
-                f"choose from {BACKENDS}"
-            )
-        self._engine = None
 
     def tolerable_latency(
         self,
@@ -143,17 +126,6 @@ class LatencySearch:
         ``l0`` is the processing latency the system currently runs at; it
         enters the confirmation delay ``alpha = K * (l - l0)``.
         """
-        if (
-            self.backend in ("batched", "crosstrace")
-            and self.strategy is SearchStrategy.EXACT
-        ):
-            if self._engine is None:
-                from repro.core.engine import LatencyEngine
-
-                self._engine = LatencyEngine(
-                    params=self.params, strict=self.strict
-                )
-            return self._engine.solve(ego, threat, l0)
         iterations = 0
         for latency in self.params.latency_grid():
             reaction_time = latency + self.params.confirmation_delay(latency, l0)

@@ -26,12 +26,7 @@ from repro.core.evaluator import (
     presample_trace,
 )
 from repro.core.fpr import estimate_camera_fprs
-from repro.core.latency import (
-    BACKENDS,
-    LatencySearch,
-    SearchStrategy,
-    UNAVOIDABLE_LATENCY,
-)
+from repro.core.latency import BACKENDS, UNAVOIDABLE_LATENCY, LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import LongitudinalThreat, ThreatAssessor
 from repro.dynamics.state import VehicleSpec, VehicleState
@@ -82,17 +77,17 @@ class OnlineEstimator:
         rig: camera rig for FOV grouping.
         aggregator: Equation 4 reduction (paper default: 99th percentile).
         road: road geometry for threat gating.
-        search: per-actor latency solver.
         gap_margin: optional perception-uncertainty margin subtracted
             from every gap (metres); 0 disables the extension.
         assumed_actor_spec: physical spec attributed to perceived actors
             (the world model carries no extent information).
-        backend: ``"batched"`` (default) solves the tick's full batch —
-            every predicted future of every confirmed actor — in one
-            :class:`repro.core.engine.LatencyEngine` call; ``"scalar"``
-            loops the reference search. ``"crosstrace"`` batches across
-            traces, which one estimator never sees, so it runs the
-            ``"batched"`` program. Bit-identical estimates.
+        backend: ``"batched"`` (default) and ``"crosstrace"`` solve the
+            tick's full batch — every predicted future of every
+            confirmed actor — in one
+            :class:`repro.core.engine.LatencyEngine` call (one estimator
+            never sees more than one trace, so the two names run the
+            same program); ``"scalar"`` loops the reference search.
+            Bit-identical estimates.
         noise: optional stochastic perception injected into
             :meth:`replay` (undetected ticks drop the actor from the
             replayed world model; position noise perturbs the perceived
@@ -107,7 +102,6 @@ class OnlineEstimator:
     rig: CameraRig = field(default_factory=default_rig)
     aggregator: Aggregator = field(default_factory=PercentileAggregator)
     road: Road | None = None
-    search: LatencySearch | None = None
     gap_margin: float = 0.0
     assumed_actor_spec: VehicleSpec = field(default_factory=VehicleSpec)
     backend: str = "batched"
@@ -120,16 +114,10 @@ class OnlineEstimator:
             raise EstimationError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
-        if self.search is None:
-            self.search = LatencySearch(params=self.params)
+        self._search = LatencySearch(params=self.params)
         self._engine = None
-        if (
-            self.backend in ("batched", "crosstrace")
-            and self.search.strategy is SearchStrategy.EXACT
-        ):
-            self._engine = LatencyEngine(
-                params=self.search.params, strict=self.search.strict
-            )
+        if self.backend != "scalar":
+            self._engine = LatencyEngine(params=self.params)
 
     def estimate(
         self,
@@ -200,7 +188,7 @@ class OnlineEstimator:
             solved = iter(self._engine.solve_batch(ego_motion, batch, l0))
         else:
             solved = iter(
-                self.search.tolerable_latency(ego_motion, threat, l0)
+                self._search.tolerable_latency(ego_motion, threat, l0)
                 for threat in batch
             )
 
@@ -253,8 +241,9 @@ class OnlineEstimator:
         grouping comes from one
         :meth:`repro.perception.sensor.CameraRig.visible_actors_trace`
         array program. ``"scalar"`` replays the per-tick reference
-        loop. The two are bit-identical; predictors (or configurations)
-        the batch path cannot serve fall back to the per-tick loop.
+        loop. The two are bit-identical; predictors whose output the
+        batch path cannot stack (ragged hypothesis sets) fall back to
+        the per-tick loop.
 
         Args:
             trace: the recorded closed-loop run.
@@ -280,17 +269,10 @@ class OnlineEstimator:
         detected = samples.detected
 
         visibility_tables = None
-        if self.backend in ("batched", "crosstrace"):
+        if self._engine is not None:
             visibility_tables = self.rig.visible_actors_trace(
                 ego_states, samples.actor_positions, detected=detected
             )
-
-        # The trace-level array program. (The no-road + lateral-gating
-        # combination needs per-tick ego frames for the corridor mask
-        # and keeps the per-tick path, mirroring the offline evaluator.)
-        if self._engine is not None and (
-            self.road is not None or not self.params.gate_lateral
-        ):
             ticks = self._replay_batched(
                 trace, samples, l0, visibility_tables
             )

@@ -267,9 +267,9 @@ class EgoPathRows:
     Attributes:
         xs / ys: per-tick ego world coordinates.
         s / d: per-tick ego path coordinates — road Frenet station and
-            lateral when a road is present, zeros in the no-road
-            per-tick-frame fallback (where each tick's gate works in
-            that tick's own ego frame and the ego sits at its origin).
+            lateral when a road is present, zeros without one (each
+            tick's gate and corridor then work in that tick's own ego
+            heading frame, where the ego sits at the origin).
     """
 
     xs: np.ndarray
@@ -534,9 +534,7 @@ class ThreatAssessor:
         shared row kernel as the trace sampler, so the values equal a
         per-tick :class:`TrajectoryThreat` build-and-sample bit for bit
         (Euclidean gap from the tick's ego position, half-lengths
-        subtracted, the 10 ms corridor-mask quantization). Requires
-        road geometry when lateral gating is on, like the trace
-        sampler.
+        subtracted, the 10 ms corridor-mask quantization).
 
         Args:
             ego_states: ego state at each queried tick.
@@ -651,11 +649,6 @@ class ThreatAssessor:
         """
         t0s = np.asarray(t0s, dtype=float)
         rel_times = np.asarray(rel_times, dtype=float)
-        if self.params.gate_lateral and self.road is None:
-            raise EstimationError(
-                "row-batched threat sampling needs road geometry "
-                "when lateral gating is on"
-            )
         half_lengths = (ego_spec.length + actor_spec.length) / 2.0
         n_rel = rel_times.size
         queries = t0s[:, None] + rel_times[None, :]
@@ -682,20 +675,33 @@ class ThreatAssessor:
         if self.params.gate_lateral:
             mask_xs = xs[:, n_rel:]
             mask_ys = ys[:, n_rel:]
-            # The road branch of CorridorSpec.lateral_offsets ignores
-            # the per-tick frame fields; one spec serves every tick.
-            corridor = CorridorSpec(
-                road=self.road,
-                ego_frame_origin=ego_states[0],
-                ego_lateral=0.0,
-                overlap_width=0.0,
-            )
-            offsets = corridor.lateral_offsets(mask_xs, mask_ys)
+            if self.road is None:
+                # Each tick's own ego heading frame: the arithmetic of
+                # CorridorSpec.lateral_offsets' no-road branch, with its
+                # per-tick math.sin/cos rotation constants as columns.
+                headings = [state.heading for state in ego_states]
+                sin_h = np.array([math.sin(h) for h in headings])[:, None]
+                cos_h = np.array([math.cos(h) for h in headings])[:, None]
+                offsets = -sin_h * (mask_xs - ego_xs[:, None]) + cos_h * (
+                    mask_ys - ego_ys[:, None]
+                )
+            else:
+                # The road branch of CorridorSpec.lateral_offsets
+                # ignores the per-tick frame fields; one spec serves
+                # every tick.
+                corridor = CorridorSpec(
+                    road=self.road,
+                    ego_frame_origin=ego_states[0],
+                    ego_lateral=0.0,
+                    overlap_width=0.0,
+                )
+                offsets = corridor.lateral_offsets(mask_xs, mask_ys)
             # Per-tick ego laterals batch through the exact Frenet
             # kernel: to_frenet_batch is bit-identical to the scalar
             # to_frenet build_threat calls (the road/lane.py contract),
             # so a corridor-edge tick lands on the same side in both
-            # backends without a per-tick scalar fallback.
+            # backends without a per-tick scalar fallback. Without a
+            # road the ego sits at its own frame's origin (zeros).
             ego_lateral = ego_rows.d
             overlap_width = (
                 (ego_spec.width + actor_spec.width) / 2.0
@@ -724,9 +730,9 @@ class ThreatAssessor:
         same arithmetic as building a per-tick :class:`TrajectoryThreat`
         and sampling it (including the 10 ms corridor-mask
         quantization), so the values are identical and only the
-        per-tick interpreter overhead disappears. Requires road
-        geometry when lateral gating is on (the no-road corridor works
-        in per-tick ego frames; those callers keep the per-tick path).
+        per-tick interpreter overhead disappears. Without a road the
+        corridor works in each tick's ego heading frame, as the
+        per-tick threat's does.
 
         Args:
             ego_states: ego state at each queried tick.

@@ -107,31 +107,9 @@ class TestOnlineParity:
 class TestCrosstraceRunsTheEngine:
     """``crosstrace`` names the engine, never the scalar reference.
 
-    Both per-trace facades once accepted the name and quietly ran the
+    The online estimator once accepted the name and quietly ran the
     scalar loops: equal output, several times slower.
     """
-
-    def test_latency_search(self):
-        from repro.core.ego_profile import EgoMotion
-        from repro.core.latency import LatencySearch
-        from repro.core.parameters import ZhuyiParams
-        from repro.core.threat import FixedGapThreat
-
-        params = ZhuyiParams()
-        cases = [(10.0, 500.0, 8.0), (30.0, 5.0, 0.0), (11.2, 30.0, 0.0)]
-        results = {}
-        for backend in ("batched", "crosstrace"):
-            search = LatencySearch(params=params, backend=backend)
-            results[backend] = [
-                search.tolerable_latency(
-                    EgoMotion.from_state(speed, 0.0, params),
-                    FixedGapThreat(gap=gap, actor_speed=actor_speed),
-                    0.1,
-                )
-                for speed, gap, actor_speed in cases
-            ]
-            assert search._engine is not None, backend
-        assert results["crosstrace"] == results["batched"]
 
     def test_online_estimator(self, cut_in_trace_30):
         from repro.core.online import OnlineEstimator

@@ -5,8 +5,8 @@ through :func:`execute_supercell` — traces and variants solved together
 as whole-block array programs — must produce summaries (and JSONL run
 lines) *equal* to the per-cell ``"batched"`` execution, on real
 closed-loop traces including multi-actor density variants. The
-:meth:`OfflineEvaluator.evaluate_many` entry point gets the same
-treatment against one-trace-at-a-time evaluation.
+block kernel itself, :func:`evaluate_trace_block` over stacked
+roadless traces, gets the same treatment against the scalar reference.
 """
 
 import json
@@ -14,9 +14,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro import OfflineEvaluator, build_scenario
+from repro import OfflineEvaluator
 from repro.batch import Campaign, CampaignRunner, ParamVariant
-from repro.core.evaluator import presample_trace
+from repro.core.evaluator import TraceJob, evaluate_trace_block, presample_trace
 from repro.core.parameters import ZhuyiParams
 from repro.perception.noise import PerceptionNoise
 
@@ -186,61 +186,91 @@ class TestNoisyCampaignParity:
         ]
         assert pick(whole) == pick(killed)
 
-    def test_noisy_evaluate_many_matches_single(self):
+    def test_noisy_evaluate_many_matches_single(
+        self, cut_in_trace_30, cut_out_trace_30
+    ):
         noise = PerceptionNoise(miss_rate=0.2, position_noise=0.4, seed=3)
-        traces, samples = [], []
-        for name in ("cut_in", "cut_out"):
-            scenario = build_scenario(name, seed=0)
-            trace = scenario.run(fpr=30.0)
-            assert not trace.has_collision, name
-            traces.append(trace)
-            samples.append(presample_trace(trace, 0.25, noise=noise))
+        assert_block_matches_scalar(
+            (cut_in_trace_30, cut_out_trace_30), 0.25, noise=noise
+        )
 
-        block = OfflineEvaluator(
-            stride=0.25, backend="crosstrace", noise=noise
-        ).evaluate_many(traces, samples=samples)
-        for trace, trace_samples, series in zip(traces, samples, block):
-            alone = OfflineEvaluator(
-                stride=0.25, backend="batched", noise=noise
-            ).evaluate(trace, samples=trace_samples)
-            assert len(series.ticks) == len(alone.ticks)
-            for tick_a, tick_b in zip(series.ticks, alone.ticks):
-                assert tick_a.time == tick_b.time
-                assert dict(tick_a.actor_latencies) == dict(
-                    tick_b.actor_latencies
-                )
-                assert dict(tick_a.camera_estimates) == dict(
-                    tick_b.camera_estimates
-                )
+
+def assert_block_matches_scalar(traces, stride, noise=None):
+    """Stacked roadless traces: one block equals per-trace scalar runs."""
+    samples = [presample_trace(trace, stride, noise=noise) for trace in traces]
+    block = evaluate_trace_block(
+        [
+            TraceJob(trace=trace, samples=trace_samples, l0=trace.default_l0())
+            for trace, trace_samples in zip(traces, samples)
+        ],
+        [ZhuyiParams()],
+        stride,
+    )
+    for trace, trace_samples, (series,) in zip(traces, samples, block):
+        assert not trace.has_collision, trace.scenario
+        alone = OfflineEvaluator(
+            stride=stride, backend="scalar", noise=noise
+        ).evaluate(trace, samples=trace_samples)
+        assert len(series.ticks) == len(alone.ticks)
+        for tick_a, tick_b in zip(series.ticks, alone.ticks):
+            assert tick_a.time == tick_b.time
+            assert dict(tick_a.actor_latencies) == dict(
+                tick_b.actor_latencies
+            )
+            assert dict(tick_a.camera_estimates) == dict(
+                tick_b.camera_estimates
+            )
 
 
 @pytest.mark.slow
 class TestEvaluateMany:
-    def test_matches_one_trace_at_a_time(self):
-        traces, samples, roads = [], [], []
-        for name in ("cut_in", "cut_out"):
-            scenario = build_scenario(name, seed=0)
-            trace = scenario.run(fpr=30.0)
-            assert not trace.has_collision, name
-            traces.append(trace)
-            samples.append(presample_trace(trace, 0.25))
-            roads.append(scenario.road)
+    def test_matches_one_trace_at_a_time(
+        self, cut_in_trace_30, cut_out_trace_30
+    ):
+        assert_block_matches_scalar((cut_in_trace_30, cut_out_trace_30), 0.25)
 
-        # evaluate_many stacks roadless jobs; evaluate one at a time as
-        # the reference with the standard batched backend.
-        block = OfflineEvaluator(
-            stride=0.25, backend="crosstrace"
-        ).evaluate_many(traces, samples=samples)
-        for trace, trace_samples, series in zip(traces, samples, block):
-            alone = OfflineEvaluator(stride=0.25, backend="batched").evaluate(
-                trace, samples=trace_samples
-            )
-            assert len(series.ticks) == len(alone.ticks)
-            for tick_a, tick_b in zip(series.ticks, alone.ticks):
-                assert tick_a.time == tick_b.time
-                assert dict(tick_a.actor_latencies) == dict(
-                    tick_b.actor_latencies
-                )
-                assert dict(tick_a.camera_estimates) == dict(
-                    tick_b.camera_estimates
-                )
+
+class TestBlockWindows:
+    """The block samples and solves one bounded window of ticks at a time."""
+
+    def test_small_budget_windows_match_scalar(
+        self, monkeypatch, cut_in_trace_30, cut_out_trace_30
+    ):
+        import repro.core.evaluator as evaluator_module
+        from repro.core.engine import LatencyEngine
+        from repro.core.threat import ThreatAssessor
+
+        # A budget below one tick's rows: every window holds one
+        # stacked tick, so the two traces' rows solve in many calls.
+        monkeypatch.setattr(evaluator_module, "_ROW_ELEMENTS", 1)
+        events = []
+        sample = ThreatAssessor.sample_threats_trace
+        solve = LatencyEngine.solve_rows
+
+        def spy_sample(self, ego_states, *args, **kwargs):
+            events.append(("sample", len(ego_states)))
+            return sample(self, ego_states, *args, **kwargs)
+
+        def spy_solve(self, grid, tick_indices, *args, **kwargs):
+            events.append(("solve", len(set(tick_indices.tolist()))))
+            return solve(self, grid, tick_indices, *args, **kwargs)
+
+        monkeypatch.setattr(ThreatAssessor, "sample_threats_trace", spy_sample)
+        monkeypatch.setattr(LatencyEngine, "solve_rows", spy_solve)
+
+        traces = (cut_in_trace_30, cut_out_trace_30)
+        assert_block_matches_scalar(traces, 0.5)
+
+        # At most one window of sampled rows (one stacked tick: one row
+        # per actor) is held between consecutive solves.
+        max_rows = max(len(trace.actor_ids()) for trace in traces)
+        pending, solves = 0, 0
+        for kind, count in events:
+            if kind == "sample":
+                pending += count
+                assert pending <= max_rows
+            else:
+                assert count == 1
+                pending, solves = 0, solves + 1
+        assert pending == 0
+        assert solves > 1

@@ -25,6 +25,7 @@ from repro.core.parameters import ZhuyiParams
 from repro.perception.noise import PerceptionNoise
 from repro.prediction.base import PredictedTrajectory
 from repro.prediction.constant_accel import ConstantAccelerationPredictor
+from repro.prediction.constant_velocity import ConstantVelocityPredictor
 from repro.prediction.maneuver import ManeuverPredictor
 from repro.scenarios.catalog import SCENARIO_NAMES, density_sweep
 
@@ -235,6 +236,32 @@ class TestReplayConfigurations:
         times = np.array([tick.time for tick in series.ticks])
         start = trace.steps[0].time
         assert np.array_equal(times, start + 0.25 * np.arange(times.size))
+
+
+class TestRoadlessReplay:
+    """Roadless lateral gating stays on the whole-trace array program."""
+
+    def test_matches_scalar_without_per_tick_fallback(
+        self, monkeypatch, cut_out_trace_30
+    ):
+        def estimator(backend):
+            return OnlineEstimator(
+                params=ZhuyiParams(),
+                predictor=ConstantVelocityPredictor(),
+                road=None,
+                backend=backend,
+            )
+
+        scalar = estimator("scalar").replay(cut_out_trace_30, period=0.5)
+
+        def per_tick(*args, **kwargs):
+            raise AssertionError("the batched replay fell back per tick")
+
+        batched = estimator("batched")
+        monkeypatch.setattr(batched, "estimate", per_tick)
+        series = batched.replay(cut_out_trace_30, period=0.5)
+        assert_series_identical(scalar, series)
+        assert any(tick.actor_latencies for tick in series.ticks)
 
 
 @pytest.mark.slow

@@ -14,7 +14,6 @@ from repro.core.ego_profile import EgoMotion
 from repro.core.latency import LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import FixedGapThreat
-from repro.errors import ConfigurationError
 
 PARAMS = ZhuyiParams()
 
@@ -141,24 +140,12 @@ class TestSolveRows:
             np.stack(gaps),
             np.stack(speeds),
         )
+        search = LatencySearch(params=PARAMS)
         for k, (tick, threat) in enumerate(
             (t, threat) for t in range(len(motions)) for threat in threats
         ):
-            assert_same(engine.solve(motions[tick], threat, l0), rows[k])
-
-    def test_trace_grid_tick_view_matches_tick_grid(self):
-        engine = LatencyEngine(params=PARAMS)
-        motions = [ego(25.0, -3.0), ego(8.0, 0.5)]
-        grid = engine.trace_grid(motions, 0.2)
-        for n, motion in enumerate(motions):
-            single = engine._tick_grid(motion, 0.2)
-            view = grid.tick(n)
-            assert np.array_equal(single.reactions, view.reactions)
-            assert np.array_equal(single.lengths, view.lengths)
-            assert np.array_equal(single.inserted, view.inserted)
-            assert np.array_equal(single.sizes, view.sizes)
-            assert np.array_equal(
-                single.times, view.times[: single.times.size]
+            assert_same(
+                search.tolerable_latency(motions[tick], threat, l0), rows[k]
             )
 
     def test_empty_rows(self):
@@ -173,17 +160,3 @@ class TestSolveRows:
             np.empty((0, rel.size)),
         )
         assert out == []
-
-
-class TestBackendFacade:
-    def test_latency_search_batched_backend_delegates(self):
-        threat = FixedGapThreat(33.0, 4.0)
-        scalar = LatencySearch(params=PARAMS).tolerable_latency(
-            ego(18.0), threat, 0.1
-        )
-        facade = LatencySearch(params=PARAMS, backend="batched")
-        assert_same(scalar, facade.tolerable_latency(ego(18.0), threat, 0.1))
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatencySearch(params=PARAMS, backend="quantum")

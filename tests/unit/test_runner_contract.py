@@ -82,16 +82,23 @@ class TestCellContract:
         assert all("single (scenario, seed, fpr) cell" in s.error for s in summaries)
 
     def test_evaluation_failure_keeps_duration(self, monkeypatch):
-        """A variant whose evaluation dies still reports the trace time."""
+        """A variant whose evaluation dies still reports the trace time.
+
+        Both the block kernel and the per-variant retry fail.
+        """
         import repro.batch.runner as runner_module
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
 
         class ExplodingEvaluator:
             def __init__(self, **kwargs):
                 pass
 
             def evaluate(self, trace, samples=None):
-                raise RuntimeError("kernel exploded")
+                explode()
 
+        monkeypatch.setattr(runner_module, "evaluate_trace_block", explode)
         monkeypatch.setattr(
             runner_module, "OfflineEvaluator", ExplodingEvaluator
         )

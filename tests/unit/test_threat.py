@@ -245,8 +245,6 @@ class TestTraceSampler:
     def test_matches_per_tick_threats(self):
         from repro.road.track import three_lane_straight_road
 
-        road = three_lane_straight_road(length=1500.0)
-        assessor = ThreatAssessor(params=ZhuyiParams(), road=road)
         # A cut-in-ish trajectory: starts in the next lane, merges.
         samples = []
         for t in np.arange(0.0, 15.25, 0.25):
@@ -254,28 +252,25 @@ class TestTraceSampler:
             samples.append(TimedState(float(t), vstate(50.0 + 6.0 * t, y, 6.0)))
         trajectory = StateTrajectory(samples)
         t0s = np.arange(0.0, 12.0, 0.8)
-        ego_states = [vstate(5.0 * t, 0.0, speed=5.0) for t in t0s]
+        # A slowly turning ego: without a road, each tick's corridor
+        # lives in that tick's own heading frame.
+        ego_states = [
+            vstate(5.0 * t, 0.0, speed=5.0, heading=0.02 * t) for t in t0s
+        ]
         rel_times = np.arange(0.0, 9.0, 0.037)
 
-        gaps, speeds = assessor.sample_threats_trace(
-            ego_states, self.spec, trajectory, self.spec, t0s, rel_times
-        )
-        for n, (state, t0) in enumerate(zip(ego_states, t0s)):
-            threat = assessor.build_threat(
-                state, self.spec, trajectory, self.spec, t0=float(t0)
+        for road in (three_lane_straight_road(length=1500.0), None):
+            assessor = ThreatAssessor(params=ZhuyiParams(), road=road)
+            gaps, speeds = assessor.sample_threats_trace(
+                ego_states, self.spec, trajectory, self.spec, t0s, rel_times
             )
-            tick_gaps, tick_speeds = threat.sample(rel_times)
-            assert np.array_equal(gaps[n], tick_gaps), t0
-            assert np.array_equal(speeds[n], tick_speeds), t0
-
-    def test_requires_road_when_gated(self):
-        assessor = ThreatAssessor(params=ZhuyiParams(), road=None)
-        trajectory = straight_trajectory(30.0, 0.0, speed=5.0)
-        with pytest.raises(EstimationError):
-            assessor.sample_threats_trace(
-                [vstate(0.0)], self.spec, trajectory, self.spec,
-                np.array([0.0]), np.array([0.0, 0.1]),
-            )
+            for n, (state, t0) in enumerate(zip(ego_states, t0s)):
+                threat = assessor.build_threat(
+                    state, self.spec, trajectory, self.spec, t0=float(t0)
+                )
+                tick_gaps, tick_speeds = threat.sample(rel_times)
+                assert np.array_equal(gaps[n], tick_gaps), (road, t0)
+                assert np.array_equal(speeds[n], tick_speeds), (road, t0)
 
     def test_gate_disabled_skips_corridor(self):
         assessor = ThreatAssessor(params=ZhuyiParams(gate_lateral=False))
@@ -402,7 +397,11 @@ class TestFuturesBatch:
             road=three_lane_straight_road() if road else None,
         )
         t0s = np.array([0.0, 0.5, 1.0, 1.5])
-        ego_states = [vstate(5.0 * t, 0.0, speed=20.0) for t in t0s]
+        # A slowly turning ego: without a road, each tick's gate and
+        # corridor live in that tick's own heading frame.
+        ego_states = [
+            vstate(5.0 * t, 0.0, speed=20.0, heading=0.04 * t) for t in t0s
+        ]
         # A different predicted future per tick: a lead pulling away,
         # a crosser, a parallel-lane actor and a receding actor.
         trajectories = [
@@ -445,41 +444,24 @@ class TestFuturesBatch:
         assert batch.all()
 
     def test_samples_match_per_tick_trajectory_threat(self):
-        from repro.road.track import three_lane_straight_road
-
         spec = VehicleSpec()
-        params, _, t0s, ego_states, trajectories = self.per_tick_setup()
-        assessor = ThreatAssessor(
-            params=ZhuyiParams(), road=three_lane_straight_road()
-        )
         rel_times = np.array([0.0, 0.1, 0.37, 1.0, 2.5, 7.0, 30.0])
-        gaps, speeds = assessor.sample_threat_futures(
-            ego_states,
-            spec,
-            self.rollout_rows(trajectories),
-            spec,
-            t0s,
-            rel_times,
-        )
-        for i in range(len(t0s)):
-            threat = assessor.build_threat(
-                ego_states[i], spec, trajectories[i], spec, t0=float(t0s[i])
+        for with_road in (False, True):
+            params, assessor, t0s, ego_states, trajectories = (
+                self.per_tick_setup(road=with_road)
             )
-            ref_gaps, ref_speeds = threat.sample(rel_times)
-            assert np.array_equal(gaps[i], ref_gaps), i
-            assert np.array_equal(speeds[i], ref_speeds), i
-
-    def test_sampling_requires_road_when_gating(self):
-        spec = VehicleSpec()
-        params, assessor, t0s, ego_states, trajectories = (
-            self.per_tick_setup(road=False)
-        )
-        with pytest.raises(EstimationError):
-            assessor.sample_threat_futures(
+            gaps, speeds = assessor.sample_threat_futures(
                 ego_states,
                 spec,
                 self.rollout_rows(trajectories),
                 spec,
                 t0s,
-                np.array([0.0, 1.0]),
+                rel_times,
             )
+            for i in range(len(t0s)):
+                threat = assessor.build_threat(
+                    ego_states[i], spec, trajectories[i], spec, t0=float(t0s[i])
+                )
+                ref_gaps, ref_speeds = threat.sample(rel_times)
+                assert np.array_equal(gaps[i], ref_gaps), (with_road, i)
+                assert np.array_equal(speeds[i], ref_speeds), (with_road, i)
