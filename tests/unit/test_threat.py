@@ -242,9 +242,8 @@ class TestTraceSampler:
 
     spec = VehicleSpec()
 
-    def test_matches_per_tick_threats(self):
-        from repro.road.track import three_lane_straight_road
-
+    def _assert_matches_per_tick(self, road):
+        assessor = ThreatAssessor(params=ZhuyiParams(), road=road)
         # A cut-in-ish trajectory: starts in the next lane, merges.
         samples = []
         for t in np.arange(0.0, 15.25, 0.25):
@@ -259,18 +258,29 @@ class TestTraceSampler:
         ]
         rel_times = np.arange(0.0, 9.0, 0.037)
 
-        for road in (three_lane_straight_road(length=1500.0), None):
-            assessor = ThreatAssessor(params=ZhuyiParams(), road=road)
-            gaps, speeds = assessor.sample_threats_trace(
-                ego_states, self.spec, trajectory, self.spec, t0s, rel_times
+        gaps, speeds = assessor.sample_threats_trace(
+            ego_states, self.spec, trajectory, self.spec, t0s, rel_times
+        )
+        for n, (state, t0) in enumerate(zip(ego_states, t0s)):
+            threat = assessor.build_threat(
+                state, self.spec, trajectory, self.spec, t0=float(t0)
             )
-            for n, (state, t0) in enumerate(zip(ego_states, t0s)):
-                threat = assessor.build_threat(
-                    state, self.spec, trajectory, self.spec, t0=float(t0)
-                )
-                tick_gaps, tick_speeds = threat.sample(rel_times)
-                assert np.array_equal(gaps[n], tick_gaps), (road, t0)
-                assert np.array_equal(speeds[n], tick_speeds), (road, t0)
+            tick_gaps, tick_speeds = threat.sample(rel_times)
+            assert np.array_equal(gaps[n], tick_gaps), t0
+            assert np.array_equal(speeds[n], tick_speeds), t0
+
+    def test_matches_per_tick_threats(self):
+        from repro.road.track import three_lane_straight_road
+
+        self._assert_matches_per_tick(three_lane_straight_road(length=1500.0))
+
+    def test_requires_road_when_gated(self):
+        """Lateral gating with ``road=None`` is served, not refused.
+
+        The corridor then lives in each tick's own ego heading frame,
+        bit for bit as the per-tick threat's does.
+        """
+        self._assert_matches_per_tick(None)
 
     def test_gate_disabled_skips_corridor(self):
         assessor = ThreatAssessor(params=ZhuyiParams(gate_lateral=False))
@@ -443,25 +453,35 @@ class TestFuturesBatch:
         )
         assert batch.all()
 
-    def test_samples_match_per_tick_trajectory_threat(self):
+    def _assert_samples_match_per_tick(self, with_road):
         spec = VehicleSpec()
         rel_times = np.array([0.0, 0.1, 0.37, 1.0, 2.5, 7.0, 30.0])
-        for with_road in (False, True):
-            params, assessor, t0s, ego_states, trajectories = (
-                self.per_tick_setup(road=with_road)
+        params, assessor, t0s, ego_states, trajectories = self.per_tick_setup(
+            road=with_road
+        )
+        gaps, speeds = assessor.sample_threat_futures(
+            ego_states,
+            spec,
+            self.rollout_rows(trajectories),
+            spec,
+            t0s,
+            rel_times,
+        )
+        for i in range(len(t0s)):
+            threat = assessor.build_threat(
+                ego_states[i], spec, trajectories[i], spec, t0=float(t0s[i])
             )
-            gaps, speeds = assessor.sample_threat_futures(
-                ego_states,
-                spec,
-                self.rollout_rows(trajectories),
-                spec,
-                t0s,
-                rel_times,
-            )
-            for i in range(len(t0s)):
-                threat = assessor.build_threat(
-                    ego_states[i], spec, trajectories[i], spec, t0=float(t0s[i])
-                )
-                ref_gaps, ref_speeds = threat.sample(rel_times)
-                assert np.array_equal(gaps[i], ref_gaps), (with_road, i)
-                assert np.array_equal(speeds[i], ref_speeds), (with_road, i)
+            ref_gaps, ref_speeds = threat.sample(rel_times)
+            assert np.array_equal(gaps[i], ref_gaps), i
+            assert np.array_equal(speeds[i], ref_speeds), i
+
+    def test_samples_match_per_tick_trajectory_threat(self):
+        self._assert_samples_match_per_tick(with_road=True)
+
+    def test_sampling_requires_road_when_gating(self):
+        """Lateral gating with ``road=None`` is served, not refused.
+
+        Each row's corridor lives in that tick's own ego heading frame,
+        bit for bit as the per-tick threat's does.
+        """
+        self._assert_samples_match_per_tick(with_road=False)
