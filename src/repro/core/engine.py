@@ -17,8 +17,9 @@ predicted futures or parameter variants solved together:
   ``(L, T)`` computation over a shared master time grid
   (:func:`repro.core.ego_profile.ego_profile_arrays`), built once per
   distinct tick.
-* Each row's threat is sampled once over that master grid (plus the
-  ``L`` reaction instants) instead of once per candidate.
+* Each row's threat is sampled once over the prefix of that master
+  grid its tick reads (plus the ``L`` reaction instants) instead of
+  once per candidate.
 * Eq 1/2 feasibility, the strict-prefix mask and the per-candidate scan
   windows evaluate simultaneously as ``(R, L, T)`` boolean arrays; the
   largest feasible latency falls out of a single argmax per row.
@@ -93,7 +94,13 @@ class TraceGrid:
     by every tick; the per-tick quantities (scan horizons, prefix
     lengths, ``t_r`` insertions) vectorize over ticks. ``times`` is one
     master grid: every tick's scan grid is a bit-exact prefix of it, so
-    per-tick arrays never need rebuilding.
+    per-tick arrays never need rebuilding. A tick reads at most
+    ``lengths[n].max()`` master instants, so rows for a set of ticks
+    need only the prefix ``times[:T']``, ``T'`` being their
+    :meth:`readable_prefix` (stacked traces with shorter horizons than
+    the grid's longest read less than ``T``); :meth:`LatencyEngine.
+    solve_rows` takes rows sampled over ``times[:T']`` plus the ``L``
+    reactions, ``T' + L`` columns.
     """
 
     latencies: np.ndarray  #: (L,) candidate latencies, descending
@@ -103,6 +110,10 @@ class TraceGrid:
     lengths: np.ndarray  #: (N, L) per-tick candidate prefix lengths
     inserted: np.ndarray  #: (N, L) bool: t_r occupies its own merged slot
     sizes: np.ndarray  #: (N, L) merged scan size (length + inserted)
+
+    def readable_prefix(self, ticks: np.ndarray) -> int:
+        """``T'``: the master instants the longest scan of ``ticks`` reads."""
+        return min(int(self.lengths[ticks].max()), self.times.size)
 
 
 @dataclass
@@ -282,8 +293,14 @@ class LatencyEngine:
         """Solve a batch of (tick, actor) rows spanning many ticks.
 
         Each row pairs a tick index with that actor's threat samples
-        over ``concatenate([grid.times, grid.reactions])`` (shape
-        ``(R, T + L)``). Candidates are solved in :meth:`_waves`, every
+        over ``concatenate([grid.times[:T'], grid.reactions])`` (shape
+        ``(R, T' + L)``). The master width ``T'`` may be anything from
+        the longest readable prefix of the rows' ticks
+        (:meth:`TraceGrid.readable_prefix`) up to the whole master grid
+        ``T = grid.times.size``: every column past a
+        row's ``grid.lengths`` entry is masked out, so trimmed and
+        full-width rows solve identically. The reaction columns are
+        the last ``L``. Candidates are solved in :meth:`_waves`, every
         still-unresolved row of a wave in one array program. Rows need
         not be unique per (tick, actor): the online replay feeds one
         row per (tick, actor, prediction hypothesis), each solved
@@ -303,7 +320,7 @@ class LatencyEngine:
             grid: the :meth:`trace_grid` for these ticks.
             tick_indices: (R,) tick index of each row.
             ego_motions: per-tick ego states (trace-aligned).
-            gaps / aspeeds: (R, T + L) threat samples per row.
+            gaps / aspeeds: (R, T' + L) threat samples per row.
             constraints: optional per-row ``(c1, c2)`` arrays of shape
                 ``(R,)``, overriding ``params.c1``/``params.c2`` — the
                 variant axis of the cross-trace campaign kernel. Every
@@ -316,11 +333,39 @@ class LatencyEngine:
 
         Returns:
             One :class:`LatencyResult` per row, in input order.
+
+        Raises:
+            ValueError: ``gaps`` and ``aspeeds`` are not one shared 2-D
+                shape, ``tick_indices`` is not ``(R,)``, or the master
+                width is below the rows' longest readable prefix or
+                above ``grid.times.size``.
         """
         tick_indices = np.asarray(tick_indices)
-        n_rows = tick_indices.size
+        if gaps.shape != aspeeds.shape or gaps.ndim != 2:
+            raise ValueError(
+                "gaps and aspeeds must share one (R, T' + L) shape, got "
+                f"{gaps.shape} and {aspeeds.shape}"
+            )
+        n_rows = gaps.shape[0]
+        if tick_indices.shape != (n_rows,):
+            raise ValueError(
+                f"tick_indices must be an (R,) array for {n_rows} rows, "
+                f"got shape {tick_indices.shape}"
+            )
         if n_rows == 0:
             return []
+        width = gaps.shape[1] - grid.reactions.size
+        readable = grid.readable_prefix(tick_indices)
+        if width < readable:
+            raise ValueError(
+                f"rows carry {width} master columns, below the longest "
+                f"readable prefix {readable} of their ticks"
+            )
+        if width > grid.times.size:
+            raise ValueError(
+                f"rows carry {width} master columns, above the master "
+                f"grid's {grid.times.size}"
+            )
         if constraints is None:
             row_c1 = np.full(n_rows, self.params.c1)
             row_c2 = np.full(n_rows, self.params.c2)
@@ -403,11 +448,12 @@ class LatencyEngine:
         candidate scan — instead of gathering per-row ``(R, S, T)``
         profile copies. It wins when many rows (actor x variant stacks)
         share each distinct tick. ``gaps``/``aspeeds`` and the c1/c2
-        columns are the full per-row arrays of :meth:`solve_rows`;
+        columns are the full per-row arrays of :meth:`solve_rows` (a
+        ``T'``-column master prefix, then the ``L`` reaction columns);
         ``rows`` selects the still-active subset. Returns ``(found,
         hit, check_times, scanned)`` aligned with ``rows``.
         """
-        n_times = grid.times.size
+        first_reaction = gaps.shape[1] - grid.reactions.size
         reactions = grid.reactions[lo:hi]
         found = np.zeros(rows.size, dtype=bool)
         hit = np.zeros(rows.size, dtype=np.int64)
@@ -456,8 +502,8 @@ class LatencyEngine:
                     slice(None),
                     gaps[r, :t_cap],
                     aspeeds[r, :t_cap],
-                    gaps[r, n_times + lo : n_times + hi],
-                    aspeeds[r, n_times + lo : n_times + hi],
+                    gaps[r, first_reaction + lo : first_reaction + hi],
+                    aspeeds[r, first_reaction + lo : first_reaction + hi],
                     row_c1[r],
                     row_c2[r],
                     valid[None],
@@ -493,7 +539,7 @@ class LatencyEngine:
         traces' horizons. Same arguments and returns as
         :meth:`_solve_rows_grouped`.
         """
-        n_times = grid.times.size
+        first_reaction = gaps.shape[1] - grid.reactions.size
         reactions = grid.reactions[lo:hi]
         found = np.zeros(rows.size, dtype=bool)
         hit = np.zeros(rows.size, dtype=np.int64)
@@ -540,8 +586,8 @@ class LatencyEngine:
                 row_pos,
                 gaps[r, :t_cap],
                 aspeeds[r, :t_cap],
-                gaps[r, n_times + lo : n_times + hi],
-                aspeeds[r, n_times + lo : n_times + hi],
+                gaps[r, first_reaction + lo : first_reaction + hi],
+                aspeeds[r, first_reaction + lo : first_reaction + hi],
                 row_c1[r],
                 row_c2[r],
                 valid,

@@ -622,7 +622,9 @@ def _solve_stack(
     The jobs' ticks concatenate into one :meth:`LatencyEngine.trace_grid`;
     rows are sampled and solved one window of stacked ticks at a time,
     each row repeated once per variant with that variant's c1/c2 as
-    per-row constraint columns.
+    per-row constraint columns. A window's rows are sampled over the
+    master prefix its gated ticks read (their longest ``grid.lengths``
+    entry) plus the ``L`` reactions, not over the whole master grid.
     """
     gparams = variants[vlist[0]]
     engine = LatencyEngine(params=gparams)
@@ -637,7 +639,6 @@ def _solve_stack(
             for state in jobs[j].samples.ego_states
         )
     grid = engine.trace_grid(motions, l0)
-    rel_times = np.concatenate([grid.times, grid.reactions])
 
     # Gates and ego path rows once per job: one entry per (job, actor)
     # with any gated tick, holding its gated stacked tick indices.
@@ -669,23 +670,37 @@ def _solve_stack(
 
     n_variants = len(vlist)
     n_actors = max(len(jobs[j].samples.actor_trajectories) for j in job_indices)
+    n_columns = grid.times.size + grid.reactions.size
     window = max(
-        1, int(_ROW_ELEMENTS / (rel_times.size * max(1, n_actors) * n_variants))
+        1, int(_ROW_ELEMENTS / (n_columns * max(1, n_actors) * n_variants))
     )
     for start in range(0, len(motions), window):
         stop = start + window
+        picked = []
+        for entry in gated_actors:
+            gated = entry[-1]
+            ticks = gated[
+                np.searchsorted(gated, start) : np.searchsorted(gated, stop)
+            ]
+            if ticks.size:
+                picked.append((entry, ticks))
+        if not picked:
+            continue
+        # Rows carry only the master prefix their ticks read: stacked
+        # traces with shorter horizons than the grid's longest skip the
+        # tail (solve_rows masks it for them anyway).
+        prefix = grid.readable_prefix(
+            np.concatenate([ticks for _, ticks in picked])
+        )
+        rel_times = np.concatenate([grid.times[:prefix], grid.reactions])
         tick_chunks: list[np.ndarray] = []
         gap_chunks: list[np.ndarray] = []
         speed_chunks: list[np.ndarray] = []
         scatter: list[tuple[int, str, int]] = []
-        for j, offset, assessor, ego_rows, actor_id, trajectory, spec, gated in (
-            gated_actors
-        ):
-            ticks = gated[
-                np.searchsorted(gated, start) : np.searchsorted(gated, stop)
-            ]
-            if ticks.size == 0:
-                continue
+        for (
+            (j, offset, assessor, ego_rows, actor_id, trajectory, spec, _),
+            ticks,
+        ) in picked:
             local = ticks - offset
             samples = jobs[j].samples
             gaps, speeds = assessor.sample_threats_trace(
@@ -706,8 +721,6 @@ def _solve_stack(
             gap_chunks.append(gaps)
             speed_chunks.append(speeds)
             scatter.extend((j, actor_id, int(i)) for i in local)
-        if not scatter:
-            continue
         width = len(scatter)
         results = engine.solve_rows(
             grid,

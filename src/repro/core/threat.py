@@ -643,27 +643,50 @@ class ThreatAssessor:
 
         ``sampler`` as in :meth:`_gate_rows`. Element for element this
         is a per-tick :class:`TrajectoryThreat` build-and-sample —
-        including the 10 ms corridor-mask quantization, whose instants
-        ride the same interpolation pass as the threat scan (one
-        ``sampler`` call per batch).
+        including the 10 ms corridor-mask quantization — with every
+        distinct relative instant interpolated once per batch (one
+        ``sampler`` call): the ``rel_times`` scan columns come first,
+        and a quantized mask instant reuses the scan column holding
+        the same float, or is appended after them when no scan instant
+        does (a ``tn_step`` other than 10 ms, off-grid queries).
+        Lateral offsets are computed once per distinct mask instant and
+        gathered to the scan columns. A query ``t0 + c`` with the same
+        float ``c`` interpolates and projects to the same floats, so
+        the reuse changes no value.
+
+        ``rel_times`` is any scan layout — the solver's is the master
+        prefix ``times[:T']`` plus the ``L`` reactions (``T' + L``
+        columns).
         """
         t0s = np.asarray(t0s, dtype=float)
         rel_times = np.asarray(rel_times, dtype=float)
         half_lengths = (ego_spec.length + actor_spec.length) / 2.0
         n_rel = rel_times.size
-        queries = t0s[:, None] + rel_times[None, :]
+        instants = rel_times
         if self.params.gate_lateral:
-            # The corridor mask on the same 10 ms-quantized instants
-            # the per-tick threat samples, for all ticks at once.
+            # Each scan instant's 10 ms-quantized corridor-mask instant,
+            # as the per-tick threat reads it; then the column holding
+            # each distinct mask instant.
             grid = np.arange(0.0, _MASK_SPAN, _MASK_STEP)
             indices = np.clip(
                 np.rint(rel_times / _MASK_STEP).astype(int),
                 0,
                 grid.size - 1,
             )
-            mask_queries = t0s[:, None] + grid[indices][None, :]
-            queries = np.concatenate([queries, mask_queries], axis=1)
-        xs, ys, speeds = sampler(queries)
+            mask_instants, mask_of_scan = np.unique(
+                grid[indices], return_inverse=True
+            )
+            order = np.argsort(rel_times, kind="stable")
+            at = order[
+                np.minimum(
+                    np.searchsorted(rel_times[order], mask_instants),
+                    n_rel - 1,
+                )
+            ]
+            reused = rel_times[at] == mask_instants
+            mask_columns = np.where(reused, at, n_rel + np.cumsum(~reused) - 1)
+            instants = np.concatenate([rel_times, mask_instants[~reused]])
+        xs, ys, speeds = sampler(t0s[:, None] + instants[None, :])
         if ego_rows is None:
             ego_rows = self.ego_path_rows(ego_states)
         ego_xs, ego_ys = ego_rows.xs, ego_rows.ys
@@ -673,8 +696,8 @@ class ThreatAssessor:
         gaps = np.maximum(0.0, distances - half_lengths)
         speeds = speeds[:, :n_rel]
         if self.params.gate_lateral:
-            mask_xs = xs[:, n_rel:]
-            mask_ys = ys[:, n_rel:]
+            mask_xs = xs[:, mask_columns]
+            mask_ys = ys[:, mask_columns]
             if self.road is None:
                 # Each tick's own ego heading frame: the arithmetic of
                 # CorridorSpec.lateral_offsets' no-road branch, with its
@@ -710,7 +733,7 @@ class ThreatAssessor:
             in_corridor = (
                 np.abs(offsets - ego_lateral[:, None]) <= overlap_width
             )
-            gaps = np.where(in_corridor, gaps, np.inf)
+            gaps = np.where(in_corridor[:, mask_of_scan], gaps, np.inf)
         return gaps, np.ascontiguousarray(speeds)
 
     def sample_threats_trace(

@@ -12,6 +12,7 @@ roadless traces, gets the same treatment against the scalar reference.
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import OfflineEvaluator
@@ -274,3 +275,49 @@ class TestBlockWindows:
                 pending, solves = 0, solves + 1
         assert pending == 0
         assert solves > 1
+
+    def test_windows_carry_their_readable_prefix(
+        self, monkeypatch, cut_in_trace_30, cut_out_trace_30
+    ):
+        import repro.core.evaluator as evaluator_module
+        from repro.core.engine import LatencyEngine
+        from repro.core.threat import ThreatAssessor
+
+        # Windows of a few stacked ticks. The stacked grid's master axis
+        # spans the cut-in's longest horizon; the cut-out's ticks read a
+        # shorter prefix of it.
+        monkeypatch.setattr(evaluator_module, "_ROW_ELEMENTS", 40_000)
+        pending: list[int] = []
+        windows = []
+        sample = ThreatAssessor.sample_threats_trace
+        solve = LatencyEngine.solve_rows
+
+        def spy_sample(
+            self, ego_states, ego_spec, trajectory, spec, t0s, rel_times,
+            **kwargs,
+        ):
+            pending.append(len(rel_times))
+            return sample(
+                self, ego_states, ego_spec, trajectory, spec, t0s, rel_times,
+                **kwargs,
+            )
+
+        def spy_solve(self, grid, tick_indices, *args, **kwargs):
+            windows.append((grid, np.array(tick_indices), list(pending)))
+            pending.clear()
+            return solve(self, grid, tick_indices, *args, **kwargs)
+
+        monkeypatch.setattr(ThreatAssessor, "sample_threats_trace", spy_sample)
+        monkeypatch.setattr(LatencyEngine, "solve_rows", spy_solve)
+
+        assert_block_matches_scalar((cut_in_trace_30, cut_out_trace_30), 0.5)
+
+        assert not pending
+        trimmed = 0
+        for grid, ticks, sampled in windows:
+            n_times = grid.times.size
+            prefix = min(int(grid.lengths[ticks].max()), n_times)
+            assert sampled
+            assert set(sampled) == {prefix + grid.reactions.size}
+            trimmed += prefix < n_times
+        assert trimmed, "some window must skip the master grid's tail"

@@ -169,3 +169,54 @@ class TestRowsParity:
                     rows[k],
                 )
                 k += 1
+
+
+class TestTrimmedRows:
+    @relaxed
+    @given(
+        st.lists(st.tuples(ego_speed, ego_accel), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        l0,
+        strict,
+        st.data(),
+    )
+    def test_trimmed_rows_solve_like_full_width(
+        self, egos, seed, current, is_strict, data
+    ):
+        # Rows cut to any master width from their ticks' longest
+        # readable prefix up to the whole master grid (the reaction
+        # columns kept last) solve exactly like full-width rows.
+        motions = [EgoMotion.from_state(v, a, PARAMS) for v, a in egos]
+        engine = LatencyEngine(params=PARAMS, strict=is_strict)
+        # A row-less tick faster than any drawn one stretches the master
+        # grid past every row's prefix, as a stacked trace's would.
+        stacked = motions + [EgoMotion.from_state(45.0, 4.0, PARAMS)]
+        grid = engine.trace_grid(stacked, current)
+        ticks = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=len(motions) - 1),
+                    min_size=1,
+                    max_size=6,
+                )
+            )
+        )
+        n_times = grid.times.size
+        n_columns = n_times + grid.reactions.size
+        # Uniform noise exercises the solver as fully as simulated
+        # threats, and a misplaced reaction column reads other values.
+        rng = np.random.default_rng(seed)
+        gaps = rng.uniform(0.0, 150.0, size=(ticks.size, n_columns))
+        speeds = rng.uniform(0.0, 30.0, size=(ticks.size, n_columns))
+        readable = int(grid.lengths[ticks].max())
+        assert readable < n_times
+        width = data.draw(st.integers(min_value=readable, max_value=n_times))
+        kept = np.r_[0:width, n_times:n_columns]
+
+        full = engine.solve_rows(grid, ticks, stacked, gaps, speeds)
+        trimmed = engine.solve_rows(
+            grid, ticks, stacked, gaps[:, kept], speeds[:, kept]
+        )
+        assert len(trimmed) == len(full)
+        for expected, result in zip(full, trimmed):
+            assert_same(expected, result)

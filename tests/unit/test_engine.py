@@ -160,3 +160,61 @@ class TestSolveRows:
             np.empty((0, rel.size)),
         )
         assert out == []
+
+
+class TestSolveRowsWidthContract:
+    """Row arrays must match the grid, or ``solve_rows`` names the problem.
+
+    A row carries ``T' + L`` columns: a master prefix ``T'`` between the
+    longest readable prefix of its ticks and ``grid.times.size``, then
+    the ``L`` reaction columns.
+    """
+
+    def setup_method(self):
+        self.engine = LatencyEngine(params=PARAMS)
+        # A fast and a slow ego: the slow tick reads a shorter prefix.
+        self.motions = [ego(30.0), ego(5.0)]
+        self.grid = self.engine.trace_grid(self.motions, 1.0 / 30.0)
+        self.n_times = self.grid.times.size
+        self.n_reactions = self.grid.reactions.size
+
+    def rows(self, ticks, width):
+        n = len(ticks)
+        return (
+            np.asarray(ticks),
+            np.full((n, width + self.n_reactions), 50.0),
+            np.full((n, width + self.n_reactions), 5.0),
+        )
+
+    def solve(self, ticks, gaps, speeds):
+        return self.engine.solve_rows(
+            self.grid, ticks, self.motions, gaps, speeds
+        )
+
+    def test_mismatched_gap_and_speed_shapes_raise(self):
+        ticks, gaps, speeds = self.rows([0, 1], self.n_times)
+        with pytest.raises(ValueError, match="gaps and aspeeds must share"):
+            self.solve(ticks, gaps, speeds[:, :-1])
+
+    def test_tick_indices_must_be_one_per_row(self):
+        ticks, gaps, speeds = self.rows([0, 1], self.n_times)
+        with pytest.raises(ValueError, match=r"tick_indices must be an \(R,\)"):
+            self.solve(ticks[:1], gaps, speeds)
+        with pytest.raises(ValueError, match=r"tick_indices must be an \(R,\)"):
+            self.solve(ticks[:, None], gaps, speeds)
+
+    def test_width_below_the_readable_prefix_raises(self):
+        readable = int(self.grid.lengths[1].max())
+        assert readable < self.n_times
+        ticks, gaps, speeds = self.rows([1], readable - 1)
+        with pytest.raises(ValueError, match="below the longest readable"):
+            self.solve(ticks, gaps, speeds)
+        # The fast tick reads the whole master grid.
+        ticks, gaps, speeds = self.rows([0, 1], readable)
+        with pytest.raises(ValueError, match="below the longest readable"):
+            self.solve(ticks, gaps, speeds)
+
+    def test_width_above_the_master_grid_raises(self):
+        ticks, gaps, speeds = self.rows([0, 1], self.n_times + 1)
+        with pytest.raises(ValueError, match="above the master grid"):
+            self.solve(ticks, gaps, speeds)

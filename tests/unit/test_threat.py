@@ -28,6 +28,42 @@ def straight_trajectory(x0: float, y: float, speed: float,
     )
 
 
+def recording(calls, sample):
+    """Wrap a ``sample_extrapolated`` to record each call's queries."""
+
+    def wrapper(*args):
+        calls.append(np.array(args[-1]))
+        return sample(*args)
+
+    return wrapper
+
+
+def sampled_instants(rel_times):
+    """The relative instants one sampler call must interpolate.
+
+    The scan instants in order, then each distinct 10 ms-quantized
+    corridor-mask instant (rounded half-to-even, clamped to
+    ``[0, 24.99]``) that no scan instant already holds, ascending.
+    """
+    grid = np.arange(0.0, 25.0, 0.01)
+    indices = np.clip(np.rint(rel_times / 0.01).astype(int), 0, grid.size - 1)
+    return np.concatenate([rel_times, np.setdiff1d(grid[indices], rel_times)])
+
+
+def trace_grid_instants(ego_states, l0=1.0 / 30.0):
+    """``(rel_times, T + L)`` of a real engine grid over these ticks."""
+    from repro.core.ego_profile import EgoMotion
+    from repro.core.engine import LatencyEngine
+
+    params = ZhuyiParams()
+    grid = LatencyEngine(params=params).trace_grid(
+        [EgoMotion.from_state(s.speed, s.accel, params) for s in ego_states],
+        l0,
+    )
+    rel_times = np.concatenate([grid.times, grid.reactions])
+    return rel_times, grid.times.size + grid.reactions.size
+
+
 class TestFixedGapThreat:
     def test_constant_queries(self):
         threat = FixedGapThreat(gap=30.0, actor_speed=5.0)
@@ -238,11 +274,25 @@ class TestTraceGate:
 
 
 class TestTraceSampler:
-    """sample_threats_trace == per-tick TrajectoryThreat.sample, bit for bit."""
+    """sample_threats_trace == per-tick TrajectoryThreat.sample, bit for bit.
+
+    One interpolation per batch, over each distinct relative instant:
+    the scan instants, then the quantized corridor-mask instants no
+    scan instant already holds.
+    """
 
     spec = VehicleSpec()
 
-    def _assert_matches_per_tick(self, road):
+    t0s = np.arange(0.0, 12.0, 0.8)
+
+    def _ego_states(self):
+        # A slowly turning ego: without a road, each tick's corridor
+        # lives in that tick's own heading frame.
+        return [
+            vstate(5.0 * t, 0.0, speed=5.0, heading=0.02 * t) for t in self.t0s
+        ]
+
+    def _assert_matches_per_tick(self, road, rel_times):
         assessor = ThreatAssessor(params=ZhuyiParams(), road=road)
         # A cut-in-ish trajectory: starts in the next lane, merges.
         samples = []
@@ -250,16 +300,20 @@ class TestTraceSampler:
             y = max(0.0, 3.5 - 0.5 * t)
             samples.append(TimedState(float(t), vstate(50.0 + 6.0 * t, y, 6.0)))
         trajectory = StateTrajectory(samples)
-        t0s = np.arange(0.0, 12.0, 0.8)
-        # A slowly turning ego: without a road, each tick's corridor
-        # lives in that tick's own heading frame.
-        ego_states = [
-            vstate(5.0 * t, 0.0, speed=5.0, heading=0.02 * t) for t in t0s
-        ]
-        rel_times = np.arange(0.0, 9.0, 0.037)
+        t0s = self.t0s
+        ego_states = self._ego_states()
 
+        calls = []
+        trajectory.sample_extrapolated = recording(
+            calls, trajectory.sample_extrapolated
+        )
         gaps, speeds = assessor.sample_threats_trace(
             ego_states, self.spec, trajectory, self.spec, t0s, rel_times
+        )
+        del trajectory.sample_extrapolated
+        (queries,) = calls
+        assert np.array_equal(
+            queries, t0s[:, None] + sampled_instants(rel_times)[None, :]
         )
         for n, (state, t0) in enumerate(zip(ego_states, t0s)):
             threat = assessor.build_threat(
@@ -268,11 +322,18 @@ class TestTraceSampler:
             tick_gaps, tick_speeds = threat.sample(rel_times)
             assert np.array_equal(gaps[n], tick_gaps), t0
             assert np.array_equal(speeds[n], tick_speeds), t0
+        return queries
+
+    #: Off the 10 ms grid: most mask instants become extra columns.
+    off_grid = np.arange(0.0, 9.0, 0.037)
 
     def test_matches_per_tick_threats(self):
         from repro.road.track import three_lane_straight_road
 
-        self._assert_matches_per_tick(three_lane_straight_road(length=1500.0))
+        queries = self._assert_matches_per_tick(
+            three_lane_straight_road(length=1500.0), self.off_grid
+        )
+        assert self.off_grid.size < queries.shape[1] < 2 * self.off_grid.size
 
     def test_requires_road_when_gated(self):
         """Lateral gating with ``road=None`` is served, not refused.
@@ -280,7 +341,19 @@ class TestTraceSampler:
         The corridor then lives in each tick's own ego heading frame,
         bit for bit as the per-tick threat's does.
         """
-        self._assert_matches_per_tick(None)
+        self._assert_matches_per_tick(None, self.off_grid)
+
+    @pytest.mark.parametrize("with_road", [True, False])
+    def test_trace_grid_instants_sampled_once(self, with_road):
+        from repro.road.track import three_lane_straight_road
+
+        road = three_lane_straight_road(length=1500.0) if with_road else None
+        rel_times, width = trace_grid_instants(self._ego_states())
+        # Every quantized mask instant of a real 10 ms grid is one of
+        # its scan instants: T + L columns, not 2 x (T + L).
+        queries = self._assert_matches_per_tick(road, rel_times)
+        assert queries.shape[1] == width
+        assert np.unique(queries[0]).size == width
 
     def test_gate_disabled_skips_corridor(self):
         assessor = ThreatAssessor(params=ZhuyiParams(gate_lateral=False))
@@ -453,11 +526,23 @@ class TestFuturesBatch:
         )
         assert batch.all()
 
-    def _assert_samples_match_per_tick(self, with_road):
+    def _assert_samples_match_per_tick(
+        self, monkeypatch, with_road, rel_times=None
+    ):
+        from repro.dynamics.state import RolloutArrays
+
         spec = VehicleSpec()
-        rel_times = np.array([0.0, 0.1, 0.37, 1.0, 2.5, 7.0, 30.0])
+        if rel_times is None:
+            # Mostly off the 10 ms grid; 30 s clamps to 24.99 s.
+            rel_times = np.array([0.0, 0.1, 0.37, 1.0, 2.5, 7.0, 30.0])
         params, assessor, t0s, ego_states, trajectories = self.per_tick_setup(
             road=with_road
+        )
+        calls = []
+        monkeypatch.setattr(
+            RolloutArrays,
+            "sample_extrapolated",
+            recording(calls, RolloutArrays.sample_extrapolated),
         )
         gaps, speeds = assessor.sample_threat_futures(
             ego_states,
@@ -467,6 +552,10 @@ class TestFuturesBatch:
             t0s,
             rel_times,
         )
+        (queries,) = calls
+        assert np.array_equal(
+            queries, t0s[:, None] + sampled_instants(rel_times)[None, :]
+        )
         for i in range(len(t0s)):
             threat = assessor.build_threat(
                 ego_states[i], spec, trajectories[i], spec, t0=float(t0s[i])
@@ -474,14 +563,30 @@ class TestFuturesBatch:
             ref_gaps, ref_speeds = threat.sample(rel_times)
             assert np.array_equal(gaps[i], ref_gaps), i
             assert np.array_equal(speeds[i], ref_speeds), i
+        return ego_states, queries
 
-    def test_samples_match_per_tick_trajectory_threat(self):
-        self._assert_samples_match_per_tick(with_road=True)
+    def test_samples_match_per_tick_trajectory_threat(self, monkeypatch):
+        _, queries = self._assert_samples_match_per_tick(
+            monkeypatch, with_road=True
+        )
+        # Every on-grid scan instant is its own mask instant; only 30 s,
+        # clamped to 24.99 s, is appended.
+        assert queries.shape[1] == 7 + 1
 
-    def test_sampling_requires_road_when_gating(self):
+    def test_sampling_requires_road_when_gating(self, monkeypatch):
         """Lateral gating with ``road=None`` is served, not refused.
 
         Each row's corridor lives in that tick's own ego heading frame,
         bit for bit as the per-tick threat's does.
         """
-        self._assert_samples_match_per_tick(with_road=False)
+        self._assert_samples_match_per_tick(monkeypatch, with_road=False)
+
+    @pytest.mark.parametrize("with_road", [True, False])
+    def test_trace_grid_instants_sampled_once(self, monkeypatch, with_road):
+        _, _, _, ego_states, _ = self.per_tick_setup(road=with_road)
+        rel_times, width = trace_grid_instants(ego_states)
+        _, queries = self._assert_samples_match_per_tick(
+            monkeypatch, with_road, rel_times
+        )
+        assert queries.shape[1] == width
+        assert np.unique(queries[0]).size == width
