@@ -1,31 +1,44 @@
 """Table 1 — scenario validation: MRF, Zhuyi estimates, peak fraction.
 
-The quick default runs two seeds over a reduced FPR grid (about two
-minutes); set ``REPRO_TABLE1_FULL=1`` for the paper's ten-seed, full-grid
-protocol.
+One campaign over the nine catalog scenarios, aggregated by
+``campaign_table1``. The quick default runs two seeds over a reduced FPR
+grid (a few minutes); set ``REPRO_TABLE1_FULL=1`` for the paper's
+ten-seed, full-grid protocol.
 """
 
 from benchmarks.conftest import emit
-from repro.analysis.table1 import Table1Config, generate_table1, render_table1
+from repro.batch import (
+    Campaign,
+    CampaignRunner,
+    campaign_table1,
+    render_campaign_table,
+)
+from repro.scenarios.catalog import SCENARIO_NAMES
+from repro.system.mrf import DEFAULT_FPR_GRID
 
 
-def _config(full: bool) -> Table1Config:
+def _campaign(full: bool) -> Campaign:
     if full:
-        return Table1Config(
+        return Campaign(
+            scenarios=SCENARIO_NAMES,
             seeds=tuple(range(10)),
+            fprs=DEFAULT_FPR_GRID,
         )
-    return Table1Config(
-        fpr_grid=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 30.0),
+    return Campaign(
+        scenarios=SCENARIO_NAMES,
         seeds=(0, 1),
+        fprs=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 30.0),
     )
 
 
 def test_table1_validation(benchmark, artifact_dir, full_table1):
-    config = _config(full_table1)
-    rows = benchmark.pedantic(
-        generate_table1, args=(config,), rounds=1, iterations=1
+    campaign = _campaign(full_table1)
+    result = benchmark.pedantic(
+        CampaignRunner().run, args=(campaign,), rounds=1, iterations=1
     )
-    report = render_table1(rows, config)
+    assert not result.failures()
+    rows = campaign_table1(result)
+    report = render_campaign_table(result)
 
     summary = ["", "Validation checks:"]
     worst_fraction = max(row.fraction for row in rows)

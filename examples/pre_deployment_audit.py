@@ -1,50 +1,44 @@
 """Pre-deployment safety audit (Section 3.1 use case).
 
-For one scenario: sweep the fixed camera rate across the validation
-grid, find the minimum required FPR (the lowest collision-free rate),
-evaluate the Zhuyi model on every safe trace, and verify the paper's
-validation property — the estimated FPR stays above the MRF.
+For one scenario: run the closed loop at every fixed camera rate of the
+validation grid as one campaign, find the minimum required FPR (the
+lowest rate above every colliding one), read the Zhuyi estimate of every
+safe run, and verify the paper's validation property — the estimated
+FPR stays above the MRF.
 
 Run:  python examples/pre_deployment_audit.py [scenario] [seed]
 """
 
 import sys
 
-from repro import OfflineEvaluator, build_scenario
 from repro.analysis.report import format_table
-from repro.system.mrf import find_minimum_required_fpr
+from repro.batch import Campaign, CampaignRunner, campaign_table1
 
 
 def main(scenario_name: str = "cut_out", seed: int = 0) -> None:
     grid = (1.0, 2.0, 3.0, 4.0, 6.0, 10.0, 30.0)
-    scenario = build_scenario(scenario_name, seed=seed)
-    evaluator = OfflineEvaluator(road=scenario.road)
+    campaign = Campaign(scenarios=(scenario_name,), seeds=(seed,), fprs=grid)
 
     print(f"Auditing {scenario_name!r} (seed {seed}) across {grid} FPR ...")
+    result = CampaignRunner().run(campaign)
+    (table_row,) = campaign_table1(result)
     rows = []
-    outcomes = {}
-    for rate in grid:
-        trace = build_scenario(scenario_name, seed=seed).run(fpr=rate)
-        outcomes[(rate, seed)] = trace.has_collision
-        if trace.has_collision:
-            rows.append((f"{rate:g}", "COLLISION", "N/A"))
-            continue
-        series = evaluator.evaluate(trace)
-        rows.append(
-            (f"{rate:g}", "safe", f"{series.max_fpr():.1f}")
-        )
+    safe_estimates = []
+    for run in result.summaries:
+        if not run.ok:
+            rows.append((f"{run.fpr:g}", "FAILED", "N/A"))
+        elif run.collided:
+            rows.append((f"{run.fpr:g}", "COLLISION", "N/A"))
+        else:
+            rows.append((f"{run.fpr:g}", "safe", f"{run.max_fpr:.1f}"))
+            safe_estimates.append(run.max_fpr)
 
-    mrf = find_minimum_required_fpr(
-        scenario_name, fpr_grid=grid, seeds=(seed,), collision_cache=outcomes
-    )
+    mrf = table_row.mrf
     print()
     print(format_table(["run FPR", "outcome", "max Zhuyi estimate"], rows))
     print()
     print(f"Minimum required FPR: {mrf.label}")
-    print(f"Paper's MRF for this scenario: {scenario.spec.paper_mrf}")
-    safe_estimates = [
-        float(row[2]) for row in rows if row[2] != "N/A"
-    ]
+    print(f"Paper's MRF for this scenario: {table_row.paper_mrf}")
     if mrf.mrf is not None and mrf.collision_fprs and safe_estimates:
         conservative = min(safe_estimates) >= mrf.mrf
         print(f"Estimates conservative (>= MRF): {conservative}")

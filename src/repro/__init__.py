@@ -8,11 +8,13 @@ package provides:
 * ``repro.core`` — the Zhuyi model itself (tolerable-latency search,
   trajectory aggregation, per-camera FPR, offline/online estimators).
 * ``repro.system`` — the Zhuyi-based AV system of Section 3 (safety
-  check, work prioritization, MRF search).
+  check, work prioritization, the MRF verdict).
 * substrates replacing the paper's closed-source infrastructure:
   ``geometry``, ``road``, ``dynamics``, ``actors``, ``perception``,
   ``prediction``, ``planning``, ``sim`` and the ``scenarios`` catalog.
-* ``repro.analysis`` — harnesses regenerating every table and figure.
+* ``repro.batch`` — campaigns: scenario x seed x FPR grids run in
+  parallel, resumable and sharded, aggregated into Table 1.
+* ``repro.analysis`` — harnesses regenerating the figures.
 
 Quickstart::
 

@@ -1,10 +1,13 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
 * :mod:`repro.analysis.throughput` — Figure 1 (TOPS demand vs SoCs).
-* :mod:`repro.analysis.table1` — Table 1 (validation across scenarios).
 * :mod:`repro.analysis.figures` — Figures 4-7 (latency series over time).
 * :mod:`repro.analysis.sensitivity` — Figure 8 (velocity sweeps).
 * :mod:`repro.analysis.report` — ASCII tables, heatmaps and series.
+
+Table 1 (the validation across scenarios) is not a harness of its own:
+it runs as a campaign and is aggregated by
+:func:`repro.batch.aggregate.campaign_table1`.
 """
 
 from repro.analysis.throughput import (
@@ -13,12 +16,6 @@ from repro.analysis.throughput import (
     PerceptionModel,
     SoC,
     ThroughputModel,
-)
-from repro.analysis.table1 import (
-    Table1Config,
-    Table1Row,
-    generate_table1,
-    render_table1,
 )
 from repro.analysis.figures import (
     FigureSeries,
@@ -40,10 +37,6 @@ __all__ = [
     "ThroughputModel",
     "PERCEPTION_MODELS",
     "SOC_CATALOG",
-    "Table1Config",
-    "Table1Row",
-    "generate_table1",
-    "render_table1",
     "FigureSeries",
     "offline_figure_series",
     "online_figure_series",

@@ -11,8 +11,8 @@ loop into a first-class subsystem:
   JSONL output and resume.
 * :mod:`repro.batch.results` — per-run summaries, streaming JSONL
   persistence (schema 2), reload and shard merging.
-* :mod:`repro.batch.aggregate` — Table 1 rows straight from a stored
-  campaign, no re-simulation.
+* :mod:`repro.batch.aggregate` — Table 1 rows and MRF verdicts straight
+  from a stored campaign, no re-simulation.
 
 Quickstart::
 
@@ -35,7 +35,6 @@ from repro.batch.campaign import (
     Campaign,
     ParamVariant,
     RunSpec,
-    full_catalog_campaign,
 )
 from repro.batch.runner import (
     CampaignRunner,
@@ -60,7 +59,6 @@ __all__ = [
     "ParamVariant",
     "RunSpec",
     "DEFAULT_VARIANT",
-    "full_catalog_campaign",
     "CampaignRunner",
     "execute_cell",
     "execute_run",

@@ -1,25 +1,68 @@
-"""Aggregating a campaign back into the paper's Table 1.
+"""Aggregating a campaign into the paper's Table 1 (its validation).
 
-The Table 1 harness (:mod:`repro.analysis.table1`) runs its own grid
-inline; a campaign has already run the same grid — possibly in parallel
-— so these helpers derive the identical rows purely from the stored
-summaries: mean max-FPR estimates per fixed setting ("N/A" where a seed
-collided), the MRF label from the collision outcomes, peak total demand
-and the fraction of provision. No new simulations are launched; runs
-that failed outright contribute no collision evidence and are surfaced
-via :meth:`CampaignResult.failures`.
+For every scenario of a campaign that spans an FPR grid (several seeds,
+as "simulations can be non-deterministic ... we run a scenario with a
+fixed FPR ten times and show an average"), the rows are derived purely
+from the stored summaries:
+
+* the MRF verdict from the collision outcomes
+  (:func:`repro.system.mrf.mrf_verdict`);
+* the mean of the max estimated FPR per run at each fixed setting
+  ("N/A" where any seed collided — the paper's convention for runs at
+  or below the MRF);
+* ``max(F_c1 + F_c2 + F_c3)`` across all runs;
+* the fraction of the provision that peak demand needs.
+
+No new simulations are launched; runs that failed outright contribute
+no collision evidence and are surfaced via
+:meth:`CampaignResult.failures`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from repro.analysis.table1 import Table1Config, Table1Row, render_table1
+from repro.analysis.report import format_table
 from repro.batch.campaign import Campaign
-from repro.batch.results import CampaignResult, RunSummary
+from repro.batch.results import CampaignResult
 from repro.errors import ConfigurationError
 from repro.scenarios.catalog import SCENARIOS
-from repro.system.mrf import MRFResult
+from repro.system.mrf import MRFResult, mrf_verdict
+
+
+@dataclass(frozen=True)
+class Table1Row:
+    """One scenario's row."""
+
+    scenario: str
+    ego_speed_mph: float
+    activity: Mapping[str, bool]
+    paper_mrf: str
+    mrf: MRFResult
+    mean_estimates: Mapping[float, float | None]
+    max_total_fpr: float
+    fraction: float
+
+    def cells(self, fprs: Sequence[float]) -> list[object]:
+        """Row cells in the paper's column order."""
+        def flag(key: str) -> str:
+            return "Yes" if self.activity.get(key, False) else "No"
+
+        cells: list[object] = [
+            self.scenario,
+            f"{self.ego_speed_mph:g}",
+            flag("front"),
+            flag("right"),
+            flag("left"),
+            self.mrf.label,
+        ]
+        for fpr in fprs:
+            estimate = self.mean_estimates.get(fpr)
+            cells.append("N/A" if estimate is None else f"{estimate:.1f}")
+        cells.append(f"{self.max_total_fpr:.1f}")
+        cells.append(f"{self.fraction:.2f}")
+        return cells
 
 
 def campaign_table1(
@@ -57,7 +100,7 @@ def campaign_table1(
 def render_campaign_table(
     result: CampaignResult, variant: str | None = None
 ) -> str:
-    """The campaign's Table 1 as printable text.
+    """The campaign's Table 1 as printable text (paper column layout).
 
     Args:
         result: the campaign to render.
@@ -66,17 +109,12 @@ def render_campaign_table(
     Returns:
         The table as aligned plain text, one row per scenario.
     """
-    campaign = result.campaign
+    fprs = result.campaign.fprs
+    headers = ["Scenario", "mph", "Front", "Right", "Left", "MRF"]
+    headers += [f"@{fpr:g}" for fpr in fprs]
+    headers += ["max(Fc1+Fc2+Fc3)", "Fraction"]
     rows = campaign_table1(result, variant)
-    config = Table1Config(
-        scenarios=campaign.scenarios,
-        fpr_grid=campaign.fprs,
-        seeds=campaign.seeds,
-        provisioned_fpr=campaign.provisioned_fpr,
-        cameras=campaign.cameras,
-        stride=campaign.stride,
-    )
-    return render_table1(rows, config)
+    return format_table(headers, [row.cells(fprs) for row in rows])
 
 
 def _resolve_variant(campaign: Campaign, variant: str | None) -> str:
@@ -94,34 +132,28 @@ def _scenario_row(
     scenario: str, result: CampaignResult, variant: str
 ) -> Table1Row:
     campaign = result.campaign
-    summaries = result.for_scenario(scenario, variant=variant)
-
-    per_fpr_estimates: dict[float, list[float]] = {
-        fpr: [] for fpr in campaign.fprs
-    }
-    per_fpr_collided: dict[float, bool] = {fpr: False for fpr in campaign.fprs}
-    collision_cache: dict[tuple[float, int], bool] = {}
+    outcomes: dict[float, list[bool]] = {fpr: [] for fpr in campaign.fprs}
+    estimates: dict[float, list[float]] = {fpr: [] for fpr in campaign.fprs}
     max_total = 0.0
-    for summary in summaries:
+    for summary in result.for_scenario(scenario, variant=variant):
         if not summary.ok:
             continue
-        collision_cache[(summary.fpr, summary.seed)] = summary.collided
+        outcomes[summary.fpr].append(summary.collided)
         if summary.collided:
-            per_fpr_collided[summary.fpr] = True
             continue
         if summary.max_fpr is not None:
-            per_fpr_estimates[summary.fpr].append(summary.max_fpr)
+            estimates[summary.fpr].append(summary.max_fpr)
         if summary.max_total_fpr is not None:
             max_total = max(max_total, summary.max_total_fpr)
 
-    mean_estimates: dict[float, float | None] = {}
-    for fpr in campaign.fprs:
-        values = per_fpr_estimates[fpr]
-        if per_fpr_collided[fpr] or not values:
-            mean_estimates[fpr] = None
-        else:
-            mean_estimates[fpr] = sum(values) / len(values)
-
+    mean_estimates: dict[float, float | None] = {
+        fpr: (
+            None
+            if any(outcomes[fpr]) or not values
+            else sum(values) / len(values)
+        )
+        for fpr, values in estimates.items()
+    }
     spec = SCENARIOS[scenario]
     provision = campaign.provisioned_fpr * len(campaign.cameras)
     return Table1Row(
@@ -129,55 +161,10 @@ def _scenario_row(
         ego_speed_mph=spec.ego_speed_mph,
         activity=dict(spec.activity),
         paper_mrf=spec.paper_mrf,
-        mrf=_mrf_from_cache(scenario, campaign, collision_cache),
+        mrf=mrf_verdict(scenario, outcomes),
         mean_estimates=mean_estimates,
         max_total_fpr=max_total,
         fraction=max_total / provision if provision else 0.0,
-    )
-
-
-def _mrf_from_cache(
-    scenario: str,
-    campaign: Campaign,
-    collision_cache: Mapping[tuple[float, int], bool],
-) -> MRFResult:
-    """The MRF verdict from the campaign's own collision outcomes.
-
-    Unlike :func:`repro.system.mrf.find_minimum_required_fpr` this never
-    launches new runs: a rate whose runs all failed has no outcome at
-    all and is excluded from the verdict entirely — it is neither safe
-    nor colliding, and cannot be the MRF.
-    """
-    rates = sorted(set(campaign.fprs))
-    evidenced_rates = []
-    collision_rates = []
-    safe_rates = []
-    for rate in rates:
-        outcomes = [
-            collision_cache[(rate, seed)]
-            for seed in campaign.seeds
-            if (rate, seed) in collision_cache
-        ]
-        if not outcomes:
-            continue
-        evidenced_rates.append(rate)
-        if any(outcomes):
-            collision_rates.append(rate)
-        else:
-            safe_rates.append(rate)
-
-    mrf = None
-    worst = max(collision_rates) if collision_rates else None
-    for rate in evidenced_rates:
-        if worst is None or rate > worst:
-            mrf = rate
-            break
-    return MRFResult(
-        scenario=scenario,
-        mrf=mrf,
-        collision_fprs=tuple(collision_rates),
-        safe_fprs=tuple(safe_rates),
-        runs=0,
     )
 
 

@@ -11,7 +11,6 @@ sequential loop visit the exact same runs in the exact same order.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 from repro.core.latency import BACKENDS
 from repro.core.parameters import ZhuyiParams
@@ -303,18 +302,3 @@ class Campaign:
             ),
         )
 
-
-def full_catalog_campaign(
-    seeds: Sequence[int] = (0,),
-    fprs: Sequence[float] = (30.0,),
-    stride: float = 0.05,
-) -> Campaign:
-    """A campaign over every registered scenario (incl. expansions)."""
-    from repro.scenarios.catalog import SCENARIOS
-
-    return Campaign(
-        scenarios=tuple(SCENARIOS),
-        seeds=tuple(seeds),
-        fprs=tuple(fprs),
-        stride=stride,
-    )

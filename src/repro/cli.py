@@ -3,7 +3,7 @@
 Commands:
 
 * ``run <scenario>`` — one closed-loop run + offline Zhuyi evaluation.
-* ``mrf <scenario>`` — minimum-required-FPR search.
+* ``mrf <scenario>`` — minimum required FPR, run as a campaign.
 * ``sweep [gap]`` — Figure 8 style sensitivity heatmap.
 * ``campaign [scenarios ...]`` — batch scenario x seed x FPR sweep,
   with streaming ``--out``, ``--resume``, ``--shard I/N``, the
@@ -27,13 +27,12 @@ import sys
 
 import numpy as np
 
-from repro import OfflineEvaluator, SCENARIO_NAMES, build_scenario
+from repro import OfflineEvaluator, build_scenario
 from repro.core.latency import BACKENDS
 from repro.analysis.report import format_table, render_heatmap
 from repro.analysis.sensitivity import sweep_min_fpr
 from repro.errors import ConfigurationError
 from repro.perception.sensor import ANALYZED_CAMERAS
-from repro.system.mrf import find_minimum_required_fpr
 
 
 def _cmd_scenarios(_: argparse.Namespace) -> int:
@@ -48,7 +47,11 @@ def _cmd_scenarios(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = build_scenario(args.scenario, seed=args.seed)
+    try:
+        scenario = build_scenario(args.scenario, seed=args.seed)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"Running {args.scenario!r} seed={args.seed} fpr={args.fpr} ...")
     trace = scenario.run(fpr=args.fpr)
     print(f"  duration {trace.duration:.1f} s, collision: {trace.has_collision}")
@@ -72,15 +75,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_mrf(args: argparse.Namespace) -> int:
-    grid = tuple(float(x) for x in args.grid.split(","))
-    seeds = tuple(range(args.seeds))
-    print(
-        f"Searching MRF for {args.scenario!r} over FPR {grid} "
-        f"with {len(seeds)} seed(s) ..."
+    from repro.batch import (
+        Campaign,
+        CampaignRunner,
+        campaign_table1,
+        summarize_failures,
     )
-    result = find_minimum_required_fpr(args.scenario, fpr_grid=grid, seeds=seeds)
-    print(f"minimum required FPR: {result.label}")
-    print(f"collision rates: {list(result.collision_fprs) or 'none'}")
+
+    try:
+        campaign = Campaign(
+            scenarios=(args.scenario,),
+            seeds=tuple(range(args.seeds)),
+            fprs=tuple(float(x) for x in args.grid.split(",")),
+        )
+    except (ConfigurationError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(
+        f"Searching MRF for {args.scenario!r} over FPR {campaign.fprs} "
+        f"with {len(campaign.seeds)} seed(s) ..."
+    )
+    result = CampaignRunner().run(campaign)
+    (row,) = campaign_table1(result)
+    print(f"minimum required FPR: {row.mrf.label}")
+    print(f"collision rates: {list(row.mrf.collision_fprs) or 'none'}")
+    failures = summarize_failures(result)
+    if failures:
+        print(failures, file=sys.stderr)
+        return 1
     return 0
 
 
@@ -535,13 +557,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("scenarios", help="list the scenario catalog")
 
     run = sub.add_parser("run", help="closed-loop run + Zhuyi evaluation")
-    run.add_argument("scenario", choices=SCENARIO_NAMES)
+    run.add_argument("scenario", help="scenario name (see `scenarios`)")
     run.add_argument("--fpr", type=float, default=30.0)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--save-trace", default=None, metavar="PATH")
 
-    mrf = sub.add_parser("mrf", help="minimum-required-FPR search")
-    mrf.add_argument("scenario", choices=SCENARIO_NAMES)
+    mrf = sub.add_parser(
+        "mrf", help="minimum required FPR over a grid (one campaign)"
+    )
+    mrf.add_argument("scenario", help="scenario name (see `scenarios`)")
     mrf.add_argument("--grid", default="1,2,3,4,5,6,8,10,15,30")
     mrf.add_argument("--seeds", type=int, default=1)
 

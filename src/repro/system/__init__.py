@@ -4,8 +4,8 @@ Wires the online estimator into the running AV: a **safety check** that
 compares each camera's operating rate against Zhuyi's estimate and raises
 alarms (Figure 3's green path), a **work prioritizer** that redistributes
 a fixed frame budget across cameras proportionally to their estimates,
-and the **pre-deployment MRF search** used to validate the model
-(Table 1's "Min Required FPR" column).
+and the **MRF verdict** used to validate the model (Table 1's "Min
+Required FPR" column, computed from a campaign's collision outcomes).
 """
 
 from repro.system.safety_check import (
@@ -20,7 +20,7 @@ from repro.system.prioritization import (
     rank_actors,
 )
 from repro.system.av_system import ZhuyiOnlineSystem, OnlineRecord
-from repro.system.mrf import MRFResult, find_minimum_required_fpr
+from repro.system.mrf import MRFResult, mrf_verdict
 
 __all__ = [
     "Alarm",
@@ -33,5 +33,5 @@ __all__ = [
     "ZhuyiOnlineSystem",
     "OnlineRecord",
     "MRFResult",
-    "find_minimum_required_fpr",
+    "mrf_verdict",
 ]

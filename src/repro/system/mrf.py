@@ -1,22 +1,21 @@
-"""Minimum-required-FPR search (Table 1's "Min Required FPR" column).
+"""The minimum required FPR verdict (Table 1's "Min Required FPR" column).
 
 "We validate the Zhuyi model by running the AV system with different FPR
 (ranging from 1 to 30) and check whether the estimated FPR for a
 scenario is above the minimum required FPR (MRF). The MRF is the FPR
 above which no collision was detected in the scenario."
 
-Runs of the same seed share choreography, so the collision outcome is a
-paired comparison across FPR settings.
+:func:`mrf_verdict` is the one place that verdict is computed. It is a
+pure function of collision outcomes; the runs behind them come from a
+campaign (:func:`repro.batch.aggregate.campaign_table1`). Runs of the
+same seed share choreography, so the outcomes are a paired comparison
+across FPR settings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-from repro.errors import ConfigurationError
-from repro.scenarios.base import BuiltScenario
-from repro.scenarios.catalog import build_scenario
 
 #: The paper's validation grid of fixed FPR settings.
 DEFAULT_FPR_GRID: tuple[float, ...] = (
@@ -26,22 +25,20 @@ DEFAULT_FPR_GRID: tuple[float, ...] = (
 
 @dataclass(frozen=True)
 class MRFResult:
-    """Outcome of one MRF search.
+    """One scenario's MRF verdict.
 
     Attributes:
         scenario: scenario name.
-        mrf: the minimum FPR with no collision across all tested seeds,
-            or ``None`` when every tested rate collided.
+        mrf: the lowest tested rate above every colliding rate, or
+            ``None`` when no such rate has an outcome.
         collision_fprs: rates at which at least one seed collided.
         safe_fprs: rates at which no seed collided.
-        runs: total closed-loop runs executed.
     """
 
     scenario: str
     mrf: float | None
     collision_fprs: tuple[float, ...]
     safe_fprs: tuple[float, ...]
-    runs: int
 
     @property
     def label(self) -> str:
@@ -57,61 +54,33 @@ def _format_fpr(value: float) -> str:
     return f"{value:g}"
 
 
-def find_minimum_required_fpr(
-    scenario: str | BuiltScenario,
-    fpr_grid: Sequence[float] = DEFAULT_FPR_GRID,
-    seeds: Sequence[int] = (0,),
-    collision_cache: Mapping[tuple[float, int], bool] | None = None,
+def mrf_verdict(
+    scenario: str, outcomes: Mapping[float, Sequence[bool]]
 ) -> MRFResult:
-    """Search the FPR grid for the lowest collision-free setting.
+    """The MRF verdict from per-rate collision outcomes.
 
     Args:
-        scenario: catalog name or an already-built scenario (whose seed
-            is then replaced by each entry of ``seeds``).
-        fpr_grid: candidate rates, any order (sorted internally).
-        seeds: jitter seeds; a rate counts as safe only when *all* seeds
-            are collision-free at that rate.
-        collision_cache: optional pre-computed ``(fpr, seed) -> collided``
-            results (the Table 1 harness reuses its validation runs).
+        scenario: the scenario the outcomes belong to.
+        outcomes: each tested rate mapped to the collided flags of the
+            seeds that produced an outcome there. A rate counts as
+            colliding when any seed collided. A rate with no flags
+            (every run at it failed) is neither safe nor colliding,
+            and cannot be the MRF.
+
+    Returns:
+        The verdict; the MRF is the lowest rate with an outcome above
+        every colliding rate.
     """
-    if not fpr_grid:
-        raise ConfigurationError("FPR grid must not be empty")
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-
-    name = scenario if isinstance(scenario, str) else scenario.name
-    rates = sorted(set(fpr_grid))
-    runs = 0
-    collision_rates = []
-    safe_rates = []
-    for rate in rates:
-        collided = False
-        for seed in seeds:
-            key = (rate, seed)
-            if collision_cache is not None and key in collision_cache:
-                outcome = collision_cache[key]
-            else:
-                trace = build_scenario(name, seed=seed).run(fpr=rate)
-                runs += 1
-                outcome = trace.has_collision
-            if outcome:
-                collided = True
-        if collided:
-            collision_rates.append(rate)
-        else:
-            safe_rates.append(rate)
-
-    # The MRF is the lowest rate above every colliding rate.
-    mrf = None
-    worst_collision = max(collision_rates) if collision_rates else None
-    for rate in rates:
-        if worst_collision is None or rate > worst_collision:
-            mrf = rate
-            break
+    rates = sorted(rate for rate, flags in outcomes.items() if flags)
+    collision_rates = tuple(rate for rate in rates if any(outcomes[rate]))
+    safe_rates = tuple(rate for rate in rates if not any(outcomes[rate]))
+    worst = max(collision_rates, default=None)
+    mrf = next(
+        (rate for rate in rates if worst is None or rate > worst), None
+    )
     return MRFResult(
-        scenario=name,
+        scenario=scenario,
         mrf=mrf,
-        collision_fprs=tuple(collision_rates),
-        safe_fprs=tuple(safe_rates),
-        runs=runs,
+        collision_fprs=collision_rates,
+        safe_fprs=safe_rates,
     )

@@ -10,7 +10,6 @@ from repro.batch import (
     ParamVariant,
     RunSummary,
     campaign_table1,
-    full_catalog_campaign,
     render_campaign_table,
     summarize_failures,
 )
@@ -114,11 +113,6 @@ class TestCampaignSpec:
     def test_bad_stride_rejected(self):
         with pytest.raises(ConfigurationError):
             Campaign(scenarios=("cut_in",), stride=0.0)
-
-    def test_full_catalog_covers_registry(self):
-        campaign = full_catalog_campaign()
-        assert "cut_out" in campaign.scenarios
-        assert "vehicle_following" in campaign.scenarios
 
     def test_grid_dict_round_trip(self):
         campaign = Campaign(

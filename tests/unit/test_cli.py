@@ -17,9 +17,11 @@ class TestParser:
         assert args.fpr == 30.0
         assert args.seed == 0
 
-    def test_run_rejects_unknown_scenario(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "warp"])
+    def test_run_rejects_unknown_scenario(self, capsys):
+        # Validated by build_scenario, not by argparse choices, so every
+        # name a campaign accepts also runs here.
+        assert main(["run", "warp"]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
 
     def test_sweep_gap_positional(self):
         args = build_parser().parse_args(["sweep", "100"])
@@ -116,6 +118,54 @@ class TestCommands:
         assert main(["mrf", "vehicle_following", "--grid", "1,2"]) == 0
         out = capsys.readouterr().out
         assert "minimum required FPR: <1" in out
+
+
+class TestMRFCommand:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cut_in", "--grid", "1,abc"], "could not convert"),
+            (["cut_in", "--grid", "2,2"], "duplicate fpr"),
+            (["cut_in", "--seeds", "0"], "must be non-empty"),
+            (["warp"], "unknown scenario 'warp'"),
+        ],
+        ids=["malformed-grid", "duplicate-rate", "no-seeds", "unknown"],
+    )
+    def test_bad_input_exits_two(self, argv, message, capsys):
+        assert main(["mrf", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.slow
+    def test_failed_rate_reported_and_left_out(self, capsys, monkeypatch):
+        from repro.scenarios.base import BuiltScenario
+
+        run = BuiltScenario.run
+
+        def run_or_fail(self, fpr=30.0, **kwargs):
+            if fpr == 1.0:
+                raise RuntimeError("injected failure")
+            return run(self, fpr=fpr, **kwargs)
+
+        monkeypatch.setattr(BuiltScenario, "run", run_or_fail)
+        assert main(["mrf", "vehicle_following", "--grid", "1,2"]) == 1
+        captured = capsys.readouterr()
+        assert "1 failed run(s)" in captured.err
+        assert "fpr=1 [default]: RuntimeError: injected failure" in (
+            captured.err
+        )
+        # Only 2 FPR has an outcome, so the failed rate cannot be the
+        # MRF: "<2", where counting it safe would read "<1".
+        assert "minimum required FPR: <2" in captured.out
+        assert "collision rates: none" in captured.out
+
+    @pytest.mark.slow
+    def test_accepts_density_variant(self, capsys):
+        assert main(["mrf", "cut_in_dense2", "--grid", "30"]) == 0
+        out = capsys.readouterr().out
+        assert "Searching MRF for 'cut_in_dense2'" in out
+        assert "minimum required FPR: <30" in out
 
 
 class TestCampaignCommand:
