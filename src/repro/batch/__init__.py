@@ -4,13 +4,17 @@ The paper's statistical claims rest on sweeping many scenarios, jitter
 seeds and fixed FPR settings; this package turns that from a hand-written
 loop into a first-class subsystem:
 
-* :mod:`repro.batch.campaign` — the grid spec, its deterministic
-  expansion into per-run specs, and cell-stable sharding.
+* :mod:`repro.batch.campaign` — the grid specs (a campaign; the
+  shared :class:`Grid` a replay plan also builds on), their
+  deterministic expansion into per-run specs, and cell-stable sharding.
 * :mod:`repro.batch.runner` — sequential or process-parallel execution
-  with per-run failure capture, cross-variant trace caching, streaming
-  JSONL output and resume.
+  of either grid kind with per-run failure capture, cross-variant trace
+  caching, streaming JSONL output and resume.
 * :mod:`repro.batch.results` — per-run summaries, streaming JSONL
-  persistence (schema 2), reload and shard merging.
+  persistence (campaign schema 2, replay schema 1), reload and shard
+  merging.
+* :mod:`repro.batch.reporting` — the wall clock: footer elapsed time
+  and the ``<out>.heartbeat`` progress sidecar.
 * :mod:`repro.batch.aggregate` — Table 1 rows and MRF verdicts straight
   from a stored campaign, no re-simulation.
 
@@ -32,7 +36,9 @@ in the pipeline.
 
 from repro.batch.campaign import (
     DEFAULT_VARIANT,
+    SCHEMA_VERSION,
     Campaign,
+    Grid,
     ParamVariant,
     RunSpec,
 )
@@ -43,7 +49,6 @@ from repro.batch.runner import (
     execute_supercell,
 )
 from repro.batch.results import (
-    SCHEMA_VERSION,
     CampaignResult,
     CampaignWriter,
     RunSummary,
@@ -56,6 +61,7 @@ from repro.batch.aggregate import (
 
 __all__ = [
     "Campaign",
+    "Grid",
     "ParamVariant",
     "RunSpec",
     "DEFAULT_VARIANT",

@@ -8,14 +8,15 @@ the run spec, so they compare byte-identical between sequential and
 parallel executions; wall-clock timings live next to them in the
 :class:`CampaignResult`, never inside them.
 
-The on-disk format is JSONL (schema 2): a header line (``kind:
-campaign``) with the grid, schema version and optional shard tag, then
-one ``kind: run`` line per summary in run-index order — appended by
-:class:`CampaignWriter` *as each run finishes*, so a killed campaign
-keeps everything it completed — and a ``kind: completed`` footer with
-the execution metadata, written only when the whole grid ran. A file
-without the footer is a resumable partial; ``repro campaign --resume``
-executes exactly the missing indices. Schema 1 files (header carries
+The on-disk format is JSONL: a header line naming the grid kind
+(``kind: campaign``, schema 2, or ``kind: replay``, schema 1) with the
+grid, schema version and optional shard tag, then one ``kind: run`` line
+per summary in run-index order — appended by :class:`CampaignWriter`
+*as each run finishes*, so a killed campaign keeps everything it
+completed — and a ``kind: completed`` footer with the execution
+metadata, written only when the whole grid ran. A file without the
+footer is a resumable partial; ``repro campaign --resume`` executes
+exactly the missing indices. Campaign schema 1 files (header carries
 ``workers``/``elapsed``, no footer) still load. See docs/CAMPAIGNS.md
 for the field-by-field schema comparison.
 """
@@ -29,13 +30,19 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from repro import ioutil
-from repro.batch.campaign import Campaign, RunSpec
+from repro.batch.campaign import Campaign, Grid, RunSpec
 from repro.errors import ConfigurationError, TraceError
 
-#: Bumped when a line's field set changes incompatibly.
-#: 1: single header line carrying workers/elapsed, runs written at end.
-#: 2: bare header, streamed run lines, ``completed`` footer, shard tag.
-SCHEMA_VERSION = 2
+
+def _grid_kind(kind: object) -> type[Grid] | None:
+    """The grid class a file header's ``kind`` names, if any."""
+    if kind == Campaign.KIND:
+        return Campaign
+    if kind == "replay":
+        from repro.store.replay import ReplayPlan
+
+        return ReplayPlan
+    return None
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,8 @@ class RunSummary:
 
 
 class CampaignResult:
-    """All summaries of one campaign (or one shard of it).
+    """All summaries of one grid — a campaign or a replay plan — or of
+    one shard of it.
 
     Attributes:
         campaign: the grid the summaries belong to.
@@ -130,22 +138,26 @@ class CampaignResult:
             e.g. a partial file with no footer yet).
         elapsed: wall-clock seconds (0.0 when unknown).
         shard: ``(index, count)`` when this result holds one
-            :meth:`Campaign.shard` of the grid, else ``None``.
+            :meth:`Grid.shard` of the grid, else ``None``.
+        store_root: the trace store the runs read, which a replay
+            file header names (``None`` when unknown).
     """
 
     def __init__(
         self,
-        campaign: Campaign,
+        campaign: Grid,
         summaries: Sequence[RunSummary],
         workers: int = 1,
         elapsed: float = 0.0,
         shard: tuple[int, int] | None = None,
+        store_root: str | None = None,
     ):
         self.campaign = campaign
         self.summaries = sorted(summaries, key=lambda s: s.index)
         self.workers = workers
         self.elapsed = elapsed
         self.shard = shard
+        self.store_root = store_root
         #: Set by :meth:`load_jsonl`: the file's schema version,
         #: whether it carried a ``completed`` footer, and whether its
         #: tail was torn (no trailing newline / dropped final line).
@@ -261,14 +273,16 @@ class CampaignResult:
     # ------------------------------------------------------------------
 
     def save_jsonl(self, path: str | Path) -> None:
-        """Write the result as one schema-2 JSONL file.
+        """Write the result as one JSONL file of its grid's kind.
 
         Header, then every summary in grid-index order, then — only
         when the result covers its whole expected grid — the
         ``completed`` footer. Writing an incomplete result therefore
         produces a file that ``--resume`` recognizes as partial.
         """
-        with CampaignWriter.create(path, self.campaign, shard=self.shard) as w:
+        with CampaignWriter.create(
+            path, self.campaign, shard=self.shard, store_root=self.store_root
+        ) as w:
             for summary in self.summaries:
                 w.write(summary)
             if self.is_complete:
@@ -276,7 +290,7 @@ class CampaignResult:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "CampaignResult":
-        """Reload a campaign JSONL file (schema 1 or 2).
+        """Reload a campaign (schema 1 or 2) or replay (schema 1) file.
 
         A schema-2 file with no ``completed`` footer — a campaign that
         was killed mid-flight — loads fine: the summaries present are
@@ -315,17 +329,20 @@ class CampaignResult:
                     f"invalid campaign JSONL in {path}: {exc}"
                 ) from exc
         header = records[0]
-        if header.get("kind") != "campaign":
+        grid_kind = _grid_kind(header.get("kind"))
+        if grid_kind is None:
             raise TraceError(
-                f"campaign file {path} does not start with a campaign header"
+                f"campaign file {path} does not start with a campaign "
+                "or replay header"
             )
         schema = header.get("schema")
-        if schema not in (1, SCHEMA_VERSION):
+        supported = sorted({1, grid_kind.SCHEMA})
+        if schema not in supported:
             raise TraceError(
-                f"campaign schema {schema!r} unsupported "
-                f"(expected 1 or {SCHEMA_VERSION})"
+                f"{grid_kind.KIND} schema {schema!r} unsupported "
+                f"(expected one of {supported})"
             )
-        campaign = Campaign.from_dict(header["grid"])
+        campaign = grid_kind.from_dict(header[grid_kind.PAYLOAD])
         summaries = [
             RunSummary.from_dict(record)
             for record in records[1:]
@@ -349,6 +366,7 @@ class CampaignResult:
             workers=workers,
             elapsed=elapsed,
             shard=shard,
+            store_root=header.get("store"),
         )
         result.source_schema = schema
         result.source_footer = bool(footers)
@@ -375,7 +393,8 @@ class CampaignResult:
         Returns:
             One result over the union of the parts' summaries, with
             ``elapsed`` summed (total compute) and ``workers`` the
-            maximum across parts; ``shard`` is cleared.
+            maximum across parts; ``shard`` is cleared and
+            ``store_root`` is the first part's.
 
         Raises:
             ConfigurationError: no parts, grid mismatch between parts,
@@ -389,6 +408,7 @@ class CampaignResult:
                 raise ConfigurationError(
                     "cannot merge campaign parts with different grids"
                 )
+        size = campaign.size
         seen: dict[int, RunSummary] = {}
         for part in parts:
             for summary in part.summaries:
@@ -399,10 +419,10 @@ class CampaignResult:
                         f"fpr={summary.fpr:g} [{summary.variant}]) "
                         "across merged parts"
                     )
-                if not 0 <= summary.index < campaign.size:
+                if not 0 <= summary.index < size:
                     raise ConfigurationError(
                         f"run index {summary.index} outside the "
-                        f"{campaign.size}-run grid"
+                        f"{size}-run grid"
                     )
                 seen[summary.index] = summary
         return cls(
@@ -411,41 +431,46 @@ class CampaignResult:
             workers=max(part.workers for part in parts),
             elapsed=sum(part.elapsed for part in parts),
             shard=None,
+            store_root=parts[0].store_root,
         )
 
 
 class CampaignWriter:
-    """Streams a campaign result to JSONL as runs complete.
+    """Streams a grid's result to JSONL as runs complete.
 
     The write protocol is what makes campaigns kill-safe: the header
     goes out before the first run, every summary line is flushed the
     moment it is written, and the ``completed`` footer exists only
     after :meth:`finish` — so a file without a footer is by definition
     a resumable partial, and a crash can lose at most the line being
-    written. Use as a context manager; an exception inside the block
-    closes the file *without* the footer.
+    written. The grid shapes the header and the run lines (see
+    :meth:`Grid.header` and :meth:`Grid.row`). Use as a context manager;
+    an exception inside the block closes the file *without* the footer.
     """
 
     def __init__(
         self,
         path: str | Path,
         handle: IO[str],
+        grid: Grid,
         target: Path | None = None,
     ):
         self._path = Path(path)
         self._target = self._path if target is None else target
         self._handle = handle
+        self._grid = grid
         self._finished = False
 
     @classmethod
     def create(
         cls,
         path: str | Path,
-        campaign: Campaign,
+        campaign: Grid,
         shard: tuple[int, int] | None = None,
         atomic: bool = False,
+        store_root: str | None = None,
     ) -> "CampaignWriter":
-        """Start a fresh file: truncate and write the schema-2 header.
+        """Start a fresh file: truncate and write the grid's header.
 
         ``atomic=True`` stages the output in ``<path>.tmp`` and renames
         it over ``path`` only after :meth:`finish` — so rewriting an
@@ -455,67 +480,31 @@ class CampaignWriter:
         file is published via :func:`repro.ioutil.atomic_create_stream`
         with the header already on the device, so kill-during-create
         can never leave a torn header under the final name.
+        ``store_root`` is the trace store a replay header names.
         """
-        header: dict = {
-            "kind": "campaign",
-            "schema": SCHEMA_VERSION,
-            "grid": campaign.to_dict(),
-        }
+        header = campaign.header(store_root)
         if shard is not None:
             header["shard"] = {"index": shard[0], "count": shard[1]}
-        return cls._open_fresh(Path(path), header, atomic)
-
-    @classmethod
-    def create_raw(
-        cls,
-        path: str | Path,
-        header: Mapping,
-        atomic: bool = False,
-    ) -> "CampaignWriter":
-        """Start a fresh file with a caller-supplied header line.
-
-        The generic face of :meth:`create`, for streams that follow the
-        same write protocol — header first, flushed record lines,
-        fsynced ``completed`` footer — but are not campaign summaries
-        (``repro replay`` uses it for its re-estimation rows).
-        ``atomic`` stages and renames exactly as in :meth:`create`.
-        """
-        return cls._open_fresh(Path(path), dict(header), atomic)
-
-    @classmethod
-    def _open_fresh(
-        cls, final: Path, header: dict, atomic: bool
-    ) -> "CampaignWriter":
-        """Shared creation path: a fresh stream whose header cannot tear.
-
-        Non-atomic streams go through
-        :func:`repro.ioutil.atomic_create_stream`: the header line is
-        fsynced and renamed into place before the append handle opens,
-        so a file visible at ``final`` always has a complete header.
-        Atomic streams accumulate in ``<final>.tmp`` instead and only
-        replace ``final`` at :meth:`close` after :meth:`finish` — the
-        temp file is discarded on any other exit, so its bare open can
-        never publish torn content under the final name.
-        """
+        final = Path(path)
         if atomic:
             target = final.with_name(final.name + ".tmp")
             handle = target.open("w")  # reprolint: disable=IO005 -- staged .tmp: committed by rename only after the finish-time fsync; a torn temp is discarded at close, never published
-            writer = cls(final, handle, target=target)
+            writer = cls(final, handle, campaign, target=target)
             writer._emit(header)
             return writer
         handle = ioutil.atomic_create_stream(
             final, json.dumps(header) + "\n"
         )
-        return cls(final, handle)
+        return cls(final, handle, campaign)
 
     @classmethod
-    def append_to(cls, path: str | Path) -> "CampaignWriter":
+    def append_to(cls, path: str | Path, campaign: Grid) -> "CampaignWriter":
         """Continue a partial file (header already present) in place."""
-        return cls(path, Path(path).open("a"))
+        return cls(path, Path(path).open("a"), campaign)
 
     def write(self, summary: RunSummary) -> None:
         """Append one run line and flush it to disk."""
-        self._emit({"kind": "run", **summary.to_dict()})
+        self.write_row(self._grid.row(summary))
 
     def write_row(self, record: Mapping) -> None:
         """Append one caller-shaped record line and flush it to disk."""

@@ -1,36 +1,36 @@
-"""Campaign execution: sequential or fanned out across processes.
+"""Grid execution: sequential or fanned out across processes.
 
 Each run is a pure function of its :class:`RunSpec` — the scenario
 choreography is seeded by the spec's seed, the perception noise by a
 fixed offset of it — so execution order and worker count cannot change
-any summary. The runner exploits that three ways:
+any summary. The runner executes both grid kinds: a :class:`Campaign`'s
+cells simulate (or load from a trace store), a replay plan's cells
+(:func:`repro.store.replay.execute_replay_cell`) only load. It exploits
+purity three ways:
 
 * ``workers=1`` is a plain loop; ``workers>1`` submits work to a
   ``ProcessPoolExecutor`` and reassembles summaries in run-index order.
 * Runs sharing a (scenario, seed, fpr) **cell** differ only in their
-  ``ZhuyiParams`` variant, which the closed-loop simulation never
-  reads; the cell's trace is simulated once and every variant is
-  evaluated against it (:func:`execute_cell`), turning an N-variant
-  campaign into ~1 simulation + one offline evaluation block.
+  variant, which the closed-loop simulation never reads; the cell's
+  trace is simulated once and every variant is evaluated against it
+  (:func:`execute_cell`), turning an N-variant campaign into ~1
+  simulation + one offline evaluation block (online variants replay
+  the same trace through :meth:`OnlineEstimator.replay`).
 * With ``out=`` the runner streams each summary to JSONL the moment it
   completes (via :class:`repro.batch.results.CampaignWriter`), so a
   killed campaign keeps its finished runs and :meth:`CampaignRunner.resume`
   executes only the remainder — producing a file identical to an
-  uninterrupted run's, footer wall-clock aside.
+  uninterrupted run's, footer wall-clock aside. Beside the file, a
+  ``<out>.heartbeat`` sidecar reports live progress
+  (:mod:`repro.batch.reporting`).
 
 A run that raises is captured as a failed :class:`RunSummary`
 (``error`` set) instead of aborting the campaign; a worker crash
 surfaces the same way.
 """
 
-# reprolint: disable-file=DET002 -- perf_counter here times campaign
-# execution for the `completed` footer and CampaignResult.elapsed only;
-# run summaries are pure functions of their RunSpec and never see it
-# (the resume byte-parity tests would catch any leak).
-
 from __future__ import annotations
 
-import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -38,10 +38,17 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.batch.campaign import Campaign, RunSpec
+from repro.batch.campaign import (
+    Campaign,
+    Grid,
+    RunSpec,
+    build_aggregator,
+    build_predictor,
+)
 
 if TYPE_CHECKING:  # runtime never needs the class, only the object
     from repro.store import TraceStore
+from repro.batch.reporting import RunClock
 from repro.batch.results import CampaignResult, CampaignWriter, RunSummary
 from repro.core.evaluator import (
     OfflineEvaluator,
@@ -49,6 +56,7 @@ from repro.core.evaluator import (
     evaluate_trace_block,
     presample_trace,
 )
+from repro.core.online import OnlineEstimator
 from repro.errors import ConfigurationError
 
 #: Called after each completed run with (done, total, summary).
@@ -102,16 +110,17 @@ def _cell_contract_error(specs: Sequence[RunSpec]) -> str | None:
     return None
 
 
-def _simulate_cell(
+def _cell_trace(
     specs: Sequence[RunSpec],
-    store: "TraceStore | None" = None,
+    store: "TraceStore | None",
+    simulate: bool,
 ) -> tuple[list[RunSummary] | None, object, object]:
     """Simulate (or load) one validated cell's closed-loop trace.
 
     Returns ``(early, built, trace)``: ``early`` carries the per-spec
     summaries when the cell ends before evaluation (simulation failure,
-    or the paper's collided-run N/A convention), else ``None`` with the
-    built scenario and clean trace to evaluate.
+    store miss, or the paper's collided-run N/A convention), else
+    ``None`` with the built scenario and clean trace to evaluate.
 
     With a ``store``, the cell consults it before simulating — the
     simulate-once path. A hit replaces ``built.run()`` (the dominant
@@ -119,7 +128,8 @@ def _simulate_cell(
     cheap and not recorded) with a memory-mapped column load whose
     evaluation is byte-identical to the fresh trace's. A miss simulates
     and records before returning, collisions included, so repeat
-    campaigns skip even the colliding cells.
+    campaigns skip even the colliding cells — unless ``simulate`` is
+    false (a replay), where a miss is a ``TraceError`` failure.
     """
     from repro.scenarios.catalog import build_scenario
 
@@ -129,6 +139,13 @@ def _simulate_cell(
         trace = None
         if store is not None:
             trace = store.get(store.key(*cell))
+        if trace is None and not simulate:
+            error = (
+                f"TraceError: cell ({cell[0]!r}, seed={cell[1]}, "
+                f"fpr={cell[2]:g}) is not in the trace store (replay never "
+                "simulates; record it with a campaign --store run)"
+            )
+            return [_failure_summary(spec, error) for spec in specs], None, None
         if trace is None:
             trace = built.run(fpr=cell[2])
             if store is not None:
@@ -184,23 +201,36 @@ def _success_summary(spec: RunSpec, series, trace) -> RunSummary:
 def _evaluate_cell(
     specs: Sequence[RunSpec], built, trace
 ) -> list[RunSummary]:
-    """Evaluate a simulated cell's trace per variant (per-cell path)."""
+    """Evaluate a clean cell's trace per variant (per-cell path).
+
+    Offline variants run the :class:`OfflineEvaluator`, online ones
+    :meth:`OnlineEstimator.replay` at the stride as the period.
+    """
     summaries = []
     samples = None  # strides are cell-uniform: one sampling per cell
     for spec in specs:
         try:
-            if samples is None:
-                samples = presample_trace(
-                    trace, spec.stride, noise=spec.noise
-                )
-            evaluator = OfflineEvaluator(
-                params=spec.resolved_params(),
-                road=built.road,
-                stride=spec.stride,
-                backend=spec.backend,
-                noise=spec.noise,
-            )
-            series = evaluator.evaluate(trace, samples=samples)
+            if spec.predictor is not None:
+                series = OnlineEstimator(
+                    params=spec.resolved_params(),
+                    predictor=build_predictor(spec.predictor, built.road),
+                    aggregator=build_aggregator(spec.aggregator),
+                    road=built.road,
+                    backend=spec.backend,
+                    noise=spec.noise,
+                ).replay(trace, period=spec.stride)
+            else:
+                if samples is None:
+                    samples = presample_trace(
+                        trace, spec.stride, noise=spec.noise
+                    )
+                series = OfflineEvaluator(
+                    params=spec.resolved_params(),
+                    road=built.road,
+                    stride=spec.stride,
+                    backend=spec.backend,
+                    noise=spec.noise,
+                ).evaluate(trace, samples=samples)
             summaries.append(_success_summary(spec, series, trace))
         except Exception as exc:  # noqa: BLE001 - per-variant failure capture
             summaries.append(
@@ -241,7 +271,7 @@ def execute_cell(
     variant against them: the cross-variant trace cache. A ``store``
     extends the cache across campaigns: the cell loads its recorded
     trace when present and records it otherwise (see
-    :func:`_simulate_cell`), with byte-identical summaries either way.
+    :func:`_cell_trace`), with byte-identical summaries either way.
 
     Args:
         specs: the cell's runs — same scenario, seed, fpr and stride,
@@ -263,18 +293,19 @@ def execute_supercell(
     cells: Sequence[Sequence[RunSpec]],
     store: "TraceStore | None" = None,
 ) -> list[RunSummary]:
-    """Run a block of cells, evaluating their traces together.
+    """Run a block of campaign cells, evaluating their traces together.
 
-    The runner's unit of work. Each cell still simulates its own trace
-    (choreographies are independent), but on a vectorized backend the
-    surviving traces evaluate *together*: every (trace, tick, actor,
-    variant) row of the block solves through the shared array programs
-    of :func:`repro.core.evaluator.evaluate_trace_block`, amortizing the
+    The runner's unit of work for a :class:`Campaign`. Each cell still
+    simulates its own trace (choreographies are independent), but on a
+    vectorized backend the surviving traces evaluate *together*: every
+    (trace, tick, actor, variant) row of the block's offline variants
+    solves through the shared array programs of
+    :func:`repro.core.evaluator.evaluate_trace_block`, amortizing the
     candidate grids, visibility passes and ego profiles across the
     whole block. The ``"scalar"`` backend evaluates each variant
-    through the per-tick reference loop instead. Summaries are
-    byte-identical whatever the block size (the block kernel's parity
-    contract).
+    through the per-tick reference loop instead, and online variants
+    replay per variant. Summaries are byte-identical whatever the block
+    size (the block kernel's parity contract).
 
     Never raises: contract violations, simulation failures and
     collisions resolve per cell, and if the block kernel itself fails
@@ -292,6 +323,16 @@ def execute_supercell(
         One summary per spec, cells in the given order, specs in
         per-cell order.
     """
+    return _execute_cells(cells, store, simulate=True)
+
+
+def _execute_cells(
+    cells: Sequence[Sequence[RunSpec]],
+    store: "TraceStore | None",
+    simulate: bool,
+) -> list[RunSummary]:
+    """The cell block both grid kinds' tasks run (see
+    :func:`execute_supercell`); ``simulate=False`` only loads traces."""
     results: list[list[RunSummary]] = [[] for _ in cells]
     survivors: list[tuple[int, Sequence[RunSpec], object, object]] = []
     opened: list[object] = []
@@ -305,14 +346,14 @@ def execute_supercell(
                     _failure_summary(spec, contract_error) for spec in specs
                 ]
                 continue
-            early, built, trace = _simulate_cell(specs, store)
+            early, built, trace = _cell_trace(specs, store, simulate)
             if trace is not None:
                 opened.append(trace)
             if early is not None:
                 results[pos] = early
             else:
                 survivors.append((pos, specs, built, trace))
-        results = _evaluate_supercell(results, survivors)
+        _evaluate_supercell(results, survivors)
     finally:
         # Drop block-local views before closing store-backed handles.
         survivors = []
@@ -321,58 +362,90 @@ def execute_supercell(
     return [summary for cell_result in results for summary in cell_result]
 
 
+def _offline(specs: Sequence[RunSpec]) -> list[RunSpec]:
+    return [spec for spec in specs if spec.predictor is None]
+
+
 def _evaluate_supercell(
     results: list[list[RunSummary]],
     survivors: list[tuple[int, Sequence[RunSpec], object, object]],
-) -> list[list[RunSummary]]:
-    """Evaluate a supercell's surviving traces through the block kernel."""
-    if survivors:
-        lead = survivors[0][1]
-        variants = [spec.resolved_params() for spec in lead]
-        stride = lead[0].stride
-        # The scalar reference evaluates per variant. Cells that do not
-        # share the block's variant sequence or stride cannot ride its
-        # kernels either; they evaluate per cell (defensive —
-        # _group_supercells never builds such blocks).
-        per_cell = [
-            entry
-            for entry in survivors
-            if lead[0].backend == "scalar"
-            or [spec.resolved_params() for spec in entry[1]] != variants
-            or entry[1][0].stride != stride
-        ]
-        for pos, specs, built, trace in per_cell:
+) -> None:
+    """Evaluate a block's clean traces into ``results``.
+
+    The offline variants of every cell sharing the first such cell's
+    variant sequence and stride solve together through the block
+    kernel. Online variants, the scalar backend and (defensively —
+    :func:`_group_supercells` never builds such blocks) mismatched
+    cells evaluate per variant through :func:`_evaluate_cell`.
+    """
+
+    def block_key(specs):
+        offline = _offline(specs)
+        if not offline or offline[0].backend == "scalar":
+            return None
+        return [spec.resolved_params() for spec in offline], offline[0].stride
+
+    keys = [block_key(specs) for _, specs, _, _ in survivors]
+    lead = next((key for key in keys if key is not None), None)
+    block = [
+        entry
+        for entry, key in zip(survivors, keys)
+        if lead is not None and key == lead
+    ]
+    solved = _solve_block(block, *lead) if block else {}
+    for pos, specs, built, trace in survivors:
+        if pos not in solved:
             results[pos] = _evaluate_cell(specs, built, trace)
-        survivors = [entry for entry in survivors if entry not in per_cell]
-    if survivors:
-        try:
-            # Per-cell noise rides inside the samples (detection masks
-            # and perturbed states), so cells with different derived
-            # noise seeds still share one block's kernels.
-            jobs = [
-                TraceJob(
-                    trace=trace,
-                    samples=presample_trace(
-                        trace, stride, noise=cell_specs[0].noise
-                    ),
-                    l0=trace.default_l0(),
-                    road=built.road,
-                )
-                for _, cell_specs, built, trace in survivors
+            continue
+        offline = iter(solved[pos])
+        online = iter(
+            _evaluate_cell(
+                [spec for spec in specs if spec.predictor is not None],
+                built,
+                trace,
+            )
+        )
+        results[pos] = [
+            next(offline if spec.predictor is None else online)
+            for spec in specs
+        ]
+
+
+def _solve_block(
+    block: list[tuple[int, Sequence[RunSpec], object, object]],
+    variants: list,
+    stride: float,
+) -> dict[int, list[RunSummary]]:
+    """The offline summaries of a block's cells, keyed by position."""
+    try:
+        # Per-cell noise rides inside the samples (detection masks and
+        # perturbed states), so cells with different derived noise
+        # seeds still share one block's kernels.
+        jobs = [
+            TraceJob(
+                trace=trace,
+                samples=presample_trace(trace, stride, noise=specs[0].noise),
+                l0=trace.default_l0(),
+                road=built.road,
+            )
+            for _, specs, built, trace in block
+        ]
+        rows = evaluate_trace_block(jobs, variants, stride)
+        return {
+            pos: [
+                _success_summary(spec, series, trace)
+                for spec, series in zip(_offline(specs), row)
             ]
-            block = evaluate_trace_block(jobs, variants, stride)
-            for (pos, specs, _, trace), series_row in zip(survivors, block):
-                results[pos] = [
-                    _success_summary(spec, series, trace)
-                    for spec, series in zip(specs, series_row)
-                ]
-        except Exception:  # noqa: BLE001 - block-level failure capture
-            # A block kernel error retries the surviving cells per
-            # variant, which keeps per-variant failure granularity
-            # instead of failing the whole block.
-            for pos, specs, built, trace in survivors:
-                results[pos] = _evaluate_cell(specs, built, trace)
-    return results
+            for (pos, specs, _, trace), row in zip(block, rows)
+        }
+    except Exception:  # noqa: BLE001 - block-level failure capture
+        # A block kernel error retries the cells per variant, which
+        # keeps per-variant failure granularity instead of failing the
+        # whole block.
+        return {
+            pos: _evaluate_cell(_offline(specs), built, trace)
+            for pos, specs, built, trace in block
+        }
 
 
 def execute_run(spec: RunSpec) -> RunSummary:
@@ -450,14 +523,19 @@ class _OrderedSink:
     the executor's admission control: at most ``max_pending`` tasks
     are in flight, each completing at most ``supercell x variants``
     summaries, so no more than ``max_pending x supercell x variants``
-    summaries ever wait here for an earlier index.
+    summaries ever wait here for an earlier index. Each written line
+    is counted on the run's :class:`RunClock`.
     """
 
     def __init__(
-        self, sequence: Sequence[int], writer: CampaignWriter | None
+        self,
+        sequence: Sequence[int],
+        writer: CampaignWriter | None,
+        clock: RunClock,
     ):
         self._sequence = list(sequence)
         self._writer = writer
+        self._clock = clock
         self._pos = 0
         self._buffer: dict[int, RunSummary] = {}
 
@@ -469,36 +547,41 @@ class _OrderedSink:
             self._pos < len(self._sequence)
             and self._sequence[self._pos] in self._buffer
         ):
-            self._writer.write(self._buffer.pop(self._sequence[self._pos]))
+            index = self._sequence[self._pos]
+            self._writer.write(self._buffer.pop(index))
+            self._clock.row_written(index)
             self._pos += 1
 
 
 @dataclass
 class CampaignRunner:
-    """Executes a campaign grid with a configurable worker count.
+    """Executes a grid — a campaign or a replay plan — with a
+    configurable worker count.
 
     Determinism guarantees: summaries are pure functions of their run
     specs, so for a fixed grid the summaries (and the JSONL run lines)
     are byte-identical across worker counts, across machines, across
     shard/merge splits, and across kill/resume cycles. Only wall-clock
-    metadata (the footer's ``elapsed``) varies.
+    metadata (the footer's ``elapsed``, the heartbeat sidecar) varies.
 
     Attributes:
         workers: 1 runs in-process; N > 1 fans out over N processes.
         max_pending: cap on simultaneously submitted tasks (bounds the
             executor's memory on very large grids).
         supercell: on the ``"crosstrace"`` backend, how many cells one
-            :func:`execute_supercell` block evaluates together through
-            the shared cross-trace kernels. 1 is per-cell execution,
-            which the other backends always use; larger blocks amortize
-            more but hold more traces in a worker's memory at once.
-        store: optional :class:`repro.store.TraceStore`. Cells consult
-            it before simulating and record their traces on miss, so a
-            campaign only ever simulates each ``(scenario, seed, fpr)``
-            once across all runs sharing the store. The store is plain
-            picklable state (a root path plus version pins): parallel
-            workers each open bundles read-only via memmap, no trace
-            bytes cross the process boundary.
+            block task evaluates together through the shared
+            cross-trace kernels. 1 is per-cell execution, which the
+            other backends always use; larger blocks amortize more but
+            hold more traces in a worker's memory at once.
+        store: optional :class:`repro.store.TraceStore`. Campaign cells
+            consult it before simulating and record their traces on
+            miss, so a campaign only ever simulates each
+            ``(scenario, seed, fpr)`` once across all runs sharing the
+            store; a replay plan's cells read it and nothing else, so a
+            replay needs one. The store is plain picklable state (a
+            root path plus version pins): parallel workers each open
+            bundles read-only via memmap, no trace bytes cross the
+            process boundary.
     """
 
     workers: int = 1
@@ -518,36 +601,45 @@ class CampaignRunner:
 
     def run(
         self,
-        campaign: Campaign,
+        campaign: Grid,
         progress: ProgressHook | None = None,
         *,
         out: str | Path | None = None,
         shard: tuple[int, int] | None = None,
     ) -> CampaignResult:
-        """Execute a campaign grid (or one shard of it).
+        """Execute a grid (or one shard of it).
 
         Args:
-            campaign: the grid to run.
+            campaign: the grid to run — a :class:`Campaign` or a
+                :class:`~repro.store.replay.ReplayPlan`.
             progress: called after each completed run with
                 ``(done, total, summary)``.
             out: JSONL path. When given, the header is written before
                 the first run and each summary is appended (flushed) as
                 it completes, so a killed campaign keeps its finished
                 runs; the ``completed`` footer lands only at the end.
+                ``<out>.heartbeat`` reports progress meanwhile.
             shard: ``(index, count)`` to execute only that
-                :meth:`Campaign.shard` of the grid.
+                :meth:`Grid.shard` of the grid.
 
         Returns:
             The (shard-)result with all summaries, sorted by index.
+
+        Raises:
+            ConfigurationError: a replay plan on a runner without a
+                store, or a malformed shard.
         """
+        execute = self._block_task(campaign)
         specs = campaign.runs() if shard is None else campaign.shard(*shard)
         writer = (
             None
             if out is None
-            else CampaignWriter.create(out, campaign, shard=shard)
+            else CampaignWriter.create(
+                out, campaign, shard=shard, store_root=self._store_root()
+            )
         )
         return self._execute(
-            campaign, specs, cached={}, writer=writer,
+            campaign, execute, specs, cached={}, writer=writer, out=out,
             shard=shard, progress=progress,
         )
 
@@ -559,15 +651,16 @@ class CampaignRunner:
         partial: CampaignResult | None = None,
         retry_failed: bool = False,
     ) -> CampaignResult:
-        """Finish a partial campaign JSONL file in place.
+        """Finish a partial campaign or replay JSONL file in place.
 
         Reloads the file, keeps every summary already present (they are
         never re-executed — determinism makes re-running them pointless),
-        executes exactly the missing grid indices and streams them to
-        the same file. When the existing summaries are a clean schema-2
-        prefix of the expected run order (the normal kill case) the
-        file is appended to; schema-1 or out-of-order partials are
-        rewritten in canonical schema-2 order via an atomic
+        executes exactly the missing grid indices of the shard the
+        header names, and streams them to the same file. When the
+        existing summaries are a clean prefix of the expected run order
+        in the grid kind's current schema (the normal kill case) the
+        file is appended to; campaign schema-1 or out-of-order partials
+        are rewritten in canonical order via an atomic
         temp-file-and-rename, so a crash mid-rewrite never destroys the
         original. Either way the finished file matches an uninterrupted
         run's, footer wall-clock aside. Resuming an already-complete
@@ -580,7 +673,7 @@ class CampaignRunner:
         keep their summaries unless ``retry_failed`` purges them too.
 
         Args:
-            path: a schema-1 or schema-2 campaign JSONL file.
+            path: a campaign (schema 1 or 2) or replay JSONL file.
             progress: called per newly executed run with
                 ``(done, remaining_total, summary)``.
             partial: the already-loaded contents of ``path``, to skip
@@ -595,13 +688,12 @@ class CampaignRunner:
             The completed result (the file's summaries plus the
             freshly executed remainder).
         """
-        from repro.batch.results import SCHEMA_VERSION
-
         if partial is None:
             partial = CampaignResult.load_jsonl(path)
+        grid = partial.campaign
+        execute = self._block_task(grid)
         canonical = (
-            partial.source_schema == SCHEMA_VERSION
-            and not partial.source_torn
+            partial.source_schema == grid.SCHEMA and not partial.source_torn
         )
         cached = partial.resume_cache(retry_failed=retry_failed)
         retrying = len(cached) < len(partial.summaries)
@@ -621,35 +713,62 @@ class CampaignRunner:
             and prefix == set(cached)
         )
         if appendable:
-            # The normal kill case: the file is a clean schema-2 prefix
-            # of the expected order — continue it in place. (A complete
-            # but footer-less file lands here too: zero runs execute
-            # and only the footer is appended.)
-            writer = CampaignWriter.append_to(path)
+            # The normal kill case: the file is a clean prefix of the
+            # expected order — continue it in place. (A complete but
+            # footer-less file lands here too: zero runs execute and
+            # only the footer is appended.)
+            writer = CampaignWriter.append_to(path, grid)
         else:
             # Schema-1, torn-tail, out-of-order, or otherwise
-            # non-canonical partials are rewritten in schema-2 order —
+            # non-canonical partials are rewritten in canonical order —
             # atomically, so a crash mid-rewrite cannot destroy the
             # completed runs the original file holds.
             writer = CampaignWriter.create(
-                path, partial.campaign, shard=partial.shard, atomic=True
+                path, grid, shard=partial.shard, atomic=True,
+                store_root=self._store_root(),
             )
         return self._execute(
-            partial.campaign,
+            grid,
+            execute,
             expected,
             cached=cached,
             writer=writer,
+            out=path,
             shard=partial.shard,
             progress=progress,
             rewrite=not appendable,
         )
 
+    def _block_task(self, grid: Grid) -> Callable:
+        """The task that runs a block of ``grid``'s cells.
+
+        :func:`execute_supercell` for a campaign;
+        :func:`repro.store.replay.execute_replay_cell` — store reads
+        only, never a simulation — for a replay plan, which therefore
+        needs the runner's store.
+        """
+        if isinstance(grid, Campaign):
+            return partial(execute_supercell, store=self.store)
+        if self.store is None:
+            raise ConfigurationError(
+                "a replay reads its traces from a trace store; give the "
+                "runner one (CampaignRunner(store=...), --store DIR)"
+            )
+        from repro.store.replay import execute_replay_cell
+
+        return partial(execute_replay_cell, store=self.store)
+
+    def _store_root(self) -> str | None:
+        return None if self.store is None else str(self.store.root)
+
     def _execute(
         self,
-        campaign: Campaign,
+        grid: Grid,
+        execute: Callable,
         specs: Sequence[RunSpec],
         cached: dict[int, RunSummary],
         writer: CampaignWriter | None,
+        out: str | Path | None,
         shard: tuple[int, int] | None,
         progress: ProgressHook | None,
         rewrite: bool = False,
@@ -660,39 +779,51 @@ class CampaignRunner:
             if rewrite
             else [spec.index for spec in todo]
         )
-        sink = _OrderedSink(sequence, writer)
-        started = time.perf_counter()
+        clock = RunClock(
+            out,
+            total=len(specs),
+            done=len(specs) - len(sequence),
+            shard=shard,
+        )
+        sink = _OrderedSink(sequence, writer, clock)
+        fresh: list[RunSummary] = []
+
+        def deliver(summaries: list[RunSummary]) -> None:
+            for summary in summaries:
+                fresh.append(summary)
+                sink.push(summary)
+                if progress is not None:
+                    progress(len(fresh), len(todo), summary)
+
         try:
             if rewrite:
                 for summary in cached.values():
                     sink.push(summary)
-            if self.workers == 1:
-                fresh = self._run_sequential(todo, progress, sink)
-            else:
-                fresh = self._run_parallel(todo, progress, sink)
-            elapsed = time.perf_counter() - started
+            self._run(self._tasks(execute, todo), deliver)
+            elapsed = clock.finish()
             if writer is not None:
                 writer.finish(workers=self.workers, elapsed=elapsed)
         finally:
             if writer is not None:
                 writer.close()
         return CampaignResult(
-            campaign=campaign,
+            campaign=grid,
             summaries=list(cached.values()) + fresh,
             workers=self.workers,
             elapsed=elapsed,
             shard=shard,
+            store_root=self._store_root(),
         )
 
     def _tasks(
-        self, specs: list[RunSpec]
+        self, execute: Callable, specs: list[RunSpec]
     ) -> list[tuple[Callable, object, list[RunSpec]]]:
         """The executable units of a spec list, in run order.
 
-        :func:`execute_supercell` blocks of up to :attr:`supercell`
-        cells on the ``"crosstrace"`` backend (a campaign-level setting,
-        so the first spec decides), of one cell otherwise. Each task
-        carries its flat spec list for worker-crash failure capture.
+        ``execute`` blocks of up to :attr:`supercell` cells on the
+        ``"crosstrace"`` backend (a grid-level setting, so the first
+        spec decides), of one cell otherwise. Each task carries its
+        flat spec list for worker-crash failure capture.
         """
         cells = _group_cells(specs)
         size = (
@@ -700,39 +831,23 @@ class CampaignRunner:
             if specs and specs[0].backend == "crosstrace"
             else 1
         )
-        run_block = (
-            execute_supercell
-            if self.store is None
-            else partial(execute_supercell, store=self.store)
-        )
         return [
-            (run_block, block, [spec for cell in block for spec in cell])
+            (execute, block, [spec for cell in block for spec in cell])
             for block in _group_supercells(cells, size)
         ]
 
-    def _run_sequential(
+    def _run(
         self,
-        specs: list[RunSpec],
-        progress: ProgressHook | None,
-        sink: _OrderedSink,
-    ) -> list[RunSummary]:
-        summaries: list[RunSummary] = []
-        for execute, work, _ in self._tasks(specs):
-            for summary in execute(work):
-                summaries.append(summary)
-                sink.push(summary)
-                if progress is not None:
-                    progress(len(summaries), len(specs), summary)
-        return summaries
-
-    def _run_parallel(
-        self,
-        specs: list[RunSpec],
-        progress: ProgressHook | None,
-        sink: _OrderedSink,
-    ) -> list[RunSummary]:
-        summaries: list[RunSummary] = []
-        queue = list(reversed(self._tasks(specs)))
+        tasks: list[tuple[Callable, object, list[RunSpec]]],
+        deliver: Callable[[list[RunSummary]], None],
+    ) -> None:
+        """Execute ``tasks``, handing each one's summaries to ``deliver``:
+        in order in-process on one worker, as they complete on a pool."""
+        if self.workers == 1:
+            for execute, work, _ in tasks:
+                deliver(execute(work))
+            return
+        queue = list(reversed(tasks))
         pending: dict = {}
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             while queue or pending:
@@ -741,13 +856,7 @@ class CampaignRunner:
                     pending[pool.submit(execute, work)] = flat
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    flat = pending.pop(future)
-                    for summary in self._collect(future, flat):
-                        summaries.append(summary)
-                        sink.push(summary)
-                        if progress is not None:
-                            progress(len(summaries), len(specs), summary)
-        return summaries
+                    deliver(self._collect(future, pending.pop(future)))
 
     def _collect(self, future, specs: list[RunSpec]) -> list[RunSummary]:
         try:

@@ -600,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         metavar="PATH",
-        help="stream results to a JSONL file as runs finish",
+        help="stream results to a JSONL file as runs finish (with a "
+        "PATH.heartbeat progress sidecar)",
     )
     campaign.add_argument(
         "--backend",
@@ -858,13 +859,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="I/N",
         help="replay only cell-stripe I of N (each shard heartbeats "
-        "and resumes independently)",
+        "and resumes independently; merge parts with campaign-merge)",
     )
     replay.add_argument(
         "--resume",
         action="store_true",
         help="reuse the rows already present in --out and execute "
-        "only the remainder",
+        "only the remainder (the shard comes from the file; a "
+        "different --shard is refused)",
     )
     replay.add_argument(
         "--quiet", action="store_true", help="suppress per-row progress lines"
@@ -872,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "campaign-merge",
-        help="merge campaign shard JSONL parts into one result",
+        help="merge campaign or replay shard JSONL parts into one result",
     )
     merge.add_argument(
         "parts", nargs="+", metavar="PART", help="shard JSONL files"

@@ -7,9 +7,10 @@ merely *mention* pragmas don't count):
   suppresses the named rule(s) on its own line — or, when the comment
   stands alone on a line, on the next code line (for statements that
   would blow the line length with an inline pragma).
-* ``# reprolint: disable-file=DET002 -- why`` suppresses the rule(s)
-  for the whole module (the allowlist mechanism: e.g. the heartbeat
-  module's wall-clock reads).
+* ``# reprolint: disable-file=RULE -- why`` suppresses the rule(s)
+  for the whole module (the allowlist mechanism: e.g. DET002 in
+  :mod:`repro.batch.reporting`, the one module that reads the wall
+  clock).
 
 The ``--`` justification is mandatory: a pragma without one is not a
 suppression, it is an **LNT001 finding** — so every exception in the

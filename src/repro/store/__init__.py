@@ -18,7 +18,6 @@ from repro.store.replay import (
     ReplayService,
     ReplayVariant,
     execute_replay_cell,
-    load_replay_rows,
 )
 from repro.store.store import SIM_VERSION, STORE_SCHEMA, StoreKey, TraceStore
 
@@ -34,6 +33,5 @@ __all__ = [
     "TraceStore",
     "code_fingerprint",
     "execute_replay_cell",
-    "load_replay_rows",
     "trace_arrays_equal",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch import Campaign, CampaignRunner
+from repro.batch import Campaign, CampaignRunner, ParamVariant
 from repro.perception.noise import PerceptionNoise
 from repro.store import (
     ReplayPlan,
@@ -198,6 +198,34 @@ class TestReplayFromStoreAlone:
             row["max_fpr"] != campaign_row["max_fpr"]
             for row, campaign_row in zip(rows, recorded)
         )
+
+
+    def test_closed_loop_online_variant_row_equals_replay_row(
+        self, warm_store
+    ):
+        # A campaign evaluates online variants on the trace it just
+        # simulated exactly as a replay does on the recorded one.
+        store, _ = warm_store
+        campaign = grid(
+            scenarios=("cut_out",),
+            seeds=(0,),
+            variants=(
+                ParamVariant("default"),
+                ParamVariant("cv-max", predictor="cv", aggregator="max"),
+            ),
+        )
+        simulated = CampaignRunner(workers=1).run(campaign).summaries
+        rows = ReplayService(store=store).run(
+            ReplayPlan.from_campaign(campaign)
+        )
+        assert simulated[1].ok and simulated[1].max_fpr is not None
+        for summary, row in zip(simulated, rows):
+            assert {
+                key: value
+                for key, value in row.items()
+                if key not in ("kind", "predictor", "aggregator")
+            } == summary.to_dict()
+        assert (rows[1]["predictor"], rows[1]["aggregator"]) == ("cv", "max")
 
 
 @pytest.mark.slow

@@ -290,6 +290,21 @@ class TestCampaignCommand:
         assert summary.max_fpr >= 1.0
 
 
+    def test_out_leaves_a_finished_heartbeat_sidecar(self, tmp_path):
+        import json
+
+        path = tmp_path / "campaign.jsonl"
+        code = main([
+            "campaign", "cut_in", "vehicle_following", "--stride", "0.5",
+            "--shard", "1/2", "--out", str(path), "--quiet",
+        ])
+        assert code == 0
+        beat = json.loads((tmp_path / "campaign.jsonl.heartbeat").read_text())
+        assert beat["kind"] == "heartbeat"
+        assert beat["rows_done"] == beat["rows_total"] == 1
+        assert beat["shard"] == {"index": 1, "count": 2}
+
+
 class TestCampaignMergeCommand:
     def _result(self, campaign, summaries, shard=None):
         from repro.batch import CampaignResult

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.store import replay
+from repro.batch import reporting
 
 
 class TickingClock:
@@ -34,9 +34,9 @@ def test_heartbeat_uses_one_instant_for_elapsed_and_updated(
     tmp_path, monkeypatch
 ):
     started = 1000.0
-    monkeypatch.setattr(replay.time, "time", TickingClock(started + 40.0))
+    monkeypatch.setattr(reporting.time, "time", TickingClock(started + 40.0))
     path = tmp_path / "heartbeat.json"
-    replay._write_heartbeat(
+    reporting._write_heartbeat(
         path,
         done=3,
         total=10,
@@ -60,12 +60,12 @@ def test_heartbeat_uses_one_instant_for_elapsed_and_updated(
 
 def test_heartbeat_is_always_one_complete_json_object(tmp_path):
     path = tmp_path / "heartbeat.json"
-    replay._write_heartbeat(
+    reporting._write_heartbeat(
         path, done=0, total=5, last_index=None, started=0.0, shard=None
     )
     first = path.read_text()
     assert json.loads(first)["rows_done"] == 0
-    replay._write_heartbeat(
+    reporting._write_heartbeat(
         path, done=5, total=5, last_index=4, started=0.0, shard=None
     )
     assert json.loads(path.read_text())["rows_done"] == 5

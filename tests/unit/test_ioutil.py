@@ -14,7 +14,10 @@ import os
 import pytest
 
 from repro import ioutil
+from repro.batch.campaign import Campaign
 from repro.batch.results import CampaignWriter
+
+CAMPAIGN = Campaign(scenarios=("cut_in",))
 
 
 def test_atomic_write_text_publishes_content(tmp_path):
@@ -99,15 +102,13 @@ def test_campaign_writer_create_is_kill_safe(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", boom)
     with pytest.raises(OSError):
-        CampaignWriter.create_raw(target, {"kind": "campaign"}, atomic=False)
+        CampaignWriter.create(target, CAMPAIGN, atomic=False)
     assert not target.exists()
 
 
 def test_campaign_writer_create_header_is_complete_immediately(tmp_path):
     target = tmp_path / "campaign.jsonl"
-    writer = CampaignWriter.create_raw(
-        target, {"kind": "campaign"}, atomic=False
-    )
+    writer = CampaignWriter.create(target, CAMPAIGN, atomic=False)
     try:
         header = json.loads(target.read_text().splitlines()[0])
         assert header["kind"] == "campaign"

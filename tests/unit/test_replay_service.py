@@ -4,8 +4,10 @@ Synthetic stored traces keep these fast — the service's whole point is
 that nothing here ever simulates. Covered: variant validation, plan
 expansion/sharding/serialization, campaign adoption, row production
 (offline and online variants, collisions, store misses as failure
-rows), the JSONL write protocol with kill/resume, and the heartbeat
-sidecar.
+rows), the settings validation replay plans share with campaigns, and
+the campaign runner's file protocol applied to replay files: kill/resume
+(including files written before replays ran on the runner), shards,
+``campaign-merge``, workers and the heartbeat sidecar.
 """
 
 import json
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.batch import CampaignResult, CampaignRunner
 from repro.batch.campaign import Campaign, ParamVariant
+from repro.cli import main
 from repro.core.parameters import ZhuyiParams
 from repro.errors import ConfigurationError
 from repro.sim.collision import CollisionEvent
@@ -22,7 +26,6 @@ from repro.store import (
     ReplayService,
     ReplayVariant,
     TraceStore,
-    load_replay_rows,
 )
 
 from test_store import synthetic_trace
@@ -91,17 +94,17 @@ class TestReplayPlan:
                 ReplayVariant(name="b"),
             ),
         )
-        jobs = plan.jobs()
-        assert [job[0] for job in jobs] == [0, 1, 2, 3]
-        assert [(job[1][1], job[2].name) for job in jobs] == [
+        specs = plan.runs()
+        assert [spec.index for spec in specs] == [0, 1, 2, 3]
+        assert [(spec.seed, spec.variant) for spec in specs] == [
             (0, "a"), (0, "b"), (1, "a"), (1, "b"),
         ]
 
     def test_shards_partition_the_jobs(self, store):
         plan = default_plan(store)
-        full = {job[0] for job in plan.jobs()}
+        full = {spec.index for spec in plan.runs()}
         parts = [
-            {job[0] for job in plan.shard(i, 2)} for i in range(2)
+            {spec.index for spec in plan.shard(i, 2)} for i in range(2)
         ]
         assert parts[0] | parts[1] == full
         assert parts[0] & parts[1] == set()
@@ -148,14 +151,56 @@ class TestReplayPlan:
             ),
         )
         plan = ReplayPlan.from_campaign(campaign)
-        jobs = plan.jobs()
+        replayed = plan.runs()
         specs = campaign.runs()
-        assert len(jobs) == len(specs)
-        for (index, cell, variant), spec in zip(jobs, specs):
-            assert index == spec.index
-            assert cell == (spec.scenario, spec.seed, spec.fpr)
-            assert variant.name == spec.variant
-            assert variant.params == spec.params
+        assert len(replayed) == len(specs)
+        for replay_spec, spec in zip(replayed, specs):
+            assert replay_spec.index == spec.index
+            assert (replay_spec.scenario, replay_spec.seed, replay_spec.fpr) == (
+                spec.scenario, spec.seed, spec.fpr,
+            )
+            assert replay_spec.variant == spec.variant
+            assert replay_spec.params == spec.params
+
+
+class TestSharedGridValidation:
+    """Replay plans and campaigns reject the same bad settings."""
+
+    CELLS = (("cut_out", 0, 30.0),)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(backend="bogus"),
+            dict(provisioned_fpr=0.0),
+            dict(provisioned_fpr=-30.0),
+        ],
+        ids=["unknown-backend", "zero-provision", "negative-provision"],
+    )
+    def test_replay_plan_rejects_bad_settings(self, settings):
+        with pytest.raises(ConfigurationError):
+            ReplayPlan(
+                cells=self.CELLS,
+                variants=(ReplayVariant(name="a"),),
+                **settings,
+            )
+
+    @pytest.mark.parametrize("kind", ["campaign", "replay"])
+    @pytest.mark.parametrize(
+        "cameras",
+        [(), ("ghost",), ("front_120", "front_120")],
+        ids=["empty", "unknown", "duplicate"],
+    )
+    def test_grids_reject_bad_camera_lists(self, kind, cameras):
+        with pytest.raises(ConfigurationError, match="cameras"):
+            if kind == "campaign":
+                Campaign(scenarios=("cut_out",), cameras=cameras)
+            else:
+                ReplayPlan(
+                    cells=self.CELLS,
+                    variants=(ReplayVariant(name="a"),),
+                    cameras=cameras,
+                )
 
 
 class TestReplayService:
@@ -227,9 +272,7 @@ class TestReplayService:
 
     def test_heartbeat_sidecar_tracks_progress(self, store, tmp_path):
         out = tmp_path / "replay.jsonl"
-        ReplayService(store=store, heartbeat_every=1).run(
-            default_plan(store), out=out
-        )
+        ReplayService(store=store).run(default_plan(store), out=out)
         beat = json.loads((tmp_path / "replay.jsonl.heartbeat").read_text())
         assert beat["rows_done"] == 3
         assert beat["rows_total"] == 3
@@ -274,7 +317,103 @@ class TestReplayService:
         out = tmp_path / "replay.jsonl"
         plan = default_plan(store)
         rows = ReplayService(store=store).run(plan, out=out)
-        loaded_plan, loaded_rows, completed = load_replay_rows(out)
-        assert completed
-        assert loaded_plan.to_dict() == plan.to_dict()
-        assert loaded_rows == rows
+        loaded = CampaignResult.load_jsonl(out)
+        assert loaded.source_footer
+        assert loaded.campaign.to_dict() == plan.to_dict()
+        assert [plan.row(summary) for summary in loaded.summaries] == rows
+
+
+class TestReplayOnTheCampaignRunner:
+    """Replay files follow the campaign runner's file protocol."""
+
+    def test_resume_with_a_different_shard_is_refused(self, store, tmp_path):
+        plan = default_plan(store)
+        service = ReplayService(store=store)
+        part0 = tmp_path / "part0.jsonl"
+        rows = service.run(plan, out=part0, shard=(0, 2))
+        finished = part0.read_bytes()
+        with pytest.raises(ConfigurationError, match="shard"):
+            service.run(plan, out=part0, shard=(1, 2), resume=True)
+        assert part0.read_bytes() == finished
+        # Without shard=, resume reads the shard from the header.
+        assert service.run(plan, out=part0, resume=True) == rows
+        code = main([
+            "replay", "--store", str(store.root), "--stride", "0.5",
+            "--out", str(part0), "--shard", "1/2", "--resume", "--quiet",
+        ])
+        assert code == 2
+        assert part0.read_bytes() == finished
+
+    def test_parallel_workers_write_identical_run_lines(
+        self, store, tmp_path
+    ):
+        plan = default_plan(
+            store,
+            variants=(
+                ReplayVariant(name="offline"),
+                ReplayVariant(name="cv", predictor="cv"),
+            ),
+        )
+        paths = {}
+        for workers in (1, 2):
+            paths[workers] = tmp_path / f"workers{workers}.jsonl"
+            CampaignRunner(workers=workers, store=store).run(
+                plan, out=paths[workers]
+            )
+        assert run_lines(paths[2]) == run_lines(paths[1])
+        footer = json.loads(paths[2].read_text().splitlines()[-1])
+        assert footer["workers"] == 2
+
+    def test_shards_merge_like_campaign_shards(self, store, tmp_path):
+        plan = default_plan(store)
+        service = ReplayService(store=store)
+        full = tmp_path / "full.jsonl"
+        service.run(plan, out=full)
+        parts = [tmp_path / f"part{i}.jsonl" for i in range(2)]
+        for i, part in enumerate(parts):
+            service.run(plan, out=part, shard=(i, 2))
+        merged = tmp_path / "merged.jsonl"
+        assert main(
+            ["campaign-merge", *map(str, parts), "--out", str(merged)]
+        ) == 0
+        assert run_lines(merged) == run_lines(full)
+        assert json.loads(merged.read_text().splitlines()[0])["kind"] == (
+            "replay"
+        )
+
+    def test_partial_file_in_the_earlier_format_resumes(
+        self, store, tmp_path
+    ):
+        plan = default_plan(store)
+        # The header exactly as replay files were written before they
+        # ran on the campaign runner.
+        header = json.dumps({
+            "kind": "replay",
+            "schema": 1,
+            "plan": {
+                "cells": [
+                    {"scenario": "cut_out", "seed": seed, "fpr": 30.0}
+                    for seed in range(3)
+                ],
+                "variants": [{
+                    "name": "default",
+                    "params": None,
+                    "predictor": None,
+                    "aggregator": None,
+                }],
+                "stride": 0.5,
+                "provisioned_fpr": 30.0,
+                "cameras": ["front_120", "left", "right"],
+                "backend": "batched",
+                "noise": None,
+            },
+            "store": str(store.root),
+        })
+        clean = tmp_path / "clean.jsonl"
+        ReplayService(store=store).run(plan, out=clean)
+        lines = clean.read_text().splitlines()
+        assert lines[0] == header
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text(f"{header}\n{lines[1]}\n{lines[2][:25]}")
+        CampaignRunner(store=store).resume(partial)
+        assert run_lines(partial) == run_lines(clean)
