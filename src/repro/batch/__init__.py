@@ -45,7 +45,6 @@ from repro.batch.campaign import (
 from repro.batch.runner import (
     CampaignRunner,
     execute_cell,
-    execute_run,
     execute_supercell,
 )
 from repro.batch.results import (
@@ -67,7 +66,6 @@ __all__ = [
     "DEFAULT_VARIANT",
     "CampaignRunner",
     "execute_cell",
-    "execute_run",
     "execute_supercell",
     "CampaignResult",
     "CampaignWriter",

@@ -448,24 +448,6 @@ def _solve_block(
         }
 
 
-def execute_run(spec: RunSpec) -> RunSummary:
-    """Run one grid cell end to end: closed loop, then offline Zhuyi.
-
-    A one-spec :func:`execute_cell`. Never raises — failures are folded
-    into the summary so a single bad cell cannot take down a
-    thousand-run campaign. The summary is a pure function of the spec:
-    re-executing it, on any machine with any worker count, reproduces
-    it byte for byte.
-
-    Args:
-        spec: the fully-determined run to execute.
-
-    Returns:
-        The run's :class:`RunSummary` (``error`` set on failure).
-    """
-    return execute_cell([spec])[0]
-
-
 def _group_cells(specs: Sequence[RunSpec]) -> list[list[RunSpec]]:
     """Group consecutive specs sharing a (scenario, seed, fpr) cell.
 

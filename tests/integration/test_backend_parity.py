@@ -4,14 +4,16 @@ The acceptance bar of the batched engine: a whole
 :class:`EvaluationSeries` — every camera estimate, every per-actor
 latency, at every tick — must be *equal*, not approximately equal,
 between the two backends, on real closed-loop traces including
-multi-actor density variants and curved roads. The online estimator
-gets the same treatment over a perceived world model.
+multi-actor density variants and curved roads, with and without
+counter-based perception noise. The online estimator gets the same
+treatment over a perceived world model.
 """
 
 import pytest
 
 from repro import OfflineEvaluator, build_scenario
 from repro.core.evaluator import presample_trace
+from repro.perception.noise import PerceptionNoise
 
 
 def assert_series_identical(a, b):
@@ -20,19 +22,22 @@ def assert_series_identical(a, b):
         assert tick_a.time == tick_b.time
         assert dict(tick_a.actor_latencies) == dict(tick_b.actor_latencies)
         assert dict(tick_a.camera_estimates) == dict(tick_b.camera_estimates)
+        assert tick_a.ego_speed == tick_b.ego_speed
+        assert tick_a.ego_accel == tick_b.ego_accel
 
 
-def evaluate_both(name, stride=0.1, **evaluator_kwargs):
+def evaluate_both(name, stride=0.1, noise=None, **evaluator_kwargs):
     scenario = build_scenario(name, seed=0)
     trace = scenario.run(fpr=30.0)
     assert not trace.has_collision, name
-    samples = presample_trace(trace, stride)
+    samples = presample_trace(trace, stride, noise=noise)
     series = {}
     for backend in ("scalar", "batched"):
         evaluator = OfflineEvaluator(
             road=scenario.road,
             stride=stride,
             backend=backend,
+            noise=noise,
             **evaluator_kwargs,
         )
         series[backend] = evaluator.evaluate(trace, samples=samples)
@@ -65,6 +70,28 @@ class TestOfflineParity:
             len(t.actor_latencies) for t in series["batched"].ticks
         ]
         assert max(per_tick) >= 3
+
+
+@pytest.mark.slow
+class TestNoisyOfflineParity:
+    """Counter-based perception noise on the arc: scalar == batched."""
+
+    NOISE = PerceptionNoise(miss_rate=0.15, position_noise=0.3, seed=42)
+
+    def test_curved_road(self):
+        series = evaluate_both(
+            "challenging_cut_in_curved", stride=0.25, noise=self.NOISE
+        )
+        assert_series_identical(series["scalar"], series["batched"])
+
+    def test_curved_density_variant(self):
+        from repro.scenarios.catalog import density_sweep
+
+        density_sweep(counts=(4,), families=("challenging_cut_in_curved",))
+        series = evaluate_both(
+            "challenging_cut_in_curved_dense4", stride=0.25, noise=self.NOISE
+        )
+        assert_series_identical(series["scalar"], series["batched"])
 
 
 @pytest.mark.slow

@@ -8,7 +8,8 @@ The tentpole guarantees, end to end with real simulations:
 * shards merged via ``CampaignResult.merge`` aggregate to the same
   Table 1 rows as the monolithic campaign;
 * the cross-variant trace cache changes nothing but the clock —
-  cached summaries equal per-run re-execution byte for byte.
+  cached summaries equal per-run re-execution byte for byte, and a
+  cell simulates and presamples once for all its variants.
 """
 
 import json
@@ -21,7 +22,7 @@ from repro.batch import (
     CampaignRunner,
     ParamVariant,
     campaign_table1,
-    execute_run,
+    execute_cell,
 )
 from repro.core.parameters import ZhuyiParams
 
@@ -359,10 +360,51 @@ class TestVariantCacheParity:
             ),
         )
         cached = CampaignRunner(workers=1).run(campaign)
-        uncached = [execute_run(spec) for spec in campaign.runs()]
+        uncached = [execute_cell([spec])[0] for spec in campaign.runs()]
         assert json.dumps([s.to_dict() for s in cached.summaries]) == (
             json.dumps([s.to_dict() for s in uncached])
         )
         # The variants genuinely differ — the cache isn't collapsing them.
         by_variant = {s.variant: s.max_fpr for s in cached.summaries}
         assert by_variant["default"] != by_variant["strict"]
+
+    @pytest.mark.parametrize("backend", ["batched", "scalar"])
+    def test_cell_simulates_and_presamples_once(self, monkeypatch, backend):
+        # The cache is a count, not a speed: four variants of one cold
+        # cell cost one closed loop and one presampling.
+        import repro.batch.runner as runner_module
+        from repro.scenarios.base import BuiltScenario
+
+        calls = {"run": 0, "presample": 0}
+        run = BuiltScenario.run
+        presample = runner_module.presample_trace
+
+        def counting_run(self, *args, **kwargs):
+            calls["run"] += 1
+            return run(self, *args, **kwargs)
+
+        def counting_presample(*args, **kwargs):
+            calls["presample"] += 1
+            return presample(*args, **kwargs)
+
+        monkeypatch.setattr(BuiltScenario, "run", counting_run)
+        monkeypatch.setattr(
+            runner_module, "presample_trace", counting_presample
+        )
+        campaign = Campaign(
+            scenarios=("cut_in",),
+            seeds=(0,),
+            fprs=(30.0,),
+            stride=0.5,
+            backend=backend,
+            variants=(
+                ParamVariant("default"),
+                ParamVariant("strict", ZhuyiParams(c1=0.8, c2=0.8)),
+                ParamVariant("loose", ZhuyiParams(c1=1.0, c2=1.0)),
+                ParamVariant("soft_brake", ZhuyiParams(c3=4.0)),
+            ),
+        )
+        result = CampaignRunner(workers=1).run(campaign)
+        assert len(result.summaries) == 4
+        assert not result.failures()
+        assert calls == {"run": 1, "presample": 1}

@@ -52,6 +52,15 @@ class TestCampaignParity:
         crosstrace = run_campaign("crosstrace", tmp_path, **grid)
         assert batched == crosstrace
         assert len(batched) == 6
+        # The headers differ only in the backend tag.
+        headers = {}
+        for backend in ("batched", "crosstrace"):
+            header = json.loads(
+                (tmp_path / f"{backend}.jsonl").read_text().splitlines()[0]
+            )
+            assert header["grid"].pop("backend") == backend
+            headers[backend] = json.dumps(header)
+        assert headers["batched"] == headers["crosstrace"]
 
     def test_density_variant_campaign_byte_identical(self, tmp_path):
         grid = dict(

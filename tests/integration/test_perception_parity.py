@@ -32,6 +32,8 @@ def assert_series_identical(a, b):
         assert tick_a.time == tick_b.time
         assert dict(tick_a.actor_latencies) == dict(tick_b.actor_latencies)
         assert dict(tick_a.camera_estimates) == dict(tick_b.camera_estimates)
+        assert tick_a.ego_speed == tick_b.ego_speed
+        assert tick_a.ego_accel == tick_b.ego_accel
 
 
 @pytest.mark.slow

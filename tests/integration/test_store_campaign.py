@@ -6,7 +6,7 @@ simulations:
 * a campaign run against a warm store produces a JSONL byte-identical
   to the cold run that filled it — across the scalar, batched and
   crosstrace backends, under sharding, kill/resume, and stochastic
-  perception;
+  perception — and never runs the closed loop;
 * ``repro replay`` reproduces a recorded campaign's estimation rows
   from the store alone, without ever touching the simulator;
 * CLI round trip: ``repro campaign --store`` warm/cold parity and
@@ -47,6 +47,10 @@ def grid(**overrides) -> Campaign:
     return Campaign(**settings)
 
 
+def header_line(path) -> str:
+    return Path(path).read_text().splitlines()[0]
+
+
 def run_lines(path) -> list[str]:
     return [
         line
@@ -71,7 +75,25 @@ class TestWarmColdParity:
         store, cold = warm_store
         warm = tmp_path / "warm.jsonl"
         CampaignRunner(workers=1, store=store).run(grid(), out=warm)
+        assert header_line(warm) == header_line(cold)
         assert run_lines(warm) == run_lines(cold)
+
+    def test_warm_campaign_never_simulates(self, warm_store, monkeypatch):
+        from repro.scenarios.base import BuiltScenario
+
+        store, _ = warm_store
+        simulations = []
+        run = BuiltScenario.run
+
+        def counting_run(self, *args, **kwargs):
+            simulations.append(self.name)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(BuiltScenario, "run", counting_run)
+        result = CampaignRunner(workers=1, store=store).run(grid())
+        assert len(result.summaries) == 4
+        assert not result.failures()
+        assert simulations == []
 
     @pytest.mark.parametrize("backend", ["scalar", "crosstrace"])
     def test_other_backends_hit_the_same_bundles(
