@@ -41,6 +41,14 @@ pytestmark = pytest.mark.slow
 
 relaxed = settings(max_examples=80, deadline=None)
 
+#: For assertions that hold only with high probability (the distribution
+#: smoke). A true U[0,1) stream fails the KS bound below on ~0.1% of
+#: seeds, so 80 fresh random seeds per run would fail ~7% of runs, and
+#: the example database would then replay the failing seed on every later
+#: run. A fixed seed set (``derandomize`` also bypasses the database)
+#: keeps the bound and makes the verdict reproducible.
+statistical = settings(relaxed, derandomize=True)
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 actor_ids = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12
@@ -164,7 +172,7 @@ class TestStreamIndependence:
 
 
 class TestDistributionSmoke:
-    @relaxed
+    @statistical
     @given(seed=seeds)
     def test_uniform_ks(self, seed):
         # Crude one-sample KS against U[0,1): with n = 4096 the 99.9%
@@ -178,7 +186,7 @@ class TestDistributionSmoke:
         ks = max(np.max(ecdf_hi - draws), np.max(draws - ecdf_lo))
         assert ks < 0.0305
 
-    @relaxed
+    @statistical
     @given(seed=seeds)
     def test_normal_moments(self, seed):
         draws = counter_normal(
@@ -188,7 +196,7 @@ class TestDistributionSmoke:
         assert abs(float(draws.mean())) < 0.05
         assert abs(float(draws.std()) - 1.0) < 0.05
 
-    @relaxed
+    @statistical
     @given(seed=seeds, rate=st.floats(min_value=0.05, max_value=0.95))
     def test_miss_rate_is_calibrated(self, seed, rate):
         noise = PerceptionNoise(miss_rate=rate, seed=seed)
