@@ -1,12 +1,11 @@
-"""Setuptools shim.
+"""Setuptools configuration for the ``repro`` package.
 
-The execution environment has no ``wheel`` package and no network, so
-PEP 517 editable installs (which build a wheel) fail. This shim lets
-``pip install -e . --no-use-pep517 --no-build-isolation`` — and plain
-``pip install -e .`` on machines with wheel — work from the settings in
-``pyproject.toml``.
+setuptools discovers the package under ``src/``. Without the ``wheel``
+package or a network, PEP 517 editable installs (which build a wheel)
+fail; ``pip install -e . --no-use-pep517 --no-build-isolation`` works
+there, and plain ``pip install -e .`` works on machines with wheel.
 """
 
 from setuptools import setup
 
-setup()
+setup(name="repro", install_requires=["numpy"])

@@ -58,6 +58,7 @@ from repro.core.evaluator import (
 )
 from repro.core.online import OnlineEstimator
 from repro.errors import ConfigurationError
+from repro.sim.trace import ScenarioTrace
 
 #: Called after each completed run with (done, total, summary).
 ProgressHook = Callable[[int, int, RunSummary], None]
@@ -243,20 +244,6 @@ def _evaluate_cell(
     return summaries
 
 
-def _close_trace(trace: object) -> None:
-    """Release a store-backed trace's memmap handles, if it has any.
-
-    Fresh in-memory traces have no ``close``; column-backed ones
-    (:class:`repro.store.ColumnarTrace`) drop their column references
-    and close the bundle's file descriptors deterministically — what
-    keeps a long sharded campaign's open-FD count flat instead of
-    growing per warm cell.
-    """
-    close = getattr(trace, "close", None)
-    if close is not None:
-        close()
-
-
 def execute_cell(
     specs: Sequence[RunSpec],
     store: "TraceStore | None" = None,
@@ -335,7 +322,7 @@ def _execute_cells(
     :func:`execute_supercell`); ``simulate=False`` only loads traces."""
     results: list[list[RunSummary]] = [[] for _ in cells]
     survivors: list[tuple[int, Sequence[RunSpec], object, object]] = []
-    opened: list[object] = []
+    opened: list[ScenarioTrace] = []
     try:
         for pos, specs in enumerate(cells):
             if not specs:
@@ -355,10 +342,10 @@ def _execute_cells(
                 survivors.append((pos, specs, built, trace))
         _evaluate_supercell(results, survivors)
     finally:
-        # Drop block-local views before closing store-backed handles.
+        # Drop block-local views before closing the traces' columns.
         survivors = []
         for trace in opened:
-            _close_trace(trace)
+            trace.close()
     return [summary for cell_result in results for summary in cell_result]
 
 

@@ -209,9 +209,6 @@ def presample_trace(
         actor_id: trace.actor_trajectory(actor_id)
         for actor_id in trace.actor_ids()
     }
-    # time_span (not steps[0]/steps[-1]) keeps the store's column-backed
-    # traces on their zero-copy path: the span comes straight from the
-    # memory-mapped time column, no step objects materialize.
     start, end = trace.time_span()
     count = time_grid_count(end - start, stride)
     times = start + stride * np.arange(count)

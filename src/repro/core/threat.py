@@ -198,11 +198,6 @@ class TrajectoryThreat:
         self._mask_step = _MASK_STEP
         self._mask: np.ndarray | None = None
 
-    @property
-    def prediction_end(self) -> float:
-        """Relative time at which real prediction data runs out."""
-        return max(0.0, self._trajectory.end_time - self._t0)
-
     def gap_at(self, t: float) -> float:
         gaps, _ = self.sample(np.array([t]))
         return float(gaps[0])

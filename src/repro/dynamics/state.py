@@ -289,21 +289,6 @@ class StateTrajectory:
             speeds[overrun] = self._speed[-1]
         return xs, ys, speeds
 
-    def sample_positions(
-        self, times: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized clamped ``(x, y)`` arrays at many query times.
-
-        Exactly the position floats :meth:`sample_states` wraps in
-        ``Vec2`` objects (the identical ``np.interp`` call on the same
-        knots), kept as arrays so trace-level consumers — the batched
-        Equation 5 visibility tables — can stay in array form without
-        re-extracting coordinates from state objects. Callers needing
-        both forms use :meth:`sample_ticks` and interpolate once.
-        """
-        _, xs, ys, _ = self._interp_clamped(times)
-        return xs, ys
-
     def sample_ticks(
         self, times: np.ndarray
     ) -> tuple[list[VehicleState], tuple[np.ndarray, np.ndarray]]:

@@ -58,10 +58,6 @@ class Frame2:
         """Rotate a world-frame direction into this frame (no translation)."""
         return direction.rotated(-self.heading)
 
-    def direction_to_world(self, direction: Vec2) -> Vec2:
-        """Rotate a frame-local direction into the world frame."""
-        return direction.rotated(self.heading)
-
     def heading_to_local(self, world_heading: float) -> float:
         """Express a world heading (radians) relative to this frame."""
         return wrap_angle(world_heading - self.heading)

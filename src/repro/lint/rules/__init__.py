@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
@@ -98,11 +98,6 @@ def default_rules() -> list[Rule]:
         DurableWriteRule(),
         BackendSelectorRule(),
     ]
-
-
-def rule_ids(rules: Iterable[Rule] | None = None) -> list[str]:
-    """Ids of ``rules`` (default: the full default set)."""
-    return [rule.id for rule in (default_rules() if rules is None else rules)]
 
 
 ALL_RULE_IDS = tuple(

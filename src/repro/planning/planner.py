@@ -90,11 +90,6 @@ class Planner:
             road=config.road, target_lane=config.target_lane
         )
 
-    @property
-    def aeb_engaged(self) -> bool:
-        """Whether the emergency brake is currently held."""
-        return self._aeb.engaged
-
     def plan(
         self, now: float, ego_state: VehicleState, world_model: WorldModel
     ) -> PlanOutput:

@@ -2,8 +2,15 @@
 
 "For each AV tested scenario, the scenario trace is collected which
 includes the states of the ego and all the actors at all the time-steps"
-(Section 3.1). Traces serialize to JSON for archival and are queried as
-interpolated :class:`StateTrajectory` objects by the Zhuyi evaluator.
+(Section 3.1). A trace holds that record as a handful of numpy columns
+(:data:`COLUMNS`) plus its JSON-sized header: specs, metadata,
+collisions and the column vocabularies. The interpolated
+:class:`StateTrajectory` objects the Zhuyi evaluator queries adopt the
+columns without copying them, and the trace store persists (and
+memory-maps back) exactly these columns. The conversion from the
+simulator's per-step :class:`TraceStep` objects is exact in both
+directions: every float keeps its bit pattern, every mapping its
+iteration order. Traces serialize to JSON for archival.
 """
 
 from __future__ import annotations
@@ -11,18 +18,37 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from repro.dynamics.state import (
-    StateTrajectory,
-    TimedState,
-    VehicleSpec,
-    VehicleState,
-)
+import numpy as np
+
+from repro.dynamics.state import StateTrajectory, VehicleSpec, VehicleState
 from repro.errors import EstimationError, TraceError
 from repro.geometry.vec import Vec2
 from repro.sim.collision import CollisionEvent
 from repro.units import seconds_to_ms
+
+#: A trace's array columns, in the trace store's write order. ``times``
+#: ``(S,)`` holds the step timestamps; ``ego`` ``(5, S)`` the ego state
+#: rows x, y, heading, speed, accel; ``actor_masks`` ``(A, S)`` whether
+#: actor ``a`` is present at step ``s``; ``actor_columns`` ``(5, total)``
+#: the present steps' actor states, actors concatenated in
+#: first-appearance order (actor ``a`` owns
+#: ``actor_offsets[a]:actor_offsets[a + 1]``); ``mode_codes`` ``(S,)``
+#: indices into ``mode_vocab``; and the per-step camera FPR mappings in
+#: ragged form: step ``s`` owns ``camera_codes`` / ``camera_values``
+#: ``[camera_offsets[s]:camera_offsets[s + 1]]`` in the step's own key
+#: order, codes indexing ``camera_vocab``.
+COLUMNS = (
+    "times",
+    "ego",
+    "actor_masks",
+    "actor_columns",
+    "mode_codes",
+    "camera_codes",
+    "camera_values",
+    "camera_offsets",
+)
 
 
 @dataclass(frozen=True)
@@ -42,7 +68,15 @@ class TraceStep:
 
 
 class ScenarioTrace:
-    """A full recorded run of one scenario."""
+    """A full recorded run of one scenario, held as columns.
+
+    Built from the simulator's steps, which are validated, converted to
+    columns once and kept as :attr:`steps`; or by :meth:`from_columns`
+    over the trace store's memory-mapped bundle, where the steps are
+    built only if something asks for them. Every query answers from the
+    columns. :meth:`close` releases them (and the bundle's handles); a
+    closed trace raises :class:`TraceError` on further column access.
+    """
 
     def __init__(
         self,
@@ -58,9 +92,58 @@ class ScenarioTrace:
     ):
         if not steps:
             raise TraceError("a trace needs at least one step")
+        steps = list(steps)
+        for step in steps:
+            _check_actor_ids(step.actors)
+            _check_actor_ids(step.camera_fprs, kind="camera id")
+        self._set_header(
+            scenario, dt, collisions, nominal_fpr, seed, ego_spec,
+            actor_specs, metadata,
+        )
+        self._adopt(*_columnarize(steps), steps=steps)
+
+    @classmethod
+    def from_columns(
+        cls,
+        header: Mapping,
+        columns: Mapping[str, np.ndarray],
+        actor_order: Sequence[str],
+        actor_offsets: Sequence[int],
+        mode_vocab: Sequence[str],
+        camera_vocab: Sequence[str],
+        closer: Callable[[], None] | None = None,
+    ) -> "ScenarioTrace":
+        """Adopt recorded columns as a trace, without copying them.
+
+        Args:
+            header: the :meth:`header_dict` payload.
+            columns: every array of :data:`COLUMNS`, adopted as given.
+            actor_order / actor_offsets / mode_vocab / camera_vocab:
+                the column vocabularies, as the recording trace had them.
+            closer: called once by :meth:`close` (the store's memmap
+                release).
+        """
+        self = cls.__new__(cls)
+        self._set_header(**_header_from_dict(header))
+        self._adopt(
+            columns, actor_order, actor_offsets, mode_vocab, camera_vocab,
+            closer=closer,
+        )
+        return self
+
+    def _set_header(
+        self,
+        scenario: str,
+        dt: float,
+        collisions: Sequence[CollisionEvent],
+        nominal_fpr: float | None,
+        seed: int | None,
+        ego_spec: VehicleSpec | None,
+        actor_specs: Mapping[str, VehicleSpec] | None,
+        metadata: Mapping[str, object] | None,
+    ) -> None:
         self.scenario = scenario
         self.dt = dt
-        self.steps = list(steps)
         self.collisions = list(collisions)
         self.nominal_fpr = nominal_fpr
         self.seed = seed
@@ -73,9 +156,6 @@ class ScenarioTrace:
         # scalars would come back as different types. Rejecting ids and
         # canonicalizing metadata here makes the in-memory trace equal
         # its own round trip, bit for bit.
-        for step in self.steps:
-            _check_actor_ids(step.actors)
-            _check_actor_ids(step.camera_fprs, kind="camera id")
         _check_actor_ids(self.actor_specs)
         for event in self.collisions:
             if not isinstance(event.actor_id, str):
@@ -88,8 +168,95 @@ class ScenarioTrace:
             if metadata
             else {}
         )
+
+    def _adopt(
+        self,
+        columns: Mapping[str, np.ndarray],
+        actor_order: Sequence[str],
+        actor_offsets: Sequence[int],
+        mode_vocab: Sequence[str],
+        camera_vocab: Sequence[str],
+        steps: list[TraceStep] | None = None,
+        closer: Callable[[], None] | None = None,
+    ) -> None:
+        self._columns: dict[str, np.ndarray] | None = {
+            name: columns[name] for name in COLUMNS
+        }
+        self._actor_order = tuple(actor_order)
+        self.actor_offsets = tuple(actor_offsets)
+        self.mode_vocab = tuple(mode_vocab)
+        self.camera_vocab = tuple(camera_vocab)
+        self._steps = steps
+        self._closer = closer
         self._ego_trajectory: StateTrajectory | None = None
         self._actor_trajectories: dict[str, StateTrajectory] = {}
+
+    # ------------------------------------------------------------------
+    # columns and steps
+    # ------------------------------------------------------------------
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The :data:`COLUMNS` arrays (read-only by contract).
+
+        Raises:
+            TraceError: once the trace is closed.
+        """
+        if self._columns is None:
+            raise TraceError("trace is closed")
+        return self._columns
+
+    @property
+    def steps(self) -> list[TraceStep]:
+        """The per-step objects, built from the columns on first use."""
+        if self._steps is None:
+            self._steps = self._build_steps()
+        return self._steps
+
+    def _build_steps(self) -> list[TraceStep]:
+        columns = self.columns
+        times, ego = columns["times"], columns["ego"]
+        masks, actor_columns = columns["actor_masks"], columns["actor_columns"]
+        mode_codes = columns["mode_codes"]
+        cam_codes, cam_values = columns["camera_codes"], columns["camera_values"]
+        cam_offsets = columns["camera_offsets"]
+        cursors = list(self.actor_offsets[:-1])
+        steps: list[TraceStep] = []
+        for pos in range(times.shape[0]):
+            actors: dict[str, VehicleState] = {}
+            for rank, actor_id in enumerate(self._actor_order):
+                if masks[rank, pos]:
+                    actors[actor_id] = _state_at(actor_columns, cursors[rank])
+                    cursors[rank] += 1
+            camera_fprs = {
+                self.camera_vocab[cam_codes[i]]: float(cam_values[i])
+                for i in range(cam_offsets[pos], cam_offsets[pos + 1])
+            }
+            steps.append(
+                TraceStep(
+                    time=float(times[pos]),
+                    ego=_state_at(ego, pos),
+                    actors=actors,
+                    planner_mode=self.mode_vocab[mode_codes[pos]],
+                    camera_fprs=camera_fprs,
+                )
+            )
+        return steps
+
+    def close(self) -> None:
+        """Release the columns (and a store bundle's handles) now.
+
+        Safe to call more than once. The evaluation results built from
+        this trace (summaries, series) carry no views into the columns,
+        so closing after a cell completes cannot invalidate them.
+        """
+        self._columns = None
+        self._ego_trajectory = None
+        self._actor_trajectories = {}
+        self._steps = None
+        closer, self._closer = self._closer, None
+        if closer is not None:
+            closer()
 
     # ------------------------------------------------------------------
     # queries
@@ -102,14 +269,9 @@ class ScenarioTrace:
         return end - start
 
     def time_span(self) -> tuple[float, float]:
-        """``(first, last)`` recorded step times.
-
-        The evaluation layers read the trace span through this hook
-        instead of ``steps[0]``/``steps[-1]`` so column-backed traces
-        (:class:`repro.store.ColumnarTrace`) can answer without
-        materializing their step objects.
-        """
-        return self.steps[0].time, self.steps[-1].time
+        """``(first, last)`` recorded step times."""
+        times = self.columns["times"]
+        return float(times[0]), float(times[-1])
 
     @property
     def has_collision(self) -> bool:
@@ -125,11 +287,7 @@ class ScenarioTrace:
 
     def actor_ids(self) -> list[str]:
         """All actor ids appearing anywhere in the trace."""
-        ids: dict[str, None] = {}
-        for step in self.steps:
-            for actor_id in step.actors:
-                ids.setdefault(actor_id, None)
-        return list(ids)
+        return list(self._actor_order)
 
     def actor_spec(self, actor_id: str) -> VehicleSpec:
         """The actor's physical spec (default spec when unrecorded)."""
@@ -153,24 +311,33 @@ class ScenarioTrace:
         return 1.0 / self.nominal_fpr
 
     def ego_trajectory(self) -> StateTrajectory:
-        """The ego's motion as an interpolated trajectory (cached)."""
+        """The ego's motion over the adopted columns (cached)."""
         if self._ego_trajectory is None:
-            self._ego_trajectory = StateTrajectory(
-                TimedState(step.time, step.ego) for step in self.steps
+            columns = self.columns
+            self._ego_trajectory = StateTrajectory.from_arrays(
+                columns["times"], *columns["ego"]
             )
         return self._ego_trajectory
 
     def actor_trajectory(self, actor_id: str) -> StateTrajectory:
-        """One actor's motion as an interpolated trajectory (cached)."""
+        """One actor's motion over its column slice (cached).
+
+        Dense actors (present at every step, the simulator's case) adopt
+        the shared time column; sparse ones gather their present-step
+        times once.
+        """
         if actor_id not in self._actor_trajectories:
-            samples = [
-                TimedState(step.time, step.actors[actor_id])
-                for step in self.steps
-                if actor_id in step.actors
-            ]
-            if not samples:
+            columns = self.columns
+            if actor_id not in self._actor_order:
                 raise TraceError(f"actor {actor_id!r} does not appear in trace")
-            self._actor_trajectories[actor_id] = StateTrajectory(samples)
+            rank = self._actor_order.index(actor_id)
+            lo, hi = self.actor_offsets[rank], self.actor_offsets[rank + 1]
+            mask = columns["actor_masks"][rank]
+            times = columns["times"]
+            self._actor_trajectories[actor_id] = StateTrajectory.from_arrays(
+                times if bool(mask.all()) else times[mask],
+                *columns["actor_columns"][:, lo:hi],
+            )
         return self._actor_trajectories[actor_id]
 
     def step_at(self, time: float) -> TraceStep:
@@ -181,8 +348,8 @@ class ScenarioTrace:
     # serialization
     # ------------------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation."""
+    def header_dict(self) -> dict:
+        """JSON-ready scalar payload: :meth:`to_dict` without the steps."""
         return {
             "scenario": self.scenario,
             "dt": self.dt,
@@ -198,6 +365,12 @@ class ScenarioTrace:
                 {"time": event.time, "actor_id": event.actor_id}
                 for event in self.collisions
             ],
+        }
+
+    def to_dict(self) -> dict:
+        """JSON-ready representation."""
+        return {
+            **self.header_dict(),
             "steps": [
                 {
                     "time": step.time,
@@ -230,24 +403,7 @@ class ScenarioTrace:
                 )
                 for raw in data["steps"]
             ]
-            collisions = [
-                CollisionEvent(time=raw["time"], actor_id=raw["actor_id"])
-                for raw in data.get("collisions", [])
-            ]
-            return cls(
-                scenario=data["scenario"],
-                dt=data["dt"],
-                steps=steps,
-                collisions=collisions,
-                nominal_fpr=data.get("nominal_fpr"),
-                seed=data.get("seed"),
-                ego_spec=_spec_from_dict(data["ego_spec"]),
-                actor_specs={
-                    actor_id: _spec_from_dict(spec)
-                    for actor_id, spec in data.get("actor_specs", {}).items()
-                },
-                metadata=data.get("metadata", {}),
-            )
+            return cls(steps=steps, **_header_from_dict(data))
         except (KeyError, TypeError) as exc:
             raise TraceError(f"malformed trace data: {exc}") from exc
 
@@ -263,6 +419,101 @@ class ScenarioTrace:
         except json.JSONDecodeError as exc:
             raise TraceError(f"invalid trace JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _header_from_dict(data: Mapping) -> dict:
+    """Constructor keywords from a :meth:`ScenarioTrace.header_dict`."""
+    return {
+        "scenario": data["scenario"],
+        "dt": data["dt"],
+        "collisions": [
+            CollisionEvent(time=raw["time"], actor_id=raw["actor_id"])
+            for raw in data.get("collisions", [])
+        ],
+        "nominal_fpr": data.get("nominal_fpr"),
+        "seed": data.get("seed"),
+        "ego_spec": _spec_from_dict(data["ego_spec"]),
+        "actor_specs": {
+            actor_id: _spec_from_dict(spec)
+            for actor_id, spec in data.get("actor_specs", {}).items()
+        },
+        "metadata": data.get("metadata", {}),
+    }
+
+
+def _columnarize(steps: Sequence[TraceStep]) -> tuple:
+    """``steps`` as :data:`COLUMNS` plus vocabularies, exactly.
+
+    Returns ``(columns, actor_order, actor_offsets, mode_vocab,
+    camera_vocab)``.
+
+    Raises:
+        TraceError: when a step's actor iteration order disagrees with
+            the global first-appearance order, which the columns cannot
+            represent (nothing the simulator produces does).
+    """
+    order: dict[str, int] = {}
+    for step in steps:
+        for actor_id in step.actors:
+            order.setdefault(actor_id, len(order))
+    masks = np.zeros((len(order), len(steps)), dtype=bool)
+    per_actor: dict[str, list[VehicleState]] = {a: [] for a in order}
+    for pos, step in enumerate(steps):
+        last_rank = -1
+        for actor_id, state in step.actors.items():
+            rank = order[actor_id]
+            if rank <= last_rank:
+                raise TraceError(
+                    "trace step actor order is inconsistent with "
+                    "first-appearance order; the columnar form "
+                    "cannot represent it losslessly"
+                )
+            last_rank = rank
+            masks[rank, pos] = True
+            per_actor[actor_id].append(state)
+    offsets = [0]
+    blocks = []
+    for states in per_actor.values():
+        offsets.append(offsets[-1] + len(states))
+        if states:
+            blocks.append(_state_columns(states))
+
+    mode_index: dict[str, int] = {}
+    mode_codes = np.empty(len(steps), dtype=np.int32)
+    for pos, step in enumerate(steps):
+        mode_codes[pos] = mode_index.setdefault(
+            step.planner_mode, len(mode_index)
+        )
+
+    camera_index: dict[str, int] = {}
+    camera_codes: list[int] = []
+    camera_values: list[float] = []
+    camera_offsets = np.zeros(len(steps) + 1, dtype=np.int64)
+    for pos, step in enumerate(steps):
+        for camera, value in step.camera_fprs.items():
+            camera_codes.append(
+                camera_index.setdefault(camera, len(camera_index))
+            )
+            camera_values.append(value)
+        camera_offsets[pos + 1] = len(camera_codes)
+
+    columns = {
+        "times": np.array([step.time for step in steps], dtype=float),
+        "ego": _state_columns([step.ego for step in steps]),
+        "actor_masks": masks,
+        "actor_columns": (
+            np.concatenate(blocks, axis=1)
+            if blocks
+            else np.zeros((5, 0), dtype=float)
+        ),
+        "mode_codes": mode_codes,
+        "camera_codes": np.array(camera_codes, dtype=np.int32),
+        "camera_values": np.array(camera_values, dtype=float),
+        "camera_offsets": camera_offsets,
+    }
+    return (
+        columns, tuple(order), offsets, tuple(mode_index), tuple(camera_index)
+    )
 
 
 def _check_actor_ids(mapping: Mapping, kind: str = "actor id") -> None:
@@ -312,6 +563,28 @@ def _canonical_metadata(value: object, where: str) -> object:
     raise TraceError(
         f"trace {where} value {value!r} ({type(value).__name__}) "
         "does not survive a JSON round trip"
+    )
+
+
+def _state_columns(states: Sequence[VehicleState]) -> np.ndarray:
+    return np.array(
+        [
+            [s.position.x for s in states],
+            [s.position.y for s in states],
+            [s.heading for s in states],
+            [s.speed for s in states],
+            [s.accel for s in states],
+        ],
+        dtype=float,
+    )
+
+
+def _state_at(columns: np.ndarray, col: int) -> VehicleState:
+    return VehicleState(
+        position=Vec2(float(columns[0, col]), float(columns[1, col])),
+        heading=float(columns[2, col]),
+        speed=float(columns[3, col]),
+        accel=float(columns[4, col]),
     )
 
 

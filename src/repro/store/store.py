@@ -28,6 +28,7 @@ regenerates it from the bundle directories at any time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -40,10 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import ioutil
-from repro.dynamics.state import VehicleSpec
-from repro.sim.collision import CollisionEvent
-from repro.sim.trace import ScenarioTrace
-from repro.store.arrays import ColumnarTrace, TraceArrays
+from repro.sim.trace import COLUMNS, ScenarioTrace
 from repro.store.fingerprint import code_fingerprint
 
 #: Bundle layout version — bumped when the on-disk column set changes.
@@ -53,18 +51,6 @@ STORE_SCHEMA = 1
 #: meaning without a source diff (e.g. a recording convention change).
 #: Part of every key, so stale bundles read as misses, never as data.
 SIM_VERSION = 1
-
-#: Column files of a bundle, in write order.
-_COLUMN_FILES = (
-    "times",
-    "ego",
-    "actor_masks",
-    "actor_columns",
-    "mode_codes",
-    "camera_codes",
-    "camera_values",
-    "camera_offsets",
-)
 
 _tmp_counter = itertools.count()
 
@@ -109,19 +95,16 @@ class StoreKey:
         return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
 
-def _spec_dict(spec: VehicleSpec) -> dict:
-    return {
-        "length": spec.length,
-        "width": spec.width,
-        "wheelbase": spec.wheelbase,
-        "max_accel": spec.max_accel,
-        "max_decel": spec.max_decel,
-        "max_speed": spec.max_speed,
-    }
-
-
-def _spec_from(data: dict) -> VehicleSpec:
-    return VehicleSpec(**data)
+def _close_mmaps(columns: dict[str, np.ndarray]) -> None:
+    for array in columns.values():
+        mm = getattr(array, "_mmap", None)
+        if mm is not None:
+            try:
+                mm.close()
+            except (BufferError, ValueError):
+                # Views still alive; refcounting closes the fd as soon
+                # as they go unreachable.
+                pass
 
 
 class TraceStore:
@@ -184,7 +167,7 @@ class TraceStore:
     # read path
     # ------------------------------------------------------------------
 
-    def get(self, key: StoreKey) -> ColumnarTrace | None:
+    def get(self, key: StoreKey) -> ScenarioTrace | None:
         """The stored trace for ``key``, or ``None`` on a miss.
 
         A miss is a miss whatever its cause: no bundle, a bundle from a
@@ -200,30 +183,22 @@ class TraceStore:
                 return None
             if meta.get("key") != key.to_dict():
                 return None
-            arrays, mmaps = self._open_columns(bundle, meta)
+            columns = self._open_columns(bundle, meta)
+            return ScenarioTrace.from_columns(
+                meta["trace"],
+                columns,
+                actor_order=meta["actors"]["order"],
+                actor_offsets=meta["actors"]["offsets"],
+                mode_vocab=meta["modes"],
+                camera_vocab=meta["cameras"],
+                closer=functools.partial(_close_mmaps, columns),
+            )
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-        def closer() -> None:
-            for array in mmaps:
-                mm = getattr(array, "_mmap", None)
-                if mm is not None:
-                    try:
-                        mm.close()
-                    except (BufferError, ValueError):
-                        # Views still alive; refcounting closes the fd
-                        # as soon as they go unreachable.
-                        pass
-
-        return arrays.lazy_trace(closer=closer)
-
-    def _open_columns(
-        self, bundle: Path, meta: dict
-    ) -> tuple[TraceArrays, list[np.ndarray]]:
-        trace_meta = meta["trace"]
+    def _open_columns(self, bundle: Path, meta: dict) -> dict[str, np.ndarray]:
         columns: dict[str, np.ndarray] = {}
-        mmaps: list[np.ndarray] = []
-        for name in _COLUMN_FILES:
+        for name in COLUMNS:
             spec = meta["arrays"][name]
             path = bundle / spec["file"]
             raw = path.read_bytes()
@@ -236,36 +211,7 @@ class TraceStore:
             if list(array.shape) != list(spec["shape"]):
                 raise ValueError(f"shape mismatch on column {name}")
             columns[name] = array
-            mmaps.append(array)
-        arrays = TraceArrays(
-            scenario=trace_meta["scenario"],
-            dt=float(trace_meta["dt"]),
-            nominal_fpr=trace_meta["nominal_fpr"],
-            seed=trace_meta["seed"],
-            ego_spec=_spec_from(trace_meta["ego_spec"]),
-            actor_specs={
-                actor_id: _spec_from(spec)
-                for actor_id, spec in trace_meta["actor_specs"].items()
-            },
-            metadata=trace_meta["metadata"],
-            collisions=tuple(
-                CollisionEvent(time=raw["time"], actor_id=raw["actor_id"])
-                for raw in trace_meta["collisions"]
-            ),
-            times=columns["times"],
-            ego=columns["ego"],
-            actor_order=tuple(meta["actors"]["order"]),
-            actor_masks=columns["actor_masks"],
-            actor_columns=columns["actor_columns"],
-            actor_offsets=tuple(meta["actors"]["offsets"]),
-            mode_vocab=tuple(meta["modes"]),
-            mode_codes=columns["mode_codes"],
-            camera_vocab=tuple(meta["cameras"]),
-            camera_codes=columns["camera_codes"],
-            camera_values=columns["camera_values"],
-            camera_offsets=columns["camera_offsets"],
-        )
-        return arrays, mmaps
+        return columns
 
     # ------------------------------------------------------------------
     # write path
@@ -280,14 +226,13 @@ class TraceStore:
         the winner's (verified) bundle is reused. A pre-existing bundle
         that fails verification is replaced.
         """
-        arrays = TraceArrays.from_trace(trace)
         final = self.bundle_dir(key)
         final.parent.mkdir(parents=True, exist_ok=True)
         staging = final.parent / (
             f"{final.name}.tmp-{os.getpid()}-{next(_tmp_counter)}"
         )
         try:
-            self._write_bundle(staging, key, arrays)
+            self._write_bundle(staging, key, trace)
             self._commit(staging, final)
         finally:
             if staging.exists():
@@ -297,21 +242,12 @@ class TraceStore:
         return final
 
     def _write_bundle(
-        self, staging: Path, key: StoreKey, arrays: TraceArrays
+        self, staging: Path, key: StoreKey, trace: ScenarioTrace
     ) -> None:
         staging.mkdir(parents=True)
         files_meta: dict[str, dict] = {}
-        columns = {
-            "times": arrays.times,
-            "ego": arrays.ego,
-            "actor_masks": arrays.actor_masks,
-            "actor_columns": arrays.actor_columns,
-            "mode_codes": arrays.mode_codes,
-            "camera_codes": arrays.camera_codes,
-            "camera_values": arrays.camera_values,
-            "camera_offsets": arrays.camera_offsets,
-        }
-        for name, column in columns.items():
+        for name in COLUMNS:
+            column = trace.columns[name]
             path = staging / f"{name}.npy"
             with ioutil.fsynced_file(path, "wb") as handle:
                 np.save(handle, np.ascontiguousarray(column))
@@ -327,28 +263,13 @@ class TraceStore:
             "kind": "trace-bundle",
             "schema": STORE_SCHEMA,
             "key": key.to_dict(),
-            "trace": {
-                "scenario": arrays.scenario,
-                "dt": arrays.dt,
-                "nominal_fpr": arrays.nominal_fpr,
-                "seed": arrays.seed,
-                "ego_spec": _spec_dict(arrays.ego_spec),
-                "actor_specs": {
-                    actor_id: _spec_dict(spec)
-                    for actor_id, spec in arrays.actor_specs.items()
-                },
-                "metadata": arrays.metadata,
-                "collisions": [
-                    {"time": event.time, "actor_id": event.actor_id}
-                    for event in arrays.collisions
-                ],
-            },
+            "trace": trace.header_dict(),
             "actors": {
-                "order": list(arrays.actor_order),
-                "offsets": list(arrays.actor_offsets),
+                "order": trace.actor_ids(),
+                "offsets": list(trace.actor_offsets),
             },
-            "modes": list(arrays.mode_vocab),
-            "cameras": list(arrays.camera_vocab),
+            "modes": list(trace.mode_vocab),
+            "cameras": list(trace.camera_vocab),
             "arrays": files_meta,
         }
         meta_path = staging / "meta.json"
@@ -382,10 +303,9 @@ class TraceStore:
             meta = json.loads((bundle / "meta.json").read_text())
             if meta.get("schema") != STORE_SCHEMA:
                 return False
-            _, mmaps = self._open_columns(bundle, meta)
+            self._open_columns(bundle, meta)
         except (OSError, ValueError, KeyError, TypeError):
             return False
-        del mmaps
         return True
 
     # ------------------------------------------------------------------

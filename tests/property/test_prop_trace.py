@@ -3,11 +3,12 @@
 Satellite of the trace-store PR: whatever a trace holds — planner
 modes, per-step camera FPRs, vehicle specs, collision payloads, typed
 metadata — must survive both round trips bit for bit: the JSON archive
-(``to_dict``/``from_dict``) and the store's columnar form
-(:class:`TraceArrays`). Silent loss here would quietly break the warm
-campaign byte-parity contract, so the generator deliberately covers
-ragged camera mappings, actors that enter mid-trace, duplicate-free
-mode vocabularies and nested metadata.
+(``to_dict``/``from_dict``) and the trace's own columns, which the
+store persists (steps rebuilt by ``ScenarioTrace.from_columns``).
+Silent loss here would quietly break the warm campaign byte-parity
+contract, so the generator deliberately covers ragged camera mappings,
+actors that enter mid-trace, duplicate-free mode vocabularies and
+nested metadata.
 """
 
 import json
@@ -22,7 +23,6 @@ from repro.errors import TraceError
 from repro.geometry.vec import Vec2
 from repro.sim.collision import CollisionEvent
 from repro.sim.trace import ScenarioTrace, TraceStep
-from repro.store import TraceArrays, trace_arrays_equal
 
 ACTORS = ("lead", "cutter", "trailer")
 CAMERAS = ("front", "left", "right")
@@ -151,6 +151,33 @@ def traces(draw):
     )
 
 
+def column_copy(trace: ScenarioTrace) -> ScenarioTrace:
+    """A trace over ``trace``'s columns alone: its steps build on demand."""
+    return ScenarioTrace.from_columns(
+        trace.header_dict(),
+        trace.columns,
+        actor_order=trace.actor_ids(),
+        actor_offsets=trace.actor_offsets,
+        mode_vocab=trace.mode_vocab,
+        camera_vocab=trace.camera_vocab,
+    )
+
+
+def from_steps(trace: ScenarioTrace) -> ScenarioTrace:
+    """``trace`` re-recorded from its step objects (fresh columns)."""
+    return ScenarioTrace(
+        scenario=trace.scenario,
+        dt=trace.dt,
+        steps=trace.steps,
+        collisions=trace.collisions,
+        nominal_fpr=trace.nominal_fpr,
+        seed=trace.seed,
+        ego_spec=trace.ego_spec,
+        actor_specs=trace.actor_specs,
+        metadata=trace.metadata,
+    )
+
+
 def assert_traces_equal(a: ScenarioTrace, b: ScenarioTrace) -> None:
     """Bit-exact step-level equality, iteration orders included."""
     assert a.scenario == b.scenario
@@ -182,21 +209,18 @@ class TestJsonRoundTrip:
 
     @settings(max_examples=60, deadline=None)
     @given(traces())
-    def test_columnar_round_trip_is_lossless(self, trace):
-        arrays = TraceArrays.from_trace(trace)
-        back = arrays.to_trace()
+    def test_columnar_round_trip_is_lossless(self, columns_equal, trace):
+        back = column_copy(trace)
         assert_traces_equal(trace, back)
-        assert trace_arrays_equal(arrays, TraceArrays.from_trace(back))
+        assert columns_equal(trace, from_steps(back))
 
     @settings(max_examples=30, deadline=None)
     @given(traces())
-    def test_json_then_columnar_commute(self, trace):
+    def test_json_then_columnar_commute(self, columns_equal, trace):
         via_json = ScenarioTrace.from_dict(
             json.loads(json.dumps(trace.to_dict()))
         )
-        assert trace_arrays_equal(
-            TraceArrays.from_trace(trace), TraceArrays.from_trace(via_json)
-        )
+        assert columns_equal(trace, via_json)
 
 
 class TestLossRejection:
@@ -267,6 +291,5 @@ class TestLossRejection:
             self._step(time=0.0, actors={"x": a, "y": a}),
             self._step(time=0.1, actors={"y": a, "x": a}),
         ]
-        trace = ScenarioTrace(scenario="s", dt=0.1, steps=steps)
         with pytest.raises(TraceError, match="first-appearance"):
-            TraceArrays.from_trace(trace)
+            ScenarioTrace(scenario="s", dt=0.1, steps=steps)

@@ -1,11 +1,12 @@
 """Unit tests: the simulate-once trace store.
 
-Synthetic traces keep these fast — nothing here runs the closed loop.
-Covered: bundle round trips through the memmap read path, key
-versioning (stale sim_version / fingerprint read as misses), corruption
-and truncation verification, the concurrent-recorder rename race,
-index maintenance, deterministic handle release on ``close()``, and the
-flat-FD guarantee across a 50-cell warm campaign pass.
+Synthetic traces keep these fast; the one closed-loop run simulates
+two seconds. Covered: bundle round trips through the memmap read path,
+one trace class whose trajectories adopt its columns (fresh or loaded),
+key versioning (stale sim_version / fingerprint read as misses),
+corruption and truncation verification, the concurrent-recorder rename
+race, index maintenance, deterministic handle release on ``close()``,
+and the flat-FD guarantee across a 50-cell warm campaign pass.
 """
 
 import json
@@ -15,21 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import build_scenario
 from repro.batch.campaign import RunSpec
 from repro.batch.runner import execute_cell
 from repro.dynamics.state import VehicleState
 from repro.errors import TraceError
 from repro.geometry.vec import Vec2
 from repro.perception.sensor import ANALYZED_CAMERAS
+from repro.sim.simulator import SimulationConfig
 from repro.sim.trace import ScenarioTrace, TraceStep
-from repro.store import (
-    ColumnarTrace,
-    SIM_VERSION,
-    TraceArrays,
-    TraceStore,
-    code_fingerprint,
-    trace_arrays_equal,
-)
+from repro.store import SIM_VERSION, TraceStore, code_fingerprint
 
 
 def synthetic_trace(
@@ -106,23 +102,21 @@ class TestPutGet:
         assert key not in store
         assert store.get(key) is None
 
-    def test_round_trip_is_bit_exact(self, store):
+    def test_round_trip_is_bit_exact(self, store, columns_equal):
         trace = synthetic_trace()
         key = store.key("cut_out", 0, 30.0)
         store.put(key, trace)
         assert key in store
         loaded = store.get(key)
-        assert isinstance(loaded, ColumnarTrace)
-        assert trace_arrays_equal(
-            TraceArrays.from_trace(trace), TraceArrays.from_trace(loaded)
-        )
+        assert type(loaded) is ScenarioTrace
+        assert columns_equal(trace, loaded)
         loaded.close()
 
     def test_loaded_columns_are_memmapped(self, store):
         key = store.key("cut_out", 0, 30.0)
         store.put(key, synthetic_trace())
         loaded = store.get(key)
-        assert isinstance(loaded.columns.times, np.memmap)
+        assert isinstance(loaded.columns["times"], np.memmap)
         # Trajectories adopt the columns without copying.
         span = loaded.time_span()
         assert span[0] == 0.0
@@ -142,6 +136,40 @@ class TestPutGet:
         new = TraceStore(tmp_path, fingerprint="new-tree")
         assert new.get(new.key("cut_out", 0, 30.0)) is None
         assert new.keys() == []
+
+
+def assert_trajectories_adopt_columns(trace: ScenarioTrace) -> None:
+    """Every array behind the trace's trajectories is a column view."""
+    columns = trace.columns
+    ego = trace.ego_trajectory()
+    assert np.shares_memory(ego._t, columns["times"])
+    for knots in (ego._x, ego._y, ego._heading_raw, ego._speed, ego._accel):
+        assert np.shares_memory(knots, columns["ego"])
+    for actor_id in trace.actor_ids():
+        actor = trace.actor_trajectory(actor_id)
+        assert np.shares_memory(actor._t, columns["times"])
+        for knots in (
+            actor._x, actor._y, actor._heading_raw, actor._speed, actor._accel
+        ):
+            assert np.shares_memory(knots, columns["actor_columns"])
+
+
+class TestOneRepresentation:
+    def test_fresh_and_stored_trajectories_adopt_their_columns(
+        self, store, columns_equal
+    ):
+        trace = build_scenario("cut_out", seed=0).run(
+            fpr=30.0, sim_config=SimulationConfig(duration=2.0)
+        )
+        assert trace.actor_ids()
+        assert_trajectories_adopt_columns(trace)
+        key = store.key("cut_out", 0, 30.0)
+        store.put(key, trace)
+        loaded = store.get(key)
+        assert type(loaded) is type(trace)
+        assert columns_equal(trace, loaded)
+        assert_trajectories_adopt_columns(loaded)
+        loaded.close()
 
 
 class TestVerification:
@@ -170,7 +198,7 @@ class TestVerification:
         (store.bundle_dir(key) / "meta.json").write_text("{not json")
         assert store.get(key) is None
 
-    def test_reput_replaces_damaged_bundle(self, store):
+    def test_reput_replaces_damaged_bundle(self, store, columns_equal):
         trace = synthetic_trace()
         key = store.key("cut_out", 0, 30.0)
         store.put(key, trace)
@@ -179,9 +207,7 @@ class TestVerification:
         store.put(key, trace)  # re-simulation records over the damage
         loaded = store.get(key)
         assert loaded is not None
-        assert trace_arrays_equal(
-            TraceArrays.from_trace(trace), TraceArrays.from_trace(loaded)
-        )
+        assert columns_equal(trace, loaded)
         loaded.close()
 
 
@@ -195,9 +221,7 @@ class TestRenameRace:
         final = store.bundle_dir(key)
         final.parent.mkdir(parents=True, exist_ok=True)
         staging = final.parent / f"{final.name}.tmp-test-loser"
-        store._write_bundle(
-            staging, key, TraceArrays.from_trace(loser_trace)
-        )
+        store._write_bundle(staging, key, loser_trace)
         # The other recorder commits first.
         store.put(key, winner_trace)
         marker = json.loads((final / "meta.json").read_text())
@@ -213,7 +237,7 @@ class TestRenameRace:
         bundle = store.bundle_dir(key)
         (bundle / "meta.json").write_text("{}")
         staging = bundle.parent / f"{bundle.name}.tmp-test-replace"
-        store._write_bundle(staging, key, TraceArrays.from_trace(trace))
+        store._write_bundle(staging, key, trace)
         store._commit(staging, bundle)
         assert store.get(key) is not None
 
