@@ -18,7 +18,7 @@ from repro.dynamics.longitudinal import clamp
 from repro.dynamics.profiles import smoothstep, smoothstep_slope
 from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import ConfigurationError
-from repro.road.lane import FrenetPoint
+from repro.geometry.vec import Vec2
 from repro.road.track import Road
 from repro.units import wrap_angle
 
@@ -110,8 +110,9 @@ class Actor:
     @property
     def state(self) -> VehicleState:
         """World-frame state reconstructed from the Frenet state."""
-        position = self.road.to_world(FrenetPoint(self._station, self._offset))
-        heading = self.road.heading_at(self._station)
+        # The road's to_world position and heading_at heading, from one
+        # segment lookup.
+        x, y, heading = self.road.pose_at(self._station, self._offset)
         if self._speed > 1e-6 and self._lateral_rate != 0.0:
             heading = wrap_angle(
                 heading + math.atan2(self._lateral_rate, self._speed)
@@ -119,7 +120,7 @@ class Actor:
         # Total speed includes the lateral component during a lane change.
         total_speed = math.hypot(self._speed, self._lateral_rate)
         return VehicleState(
-            position=position,
+            position=Vec2(x, y),
             heading=heading,
             speed=total_speed,
             accel=self._accel,

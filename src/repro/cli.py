@@ -55,6 +55,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"Running {args.scenario!r} seed={args.seed} fpr={args.fpr} ...")
     trace = scenario.run(fpr=args.fpr)
     print(f"  duration {trace.duration:.1f} s, collision: {trace.has_collision}")
+    if args.save_trace:
+        # Before the collision exit: a collided trace is the one most
+        # worth inspecting.
+        trace.save_json(args.save_trace)
+        print(f"trace written to {args.save_trace}")
     if trace.has_collision:
         print("  (collision: Zhuyi evaluation skipped, as in the paper)")
         return 1
@@ -68,9 +73,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"peak total demand {series.max_total_fpr():.1f} frames/s "
         f"({series.fraction_of_provision():.0%} of 3x30 FPR)"
     )
-    if args.save_trace:
-        trace.save_json(args.save_trace)
-        print(f"trace written to {args.save_trace}")
     return 0
 
 

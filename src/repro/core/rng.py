@@ -71,9 +71,29 @@ def _absorb(state: np.ndarray, key: np.ndarray) -> np.ndarray:
     avalanche across the final state; the golden-ratio increment keeps
     absorbing the same word twice from fixing the state.
     """
+    return absorb_mixed(state, _mix64(key))
+
+
+def key_mix(key: object) -> np.ndarray:
+    """A key component's diffused word(s): what :func:`counter_hash`
+    folds into its state for that component.
+
+    A caller that absorbs the same key many times (an actor id at every
+    capture instant of a run) may diffuse it once and hand the result to
+    :func:`absorb_mixed`.
+    """
+    return _mix64(_as_words(key))
+
+
+def absorb_mixed(state: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+    """Fold an already diffused key word (:func:`key_mix`) into ``state``.
+
+    ``absorb_mixed(state, key_mix(key))`` is the step :func:`counter_hash`
+    takes per key component, bit for bit (broadcasting).
+    """
     state = np.asarray(state, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64((state + _GOLDEN) ^ _mix64(key))
+        return _mix64((state + _GOLDEN) ^ mixed)
 
 
 def stable_key(value: object) -> np.uint64:
@@ -155,9 +175,22 @@ def _as_words(key: object) -> np.ndarray:
     return np.asarray(stable_key(key), dtype=np.uint64)
 
 
-def _to_uniform(words: np.ndarray) -> np.ndarray:
+def hash_uniform(words: np.ndarray) -> np.ndarray:
     """Top 53 hash bits onto the standard [0, 1) double grid."""
     return (words >> np.uint64(11)).astype(np.float64) * _UNIFORM_SCALE
+
+
+def hash_normal(base: np.ndarray) -> np.ndarray:
+    """The standard-normal draw of each :func:`counter_hash` word.
+
+    Box-Muller over two salted sub-draws of the same key:
+    ``sqrt(-2 ln(1 - u_r)) * cos(2 pi u_t)``. ``1 - u_r`` lies in
+    (0, 1], so the log never sees zero.
+    """
+    u_r = hash_uniform(_mix64(base ^ _NORMAL_SALT_R))
+    u_t = hash_uniform(_mix64(base ^ _NORMAL_SALT_T))
+    radius = np.sqrt(-2.0 * np.log1p(-u_r))
+    return radius * np.cos((2.0 * np.pi) * u_t)
 
 
 def counter_uniform(seed: int, stream: object, *keys: object) -> np.ndarray:
@@ -166,23 +199,17 @@ def counter_uniform(seed: int, stream: object, *keys: object) -> np.ndarray:
     Pure function of the full key: any iteration order, partitioning or
     batching of the same keys yields bit-identical values.
     """
-    return _to_uniform(counter_hash(seed, stream, *keys))
+    return hash_uniform(counter_hash(seed, stream, *keys))
 
 
 def counter_normal(seed: int, stream: object, *keys: object) -> np.ndarray:
     """A standard-normal draw per key (broadcasting over array keys).
 
-    Box-Muller over two salted sub-draws of the same key:
-    ``sqrt(-2 ln(1 - u_r)) * cos(2 pi u_t)``. ``1 - u_r`` lies in
-    (0, 1], so the log never sees zero; both sub-draws inherit the
-    counter construction, so normals are exactly as order-free as
-    uniforms.
+    :func:`hash_normal` of the key's hash: both Box-Muller sub-draws
+    inherit the counter construction, so normals are exactly as
+    order-free as uniforms.
     """
-    base = counter_hash(seed, stream, *keys)
-    u_r = _to_uniform(_mix64(base ^ _NORMAL_SALT_R))
-    u_t = _to_uniform(_mix64(base ^ _NORMAL_SALT_T))
-    radius = np.sqrt(-2.0 * np.log1p(-u_r))
-    return radius * np.cos((2.0 * np.pi) * u_t)
+    return hash_normal(counter_hash(seed, stream, *keys))
 
 
 def derive_seed(seed: int, *keys: object) -> int:

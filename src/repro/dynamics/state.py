@@ -9,7 +9,9 @@ longitudinal acceleration (negative = braking).
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +48,15 @@ class VehicleSpec:
             raise ConfigurationError("acceleration limits must be positive")
         if self.max_speed <= 0.0:
             raise ConfigurationError("max speed must be positive")
+
+    @cached_property
+    def circumradius(self) -> float:
+        """Radius of the smallest circle containing the footprint.
+
+        :meth:`repro.geometry.boxes.OrientedBox.circumradius` of every
+        footprint this spec gives, computed once per spec.
+        """
+        return math.hypot(self.length / 2.0, self.width / 2.0)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,18 @@ with a top-view state representation a camera FOV is a circular sector:
 a mounting bearing, an opening angle and a maximum range.
 
 Membership is formulated without per-point transcendentals so that the
-scalar test and :meth:`AngularSector.contains_local_batch` are
+scalar test and the array kernel :func:`sector_membership` are
 *bit-identical by construction*: the only per-point operations are
 multiply, add, compare and a correctly-rounded square root — operations
 on which numpy and the scalar ``math`` module agree to the last bit —
 while every trigonometric quantity (the sector's edge cosine and the
 rotation constants) is computed once per sector with ``math`` and shared
-verbatim by both paths. The trace-level visibility kernel
-(:meth:`repro.perception.sensor.CameraRig.visible_actors_trace`) leans
-on this contract.
+verbatim by both paths. The kernel takes those constants broadcast, so
+one sector (:meth:`AngularSector.contains_local_batch`, which the
+trace-level visibility tables of
+:meth:`repro.perception.sensor.CameraRig.visible_actors_trace` use) and
+a stack of sectors (the detection batch's gate over every due camera)
+run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -101,6 +104,19 @@ class AngularSector:
         u = c * point.x - s * point.y
         return u >= math.sqrt(d2) * cos_edge
 
+    @cached_property
+    def membership_constants(self) -> tuple[float, float, float, float, bool]:
+        """``(range_sq, cos, sin, cos_edge, full)`` for :func:`sector_membership`.
+
+        The rotation is :attr:`_rotation`'s; a full-circle sector (no
+        edge cosine) carries the placeholder edge cosine 0.0, which
+        ``full`` masks out.
+        """
+        c, s = self._rotation
+        cos_edge = self._cos_edge
+        full = cos_edge is None
+        return self._range_sq, c, s, 0.0 if full else cos_edge, full
+
     def contains_local_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`contains_local` over body-frame coordinates.
 
@@ -114,17 +130,39 @@ class AngularSector:
         Returns:
             Boolean membership array of the same shape.
         """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        d2 = xs * xs + ys * ys
-        inside = d2 <= self._range_sq
-        cos_edge = self._cos_edge
-        if cos_edge is not None:
-            c, s = self._rotation
-            u = c * xs - s * ys
-            inside &= (u >= np.sqrt(d2) * cos_edge) | (d2 == 0.0)
-        return inside
+        return sector_membership(
+            np.asarray(xs, dtype=float),
+            np.asarray(ys, dtype=float),
+            *self.membership_constants,
+        )
 
     def contains(self, body: Frame2, point: Vec2) -> bool:
         """Whether a world point falls in the sector mounted on ``body``."""
         return self.contains_local(body.to_local(point))
+
+
+def sector_membership(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    range_sq: float | np.ndarray,
+    cos: float | np.ndarray,
+    sin: float | np.ndarray,
+    cos_edge: float | np.ndarray,
+    full: bool | np.ndarray,
+) -> np.ndarray:
+    """Sector membership of body-frame points, constants broadcast.
+
+    The one copy of the per-point membership arithmetic: squared
+    distance against the squared range, then the bearing test ``u >=
+    |point| * cos_edge`` on the point rotated by ``(cos, sin)`` (the
+    origin always passes, and so does every bearing of a ``full``
+    sector). Each constant is a sector's
+    :attr:`AngularSector.membership_constants` entry — a scalar for one
+    sector, or a column stacking one row per sector, so a single call
+    gates several cameras against the same points.
+    """
+    d2 = xs * xs + ys * ys
+    u = cos * xs - sin * ys
+    return (d2 <= range_sq) & (
+        (u >= np.sqrt(d2) * cos_edge) | (d2 == 0.0) | full
+    )

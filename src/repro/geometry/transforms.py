@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.geometry.vec import Vec2
 from repro.units import wrap_angle
 
@@ -31,24 +29,6 @@ class Frame2:
         """Express a world-frame point in this frame."""
         delta = point - self.origin
         return delta.rotated(-self.heading)
-
-    def to_local_batch(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`to_local` over world coordinates.
-
-        Bit-identical per element to the scalar path: the rotation
-        constants come from the same ``math`` calls
-        :meth:`repro.geometry.vec.Vec2.rotated` makes, and the per-point
-        work is plain multiply/add. The perception batch kernels
-        (detection FOV pre-filtering, trace-level visibility) rely on
-        this equivalence.
-        """
-        c = math.cos(-self.heading)
-        s = math.sin(-self.heading)
-        dx = np.asarray(xs, dtype=float) - self.origin.x
-        dy = np.asarray(ys, dtype=float) - self.origin.y
-        return c * dx - s * dy, s * dx + c * dy
 
     def to_world(self, point: Vec2) -> Vec2:
         """Express a frame-local point in the world frame."""

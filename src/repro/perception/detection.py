@@ -9,18 +9,21 @@ so noise and frame rate interact exactly as in a real stack.
 
 Every stage runs as one array program over all the frames captured at
 an instant (:meth:`DetectionModel.detect_frames`; a single camera's
-:meth:`DetectionModel.detect` is the one-camera case). The FOV gate goes
-through the same :meth:`repro.geometry.fov.AngularSector.contains_local_batch`
-kernel the trace-level visibility tables use; the occlusion test solves
-the slab intersection for every (camera, in-FOV target) sight ray
-against every potential blocker at once (:func:`occlusion_mask`). The
-random stages (miss sampling, position noise) draw through the
-counter-based generator of :mod:`repro.core.rng`: every draw is a pure
-function of ``(seed, stream, camera, capture time, actor id)``, so a
-frame's verdicts depend neither on how many frames any camera captured
-before it nor on which other cameras fired at the same instant — all of
-an instant's draws compute as one vectorized call, and re-simulating
-from any point of a run reproduces them bit for bit. (Traces recorded
+:meth:`DetectionModel.detect` is the one-camera case). The FOV gate is
+one broadcast (cameras, actors) call of
+:func:`repro.geometry.fov.sector_membership`, the kernel the
+trace-level visibility tables use, on every camera's stacked frame and
+sector constants; the occlusion test solves the slab intersection for
+every (camera, in-FOV target) sight ray against every potential blocker
+at once (:func:`occlusion_mask`). The random stages (miss sampling,
+position noise) draw through the counter-based generator of
+:mod:`repro.core.rng`: every draw is a pure function of ``(seed,
+stream, camera, capture time, actor id)``, so a frame's verdicts depend
+neither on how many frames any camera captured before it nor on which
+other cameras fired at the same instant — all of an instant's draws
+compute as one vectorized call (its time-free key parts memoized per
+run, :meth:`KeyWords.pair_hash`), and re-simulating from any point of a
+run reproduces them bit for bit. (Traces recorded
 before this counter-keyed scheme consumed a stateful
 ``np.random.Generator`` in iteration order and drew different streams;
 see docs/TESTING.md's RNG determinism contract for the deliberate
@@ -29,6 +32,7 @@ break.)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
@@ -39,16 +43,20 @@ from repro.core.rng import (
     STREAM_MISS,
     STREAM_NOISE_X,
     STREAM_NOISE_Y,
-    counter_normal,
-    counter_uniform,
+    absorb_mixed,
+    counter_hash,
+    hash_normal,
+    hash_uniform,
+    key_mix,
     stable_key,
     time_key,
 )
 from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import ConfigurationError
 from repro.geometry.boxes import PARALLEL_EPS
+from repro.geometry.fov import sector_membership
 from repro.geometry.vec import Vec2
-from repro.perception.sensor import Camera
+from repro.perception.sensor import Camera, camera_poses
 
 #: The sight ray is shortened by this much at the target end so the
 #: target's own footprint never "occludes" itself (metres).
@@ -95,15 +103,76 @@ class KeyWords(dict):
     names and actor ids alike and may live as long as its owner: a
     :class:`repro.perception.pipeline.PerceptionSystem` keeps one per
     run, hashing each camera and actor id once instead of every frame.
+
+    It also memoizes the time-free parts of the detection draws' key
+    ``(seed, stream, camera, time, actor)`` (:meth:`pair_hash`): the
+    hash state after ``(seed, stream, camera)`` and each actor word's
+    diffusion, both pure functions of their inputs.
     """
+
+    def __init__(self):
+        super().__init__()
+        self._prefixes: dict[tuple[int, int, Hashable], int] = {}
+        self._mixed: dict[Hashable, int] = {}
 
     def __missing__(self, value: Hashable) -> np.uint64:
         word = self[value] = stable_key(value)
         return word
 
-    def array(self, values: Sequence[Hashable]) -> np.ndarray:
-        """The words of ``values`` as a uint64 array."""
-        return np.array([self[value] for value in values], dtype=np.uint64)
+    def pair_hash(
+        self,
+        seed: int,
+        stream: object,
+        cameras: Sequence[Hashable],
+        rows: np.ndarray,
+        time: float,
+        actors: Sequence[Hashable],
+        kept: np.ndarray,
+    ) -> np.ndarray:
+        """Memoized ``counter_hash(seed, stream, cameras[rows], time, actors[kept])``.
+
+        Bit for bit :func:`repro.core.rng.counter_hash` over the pairs'
+        camera words, ``time_key(time)`` and actor words: the state after
+        ``(seed, stream, camera)`` comes from the memo (keyed by the seed
+        too), and so does each actor word's :func:`key_mix`; a call
+        diffuses only its time word and folds it and the actor words in.
+
+        Args:
+            seed: root seed of the draws.
+            stream: one stream tag, or a column of tags (shape
+                ``(n, 1)``) broadcast against the pairs, as
+                ``counter_hash`` broadcasts it.
+            cameras / actors: the distinct camera and actor ids.
+            rows / kept: per pair, the index of its camera and actor.
+
+        Returns:
+            uint64 words of shape ``(len(rows),)``, or ``(n, len(rows))``
+            for a column of tags.
+        """
+        tags = np.ravel(stream).tolist()
+        prefixes = np.array(
+            [[self._prefix(seed, tag, camera) for camera in cameras] for tag in tags],
+            dtype=np.uint64,
+        )
+        mixed = np.array([self._mix(actor) for actor in actors], dtype=np.uint64)
+        state = prefixes[:, rows] if np.ndim(stream) else prefixes[0, rows]
+        state = absorb_mixed(state, key_mix(time_key(time)))
+        return absorb_mixed(state, mixed[kept])
+
+    def _prefix(self, seed: int, tag: int, camera: Hashable) -> int:
+        key = (seed, tag, camera)
+        state = self._prefixes.get(key)
+        if state is None:
+            state = self._prefixes[key] = int(
+                counter_hash(seed, np.uint64(tag), self[camera])
+            )
+        return state
+
+    def _mix(self, actor: Hashable) -> int:
+        mixed = self._mixed.get(actor)
+        if mixed is None:
+            mixed = self._mixed[actor] = int(key_mix(self[actor]))
+        return mixed
 
 
 def occlusion_mask(
@@ -242,11 +311,11 @@ class DetectionModel:
     ) -> list[CameraFrame]:
         """The frames ``cameras`` capture together at ``time``.
 
-        One array program over (camera, actor) pairs: the FOV gate per
-        camera, then the occlusion test over every in-FOV pair's sight
-        ray, then one counter-RNG draw batch over every surviving pair
-        (one call for the misses, one for both noise axes). Miss
-        sampling and position noise are
+        One array program over (camera, actor) pairs: the FOV gate of
+        every camera at once, then the occlusion test over every in-FOV
+        pair's sight ray, then one counter-RNG draw batch over every
+        surviving pair (one hash batch for the misses, one for both
+        noise axes). Miss sampling and position noise are
         counter-keyed on ``(seed, stream, camera name, time, actor
         id)`` — order-free: a camera's frame draws the same values
         whether it is captured alone or with other cameras, whichever
@@ -259,7 +328,8 @@ class DetectionModel:
             time: the capture time.
             actors: every actor's ``(state, spec)`` at ``time``.
             seed: root seed of the detection draws.
-            words: optional id → key word memo reused across calls.
+            words: optional key memo (ids' words and the draws'
+                time-free hash parts) reused across calls.
 
         Returns:
             One frame per camera, in ``cameras`` order.
@@ -273,20 +343,37 @@ class DetectionModel:
         states = [state for state, _ in pairs]
         xs = np.array([state.position.x for state in states])
         ys = np.array([state.position.y for state in states])
-        frames = [camera.world_frame(ego_state) for camera in cameras]
-        in_fov = np.array(
+        # One row per camera: its world frame at this instant, then its
+        # sector's membership constants, as (cameras, 1) columns that
+        # broadcast against the actors.
+        table = np.array(
             [
-                camera.fov.contains_local_batch(*frame.to_local_batch(xs, ys))
-                for camera, frame in zip(cameras, frames)
+                pose + camera.fov.membership_constants
+                for camera, pose in zip(
+                    cameras, camera_poses(cameras, ego_state)
+                )
             ]
+        )
+        (
+            eye_x, eye_y, rot_c, rot_s, range_sq, cos, sin, cos_edge, full
+        ) = table.T[:, :, None]
+        # Frame2.to_local's arithmetic, every camera at once.
+        dx = xs - eye_x
+        dy = ys - eye_y
+        in_fov = sector_membership(
+            rot_c * dx - rot_s * dy,
+            rot_s * dx + rot_c * dy,
+            range_sq,
+            cos,
+            sin,
+            cos_edge,
+            full != 0.0,
         )
         visible = in_fov
         if self.occlusion:
             rows, targets = np.nonzero(in_fov)
-            eye_x = np.array([frame.origin.x for frame in frames])
-            eye_y = np.array([frame.origin.y for frame in frames])
             blocked = occlusion_mask(
-                eye_x[rows], eye_y[rows], targets, pairs
+                eye_x[rows, 0], eye_y[rows, 0], targets, pairs
             )
             visible = in_fov.copy()
             visible[rows[blocked], targets[blocked]] = False
@@ -299,19 +386,21 @@ class DetectionModel:
         noise_x = noise_y = np.zeros(rows.size)
         if rows.size and (self.miss_rate > 0.0 or self.position_noise > 0.0):
             words = words if words is not None else KeyWords()
-            keys = (
-                words.array([camera.name for camera in cameras])[rows],
-                time_key(time),
-                words.array(ids)[kept],
-            )
+            names = [camera.name for camera in cameras]
             if self.miss_rate > 0.0:
-                uniform = counter_uniform(seed, STREAM_MISS, *keys)
+                uniform = hash_uniform(
+                    words.pair_hash(
+                        seed, STREAM_MISS, names, rows, time, ids, kept
+                    )
+                )
                 missed = uniform < self.miss_rate
             if self.position_noise > 0.0:
                 # Both axes in one call: the stream tags broadcast as a
                 # column against the pairs.
-                noise_x, noise_y = self.position_noise * counter_normal(
-                    seed, _NOISE_STREAMS, *keys
+                noise_x, noise_y = self.position_noise * hash_normal(
+                    words.pair_hash(
+                        seed, _NOISE_STREAMS, names, rows, time, ids, kept
+                    )
                 )
 
         detections: list[list[Detection]] = [[] for _ in cameras]
@@ -339,9 +428,9 @@ class DetectionModel:
             CameraFrame(
                 camera=camera.name,
                 detections=tuple(found),
-                in_view=frozenset(
-                    ids[index] for index in np.flatnonzero(in_fov[row])
-                ),
+                in_view=frozenset(itertools.compress(ids, row_in_fov)),
             )
-            for row, (camera, found) in enumerate(zip(cameras, detections))
+            for camera, found, row_in_fov in zip(
+                cameras, detections, in_fov.tolist()
+            )
         ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Hashable, Mapping
 
 from repro.dynamics.state import VehicleSpec, VehicleState
@@ -113,6 +114,11 @@ class PerceptionSystem:
     def fprs(self) -> dict[str, float]:
         """Current processing rate of every camera."""
         return dict(self._fpr)
+
+    @property
+    def rates(self) -> Mapping[str, float]:
+        """:meth:`fprs` as a read-only live view, without the copy."""
+        return MappingProxyType(self._fpr)
 
     def set_fpr(self, camera: str, rate: float) -> None:
         """Change a camera's processing rate (clamped to sane bounds)."""

@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError
 from repro.geometry.fov import AngularSector
 from repro.geometry.transforms import Frame2
 from repro.geometry.vec import Vec2
+from repro.units import wrap_angle
 
 #: The three cameras whose estimates Table 1 reports (c1, c2, c3).
 ANALYZED_CAMERAS: tuple[str, str, str] = ("front_120", "left", "right")
@@ -161,9 +162,8 @@ class CameraRig:
         for ego_states, _ in blocks:
             offsets.append(offsets[-1] + len(ego_states))
         total = offsets[-1]
-        # Frame constants for every (camera, tick) pair: the tick's ego
-        # body frame composes once, each camera mounts into it — the
-        # same Frame2 arithmetic world_frame() runs per camera.
+        # Frame constants for every (camera, tick) pair, as
+        # camera_poses() derives them.
         origin_x = {camera.name: np.empty(total) for camera in self._cameras}
         origin_y = {camera.name: np.empty(total) for camera in self._cameras}
         rot_c = {camera.name: np.empty(total) for camera in self._cameras}
@@ -171,14 +171,15 @@ class CameraRig:
         i = 0
         for ego_states, _ in blocks:
             for ego_state in ego_states:
-                base = ego_state.frame()
-                for camera in self._cameras:
-                    frame = base.compose(camera.mount)
-                    origin_x[camera.name][i] = frame.origin.x
-                    origin_y[camera.name][i] = frame.origin.y
-                    # The constants Frame2.to_local derives per point.
-                    rot_c[camera.name][i] = math.cos(-frame.heading)
-                    rot_s[camera.name][i] = math.sin(-frame.heading)
+                for camera, pose in zip(
+                    self._cameras, camera_poses(self._cameras, ego_state)
+                ):
+                    (
+                        origin_x[camera.name][i],
+                        origin_y[camera.name][i],
+                        rot_c[camera.name][i],
+                        rot_s[camera.name][i],
+                    ) = pose
                 i += 1
 
         out: list[dict[str, np.ndarray]] = []
@@ -298,6 +299,40 @@ class CameraRig:
             }
             for i in range(tick_count)
         ]
+
+
+def camera_poses(
+    cameras: Sequence[Camera], ego_state: VehicleState
+) -> list[tuple[float, float, float, float]]:
+    """Per camera, its world frame at ``ego_state`` in plain floats.
+
+    Each entry is ``(origin_x, origin_y, cos, sin)``: the origin of
+    :meth:`Camera.world_frame` and the rotation constants
+    ``cos(-heading)``, ``sin(-heading)`` that
+    :meth:`repro.geometry.transforms.Frame2.to_local` derives from its
+    heading. The float operations are the ones :meth:`Frame2.compose`
+    runs, with the ego's rotation computed once for all cameras, so
+    both kernels that gate points by camera (the detection batch and
+    the trace-level visibility tables) see the scalar frames' exact
+    values.
+    """
+    position = ego_state.position
+    heading = ego_state.heading
+    c, s = math.cos(heading), math.sin(heading)
+    poses = []
+    for camera in cameras:
+        mount = camera.mount
+        mx, my = mount.origin.x, mount.origin.y
+        world_heading = wrap_angle(heading + mount.heading)
+        poses.append(
+            (
+                position.x + (c * mx - s * my),
+                position.y + (s * mx + c * my),
+                math.cos(-world_heading),
+                math.sin(-world_heading),
+            )
+        )
+    return poses
 
 
 def default_rig(

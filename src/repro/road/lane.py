@@ -75,6 +75,16 @@ class Centerline(Protocol):
         """World position of a Frenet point."""
         ...
 
+    def pose_at(self, s: float, d: float) -> tuple[float, float, float]:
+        """``(x, y, heading)`` of the Frenet point ``(s, d)``, in floats.
+
+        :meth:`to_world`'s position and :meth:`heading_at`'s heading at
+        station ``s`` (both reuse it where the heading is computed):
+        one segment lookup and no intermediate objects, for the
+        per-step actor poses.
+        """
+        ...
+
     def to_frenet(self, point: Vec2) -> FrenetPoint:
         """Frenet coordinates of the closest centerline point."""
         ...
@@ -136,13 +146,27 @@ class StraightCenterline:
         return 0.0
 
     def to_world(self, frenet: FrenetPoint) -> Vec2:
-        tangent = Vec2.unit(self.heading)
-        return self.start + tangent * frenet.s + tangent.perp() * frenet.d
+        x, y, _ = self.pose_at(frenet.s, frenet.d)
+        return Vec2(x, y)
+
+    def pose_at(self, s: float, d: float) -> tuple[float, float, float]:
+        cos_h, sin_h = math.cos(self.heading), math.sin(self.heading)
+        # start + tangent * s + perp * d with tangent (cos, sin) and perp
+        # (-sin, cos), the operation order to_world_batch shares.
+        return (
+            self.start.x + cos_h * s + -sin_h * d,
+            self.start.y + sin_h * s + cos_h * d,
+            self.heading,
+        )
 
     def to_frenet(self, point: Vec2) -> FrenetPoint:
-        tangent = Vec2.unit(self.heading)
-        delta = point - self.start
-        return FrenetPoint(s=delta.dot(tangent), d=delta.dot(tangent.perp()))
+        # to_frenet_batch's arithmetic, in floats.
+        cos_h, sin_h = math.cos(self.heading), math.sin(self.heading)
+        dx = point.x - self.start.x
+        dy = point.y - self.start.y
+        return FrenetPoint(
+            s=dx * cos_h + dy * sin_h, d=dx * -sin_h + dy * cos_h
+        )
 
     def to_frenet_batch(
         self, xs: np.ndarray, ys: np.ndarray
@@ -208,26 +232,33 @@ class ArcCenterline:
         return self.center + Vec2.from_polar(self.radius, self._angle_at(s))
 
     def heading_at(self, s: float) -> float:
-        angle = self._angle_at(s)
-        offset = math.pi / 2.0 if self.turn_left else -math.pi / 2.0
-        return wrap_angle(angle + offset)
+        return self.pose_at(s, 0.0)[2]
 
     def curvature_at(self, s: float) -> float:
         return (1.0 if self.turn_left else -1.0) / self.radius
 
     def to_world(self, frenet: FrenetPoint) -> Vec2:
+        x, y, _ = self.pose_at(frenet.s, frenet.d)
+        return Vec2(x, y)
+
+    def pose_at(self, s: float, d: float) -> tuple[float, float, float]:
         # For a left turn the leftward normal points toward the centre, so
         # a positive d shrinks the radius; for a right turn it grows it.
-        angle = self._angle_at(frenet.s)
+        angle = self._angle_at(s)
         if self.turn_left:
-            effective_radius = self.radius - frenet.d
+            effective_radius = self.radius - d
         else:
-            effective_radius = self.radius + frenet.d
+            effective_radius = self.radius + d
         if effective_radius <= 0.0:
             raise GeometryError(
-                f"lateral offset {frenet.d} exceeds arc radius {self.radius}"
+                f"lateral offset {d} exceeds arc radius {self.radius}"
             )
-        return self.center + Vec2.from_polar(effective_radius, angle)
+        offset = math.pi / 2.0 if self.turn_left else -math.pi / 2.0
+        return (
+            self.center.x + effective_radius * math.cos(angle),
+            self.center.y + effective_radius * math.sin(angle),
+            wrap_angle(angle + offset),
+        )
 
     def to_frenet(self, point: Vec2) -> FrenetPoint:
         dx = point.x - self.center.x
@@ -345,16 +376,19 @@ class CompositeCenterline:
         return segment.point_at(local_s)
 
     def heading_at(self, s: float) -> float:
-        segment, local_s = self._locate(s)
-        return segment.heading_at(local_s)
+        return self.pose_at(s, 0.0)[2]
 
     def curvature_at(self, s: float) -> float:
         segment, local_s = self._locate(s)
         return segment.curvature_at(local_s)
 
     def to_world(self, frenet: FrenetPoint) -> Vec2:
-        segment, local_s = self._locate(frenet.s)
-        return segment.to_world(FrenetPoint(local_s, frenet.d))
+        x, y, _ = self.pose_at(frenet.s, frenet.d)
+        return Vec2(x, y)
+
+    def pose_at(self, s: float, d: float) -> tuple[float, float, float]:
+        segment, local_s = self._locate(s)
+        return segment.pose_at(local_s, d)
 
     def to_frenet(self, point: Vec2) -> FrenetPoint:
         best: FrenetPoint | None = None
@@ -362,16 +396,9 @@ class CompositeCenterline:
         for segment, offset in zip(self._segments, self._offsets):
             local = segment.to_frenet(point)
             clamped_s = min(max(local.s, 0.0), segment.length)
-            # The on-curve point comes from the same routine (and hence
-            # the same trig calls) the batch kernel uses — on arcs,
-            # numpy's cos/sin and libm's are not guaranteed to agree to
-            # the last bit, and a one-ulp cost difference could crown a
-            # different nearest segment at a joint.
-            on_x, on_y = _centerline_points(
-                segment, np.array([clamped_s])
-            )
-            dx = point.x - float(on_x[0])
-            dy = point.y - float(on_y[0])
+            on_x, on_y = _centerline_point(segment, clamped_s)
+            dx = point.x - on_x
+            dy = point.y - on_y
             cost = math.sqrt(dx * dx + dy * dy)
             # Penalize projections that fall outside the segment so interior
             # matches win over endpoint extrapolations.
@@ -459,6 +486,24 @@ class CompositeCenterline:
                 continue
             headings[member] = segment.heading_at_batch(clamped[member] - offset)
         return headings
+
+
+def _centerline_point(segment: Centerline, s: float) -> tuple[float, float]:
+    """:func:`_centerline_points` at one station, as floats.
+
+    A straight segment's point is plain multiply/add, which floats and
+    numpy round alike. An arc's comes from the batch routine itself (and
+    hence the same trig calls): numpy's cos/sin and libm's are not
+    guaranteed to agree to the last bit, and a one-ulp cost difference
+    could crown a different nearest segment at a joint.
+    """
+    if isinstance(segment, StraightCenterline):
+        return (
+            segment.start.x + math.cos(segment.heading) * s,
+            segment.start.y + math.sin(segment.heading) * s,
+        )
+    on_x, on_y = _centerline_points(segment, np.array([s]))
+    return float(on_x[0]), float(on_y[0])
 
 
 def _centerline_points(

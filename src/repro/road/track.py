@@ -77,6 +77,10 @@ class Road:
         """World position of a Frenet point on this road."""
         return self.centerline.to_world(frenet)
 
+    def pose_at(self, s: float, d: float) -> tuple[float, float, float]:
+        """``(x, y, heading)`` of the Frenet point ``(s, d)``, in floats."""
+        return self.centerline.pose_at(s, d)
+
     def to_frenet(self, point: Vec2) -> FrenetPoint:
         """Frenet coordinates of a world point on this road."""
         return self.centerline.to_frenet(point)

@@ -7,6 +7,7 @@ once so a continuing overlap does not flood the event list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
@@ -23,7 +24,13 @@ class CollisionEvent:
 
 
 class CollisionChecker:
-    """Stateful per-run collision detector."""
+    """Stateful per-run collision detector.
+
+    Each actor is first tested against the bounding circles
+    :func:`~repro.geometry.boxes.boxes_overlap` starts with, on the
+    specs' cached circumradii; only an actor inside that circle has its
+    footprint built and tested exactly.
+    """
 
     def __init__(self, ego_spec: VehicleSpec):
         self._ego_spec = ego_spec
@@ -41,11 +48,22 @@ class CollisionChecker:
         actors: Mapping[Hashable, tuple[VehicleState, VehicleSpec]],
     ) -> list[CollisionEvent]:
         """New collisions at this instant (each actor reported once)."""
-        ego_box = ego_state.footprint(self._ego_spec)
+        ego_x, ego_y = ego_state.position.x, ego_state.position.y
+        ego_radius = self._ego_spec.circumradius
+        ego_box = None
         events: list[CollisionEvent] = []
         for actor_id, (state, spec) in actors.items():
             if actor_id in self._already_hit:
                 continue
+            # boxes_overlap's own first test: the centre distance against
+            # the sum of the two circumradii.
+            distance = math.hypot(
+                ego_x - state.position.x, ego_y - state.position.y
+            )
+            if distance > ego_radius + spec.circumradius:
+                continue
+            if ego_box is None:
+                ego_box = ego_state.footprint(self._ego_spec)
             if boxes_overlap(ego_box, state.footprint(spec)):
                 self._already_hit.add(actor_id)
                 events.append(CollisionEvent(time=time, actor_id=actor_id))

@@ -11,7 +11,9 @@ observe the actors but never move them.
 The actors' ground truth is read once per step: the snapshot taken
 after the actors move serves that instant's collision check and settle
 test, then the next step's perception, choreography context and trace
-record.
+record. Each step's record goes straight into the trace's columns
+(:class:`repro.sim.trace.TraceRecorder`), its camera rates read after
+the hooks ran.
 
 Stochastic perception (miss sampling, position noise) draws through the
 counter-based generator of :mod:`repro.core.rng`, keyed on the frame's
@@ -35,7 +37,7 @@ from repro.perception.pipeline import PerceptionSystem
 from repro.planning.planner import Planner
 from repro.road.track import Road
 from repro.sim.collision import CollisionChecker, CollisionEvent
-from repro.sim.trace import ScenarioTrace, TraceStep
+from repro.sim.trace import ScenarioTrace, TraceRecorder, trace_header
 
 
 @runtime_checkable
@@ -93,7 +95,7 @@ class Simulator:
         self._integrator = KinematicBicycle(ego_spec)
         self._collision_checker = CollisionChecker(ego_spec)
         self._collisions: list[CollisionEvent] = []
-        self._steps: list[TraceStep] = []
+        self._recorder = TraceRecorder()
         self._last_mode = "cruise"
         self._initial_fprs = perception.fprs()
 
@@ -190,29 +192,25 @@ class Simulator:
                     self._record(self.time, states)
                     break
 
-        if not self._steps or self._steps[-1].time < self.time - 1e-9:
+        recorder = self._recorder
+        if not recorder or recorder.last_time < self.time - 1e-9:
             self._record(self.time, states)
 
-        return ScenarioTrace(
+        header = trace_header(
             scenario=self.scenario_name,
             dt=config.dt,
-            steps=self._steps,
             collisions=self._collisions,
             nominal_fpr=self._nominal_fpr(),
             seed=self.seed,
             ego_spec=self.ego_spec,
             actor_specs={actor.actor_id: actor.spec for actor in self.actors},
         )
+        return ScenarioTrace.from_columns(header, *recorder.columns())
 
     def _record(self, now: float, states: Mapping[str, VehicleState]) -> None:
-        self._steps.append(
-            TraceStep(
-                time=now,
-                ego=self.ego_state,
-                actors=states,
-                planner_mode=self._last_mode,
-                camera_fprs=self.perception.fprs(),
-            )
+        self._recorder.record(
+            now, self.ego_state, states, self._last_mode,
+            self.perception.rates,
         )
 
     def _nominal_fpr(self) -> float | None:

@@ -7,10 +7,11 @@ includes the states of the ego and all the actors at all the time-steps"
 collisions and the column vocabularies. The interpolated
 :class:`StateTrajectory` objects the Zhuyi evaluator queries adopt the
 columns without copying them, and the trace store persists (and
-memory-maps back) exactly these columns. The conversion from the
-simulator's per-step :class:`TraceStep` objects is exact in both
-directions: every float keeps its bit pattern, every mapping its
-iteration order. Traces serialize to JSON for archival.
+memory-maps back) exactly these columns. The simulator records the
+columns step by step (:class:`TraceRecorder`); the conversion to and
+from per-step :class:`TraceStep` objects is exact in both directions:
+every float keeps its bit pattern, every mapping its iteration order.
+Traces serialize to JSON for archival.
 """
 
 from __future__ import annotations
@@ -67,13 +68,138 @@ class TraceStep:
         return seconds_to_ms(self.time)
 
 
+class TraceRecorder:
+    """Records steps straight into a trace's :data:`COLUMNS`.
+
+    The one producer of trace columns: the simulator records each
+    step's values as it runs, and a trace built from :class:`TraceStep`
+    objects (JSON load, tests) feeds them through the same
+    :meth:`record`. Ids are validated as they first appear, and each
+    step's actors must iterate in first-appearance order, which the
+    columns need to represent a trace losslessly.
+    """
+
+    def __init__(self):
+        self._times: list[float] = []
+        self._ego: list[tuple[float, ...]] = []
+        self._actor_rank: dict[str, int] = {}
+        # Per actor rank: the steps it is present at and its states there.
+        self._actor_steps: list[list[int]] = []
+        self._actor_rows: list[list[tuple[float, ...]]] = []
+        self._mode_code: dict[str, int] = {}
+        self._mode_codes: list[int] = []
+        self._camera_code: dict[str, int] = {}
+        self._camera_codes: list[int] = []
+        self._camera_values: list[float] = []
+        self._camera_offsets: list[int] = [0]
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    @property
+    def last_time(self) -> float:
+        """The latest recorded step's time."""
+        return self._times[-1]
+
+    def record(
+        self,
+        time: float,
+        ego: VehicleState,
+        actors: Mapping[str, VehicleState],
+        planner_mode: str,
+        camera_fprs: Mapping[str, float],
+    ) -> None:
+        """Append one step; the mappings are read now, not kept.
+
+        Raises:
+            TraceError: on a non-string actor or camera id, or when the
+                step's actor iteration order disagrees with the
+                first-appearance order, which the columns cannot
+                represent (nothing the simulator produces does).
+        """
+        pos = len(self._times)
+        self._times.append(time)
+        self._ego.append(_state_row(ego))
+        ranks, steps, rows = self._actor_rank, self._actor_steps, self._actor_rows
+        last_rank = -1
+        for actor_id, state in actors.items():
+            rank = ranks.get(actor_id)
+            if rank is None:
+                _check_id(actor_id)
+                rank = ranks[actor_id] = len(rows)
+                steps.append([])
+                rows.append([])
+            if rank <= last_rank:
+                raise TraceError(
+                    "trace step actor order is inconsistent with "
+                    "first-appearance order; the columnar form "
+                    "cannot represent it losslessly"
+                )
+            last_rank = rank
+            steps[rank].append(pos)
+            rows[rank].append(_state_row(state))
+        code = self._mode_code.get(planner_mode)
+        if code is None:
+            code = self._mode_code[planner_mode] = len(self._mode_code)
+        self._mode_codes.append(code)
+        cameras, codes = self._camera_code, self._camera_codes
+        values = self._camera_values
+        for camera, value in camera_fprs.items():
+            code = cameras.get(camera)
+            if code is None:
+                _check_id(camera, kind="camera id")
+                code = cameras[camera] = len(cameras)
+            codes.append(code)
+            values.append(value)
+        self._camera_offsets.append(len(codes))
+
+    def columns(self) -> tuple:
+        """The recorded :data:`COLUMNS` plus vocabularies.
+
+        Returns ``(columns, actor_order, actor_offsets, mode_vocab,
+        camera_vocab)``, the arguments :meth:`ScenarioTrace.from_columns`
+        takes after the header.
+        """
+        steps = len(self._times)
+        masks = np.zeros((len(self._actor_rows), steps), dtype=bool)
+        offsets = [0]
+        blocks = []
+        for rank, rows in enumerate(self._actor_rows):
+            masks[rank, self._actor_steps[rank]] = True
+            offsets.append(offsets[-1] + len(rows))
+            blocks.append(_row_columns(rows))
+        columns = {
+            "times": np.array(self._times, dtype=float),
+            "ego": _row_columns(self._ego),
+            "actor_masks": masks,
+            "actor_columns": (
+                np.concatenate(blocks, axis=1)
+                if blocks
+                else np.zeros((5, 0), dtype=float)
+            ),
+            "mode_codes": np.array(self._mode_codes, dtype=np.int32),
+            "camera_codes": np.array(self._camera_codes, dtype=np.int32),
+            "camera_values": np.array(self._camera_values, dtype=float),
+            "camera_offsets": np.array(self._camera_offsets, dtype=np.int64),
+        }
+        return (
+            columns,
+            tuple(self._actor_rank),
+            offsets,
+            tuple(self._mode_code),
+            tuple(self._camera_code),
+        )
+
+
 class ScenarioTrace:
     """A full recorded run of one scenario, held as columns.
 
-    Built from the simulator's steps, which are validated, converted to
-    columns once and kept as :attr:`steps`; or by :meth:`from_columns`
-    over the trace store's memory-mapped bundle, where the steps are
-    built only if something asks for them. Every query answers from the
+    The simulator records its columns directly (:class:`TraceRecorder`)
+    and the trace store memory-maps them back; both hand them to
+    :meth:`from_columns`, and the steps are built only if something
+    asks for them (JSON export). A trace constructed from
+    :class:`TraceStep` objects records them through the same recorder
+    and keeps them as :attr:`steps`. Every query answers from the
     columns. :meth:`close` releases them (and the bundle's handles); a
     closed trace raises :class:`TraceError` on further column access.
     """
@@ -93,14 +219,17 @@ class ScenarioTrace:
         if not steps:
             raise TraceError("a trace needs at least one step")
         steps = list(steps)
+        recorder = TraceRecorder()
         for step in steps:
-            _check_actor_ids(step.actors)
-            _check_actor_ids(step.camera_fprs, kind="camera id")
+            recorder.record(
+                step.time, step.ego, step.actors, step.planner_mode,
+                step.camera_fprs,
+            )
         self._set_header(
             scenario, dt, collisions, nominal_fpr, seed, ego_spec,
             actor_specs, metadata,
         )
-        self._adopt(*_columnarize(steps), steps=steps)
+        self._adopt(*recorder.columns(), steps=steps)
 
     @classmethod
     def from_columns(
@@ -116,10 +245,12 @@ class ScenarioTrace:
         """Adopt recorded columns as a trace, without copying them.
 
         Args:
-            header: the :meth:`header_dict` payload.
+            header: the :meth:`header_dict` payload (:func:`trace_header`
+                builds it from the header's objects).
             columns: every array of :data:`COLUMNS`, adopted as given.
             actor_order / actor_offsets / mode_vocab / camera_vocab:
-                the column vocabularies, as the recording trace had them.
+                the column vocabularies, as :meth:`TraceRecorder.columns`
+                returns them.
             closer: called once by :meth:`close` (the store's memmap
                 release).
         """
@@ -156,7 +287,8 @@ class ScenarioTrace:
         # scalars would come back as different types. Rejecting ids and
         # canonicalizing metadata here makes the in-memory trace equal
         # its own round trip, bit for bit.
-        _check_actor_ids(self.actor_specs)
+        for actor_id in self.actor_specs:
+            _check_id(actor_id)
         for event in self.collisions:
             if not isinstance(event.actor_id, str):
                 raise TraceError(
@@ -350,22 +482,10 @@ class ScenarioTrace:
 
     def header_dict(self) -> dict:
         """JSON-ready scalar payload: :meth:`to_dict` without the steps."""
-        return {
-            "scenario": self.scenario,
-            "dt": self.dt,
-            "nominal_fpr": self.nominal_fpr,
-            "seed": self.seed,
-            "ego_spec": _spec_to_dict(self.ego_spec),
-            "actor_specs": {
-                actor_id: _spec_to_dict(spec)
-                for actor_id, spec in self.actor_specs.items()
-            },
-            "metadata": self.metadata,
-            "collisions": [
-                {"time": event.time, "actor_id": event.actor_id}
-                for event in self.collisions
-            ],
-        }
+        return trace_header(
+            self.scenario, self.dt, self.collisions, self.nominal_fpr,
+            self.seed, self.ego_spec, self.actor_specs, self.metadata,
+        )
 
     def to_dict(self) -> dict:
         """JSON-ready representation."""
@@ -441,90 +561,49 @@ def _header_from_dict(data: Mapping) -> dict:
     }
 
 
-def _columnarize(steps: Sequence[TraceStep]) -> tuple:
-    """``steps`` as :data:`COLUMNS` plus vocabularies, exactly.
+def trace_header(
+    scenario: str,
+    dt: float,
+    collisions: Sequence[CollisionEvent] = (),
+    nominal_fpr: float | None = None,
+    seed: int | None = None,
+    ego_spec: VehicleSpec | None = None,
+    actor_specs: Mapping[str, VehicleSpec] | None = None,
+    metadata: Mapping[str, object] | None = None,
+) -> dict:
+    """The :meth:`ScenarioTrace.header_dict` payload of a header.
 
-    Returns ``(columns, actor_order, actor_offsets, mode_vocab,
-    camera_vocab)``.
-
-    Raises:
-        TraceError: when a step's actor iteration order disagrees with
-            the global first-appearance order, which the columns cannot
-            represent (nothing the simulator produces does).
+    Takes the constructor's header arguments; what
+    :meth:`ScenarioTrace.from_columns` reads back into them.
     """
-    order: dict[str, int] = {}
-    for step in steps:
-        for actor_id in step.actors:
-            order.setdefault(actor_id, len(order))
-    masks = np.zeros((len(order), len(steps)), dtype=bool)
-    per_actor: dict[str, list[VehicleState]] = {a: [] for a in order}
-    for pos, step in enumerate(steps):
-        last_rank = -1
-        for actor_id, state in step.actors.items():
-            rank = order[actor_id]
-            if rank <= last_rank:
-                raise TraceError(
-                    "trace step actor order is inconsistent with "
-                    "first-appearance order; the columnar form "
-                    "cannot represent it losslessly"
-                )
-            last_rank = rank
-            masks[rank, pos] = True
-            per_actor[actor_id].append(state)
-    offsets = [0]
-    blocks = []
-    for states in per_actor.values():
-        offsets.append(offsets[-1] + len(states))
-        if states:
-            blocks.append(_state_columns(states))
-
-    mode_index: dict[str, int] = {}
-    mode_codes = np.empty(len(steps), dtype=np.int32)
-    for pos, step in enumerate(steps):
-        mode_codes[pos] = mode_index.setdefault(
-            step.planner_mode, len(mode_index)
-        )
-
-    camera_index: dict[str, int] = {}
-    camera_codes: list[int] = []
-    camera_values: list[float] = []
-    camera_offsets = np.zeros(len(steps) + 1, dtype=np.int64)
-    for pos, step in enumerate(steps):
-        for camera, value in step.camera_fprs.items():
-            camera_codes.append(
-                camera_index.setdefault(camera, len(camera_index))
-            )
-            camera_values.append(value)
-        camera_offsets[pos + 1] = len(camera_codes)
-
-    columns = {
-        "times": np.array([step.time for step in steps], dtype=float),
-        "ego": _state_columns([step.ego for step in steps]),
-        "actor_masks": masks,
-        "actor_columns": (
-            np.concatenate(blocks, axis=1)
-            if blocks
-            else np.zeros((5, 0), dtype=float)
+    return {
+        "scenario": scenario,
+        "dt": dt,
+        "nominal_fpr": nominal_fpr,
+        "seed": seed,
+        "ego_spec": _spec_to_dict(
+            ego_spec if ego_spec is not None else VehicleSpec()
         ),
-        "mode_codes": mode_codes,
-        "camera_codes": np.array(camera_codes, dtype=np.int32),
-        "camera_values": np.array(camera_values, dtype=float),
-        "camera_offsets": camera_offsets,
+        "actor_specs": {
+            actor_id: _spec_to_dict(spec)
+            for actor_id, spec in (actor_specs or {}).items()
+        },
+        "metadata": metadata if metadata else {},
+        "collisions": [
+            {"time": event.time, "actor_id": event.actor_id}
+            for event in collisions
+        ],
     }
-    return (
-        columns, tuple(order), offsets, tuple(mode_index), tuple(camera_index)
-    )
 
 
-def _check_actor_ids(mapping: Mapping, kind: str = "actor id") -> None:
-    """Reject non-string keys before JSON would silently stringify them."""
-    for key in mapping:
-        if not isinstance(key, str):
-            raise TraceError(
-                f"trace {kind}s must be strings, got {key!r} "
-                f"({type(key).__name__}); JSON round-trips would "
-                "silently convert it"
-            )
+def _check_id(key: object, kind: str = "actor id") -> None:
+    """Reject a non-string id before JSON would silently stringify it."""
+    if not isinstance(key, str):
+        raise TraceError(
+            f"trace {kind}s must be strings, got {key!r} "
+            f"({type(key).__name__}); JSON round-trips would "
+            "silently convert it"
+        )
 
 
 def _canonical_metadata(value: object, where: str) -> object:
@@ -566,17 +645,15 @@ def _canonical_metadata(value: object, where: str) -> object:
     )
 
 
-def _state_columns(states: Sequence[VehicleState]) -> np.ndarray:
-    return np.array(
-        [
-            [s.position.x for s in states],
-            [s.position.y for s in states],
-            [s.heading for s in states],
-            [s.speed for s in states],
-            [s.accel for s in states],
-        ],
-        dtype=float,
-    )
+def _state_row(state: VehicleState) -> tuple[float, ...]:
+    """A state's column entries: x, y, heading, speed, accel."""
+    position = state.position
+    return position.x, position.y, state.heading, state.speed, state.accel
+
+
+def _row_columns(rows: Sequence[tuple[float, ...]]) -> np.ndarray:
+    """:func:`_state_row` rows as a C-ordered ``(5, len(rows))`` block."""
+    return np.ascontiguousarray(np.array(rows, dtype=float).reshape(-1, 5).T)
 
 
 def _state_at(columns: np.ndarray, col: int) -> VehicleState:

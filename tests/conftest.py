@@ -6,6 +6,8 @@ session-scoped traces instead of re-running scenarios per test.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,36 @@ def _columns_equal(a: ScenarioTrace, b: ScenarioTrace) -> bool:
 def columns_equal():
     """The bit-exact trace comparison (session scope suits hypothesis)."""
     return _columns_equal
+
+
+def _producers_agree(trace: ScenarioTrace) -> bool:
+    """Whether a simulated trace's columns are also what its steps record.
+
+    The simulator records columns directly and builds its steps only on
+    demand; a trace constructed from those steps and the steps' JSON
+    round trip must record the same columns and vocabularies.
+    """
+    from_steps = ScenarioTrace(
+        scenario=trace.scenario,
+        dt=trace.dt,
+        steps=trace.steps,
+        collisions=trace.collisions,
+        nominal_fpr=trace.nominal_fpr,
+        seed=trace.seed,
+        ego_spec=trace.ego_spec,
+        actor_specs=trace.actor_specs,
+        metadata=trace.metadata,
+    )
+    from_json = ScenarioTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
+    return _columns_equal(trace, from_steps) and _columns_equal(
+        trace, from_json
+    )
+
+
+@pytest.fixture(scope="session")
+def producers_agree():
+    """The simulator-vs-step-producers column check."""
+    return _producers_agree
 
 
 @pytest.fixture(scope="session")

@@ -83,16 +83,20 @@ class TestSafetyCheckAlarms:
         assert "front_120" in cameras
 
 
+@pytest.fixture(scope="module")
+def prioritized_run():
+    scenario = build_scenario("cut_out_fast", seed=0)
+    prioritizer = WorkPrioritizer(
+        total_budget=36.0, cameras=("front_120", "left", "right")
+    )
+    system = make_system(scenario, prioritizer=prioritizer)
+    return scenario.run(fpr=12.0, hooks=[system])
+
+
 @pytest.mark.slow
 class TestWorkPrioritization:
-    def test_rates_reallocated_toward_front(self):
-        scenario = build_scenario("cut_out_fast", seed=0)
-        prioritizer = WorkPrioritizer(
-            total_budget=36.0, cameras=("front_120", "left", "right")
-        )
-        system = make_system(scenario, prioritizer=prioritizer)
-        trace = scenario.run(fpr=12.0, hooks=[system])
-
+    def test_rates_reallocated_toward_front(self, prioritized_run):
+        trace = prioritized_run
         front_rates = [
             step.camera_fprs["front_120"] for step in trace.steps
         ]
@@ -101,6 +105,15 @@ class TestWorkPrioritization:
         # the uniform 12 FPR while a side camera gave rates up.
         assert max(front_rates) > 14.0
         assert min(left_rates) < 10.0
+
+    def test_recorded_rates_equal_step_producers(
+        self, prioritized_run, producers_agree
+    ):
+        # The simulator records each step's camera rates after the hooks
+        # retuned them; the step objects must carry the same rates.
+        trace = prioritized_run
+        assert len(set(trace.columns["camera_values"].tolist())) > 2
+        assert producers_agree(trace)
 
     def test_budget_respected_each_step(self):
         scenario = build_scenario("cut_in", seed=0)

@@ -31,9 +31,12 @@ from repro.core.rng import (
     counter_normal,
     counter_uniform,
     derive_seed,
+    hash_normal,
+    hash_uniform,
     stable_key,
     time_key,
 )
+from repro.perception.detection import _NOISE_STREAMS, KeyWords
 from repro.perception.noise import PerceptionNoise
 
 #: Hypothesis-heavy module: deselect locally with ``-m "not slow"``.
@@ -169,6 +172,60 @@ class TestStreamIndependence:
         }
         assert len(children) == 12
         assert seed not in children
+
+
+class TestMemoizedPairHash:
+    """``KeyWords.pair_hash`` draws equal the counter draws, bit for bit.
+
+    The detection batch hashes each capture instant's (camera, actor)
+    pairs through a per-run memo of the time-free key parts; its draws
+    must equal ``counter_normal`` / ``counter_uniform`` over the same
+    keys. One memo serves two seeds and two camera subsets, so a memo
+    keyed on ids but not on the seed would hand the second seed the
+    first seed's draws.
+    """
+
+    @relaxed
+    @given(
+        root_seeds=st.lists(seeds, min_size=2, max_size=2, unique=True),
+        cameras=st.lists(actor_ids, min_size=2, max_size=5, unique=True),
+        actors=st.lists(actor_ids, min_size=1, max_size=8, unique=True),
+        times=st.lists(
+            st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=3
+        ),
+        pair_seed=seeds,
+    )
+    def test_memo_equals_counter_draws(
+        self, root_seeds, cameras, actors, times, pair_seed
+    ):
+        words = KeyWords()
+        pick = np.random.default_rng(pair_seed)
+        actor_words = np.array([stable_key(a) for a in actors], dtype=np.uint64)
+        for seed in root_seeds:
+            for subset in (cameras, cameras[::-1][:2]):
+                camera_words = np.array(
+                    [stable_key(c) for c in subset], dtype=np.uint64
+                )
+                for t in times:
+                    pairs = int(pick.integers(1, 13))
+                    rows = pick.integers(0, len(subset), pairs)
+                    kept = pick.integers(0, len(actors), pairs)
+                    keys = (camera_words[rows], time_key(t), actor_words[kept])
+                    memo = (subset, rows, t, actors, kept)
+                    # Both noise axes: the (2, 1) stream column broadcast
+                    # against the pairs.
+                    normal = hash_normal(
+                        words.pair_hash(seed, _NOISE_STREAMS, *memo)
+                    )
+                    expected = counter_normal(seed, _NOISE_STREAMS, *keys)
+                    assert normal.shape == (2, pairs)
+                    assert normal.tobytes() == expected.tobytes()
+                    uniform = hash_uniform(
+                        words.pair_hash(seed, STREAM_MISS, *memo)
+                    )
+                    expected = counter_uniform(seed, STREAM_MISS, *keys)
+                    assert uniform.shape == (pairs,)
+                    assert uniform.tobytes() == expected.tobytes()
 
 
 class TestDistributionSmoke:

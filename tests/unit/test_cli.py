@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from repro import build_scenario
 from repro.cli import build_parser, main
+from repro.sim.trace import ScenarioTrace
 
 
 class TestParser:
@@ -112,6 +114,23 @@ class TestCommands:
         assert path.exists()
         out = capsys.readouterr().out
         assert "max estimated FPR" in out
+
+    @pytest.mark.slow
+    def test_collided_run_still_saves_trace(
+        self, tmp_path, capsys, columns_equal
+    ):
+        path = tmp_path / "collided.json"
+        code = main(
+            ["run", "cut_out", "--fpr", "1", "--save-trace", str(path)]
+        )
+        assert code == 1
+        assert "collision: True" in capsys.readouterr().out
+        # The simulator's steps are built lazily from its columns; their
+        # JSON export reloads to the same columns.
+        assert columns_equal(
+            ScenarioTrace.load_json(path),
+            build_scenario("cut_out", seed=0).run(fpr=1),
+        )
 
     @pytest.mark.slow
     def test_mrf_command(self, capsys):

@@ -1,13 +1,18 @@
 """Per-frame detection: FOV, occlusion, noise, misses."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import ConfigurationError
+from repro.geometry.fov import AngularSector
+from repro.geometry.transforms import Frame2
 from repro.geometry.vec import Vec2
 from repro.core.rng import stable_key
 from repro.perception.detection import DetectionModel, KeyWords
-from repro.perception.sensor import default_rig
+from repro.perception.sensor import Camera, default_rig
 
 
 def vstate(x: float, y: float = 0.0, speed: float = 10.0) -> VehicleState:
@@ -149,12 +154,6 @@ class TestBatchedFrames:
     def test_each_camera_occludes_from_its_own_eye(self):
         # Two cameras 10 m apart: the blocker hides the target from one
         # eye only, so a batch must ray-cast each row from its camera.
-        import math
-
-        from repro.geometry.fov import AngularSector
-        from repro.geometry.transforms import Frame2
-        from repro.perception.sensor import Camera
-
         fov = AngularSector(0.0, math.radians(120.0), 100.0)
         cameras = [
             Camera("north", Frame2(Vec2(0.0, 5.0), 0.0), fov),
@@ -207,6 +206,98 @@ class TestBatchedFrames:
         frames = model.detect_frames(rig.cameras, vstate(0), 0.0, {}, seed=0)
         assert [f.detections for f in frames] == [()] * len(rig)
         assert model.detect_frames((), vstate(0), 0.0, self.SCENE, 0) == []
+
+
+class TestStackedGate:
+    """The stacked FOV gate equals the scalar sector test, per sector shape.
+
+    ``detect_frames`` gates every camera at once with per-row sector
+    constants; each frame's ``in_view`` must still be exactly the actors
+    ``AngularSector.contains_local`` admits in that camera's frame.
+    """
+
+    # The sector shapes of test_fov.py::TestBatchMembership: narrow,
+    # wide, side-facing, rear-facing (wrapping pi), 359.99 degrees and a
+    # full circle.
+    SECTORS = [
+        AngularSector(0.0, math.radians(60), 100.0),
+        AngularSector(0.0, math.radians(120), 100.0),
+        AngularSector(math.radians(90), math.radians(120), 100.0),
+        AngularSector(math.pi, math.radians(120), 120.0),
+        AngularSector(math.radians(-45), math.radians(359.99), 50.0),
+        AngularSector(0.3, 2 * math.pi, 80.0),
+    ]
+    MOUNTS = [
+        Frame2(Vec2(1.5, 0.0), 0.0),
+        Frame2(Vec2(0.5, 0.9), math.radians(30)),
+        Frame2(Vec2(0.5, -0.9), math.radians(-90)),
+        Frame2(Vec2(-2.0, 0.0), math.radians(180)),
+        Frame2(Vec2(0.0, 0.4), math.radians(45)),
+        Frame2(Vec2(-1.0, -0.5), math.radians(-150)),
+    ]
+    EGO = VehicleState(Vec2(4.0, -3.0), 0.3, 10.0, 0.0)
+
+    def _cameras(self):
+        return [
+            Camera(f"cam{index}", mount, sector)
+            for index, (mount, sector) in enumerate(
+                zip(self.MOUNTS, self.SECTORS)
+            )
+        ]
+
+    def _points(self, cameras):
+        # The batch-membership grid, then every sector's boundary points
+        # (edges, range and the eye itself) placed through its camera.
+        values = np.linspace(-130.0, 130.0, 27)
+        points = [Vec2(float(x), float(y)) for x in values for y in values]
+        for camera in cameras:
+            frame = camera.world_frame(self.EGO)
+            sector = camera.fov
+            half = sector.opening_angle / 2.0
+            bearings = [
+                sector.center_bearing + side * (half + delta)
+                for side in (-1.0, 1.0)
+                for delta in (-math.radians(1e-3), 0.0, math.radians(1.0))
+            ] + [sector.center_bearing]
+            ranges = [
+                sector.max_range * 0.5,
+                sector.max_range - 1e-3,
+                sector.max_range,
+                sector.max_range + 1e-3,
+            ]
+            points += [
+                frame.to_world(Vec2.from_polar(r, b))
+                for b in bearings
+                for r in ranges
+            ]
+            points.append(frame.origin)
+        return points
+
+    @pytest.mark.parametrize("occlusion", [True, False])
+    def test_in_view_equals_scalar_membership(self, occlusion):
+        cameras = self._cameras()
+        points = self._points(cameras)
+        model = DetectionModel(position_noise=0.0, occlusion=occlusion)
+        in_view = {camera.name: set() for camera in cameras}
+        # In-view membership is per actor, so chunks keep the occlusion
+        # test's (rows, blockers) tables small.
+        for lo in range(0, len(points), 64):
+            scene = {
+                f"p{index}": (VehicleState(point, 0.0, 0.0), SPEC)
+                for index, point in enumerate(points[lo:lo + 64], start=lo)
+            }
+            for frame in model.detect_frames(
+                cameras, self.EGO, 0.0, scene, seed=0
+            ):
+                in_view[frame.camera] |= frame.in_view
+        for camera in cameras:
+            frame = camera.world_frame(self.EGO)
+            expected = {
+                f"p{index}"
+                for index, point in enumerate(points)
+                if camera.fov.contains_local(frame.to_local(point))
+            }
+            assert in_view[camera.name] == expected, camera.fov
 
 
 class TestMissRate:
