@@ -53,6 +53,7 @@ from repro.batch.results import CampaignResult, CampaignWriter, RunSummary
 from repro.core.evaluator import (
     OfflineEvaluator,
     TraceJob,
+    TraceSamples,
     evaluate_trace_block,
     presample_trace,
 )
@@ -62,6 +63,14 @@ from repro.sim.trace import ScenarioTrace
 
 #: Called after each completed run with (done, total, summary).
 ProgressHook = Callable[[int, int, RunSummary], None]
+
+#: A clean cell awaiting evaluation: (position in the block, its specs,
+#: the built scenario, its trace, the trace's one presampling).
+_Survivor = tuple[int, Sequence[RunSpec], object, ScenarioTrace, TraceSamples]
+
+#: Cap on simultaneously submitted tasks of a parallel run (bounds the
+#: executor's memory, and the ordered sink's buffer, on large grids).
+_MAX_PENDING = 256
 
 
 def _failure_summary(
@@ -200,15 +209,15 @@ def _success_summary(spec: RunSpec, series, trace) -> RunSummary:
 
 
 def _evaluate_cell(
-    specs: Sequence[RunSpec], built, trace
+    specs: Sequence[RunSpec], built, trace, samples: TraceSamples
 ) -> list[RunSummary]:
     """Evaluate a clean cell's trace per variant (per-cell path).
 
     Offline variants run the :class:`OfflineEvaluator`, online ones
-    :meth:`OnlineEstimator.replay` at the stride as the period.
+    :meth:`OnlineEstimator.replay` at the stride as the period, all on
+    the cell's one presampling.
     """
     summaries = []
-    samples = None  # strides are cell-uniform: one sampling per cell
     for spec in specs:
         try:
             if spec.predictor is not None:
@@ -219,12 +228,8 @@ def _evaluate_cell(
                     road=built.road,
                     backend=spec.backend,
                     noise=spec.noise,
-                ).replay(trace, period=spec.stride)
+                ).replay(trace, period=spec.stride, samples=samples)
             else:
-                if samples is None:
-                    samples = presample_trace(
-                        trace, spec.stride, noise=spec.noise
-                    )
                 series = OfflineEvaluator(
                     params=spec.resolved_params(),
                     road=built.road,
@@ -321,7 +326,7 @@ def _execute_cells(
     """The cell block both grid kinds' tasks run (see
     :func:`execute_supercell`); ``simulate=False`` only loads traces."""
     results: list[list[RunSummary]] = [[] for _ in cells]
-    survivors: list[tuple[int, Sequence[RunSpec], object, object]] = []
+    survivors: list[_Survivor] = []
     opened: list[ScenarioTrace] = []
     try:
         for pos, specs in enumerate(cells):
@@ -336,10 +341,12 @@ def _execute_cells(
             early, built, trace = _cell_trace(specs, store, simulate)
             if trace is not None:
                 opened.append(trace)
+            if early is None:
+                early, samples = _cell_samples(specs, trace)
             if early is not None:
                 results[pos] = early
             else:
-                survivors.append((pos, specs, built, trace))
+                survivors.append((pos, specs, built, trace, samples))
         _evaluate_supercell(results, survivors)
     finally:
         # Drop block-local views before closing the traces' columns.
@@ -349,13 +356,31 @@ def _execute_cells(
     return [summary for cell_result in results for summary in cell_result]
 
 
+def _cell_samples(
+    specs: Sequence[RunSpec], trace
+) -> tuple[list[RunSummary] | None, TraceSamples | None]:
+    """``(early, samples)``: a clean cell's one presampling, which all
+    its variants read (strides and noise are cell-uniform), or the
+    per-variant failures when presampling raises."""
+    try:
+        return None, presample_trace(
+            trace, specs[0].stride, noise=specs[0].noise
+        )
+    except Exception as exc:  # noqa: BLE001 - per-cell failure capture
+        error = f"{type(exc).__name__}: {exc}"
+        return [
+            _failure_summary(spec, error, duration=trace.duration)
+            for spec in specs
+        ], None
+
+
 def _offline(specs: Sequence[RunSpec]) -> list[RunSpec]:
     return [spec for spec in specs if spec.predictor is None]
 
 
 def _evaluate_supercell(
     results: list[list[RunSummary]],
-    survivors: list[tuple[int, Sequence[RunSpec], object, object]],
+    survivors: list[_Survivor],
 ) -> None:
     """Evaluate a block's clean traces into ``results``.
 
@@ -372,7 +397,7 @@ def _evaluate_supercell(
             return None
         return [spec.resolved_params() for spec in offline], offline[0].stride
 
-    keys = [block_key(specs) for _, specs, _, _ in survivors]
+    keys = [block_key(specs) for _, specs, _, _, _ in survivors]
     lead = next((key for key in keys if key is not None), None)
     block = [
         entry
@@ -380,9 +405,9 @@ def _evaluate_supercell(
         if lead is not None and key == lead
     ]
     solved = _solve_block(block, *lead) if block else {}
-    for pos, specs, built, trace in survivors:
+    for pos, specs, built, trace, samples in survivors:
         if pos not in solved:
-            results[pos] = _evaluate_cell(specs, built, trace)
+            results[pos] = _evaluate_cell(specs, built, trace, samples)
             continue
         offline = iter(solved[pos])
         online = iter(
@@ -390,6 +415,7 @@ def _evaluate_supercell(
                 [spec for spec in specs if spec.predictor is not None],
                 built,
                 trace,
+                samples,
             )
         )
         results[pos] = [
@@ -399,7 +425,7 @@ def _evaluate_supercell(
 
 
 def _solve_block(
-    block: list[tuple[int, Sequence[RunSpec], object, object]],
+    block: list[_Survivor],
     variants: list,
     stride: float,
 ) -> dict[int, list[RunSummary]]:
@@ -411,11 +437,11 @@ def _solve_block(
         jobs = [
             TraceJob(
                 trace=trace,
-                samples=presample_trace(trace, stride, noise=specs[0].noise),
+                samples=samples,
                 l0=trace.default_l0(),
                 road=built.road,
             )
-            for _, specs, built, trace in block
+            for _, _, built, trace, samples in block
         ]
         rows = evaluate_trace_block(jobs, variants, stride)
         return {
@@ -423,15 +449,15 @@ def _solve_block(
                 _success_summary(spec, series, trace)
                 for spec, series in zip(_offline(specs), row)
             ]
-            for (pos, specs, _, trace), row in zip(block, rows)
+            for (pos, specs, _, trace, _), row in zip(block, rows)
         }
     except Exception:  # noqa: BLE001 - block-level failure capture
         # A block kernel error retries the cells per variant, which
         # keeps per-variant failure granularity instead of failing the
         # whole block.
         return {
-            pos: _evaluate_cell(_offline(specs), built, trace)
-            for pos, specs, built, trace in block
+            pos: _evaluate_cell(_offline(specs), built, trace, samples)
+            for pos, specs, built, trace, samples in block
         }
 
 
@@ -489,9 +515,9 @@ class _OrderedSink:
     until every earlier index in the sequence has been written, keeping
     the on-disk line order deterministic (and hence resumable files
     byte-comparable to uninterrupted ones). The buffer is bounded by
-    the executor's admission control: at most ``max_pending`` tasks
+    the executor's admission control: at most ``_MAX_PENDING`` tasks
     are in flight, each completing at most ``supercell x variants``
-    summaries, so no more than ``max_pending x supercell x variants``
+    summaries, so no more than ``_MAX_PENDING x supercell x variants``
     summaries ever wait here for an earlier index. Each written line
     is counted on the run's :class:`RunClock`.
     """
@@ -535,8 +561,6 @@ class CampaignRunner:
 
     Attributes:
         workers: 1 runs in-process; N > 1 fans out over N processes.
-        max_pending: cap on simultaneously submitted tasks (bounds the
-            executor's memory on very large grids).
         supercell: on the ``"crosstrace"`` backend, how many cells one
             block task evaluates together through the shared
             cross-trace kernels. 1 is per-cell execution, which the
@@ -554,7 +578,6 @@ class CampaignRunner:
     """
 
     workers: int = 1
-    max_pending: int = 256
     supercell: int = 4
     store: "TraceStore | None" = None
 
@@ -563,8 +586,6 @@ class CampaignRunner:
             raise ConfigurationError(
                 f"worker count must be at least 1, got {self.workers}"
             )
-        if self.max_pending < 1:
-            raise ConfigurationError("max_pending must be at least 1")
         if self.supercell < 1:
             raise ConfigurationError("supercell must be at least 1")
 
@@ -820,7 +841,7 @@ class CampaignRunner:
         pending: dict = {}
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             while queue or pending:
-                while queue and len(pending) < self.max_pending:
+                while queue and len(pending) < _MAX_PENDING:
                     execute, work, flat = queue.pop()
                     pending[pool.submit(execute, work)] = flat
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)

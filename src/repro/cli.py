@@ -173,6 +173,12 @@ def _print_campaign_result(
     return 1 if result.failures() else 0
 
 
+#: Estimation settings a recorded campaign file fixes.
+_RECORDED_SETTINGS = (
+    "stride", "backend", "miss_rate", "position_noise", "noise_seed",
+)
+
+
 def _store(args: argparse.Namespace):
     """The campaign's :class:`~repro.store.TraceStore`, if one was asked
     for. Constructed lazily so ``repro campaign`` without ``--store``
@@ -183,6 +189,15 @@ def _store(args: argparse.Namespace):
     from repro.store import TraceStore
 
     return TraceStore(args.store)
+
+
+def _flags_given(
+    args: argparse.Namespace, command: list[str], names: tuple[str, ...]
+) -> bool:
+    """Whether any of ``names`` differs from its default in ``command``:
+    the settings a recorded file fixes, which a flag may not override."""
+    defaults = build_parser().parse_args(command)
+    return any(getattr(args, name) != getattr(defaults, name) for name in names)
 
 
 def _load_fuzz_archives(paths) -> int | None:
@@ -235,15 +250,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
 
     if args.resume:
-        parser_defaults = build_parser().parse_args(["campaign"])
-        grid_flags_given = (
-            args.seeds != parser_defaults.seeds
-            or args.fprs != parser_defaults.fprs
-            or args.stride != parser_defaults.stride
-            or args.backend != parser_defaults.backend
-            or args.miss_rate != parser_defaults.miss_rate
-            or args.position_noise != parser_defaults.position_noise
-            or args.noise_seed != parser_defaults.noise_seed
+        grid_flags_given = _flags_given(
+            args, ["campaign"], ("seeds", "fprs", *_RECORDED_SETTINGS)
         )
         if args.scenarios or args.shard or args.out or grid_flags_given:
             print(
@@ -419,6 +427,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     if args.resume and not args.out:
         print("error: --resume needs --out", file=sys.stderr)
+        return 2
+
+    if args.from_campaign and _flags_given(
+        args, ["replay", "--store", args.store], _RECORDED_SETTINGS
+    ):
+        print(
+            "error: --from-campaign takes the stride, backend and noise "
+            "from the recorded campaign; drop --stride, --backend, "
+            "--miss-rate, --position-noise and --noise-seed",
+            file=sys.stderr,
+        )
         return 2
 
     try:

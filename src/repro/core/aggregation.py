@@ -81,11 +81,11 @@ def _validated_row_weights(
 class Aggregator(Protocol):
     """Reduces per-trajectory latencies to one per-actor latency.
 
-    Implementations may additionally provide ``aggregate_rows`` — the
-    Equation 4 reduction vectorized over a ``(rows, hypotheses)`` batch
-    with an ``active`` mask (the batched replay's whole-trace
-    aggregation). The three built-in aggregators do; consumers fall
-    back to a per-row :meth:`aggregate` loop otherwise.
+    :meth:`aggregate` reduces one actor's futures at one tick (the live
+    estimate and the scalar replay); :meth:`aggregate_rows` is the same
+    reduction vectorized over a trace's rows, which a replay on a
+    vectorized backend requires — one lacking it refuses such a replay
+    rather than loop :meth:`aggregate` per row.
     """
 
     def aggregate(
@@ -94,6 +94,19 @@ class Aggregator(Protocol):
         probabilities: Sequence[float] | None = None,
     ) -> float:
         """The aggregated tolerable latency in seconds."""
+        ...
+
+    def aggregate_rows(
+        self,
+        latencies: np.ndarray,
+        probabilities: np.ndarray,
+        active: np.ndarray,
+    ) -> np.ndarray:
+        """Equation 4 over ``(rows, hypotheses)`` matrices, per row.
+
+        Row ``r`` reduces the entries where ``active[r]`` holds, with
+        the same value :meth:`aggregate` returns for them.
+        """
         ...
 
 

@@ -15,14 +15,15 @@ columns and Figures 4-6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.ego_profile import EgoMotion
-from repro.core.engine import LatencyEngine
+from repro.core.engine import LatencyEngine, TraceGrid
 from repro.core.fpr import CameraEstimate, estimate_camera_fprs
-from repro.core.latency import BACKENDS, LatencySearch
+from repro.core.latency import BACKENDS, LatencyResult, LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import EgoPathRows, ThreatAssessor
 from repro.errors import EstimationError
@@ -43,6 +44,27 @@ class EvaluationTick:
     actor_latencies: Mapping[str, float | None]
     ego_speed: float
     ego_accel: float
+
+    @classmethod
+    def at(
+        cls,
+        time: float,
+        ego_state,
+        actor_latencies: Mapping[str, float | None],
+        visibility: Mapping[str, Sequence[Hashable]],
+        params: ZhuyiParams,
+    ) -> EvaluationTick:
+        """The Equation 5 rollup of one instant — the one tick builder
+        of the offline loop and block, the live estimate and the replay."""
+        return cls(
+            time=time,
+            camera_estimates=estimate_camera_fprs(
+                actor_latencies, visibility, params
+            ),
+            actor_latencies=actor_latencies,
+            ego_speed=ego_state.speed,
+            ego_accel=ego_state.accel,
+        )
 
     def fpr(self, camera: str) -> float:
         """The FPR estimate for one camera at this tick."""
@@ -129,10 +151,11 @@ class TraceSamples:
 
     Everything here is a pure function of (trace, stride) — the Zhuyi
     constants never enter the sampling — so one :class:`TraceSamples`
-    can be shared across every ``ZhuyiParams`` variant evaluated on the
-    same trace (the batch campaign's cross-variant cache). Build with
+    can be shared across every variant evaluated on the same trace
+    (the batch campaign's cross-variant cache). Build with
     :func:`presample_trace`; feed to :meth:`OfflineEvaluator.evaluate`
-    via its ``samples`` argument.
+    or :meth:`repro.core.online.OnlineEstimator.replay` via their
+    ``samples`` argument.
 
     Attributes:
         stride: evaluation period the samples were taken at (seconds).
@@ -143,8 +166,7 @@ class TraceSamples:
             needed by the threat assessor for future lookups.
         actor_positions: per-actor ``(xs, ys)`` position arrays at each
             tick — the same floats as ``actor_states`` positions, kept
-            in array form for the batched visibility tables. ``None``
-            on hand-built samples; the evaluator re-derives them.
+            in array form for the batched visibility tables.
         detected: per-actor boolean detection masks over the ticks when
             the samples carry injected perception noise (an undetected
             tick contributes neither a latency demand nor a visible
@@ -160,9 +182,22 @@ class TraceSamples:
     ego_states: Sequence
     actor_states: Mapping[str, Sequence]
     actor_trajectories: Mapping[str, object]
-    actor_positions: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None
+    actor_positions: Mapping[str, tuple[np.ndarray, np.ndarray]]
     detected: Mapping[str, np.ndarray] | None = None
     noise: PerceptionNoise | None = None
+
+    def check(self, stride: float, noise: PerceptionNoise | None) -> None:
+        """Raise :class:`EstimationError` unless these samples were drawn
+        at ``stride`` under ``noise`` (a cache never crosses settings)."""
+        if abs(self.stride - stride) > 1e-12:
+            raise EstimationError(
+                f"presampled stride {self.stride} does not match stride "
+                f"{stride}"
+            )
+        if self.noise != effective_noise(noise):
+            raise EstimationError(
+                f"presampled noise {self.noise} does not match noise {noise}"
+            )
 
 
 def effective_noise(noise: PerceptionNoise | None) -> PerceptionNoise | None:
@@ -319,16 +354,8 @@ class OfflineEvaluator:
 
         if samples is None:
             samples = presample_trace(trace, self.stride, noise=self.noise)
-        elif abs(samples.stride - self.stride) > 1e-12:
-            raise EstimationError(
-                f"presampled stride {samples.stride} does not match "
-                f"evaluator stride {self.stride}"
-            )
-        elif samples.noise != effective_noise(self.noise):
-            raise EstimationError(
-                f"presampled noise {samples.noise} does not match "
-                f"evaluator noise {self.noise}"
-            )
+        else:
+            samples.check(self.stride, self.noise)
 
         if self.backend != "scalar":
             job = TraceJob(trace=trace, samples=samples, l0=l0, road=self.road)
@@ -426,14 +453,12 @@ class OfflineEvaluator:
                 ego_motion, threat, l0
             ).latency
 
-        visibility = self.rig.visible_actors(ego_state, actor_positions)
-        estimates = estimate_camera_fprs(actor_latencies, visibility, self.params)
-        return EvaluationTick(
-            time=t0,
-            camera_estimates=estimates,
-            actor_latencies=actor_latencies,
-            ego_speed=ego_state.speed,
-            ego_accel=ego_state.accel,
+        return EvaluationTick.at(
+            t0,
+            ego_state,
+            actor_latencies,
+            self.rig.visible_actors(ego_state, actor_positions),
+            self.params,
         )
 
 
@@ -486,9 +511,10 @@ def evaluate_trace_block(
     * within a group, traces sharing ``l0`` stack into one
       :meth:`~repro.core.engine.LatencyEngine.trace_grid` whose tick
       axis concatenates their ego motions. Gates and ego path rows are
-      built once per trace; then, one bounded window of stacked ticks
-      at a time, every gated (trace, tick, actor) row is sampled, tiled
-      once per variant and solved through one
+      built once per trace; then :func:`solve_row_sources` samples
+      every gated (trace, tick, actor) row one bounded window of
+      stacked ticks at a time, tiles it once per variant and solves the
+      window through one
       :meth:`~repro.core.engine.LatencyEngine.solve_rows` call. The
       windows bound the block's peak memory however many traces and
       variants it holds.
@@ -522,22 +548,10 @@ def evaluate_trace_block(
     if not jobs:
         return []
 
-    positions = []
-    for job in jobs:
-        job_positions = job.samples.actor_positions
-        if job_positions is None:
-            job_positions = {
-                actor_id: (
-                    np.array([state.position.x for state in states]),
-                    np.array([state.position.y for state in states]),
-                )
-                for actor_id, states in job.samples.actor_states.items()
-            }
-        positions.append(job_positions)
     visibility_tables = rig.visible_actors_traces(
         [
-            (job.samples.ego_states, job_positions)
-            for job, job_positions in zip(jobs, positions)
+            (job.samples.ego_states, job.samples.actor_positions)
+            for job in jobs
         ],
         detected=[job.samples.detected for job in jobs],
     )
@@ -575,32 +589,26 @@ def evaluate_trace_block(
             samples = job.samples
             order = list(samples.actor_trajectories)
             for v in vlist:
-                params = variants[v]
                 ticks = []
                 for i, t0 in enumerate(samples.times):
                     table = tables[(j, v)][i]
-                    actor_latencies = {
-                        actor_id: table[actor_id]
-                        for actor_id in order
-                        if actor_id in table
-                    }
-                    estimates = estimate_camera_fprs(
-                        actor_latencies, visibility_tables[j][i], params
-                    )
-                    ego_state = samples.ego_states[i]
                     ticks.append(
-                        EvaluationTick(
-                            time=float(t0),
-                            camera_estimates=estimates,
-                            actor_latencies=actor_latencies,
-                            ego_speed=ego_state.speed,
-                            ego_accel=ego_state.accel,
+                        EvaluationTick.at(
+                            float(t0),
+                            samples.ego_states[i],
+                            {
+                                actor_id: table[actor_id]
+                                for actor_id in order
+                                if actor_id in table
+                            },
+                            visibility_tables[j][i],
+                            variants[v],
                         )
                     )
                 output[j][v] = EvaluationSeries(
                     scenario=job.trace.scenario,
                     ticks=ticks,
-                    params=params,
+                    params=variants[v],
                     l0=job.l0,
                 )
     return [list(row) for row in output]
@@ -617,16 +625,13 @@ def _solve_stack(
     """Solve one l0 stack of a variant group into ``tables``.
 
     The jobs' ticks concatenate into one :meth:`LatencyEngine.trace_grid`;
-    rows are sampled and solved one window of stacked ticks at a time,
-    each row repeated once per variant with that variant's c1/c2 as
-    per-row constraint columns. A window's rows are sampled over the
-    master prefix its gated ticks read (their longest ``grid.lengths``
-    entry) plus the ``L`` reactions, not over the whole master grid.
+    each (job, actor) with any gated tick is one source of
+    :func:`solve_row_sources`, sampled through
+    :meth:`ThreatAssessor.sample_threats_trace`, and each solved row
+    stores its ``result.latency`` under every variant of the group.
     """
     gparams = variants[vlist[0]]
     engine = LatencyEngine(params=gparams)
-    c1s = np.array([variants[v].c1 for v in vlist])
-    c2s = np.array([variants[v].c2 for v in vlist])
     motions: list[EgoMotion] = []
     offsets: list[int] = []
     for j in job_indices:
@@ -637,9 +642,10 @@ def _solve_stack(
         )
     grid = engine.trace_grid(motions, l0)
 
-    # Gates and ego path rows once per job: one entry per (job, actor)
+    # Gates and ego path rows once per job: one source per (job, actor)
     # with any gated tick, holding its gated stacked tick indices.
-    gated_actors = []
+    owners: list[tuple[int, str, int]] = []
+    sources = []
     for j, offset in zip(job_indices, offsets):
         job = jobs[j]
         samples = job.samples
@@ -661,64 +667,126 @@ def _solve_stack(
                 gate = gate & samples.detected[actor_id]
             gated = offset + np.flatnonzero(gate)
             if gated.size:
-                gated_actors.append(
-                    (j, offset, assessor, ego_rows, actor_id, trajectory, spec, gated)
+                owners.append((j, actor_id, offset))
+                sources.append(
+                    (
+                        gated,
+                        partial(
+                            _sample_trace_rows,
+                            assessor, job, ego_rows, trajectory, spec, offset,
+                        ),
+                    )
                 )
 
-    n_variants = len(vlist)
-    n_actors = max(len(jobs[j].samples.actor_trajectories) for j in job_indices)
+    solved_rows = solve_row_sources(
+        engine,
+        grid,
+        motions,
+        sources,
+        max(len(jobs[j].samples.actor_trajectories) for j in job_indices),
+        np.array([variants[v].c1 for v in vlist]),
+        np.array([variants[v].c2 for v in vlist]),
+    )
+    for source, ticks, solved in solved_rows:
+        j, actor_id, offset = owners[source]
+        for v, results in zip(vlist, solved):
+            for tick, result in zip(ticks - offset, results):
+                tables[(j, v)][int(tick)][actor_id] = result.latency
+
+
+def _sample_trace_rows(
+    assessor: ThreatAssessor,
+    job: TraceJob,
+    ego_rows: EgoPathRows,
+    trajectory,
+    spec,
+    offset: int,
+    ticks: np.ndarray,
+    rel_times: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One (job, actor) source's rows at stacked ``ticks``."""
+    local = ticks - offset
+    samples = job.samples
+    return assessor.sample_threats_trace(
+        [samples.ego_states[i] for i in local],
+        job.trace.ego_spec,
+        trajectory,
+        spec,
+        samples.times[local],
+        rel_times,
+        ego_rows=EgoPathRows(
+            xs=ego_rows.xs[local],
+            ys=ego_rows.ys[local],
+            s=ego_rows.s[local],
+            d=ego_rows.d[local],
+        ),
+    )
+
+
+def solve_row_sources(
+    engine: LatencyEngine,
+    grid: TraceGrid,
+    motions: Sequence[EgoMotion],
+    sources: Sequence[tuple[np.ndarray, Callable]],
+    rows_per_tick: int,
+    c1s: np.ndarray,
+    c2s: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray, list[list[LatencyResult]]]]:
+    """Solve every gated row of ``sources``, one window of ticks at a time.
+
+    The one vectorized row solver: the offline block feeds it a source
+    per (trace, actor), the online replay one per (actor, prediction
+    hypothesis), and each keeps its own reduction. A source is a pair
+    ``(ticks, sample)``: the sorted stacked ticks its threat is gated
+    at, and ``sample(ticks, rel_times)`` returning its ``(s_n, v_an)``
+    rows at a subset of them.
+
+    A window of stacked ticks holds about ``_ROW_ELEMENTS`` elements at
+    ``rows_per_tick x len(c1s)`` rows of ``T + L`` columns per tick.
+    Its sources sample their ticks over the master prefix the window's
+    ticks read (:meth:`TraceGrid.readable_prefix`) plus the ``L``
+    reactions; each row is tiled once per constraint pair ``(c1s[v],
+    c2s[v])`` into one :meth:`LatencyEngine.solve_rows` call. Rows
+    solve independently: windows bound memory, not results.
+
+    Yields:
+        ``(source, ticks, solved)``: ``source`` indexes ``sources``,
+        ``ticks`` are its ticks in the window and ``solved[v][k]`` the
+        result of ``ticks[k]`` under constraint pair ``v``.
+    """
+    n_variants = len(c1s)
     n_columns = grid.times.size + grid.reactions.size
     window = max(
-        1, int(_ROW_ELEMENTS / (n_columns * max(1, n_actors) * n_variants))
+        1,
+        int(_ROW_ELEMENTS / (n_columns * max(1, rows_per_tick) * n_variants)),
     )
     for start in range(0, len(motions), window):
         stop = start + window
         picked = []
-        for entry in gated_actors:
-            gated = entry[-1]
+        for index, (gated, sample) in enumerate(sources):
             ticks = gated[
                 np.searchsorted(gated, start) : np.searchsorted(gated, stop)
             ]
             if ticks.size:
-                picked.append((entry, ticks))
+                picked.append((index, ticks, sample))
         if not picked:
             continue
-        # Rows carry only the master prefix their ticks read: stacked
-        # traces with shorter horizons than the grid's longest skip the
-        # tail (solve_rows masks it for them anyway).
+        # Rows carry only the master prefix their ticks read: ticks
+        # with shorter horizons than the grid's longest skip the tail
+        # (solve_rows masks it for them anyway).
         prefix = grid.readable_prefix(
-            np.concatenate([ticks for _, ticks in picked])
+            np.concatenate([ticks for _, ticks, _ in picked])
         )
         rel_times = np.concatenate([grid.times[:prefix], grid.reactions])
         tick_chunks: list[np.ndarray] = []
         gap_chunks: list[np.ndarray] = []
         speed_chunks: list[np.ndarray] = []
-        scatter: list[tuple[int, str, int]] = []
-        for (
-            (j, offset, assessor, ego_rows, actor_id, trajectory, spec, _),
-            ticks,
-        ) in picked:
-            local = ticks - offset
-            samples = jobs[j].samples
-            gaps, speeds = assessor.sample_threats_trace(
-                [samples.ego_states[i] for i in local],
-                jobs[j].trace.ego_spec,
-                trajectory,
-                spec,
-                samples.times[local],
-                rel_times,
-                ego_rows=EgoPathRows(
-                    xs=ego_rows.xs[local],
-                    ys=ego_rows.ys[local],
-                    s=ego_rows.s[local],
-                    d=ego_rows.d[local],
-                ),
-            )
+        for _, ticks, sample in picked:
+            gaps, speeds = sample(ticks, rel_times)
             tick_chunks.append(ticks)
             gap_chunks.append(gaps)
             speed_chunks.append(speeds)
-            scatter.extend((j, actor_id, int(i)) for i in local)
-        width = len(scatter)
+        width = sum(ticks.size for ticks in tick_chunks)
         results = engine.solve_rows(
             grid,
             np.concatenate(tick_chunks * n_variants),
@@ -727,7 +795,10 @@ def _solve_stack(
             np.vstack(speed_chunks * n_variants),
             constraints=(np.repeat(c1s, width), np.repeat(c2s, width)),
         )
-        for vi, v in enumerate(vlist):
-            solved = results[vi * width : (vi + 1) * width]
-            for (j, actor_id, tick), result in zip(scatter, solved):
-                tables[(j, v)][tick][actor_id] = result.latency
+        position = 0
+        for index, ticks, _ in picked:
+            starts = np.arange(n_variants) * width + position
+            yield index, ticks, [
+                results[start : start + ticks.size] for start in starts
+            ]
+            position += ticks.size

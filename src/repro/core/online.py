@@ -13,7 +13,7 @@ positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -23,9 +23,10 @@ from repro.core.engine import LatencyEngine
 from repro.core.evaluator import (
     EvaluationSeries,
     EvaluationTick,
+    TraceSamples,
     presample_trace,
+    solve_row_sources,
 )
-from repro.core.fpr import estimate_camera_fprs
 from repro.core.latency import BACKENDS, UNAVOIDABLE_LATENCY, LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import LongitudinalThreat, ThreatAssessor
@@ -34,11 +35,7 @@ from repro.errors import EstimationError
 from repro.perception.noise import PerceptionNoise
 from repro.perception.sensor import CameraRig, default_rig
 from repro.perception.world_model import PerceivedActor, WorldModel
-from repro.prediction.base import (
-    Predictor,
-    TraceHypothesis,
-    predict_trace_via_loop,
-)
+from repro.prediction.base import Predictor
 from repro.road.track import Road
 from repro.sim.trace import ScenarioTrace
 
@@ -81,13 +78,14 @@ class OnlineEstimator:
             from every gap (metres); 0 disables the extension.
         assumed_actor_spec: physical spec attributed to perceived actors
             (the world model carries no extent information).
-        backend: ``"batched"`` (default) and ``"crosstrace"`` solve the
-            tick's full batch — every predicted future of every
-            confirmed actor — in one
-            :class:`repro.core.engine.LatencyEngine` call (one estimator
-            never sees more than one trace, so the two names run the
-            same program); ``"scalar"`` loops the reference search.
-            Bit-identical estimates.
+        backend: ``"batched"`` (default) and ``"crosstrace"`` solve an
+            :meth:`estimate` tick's full batch — every predicted future
+            of every confirmed actor — in one
+            :class:`repro.core.engine.LatencyEngine` call, and
+            :meth:`replay` a whole trace through the offline block's row
+            solver (one estimator never sees more than one trace, so
+            the two names run the same program); ``"scalar"`` loops the
+            reference search. Bit-identical estimates.
         noise: optional stochastic perception injected into
             :meth:`replay` (undetected ticks drop the actor from the
             replayed world model; position noise perturbs the perceived
@@ -126,7 +124,6 @@ class OnlineEstimator:
         ego_spec: VehicleSpec,
         world_model: WorldModel,
         l0: float,
-        visibility: Mapping[str, Sequence[Hashable]] | None = None,
     ) -> EvaluationTick:
         """One online estimation tick.
 
@@ -136,10 +133,6 @@ class OnlineEstimator:
             ego_spec: the ego's physical spec.
             world_model: confirmed perceived actors.
             l0: the perception stack's current processing latency (s).
-            visibility: precomputed Equation 5 FOV grouping for this
-                tick (the :meth:`replay` batch path passes one slice of
-                the trace-level visibility tables); ``None`` groups
-                per-tick through ``rig.visible_actors``.
 
         Returns:
             The same tick structure the offline evaluator produces, so
@@ -198,15 +191,12 @@ class OnlineEstimator:
             if is_threat:
                 actor_latencies[actor_id] = latency
 
-        if visibility is None:
-            visibility = self.rig.visible_actors(ego_state, actor_positions)
-        estimates = estimate_camera_fprs(actor_latencies, visibility, self.params)
-        return EvaluationTick(
-            time=now,
-            camera_estimates=estimates,
-            actor_latencies=actor_latencies,
-            ego_speed=ego_state.speed,
-            ego_accel=ego_state.accel,
+        return EvaluationTick.at(
+            now,
+            ego_state,
+            actor_latencies,
+            self.rig.visible_actors(ego_state, actor_positions),
+            self.params,
         )
 
     def replay(
@@ -214,6 +204,7 @@ class OnlineEstimator:
         trace: ScenarioTrace,
         l0: float | None = None,
         period: float = 0.1,
+        samples: TraceSamples | None = None,
     ) -> EvaluationSeries:
         """Post-deployment replay of a recorded trace.
 
@@ -227,34 +218,49 @@ class OnlineEstimator:
         undetected actors vanish from the replayed world model for that
         tick and perceived positions carry the counter-keyed jitter.
 
-        With ``backend="batched"`` (or ``"crosstrace"``) the whole
-        replay is one array program: the predictor's batch protocol
-        (``predict_trace``) rolls every hypothesis out over all ticks at
-        once, the threat assessor gates and samples each hypothesis'
-        futures batch
-        (:meth:`repro.core.threat.ThreatAssessor.could_collide_futures`
-        / ``sample_threat_futures``), every surviving (tick, actor,
-        hypothesis) row solves through a single
-        :meth:`repro.core.engine.LatencyEngine.trace_grid` +
-        ``solve_rows`` call, Equation 4 aggregates row batches through
-        the aggregator's vectorized path and the Equation 5 FOV
-        grouping comes from one
-        :meth:`repro.perception.sensor.CameraRig.visible_actors_trace`
-        array program. ``"scalar"`` replays the per-tick reference
-        loop. The two are bit-identical; predictors whose output the
-        batch path cannot stack (ragged hypothesis sets) fall back to
-        the per-tick loop.
+        With ``backend="batched"`` (or ``"crosstrace"``) the replay runs
+        on the offline block's row machinery: ``predict_trace`` rolls
+        each hypothesis out over all ticks at once,
+        ``ThreatAssessor.could_collide_futures`` gates the futures, and
+        :func:`repro.core.evaluator.solve_row_sources` samples
+        (``sample_threat_futures``) and solves every gated (tick, actor,
+        hypothesis) row in bounded windows over the master prefix they
+        read. Equation 4 runs through the aggregator's
+        ``aggregate_rows``, Equation 5 through one
+        ``CameraRig.visible_actors_trace`` pass. ``"scalar"`` replays
+        the per-tick reference loop; the two are bit-identical.
 
         Args:
             trace: the recorded closed-loop run.
             l0: processing latency entering the model; defaults to one
                 frame period of the trace's recorded FPR setting.
             period: estimation cadence along the trace (seconds).
+            samples: pre-built :func:`presample_trace` output to reuse
+                (the cross-variant cache); its stride and noise setting
+                must match ``period`` and the estimator's. Omitted, the
+                trace is sampled here.
 
         Returns:
             The replayed tick series (same structure as the offline
             evaluator's output).
+
+        Raises:
+            EstimationError: on a vectorized backend whose predictor has
+                no ``predict_trace`` or whose aggregator has no
+                ``aggregate_rows`` (``backend="scalar"`` replays either),
+                or on ``samples`` taken at another stride or noise.
         """
+        if self._engine is not None:
+            for owner, method in (
+                (self.predictor, "predict_trace"),
+                (self.aggregator, "aggregate_rows"),
+            ):
+                if not hasattr(owner, method):
+                    raise EstimationError(
+                        f"backend {self.backend!r} replays through "
+                        f"{method}, which {type(owner).__name__} lacks; "
+                        'replay it with backend="scalar"'
+                    )
         if l0 is None:
             l0 = trace.default_l0()
         # The offline evaluator's presampler supplies the tick grid and
@@ -262,28 +268,22 @@ class OnlineEstimator:
         # estimator carries a noise model), so replay ticks land on
         # exactly the grid an OfflineEvaluator with stride=period
         # evaluates — and draw the exact same injected perception.
-        samples = presample_trace(trace, period, noise=self.noise)
+        if samples is None:
+            samples = presample_trace(trace, period, noise=self.noise)
+        else:
+            samples.check(period, self.noise)
+        if self._engine is not None:
+            return EvaluationSeries(
+                scenario=trace.scenario,
+                ticks=self._replay_rows(trace, samples, l0),
+                params=self.params,
+                l0=l0,
+            )
+
         times = samples.times
         ego_states = samples.ego_states
         actor_states = samples.actor_states
         detected = samples.detected
-
-        visibility_tables = None
-        if self._engine is not None:
-            visibility_tables = self.rig.visible_actors_trace(
-                ego_states, samples.actor_positions, detected=detected
-            )
-            ticks = self._replay_batched(
-                trace, samples, l0, visibility_tables
-            )
-            if ticks is not None:
-                return EvaluationSeries(
-                    scenario=trace.scenario,
-                    ticks=ticks,
-                    params=self.params,
-                    l0=l0,
-                )
-
         ticks = []
         for i in range(len(times)):
             now = float(times[i])
@@ -312,52 +312,49 @@ class OnlineEstimator:
                     ego_spec=trace.ego_spec,
                     world_model=world,
                     l0=l0,
-                    visibility=(
-                        None
-                        if visibility_tables is None
-                        else visibility_tables[i]
-                    ),
                 )
             )
         return EvaluationSeries(
             scenario=trace.scenario, ticks=ticks, params=self.params, l0=l0
         )
 
-    def _replay_batched(
-        self,
-        trace: ScenarioTrace,
-        samples,
-        l0: float,
-        visibility_tables,
-    ) -> list[EvaluationTick] | None:
-        """The whole-trace replay as one array program.
-
-        Returns the replayed ticks, or ``None`` when the predictor's
-        output cannot be batched (the caller then runs the per-tick
-        reference loop). Every step reuses a kernel whose per-element
-        arithmetic equals the per-tick path's, so the resulting series
-        is bit-identical to the scalar replay:
-
-        1. per-tick :class:`PerceivedActor` views of the recorded states
-           (the same objects the scalar loop feeds :meth:`estimate`);
-        2. hypothesis rollouts for all ticks via the predictor's batch
-           protocol (``predict_trace``, or the stacked per-tick loop);
-        3. collision gates + threat samples per (hypothesis, tick) row
-           through the futures-batch assessor;
-        4. one :meth:`LatencyEngine.trace_grid` + ``solve_rows`` call
-           over every surviving (tick, actor, hypothesis) row (flushed
-           in bounded blocks on traces long enough that holding every
-           row's samples at once would go memory-bound);
-        5. Equation 4 row aggregation (vectorized when the aggregator
-           provides ``aggregate_rows``) and Equation 5 grouping from
-           the precomputed visibility tables.
-        """
+    def _replay_rows(
+        self, trace: ScenarioTrace, samples: TraceSamples, l0: float
+    ) -> list[EvaluationTick]:
+        """The vectorized replay's ticks, bit-identical to the per-tick
+        loop's: every kernel does its per-element arithmetic."""
         times = samples.times
         n_ticks = len(times)
         ego_states = samples.ego_states
+        detected = samples.detected
+        assessor = ThreatAssessor(params=self.params, road=self.road)
+        motions = [
+            EgoMotion.from_state(state.speed, state.accel, self.params)
+            for state in ego_states
+        ]
+        grid = self._engine.trace_grid(motions, l0)
 
-        # 1-2: perceived views + batched hypothesis rollouts per actor.
-        hypotheses_by_actor: dict[str, list[TraceHypothesis]] = {}
+        def sample(hypothesis, ticks, rel_times):
+            """One (actor, hypothesis) source's rows at ``ticks``."""
+            gaps, speeds = assessor.sample_threat_futures(
+                [ego_states[i] for i in ticks],
+                trace.ego_spec,
+                hypothesis.rollout.take(ticks),
+                self.assumed_actor_spec,
+                times[ticks],
+                rel_times,
+            )
+            if self.gap_margin > 0.0:
+                gaps = np.maximum(0.0, gaps - self.gap_margin)
+            return gaps, speeds
+
+        # Per actor, the ticks any hypothesis is gated at; per (actor,
+        # hypothesis), its per-tick latencies, probabilities and active
+        # mask. Solved rows fill the latencies in; gated-out futures
+        # keep the most permissive latency.
+        per_actor: list[tuple[str, np.ndarray, list[tuple]]] = []
+        sources = []
+        slots: list[np.ndarray] = []
         for actor_id, states in samples.actor_states.items():
             actors = [
                 PerceivedActor(
@@ -371,80 +368,11 @@ class OnlineEstimator:
                 )
                 for i, state in enumerate(states)
             ]
-            batch = getattr(self.predictor, "predict_trace", None)
-            if batch is not None:
-                hypotheses = batch(actors, times, self.params.horizon)
-            else:
-                # Probe batchability on a short prefix first: an
-                # unbatchable predictor (ragged output) is detected
-                # after a handful of predict calls instead of after a
-                # full per-tick pass that the fallback loop would then
-                # repeat wholesale.
-                probe = min(4, len(actors))
-                if (
-                    predict_trace_via_loop(
-                        self.predictor,
-                        actors[:probe],
-                        times[:probe],
-                        self.params.horizon,
-                    )
-                    is None
-                ):
-                    return None
-                hypotheses = predict_trace_via_loop(
-                    self.predictor, actors, times, self.params.horizon
-                )
-            if hypotheses is None:
-                return None
-            hypotheses_by_actor[actor_id] = hypotheses
-
-        assessor = ThreatAssessor(params=self.params, road=self.road)
-        ego_motions = [
-            EgoMotion.from_state(state.speed, state.accel, self.params)
-            for state in ego_states
-        ]
-        grid = self._engine.trace_grid(ego_motions, l0)
-        rel_times = np.concatenate([grid.times, grid.reactions])
-
-        # 3: gates + threat-sample rows for every (actor, hypothesis).
-        # Rows accumulate toward one solve_rows call; past the element
-        # budget (~2 x 32 MB of row samples) they flush early so a long
-        # trace never holds every row's samples at once (the same
-        # cache-residency concern the offline evaluator blocks for).
-        row_element_budget = 4_000_000
-        tick_chunks: list[np.ndarray] = []
-        gap_chunks: list[np.ndarray] = []
-        speed_chunks: list[np.ndarray] = []
-        row_slots: list[tuple[np.ndarray, np.ndarray]] = []
-        pending_elements = 0
-
-        def flush_rows() -> None:
-            nonlocal pending_elements
-            if not tick_chunks:
-                return
-            results = self._engine.solve_rows(
-                grid,
-                np.concatenate(tick_chunks),
-                ego_motions,
-                np.vstack(gap_chunks),
-                np.vstack(speed_chunks),
-            )
-            position = 0
-            for latencies, solved_ticks in row_slots:
-                for tick in solved_ticks:
-                    latencies[tick] = results[position].latency_or_zero()
-                    position += 1
-            tick_chunks.clear()
-            gap_chunks.clear()
-            speed_chunks.clear()
-            row_slots.clear()
-            pending_elements = 0
-
-        detected = samples.detected
-        per_actor: list[tuple[str, list[tuple[TraceHypothesis, np.ndarray, np.ndarray, np.ndarray]]]] = []
-        for actor_id, hypotheses in hypotheses_by_actor.items():
+            threat = np.zeros(n_ticks, dtype=bool)
             per_hypothesis = []
-            for hypothesis in hypotheses:
+            for hypothesis in self.predictor.predict_trace(
+                actors, times, self.params.horizon
+            ):
                 # Injected misses drop the actor from the replayed
                 # world model for the tick: its hypotheses go inactive
                 # there, exactly as the scalar loop's skipped upsert
@@ -454,121 +382,74 @@ class OnlineEstimator:
                 if detected is not None:
                     active_mask = active_mask & detected[actor_id]
                 active = np.flatnonzero(active_mask)
-                threat_mask = np.zeros(n_ticks, dtype=bool)
-                # Gated-out futures contribute the most permissive
-                # latency; solved rows overwrite their slots below.
                 latencies = np.full(n_ticks, self.params.l_max)
                 if active.size:
-                    rollout = hypothesis.rollout.take(active)
                     gates = assessor.could_collide_futures(
                         [ego_states[i] for i in active],
                         trace.ego_spec,
-                        rollout,
+                        hypothesis.rollout.take(active),
                         self.assumed_actor_spec,
                         times[active],
                     )
-                    solved_ticks = active[gates]
-                    threat_mask[solved_ticks] = True
-                    if solved_ticks.size:
-                        gaps, speeds = assessor.sample_threat_futures(
-                            [ego_states[i] for i in solved_ticks],
-                            trace.ego_spec,
-                            hypothesis.rollout.take(solved_ticks),
-                            self.assumed_actor_spec,
-                            times[solved_ticks],
-                            rel_times,
-                        )
-                        if self.gap_margin > 0.0:
-                            gaps = np.maximum(0.0, gaps - self.gap_margin)
-                        tick_chunks.append(solved_ticks)
-                        gap_chunks.append(gaps)
-                        speed_chunks.append(speeds)
-                        row_slots.append((latencies, solved_ticks))
-                        pending_elements += gaps.size
-                        if pending_elements >= row_element_budget:
-                            flush_rows()
+                    gated = active[gates]
+                    threat[gated] = True
+                    if gated.size:
+                        sources.append((gated, partial(sample, hypothesis)))
+                        slots.append(latencies)
                 per_hypothesis.append(
-                    (hypothesis, active_mask, threat_mask, latencies)
+                    (latencies, hypothesis.probabilities, active_mask)
                 )
-            per_actor.append((actor_id, per_hypothesis))
+            per_actor.append((actor_id, threat, per_hypothesis))
 
-        # 4: every remaining (tick, actor, hypothesis) row through one
-        # kernel call (the whole replay, unless the budget flushed).
-        flush_rows()
+        solved_rows = solve_row_sources(
+            self._engine,
+            grid,
+            motions,
+            sources,
+            len(sources),
+            np.array([self.params.c1]),
+            np.array([self.params.c2]),
+        )
+        for source, ticks, (solved,) in solved_rows:
+            slots[source][ticks] = [
+                result.latency_or_zero() for result in solved
+            ]
 
-        # 5: Equation 4 across hypotheses, then Equation 5 per tick.
+        # Equation 4 across hypotheses, then Equation 5 per tick.
         actor_latencies: list[dict[str, float | None]] = [
             {} for _ in range(n_ticks)
         ]
-        for actor_id, per_hypothesis in per_actor:
-            if not per_hypothesis:
-                # A predictor may deem an actor irrelevant (no futures
-                # at any tick): not a threat, like the scalar loop.
-                continue
-            latencies = np.stack(
-                [values for _, _, _, values in per_hypothesis], axis=1
-            )
-            probabilities = np.stack(
-                [h.probabilities for h, _, _, _ in per_hypothesis], axis=1
-            )
-            active = np.stack(
-                [mask for _, mask, _, _ in per_hypothesis], axis=1
-            )
-            threat = np.stack(
-                [mask for _, _, mask, _ in per_hypothesis], axis=1
-            )
-            rows = np.flatnonzero(threat.any(axis=1))
+        for actor_id, threat, per_hypothesis in per_actor:
+            # Ticks where every future is gated out — or where the
+            # predictor emitted none — carry no threat, as in the
+            # scalar loop.
+            rows = np.flatnonzero(threat)
             if rows.size == 0:
                 continue
-            aggregated = self._aggregate_rows(
-                latencies[rows], probabilities[rows], active[rows]
+            latencies, probabilities, active = (
+                np.stack(column, axis=1)[rows]
+                for column in zip(*per_hypothesis)
+            )
+            aggregated = self.aggregator.aggregate_rows(
+                latencies, probabilities, active
             )
             for row, value in zip(rows, aggregated):
                 actor_latencies[int(row)][actor_id] = (
                     None if value <= UNAVOIDABLE_LATENCY else float(value)
                 )
-
-        ticks = []
-        for i in range(n_ticks):
-            estimates = estimate_camera_fprs(
-                actor_latencies[i], visibility_tables[i], self.params
-            )
-            ticks.append(
-                EvaluationTick(
-                    time=float(times[i]),
-                    camera_estimates=estimates,
-                    actor_latencies=actor_latencies[i],
-                    ego_speed=ego_states[i].speed,
-                    ego_accel=ego_states[i].accel,
-                )
-            )
-        return ticks
-
-    def _aggregate_rows(
-        self,
-        latencies: np.ndarray,
-        probabilities: np.ndarray,
-        active: np.ndarray,
-    ) -> np.ndarray:
-        """Equation 4 over a ``(rows, hypotheses)`` batch.
-
-        Uses the aggregator's vectorized ``aggregate_rows`` when it has
-        one (the built-in aggregators do); otherwise loops the scalar
-        :meth:`Aggregator.aggregate` per row — still batched everywhere
-        else, just not inside the reduction.
-        """
-        vectorized = getattr(self.aggregator, "aggregate_rows", None)
-        if vectorized is not None:
-            return np.asarray(vectorized(latencies, probabilities, active))
-        return np.array(
-            [
-                self.aggregator.aggregate(
-                    [float(l) for l, a in zip(row_l, row_a) if a],
-                    [float(p) for p, a in zip(row_p, row_a) if a],
-                )
-                for row_l, row_p, row_a in zip(latencies, probabilities, active)
-            ]
+        visibility = self.rig.visible_actors_trace(
+            ego_states, samples.actor_positions, detected=detected
         )
+        return [
+            EvaluationTick.at(
+                float(times[i]),
+                ego_states[i],
+                actor_latencies[i],
+                visibility[i],
+                self.params,
+            )
+            for i in range(n_ticks)
+        ]
 
     def _aggregate(self, entries, solved) -> tuple[bool, float | None]:
         """``(is_threat, latency)`` — Eq 4 aggregate for one actor.

@@ -162,6 +162,10 @@ class CorridorSpec:
 _MASK_STEP = 0.01
 _MASK_SPAN = 25.0
 
+#: Spacing of the collision gate's scan instants (seconds), shared by
+#: the per-tick gate and the row-batched gate kernel.
+_GATE_STEP = 0.1
+
 
 class TrajectoryThreat:
     """Threat quantities read off an actor trajectory.
@@ -296,7 +300,6 @@ class ThreatAssessor:
 
     params: ZhuyiParams
     road: Road | None = None
-    gate_step: float = 0.1
 
     def assess(
         self,
@@ -390,7 +393,7 @@ class ThreatAssessor:
 
         horizon = min(
             self.params.horizon,
-            max(actor_trajectory.end_time - t0, 0.0) + self.gate_step,
+            max(actor_trajectory.end_time - t0, 0.0) + _GATE_STEP,
         )
         # The gate instants accumulate like the reference scalar loop
         # did (t += step, not a closed-form grid), then project in one
@@ -406,7 +409,7 @@ class ThreatAssessor:
             # reproduce these exact instants bit-for-bit (corridor-mask
             # quantization tests); a closed-form grid would shift the
             # last bits and break every curved golden.
-            t += self.gate_step
+            t += _GATE_STEP
         xs, ys, _ = actor_trajectory.sample_extrapolated(np.array(gate_times))
         stations, laterals = self._path_coordinates_batch(xs, ys, ego_state)
 
@@ -589,7 +592,7 @@ class ThreatAssessor:
 
         horizons = np.minimum(
             self.params.horizon,
-            np.maximum(end_times - t0s, 0.0) + self.gate_step,
+            np.maximum(end_times - t0s, 0.0) + _GATE_STEP,
         )
         # The accumulated gate instants (t += step), shared by every
         # tick; each tick masks the prefix its horizon admits — the
@@ -602,7 +605,7 @@ class ThreatAssessor:
             # deliberately identical to could_collide's scalar loop
             # above (same values, same stop condition); see that
             # pragma's justification.
-            t += self.gate_step
+            t += _GATE_STEP
         gate_rel = np.array(gate_rel)
         in_horizon = gate_rel[None, :] <= horizons[:, None] + 1e-9
 

@@ -10,9 +10,11 @@ Two protocols live here:
 * the trace-batch extension (``predict_trace``) — one actor *identity*
   observed at every tick of a recorded trace, answered with
   :class:`TraceHypothesis` array rollouts covering all ticks at once.
-  Predictors that do not implement it are served by
-  :func:`predict_trace_via_loop`, which runs the per-tick ``predict``
-  and stacks the resulting trajectories into the same array form.
+  A replay on a vectorized backend requires it; per-tick-only
+  predictors replay on the scalar backend.
+  :func:`predict_trace_via_loop` stacks the per-tick ``predict`` output
+  into the same array form — the reference a ``predict_trace`` is
+  checked against.
 
 Sample grids are closed-form (:func:`sample_times`): the drifting
 ``t += sample_period`` accumulation the predictors used to run makes the
@@ -131,16 +133,15 @@ def predict_trace_via_loop(
     nows: np.ndarray,
     horizon: float,
 ) -> list[TraceHypothesis] | None:
-    """Default ``predict_trace``: the per-tick loop, stacked into arrays.
+    """The per-tick loop's ``predict_trace``, stacked into arrays.
 
     Calls ``predictor.predict`` once per tick and aligns the returned
-    hypotheses by label into :class:`TraceHypothesis` rows, so any
-    per-tick predictor can feed the batched replay path. Alignment
+    hypotheses by label into :class:`TraceHypothesis` rows: the
+    reference a predictor's own ``predict_trace`` must equal. Alignment
     requires a structure the arrays can hold: unique labels within a
     tick, a label order consistent across ticks, and a fixed sample
     count per label. Returns ``None`` when the predictor's output is
-    too ragged to batch — callers then fall back to fully per-tick
-    estimation.
+    too ragged to stack.
     """
     nows = np.asarray(nows, dtype=float)
     per_tick = [

@@ -511,23 +511,13 @@ def _vehicle_following_variant_actors(
     (floored so the low-speed variants still leave a following task),
     with the baseline's brake onset, deceleration and jitters.
     """
-    speed = mph_to_mps(ego_speed_mph)
     ratio = ego_speed_mph / 70.0
-    return [
-        Actor(
-            actor_id="lead",
-            road=road,
-            behavior=SuddenBrake(
-                trigger=AtTime(time=jittered(rng, 4.0, 0.15)),
-                decel=jittered(rng, 3.0, 0.1),
-                cruise_speed=speed,
-            ),
-            lane=1,
-            station=_EGO_START
-            + jittered(rng, max(50.0 * ratio, 18.0), 0.04),
-            speed=speed,
-        )
-    ]
+    return _vehicle_following_actors(
+        road,
+        rng,
+        ego_speed_mph=ego_speed_mph,
+        lead_gap=max(50.0 * ratio, 18.0),
+    )
 
 
 #: Per-family ego-speed-variant builders and their Table 1 activity tags.

@@ -370,9 +370,11 @@ class TestVariantCacheParity:
 
     @pytest.mark.parametrize("backend", ["batched", "scalar"])
     def test_cell_simulates_and_presamples_once(self, monkeypatch, backend):
-        # The cache is a count, not a speed: four variants of one cold
-        # cell cost one closed loop and one presampling.
+        # The cache is a count, not a speed: five variants of one cold
+        # cell, one of them an online replay, cost one closed loop and
+        # one presampling.
         import repro.batch.runner as runner_module
+        import repro.core.online as online_module
         from repro.scenarios.base import BuiltScenario
 
         calls = {"run": 0, "presample": 0}
@@ -388,9 +390,10 @@ class TestVariantCacheParity:
             return presample(*args, **kwargs)
 
         monkeypatch.setattr(BuiltScenario, "run", counting_run)
-        monkeypatch.setattr(
-            runner_module, "presample_trace", counting_presample
-        )
+        for module in (runner_module, online_module):
+            monkeypatch.setattr(
+                module, "presample_trace", counting_presample
+            )
         campaign = Campaign(
             scenarios=("cut_in",),
             seeds=(0,),
@@ -402,9 +405,10 @@ class TestVariantCacheParity:
                 ParamVariant("strict", ZhuyiParams(c1=0.8, c2=0.8)),
                 ParamVariant("loose", ZhuyiParams(c1=1.0, c2=1.0)),
                 ParamVariant("soft_brake", ZhuyiParams(c3=4.0)),
+                ParamVariant("cv", predictor="cv"),
             ),
         )
         result = CampaignRunner(workers=1).run(campaign)
-        assert len(result.summaries) == 4
+        assert len(result.summaries) == 5
         assert not result.failures()
         assert calls == {"run": 1, "presample": 1}

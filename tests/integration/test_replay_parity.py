@@ -8,22 +8,28 @@ not approximately equal, to the scalar per-tick reference, with the
 multi-hypothesis :class:`ManeuverPredictor` supplying several futures
 per actor per tick (the earlier parity suite only replayed
 single-future defaults). Aggregator choices and the perception-margin
-extension ride the same contract.
+extension ride the same contract. Replay rows solve in the offline
+block's bounded, prefix-trimmed windows, and a vectorized replay that
+cannot run vectorized raises instead of looping per tick.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.evaluator as evaluator_module
 from repro import build_scenario
 from repro.core.aggregation import (
     MaxAggregator,
     MeanAggregator,
     PercentileAggregator,
 )
+from repro.core.engine import LatencyEngine
+from repro.core.evaluator import presample_trace
 from repro.core.online import OnlineEstimator
 from repro.core.parameters import ZhuyiParams
+from repro.core.threat import ThreatAssessor
+from repro.errors import EstimationError
 from repro.perception.noise import PerceptionNoise
-from repro.prediction.base import PredictedTrajectory
 from repro.prediction.constant_accel import ConstantAccelerationPredictor
 from repro.prediction.constant_velocity import ConstantVelocityPredictor
 from repro.prediction.maneuver import ManeuverPredictor
@@ -131,72 +137,6 @@ class TestReplayConfigurations:
             series[backend] = estimator.replay(trace, period=0.5)
         assert_series_identical(series["scalar"], series["batched"])
 
-    def test_predictor_without_batch_protocol_falls_back(self):
-        scenario, trace = build_trace("cut_in")
-
-        class LoopOnly:
-            """A per-tick predictor: served by the stacked default."""
-
-            def __init__(self, inner):
-                self.inner = inner
-
-            def predict(self, actor, now, horizon):
-                return self.inner.predict(actor, now, horizon)
-
-        series = {}
-        for backend in ("scalar", "batched"):
-            estimator = OnlineEstimator(
-                params=ZhuyiParams(),
-                predictor=LoopOnly(
-                    ManeuverPredictor(
-                        road=scenario.road,
-                        target_lane=scenario.spec.ego_lane,
-                    )
-                ),
-                road=scenario.road,
-                backend=backend,
-            )
-            series[backend] = estimator.replay(trace, period=0.5)
-        assert_series_identical(series["scalar"], series["batched"])
-
-    def test_unbatchable_predictor_falls_back_per_tick(self):
-        scenario, trace = build_trace("cut_in")
-
-        class Ragged:
-            """Alternating labels: the via-loop stacking must refuse."""
-
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
-
-            def predict(self, actor, now, horizon):
-                self.calls += 1
-                predictions = self.inner.predict(actor, now, horizon)
-                if self.calls % 2:
-                    predictions = [
-                        PredictedTrajectory(
-                            p.trajectory, p.probability, label=p.label + "~"
-                        )
-                        for p in predictions
-                    ]
-                return predictions
-
-        series = {}
-        for backend in ("scalar", "batched"):
-            estimator = OnlineEstimator(
-                params=ZhuyiParams(),
-                predictor=Ragged(
-                    ManeuverPredictor(
-                        road=scenario.road,
-                        target_lane=scenario.spec.ego_lane,
-                    )
-                ),
-                road=scenario.road,
-                backend=backend,
-            )
-            series[backend] = estimator.replay(trace, period=0.5)
-        assert_series_identical(series["scalar"], series["batched"])
-
     def test_predictor_with_no_futures_for_an_actor(self):
         # A predictor may deem an actor irrelevant and emit no futures
         # at all; both backends must treat it as not-a-threat rather
@@ -211,6 +151,11 @@ class TestReplayConfigurations:
                 if actor.actor_id != "cutter":
                     return []
                 return self.inner.predict(actor, now, horizon)
+
+            def predict_trace(self, actors, nows, horizon):
+                if actors[0].actor_id != "cutter":
+                    return []
+                return self.inner.predict_trace(actors, nows, horizon)
 
         assert "cutter" in trace.actor_ids()
         series = {}
@@ -238,6 +183,162 @@ class TestReplayConfigurations:
         times = np.array([tick.time for tick in series.ticks])
         start = trace.steps[0].time
         assert np.array_equal(times, start + 0.25 * np.arange(times.size))
+
+
+class TestReplayWindows:
+    """Replay rows run through the offline block's windowed row solver."""
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        """A dense maneuver replay's trace and its scalar reference."""
+        density_sweep()
+        scenario, trace = build_trace("cut_in_dense4")
+        scalar = maneuver_estimator(scenario, "scalar").replay(
+            trace, period=0.5
+        )
+        return scenario, trace, scalar
+
+    def test_one_tick_windows_match_scalar(self, monkeypatch, dense):
+        scenario, trace, scalar = dense
+        # A budget below one tick's rows: every window holds one tick.
+        monkeypatch.setattr(evaluator_module, "_ROW_ELEMENTS", 1)
+        windows = []
+        solve = LatencyEngine.solve_rows
+
+        def spy_solve(self, grid, tick_indices, *args, **kwargs):
+            windows.append(set(np.asarray(tick_indices).tolist()))
+            return solve(self, grid, tick_indices, *args, **kwargs)
+
+        monkeypatch.setattr(LatencyEngine, "solve_rows", spy_solve)
+        batched = maneuver_estimator(scenario, "batched").replay(
+            trace, period=0.5
+        )
+        assert_series_identical(scalar, batched)
+        assert len(windows) > 1
+        assert all(len(ticks) == 1 for ticks in windows)
+
+    def test_windows_carry_their_readable_prefix(self, monkeypatch, dense):
+        scenario, trace, scalar = dense
+        # Windows of a few ticks each.
+        monkeypatch.setattr(evaluator_module, "_ROW_ELEMENTS", 40_000)
+        pending: list[int] = []
+        windows = []
+        sample = ThreatAssessor.sample_threat_futures
+        solve = LatencyEngine.solve_rows
+
+        def spy_sample(
+            self, ego_states, ego_spec, futures, spec, t0s, rel_times
+        ):
+            pending.append(len(rel_times))
+            return sample(
+                self, ego_states, ego_spec, futures, spec, t0s, rel_times
+            )
+
+        def spy_solve(self, grid, tick_indices, *args, **kwargs):
+            windows.append((grid, np.array(tick_indices), list(pending)))
+            pending.clear()
+            return solve(self, grid, tick_indices, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ThreatAssessor, "sample_threat_futures", spy_sample
+        )
+        monkeypatch.setattr(LatencyEngine, "solve_rows", spy_solve)
+        batched = maneuver_estimator(scenario, "batched").replay(
+            trace, period=0.5
+        )
+        assert_series_identical(scalar, batched)
+
+        assert not pending
+        assert len(windows) > 1
+        trimmed = 0
+        for grid, ticks, sampled in windows:
+            n_times = grid.times.size
+            prefix = min(int(grid.lengths[ticks].max()), n_times)
+            assert sampled
+            assert set(sampled) == {prefix + grid.reactions.size}
+            trimmed += prefix < n_times
+        assert trimmed, "some window must skip the master grid's tail"
+
+
+class TestNoSilentPerTickReplay:
+    """A vectorized replay never degrades to the per-tick loop."""
+
+    class LoopOnly:
+        """A per-tick predictor without ``predict_trace``."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def predict(self, actor, now, horizon):
+            return self.inner.predict(actor, now, horizon)
+
+    class ScalarOnly:
+        """An aggregator without ``aggregate_rows``."""
+
+        def aggregate(self, latencies, probabilities=None):
+            return MaxAggregator().aggregate(latencies, probabilities)
+
+    @pytest.mark.parametrize("part", ["predictor", "aggregator"])
+    def test_refused_on_vectorized_backends(self, part, cut_in_trace_30):
+        scenario = build_scenario("cut_in", seed=0)
+        predictor = ManeuverPredictor(
+            road=scenario.road, target_lane=scenario.spec.ego_lane
+        )
+        kwargs = (
+            {"predictor": self.LoopOnly(predictor)}
+            if part == "predictor"
+            else {"predictor": predictor, "aggregator": self.ScalarOnly()}
+        )
+        for backend in ("batched", "crosstrace"):
+            estimator = OnlineEstimator(
+                params=ZhuyiParams(),
+                road=scenario.road,
+                backend=backend,
+                **kwargs,
+            )
+            with pytest.raises(EstimationError, match='backend="scalar"'):
+                estimator.replay(cut_in_trace_30, period=0.5)
+        scalar = OnlineEstimator(
+            params=ZhuyiParams(), road=scenario.road, backend="scalar",
+            **kwargs,
+        ).replay(cut_in_trace_30, period=0.5)
+        assert any(tick.actor_latencies for tick in scalar.ticks)
+
+
+class TestReplaySamples:
+    """``replay(samples=...)`` reuses a cell's presampling, checked."""
+
+    def estimator(self, **kwargs):
+        return OnlineEstimator(
+            params=ZhuyiParams(),
+            predictor=ConstantVelocityPredictor(),
+            backend="batched",
+            **kwargs,
+        )
+
+    def test_matching_samples_replay_identically(self, cut_in_trace_30):
+        samples = presample_trace(cut_in_trace_30, 0.5)
+        assert_series_identical(
+            self.estimator().replay(cut_in_trace_30, period=0.5),
+            self.estimator().replay(
+                cut_in_trace_30, period=0.5, samples=samples
+            ),
+        )
+
+    def test_samples_at_another_stride_raise(self, cut_in_trace_30):
+        samples = presample_trace(cut_in_trace_30, 0.25)
+        with pytest.raises(EstimationError, match="stride"):
+            self.estimator().replay(
+                cut_in_trace_30, period=0.5, samples=samples
+            )
+
+    def test_samples_under_other_noise_raise(self, cut_in_trace_30):
+        samples = presample_trace(cut_in_trace_30, 0.5)
+        noise = PerceptionNoise(miss_rate=0.2, seed=3)
+        with pytest.raises(EstimationError, match="noise"):
+            self.estimator(noise=noise).replay(
+                cut_in_trace_30, period=0.5, samples=samples
+            )
 
 
 class TestRoadlessReplay:

@@ -415,6 +415,53 @@ class TestCampaignMergeCommand:
         assert "cannot write" in capsys.readouterr().err
 
 
+class TestReplayCommand:
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        """A one-cell campaign recorded into a trace store."""
+        root = tmp_path_factory.mktemp("recorded")
+        code = main(
+            [
+                "campaign", "cut_in", "--seeds", "1", "--fprs", "30",
+                "--stride", "0.5", "--store", str(root / "traces"),
+                "--out", str(root / "rec.jsonl"), "--quiet",
+            ]
+        )
+        assert code == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [
+                "--stride", "0.25", "--backend", "scalar",
+                "--miss-rate", "0.2",
+            ],
+            ["--stride", "0.25"],
+            ["--backend", "scalar"],
+            ["--miss-rate", "0.2"],
+            ["--position-noise", "0.3"],
+            ["--noise-seed", "7"],
+        ],
+    )
+    def test_from_campaign_rejects_settings_it_would_ignore(
+        self, recorded, tmp_path, capsys, flags
+    ):
+        # The recorded campaign fixes stride, backend and noise; a flag
+        # that the replay would silently not apply is refused instead.
+        out = tmp_path / "rep.jsonl"
+        code = main(
+            [
+                "replay", "--store", str(recorded / "traces"),
+                "--from-campaign", str(recorded / "rec.jsonl"),
+                *flags, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "error: --from-campaign" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFuzzCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fuzz", "cut_out", "--out", "d"])

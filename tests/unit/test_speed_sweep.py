@@ -126,6 +126,46 @@ class TestVehicleFollowingFamily:
         assert SCENARIOS["vehicle_following_23mph"].ego_speed_mph == 23.0
 
 
+@pytest.mark.slow
+class TestBaselineSpeedRecordsCatalogRun:
+    """Pins each sweep builder to the catalog choreography it rescales.
+
+    At its family's catalog speed a sweep variant records the catalog
+    scenario's run bit for bit: the same columns under the variant's
+    own name and metadata, cut to the sweep's 35 s duration (the
+    cut-in catalog entry runs 40 s).
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "variant, base",
+        [
+            ("cut_out_20mph", "cut_out"),
+            ("cut_in_70mph", "cut_in"),
+            ("vehicle_following_70mph", "vehicle_following"),
+        ],
+    )
+    def test_same_columns(self, columns_equal, variant, base, seed):
+        from repro.sim.trace import ScenarioTrace
+
+        swept = build_scenario(variant, seed=seed).run(fpr=30.0)
+        full = build_scenario(base, seed=seed).run(fpr=30.0)
+        assert not swept.has_collision and not full.has_collision
+        assert len(swept.steps) <= len(full.steps)
+        cut = ScenarioTrace(
+            scenario=swept.scenario,
+            dt=full.dt,
+            steps=full.steps[: len(swept.steps)],
+            collisions=full.collisions,
+            nominal_fpr=full.nominal_fpr,
+            seed=full.seed,
+            ego_spec=full.ego_spec,
+            actor_specs=full.actor_specs,
+            metadata=swept.metadata,
+        )
+        assert columns_equal(swept, cut)
+
+
 class TestDensitySweep:
     def test_default_registration(self):
         from repro.scenarios import DEFAULT_DENSITY_COUNTS, density_sweep
