@@ -16,7 +16,6 @@ from repro.actors.behavior import (
     Trigger,
     WhenActorGapBelow,
     WhenEgoGapBelow,
-    WhenEgoWithin,
 )
 from repro.actors.maneuvers import (
     Cruise,
@@ -36,7 +35,6 @@ __all__ = [
     "Immediately",
     "Never",
     "WhenEgoGapBelow",
-    "WhenEgoWithin",
     "WhenActorGapBelow",
     "Cruise",
     "Follow",

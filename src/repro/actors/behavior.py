@@ -133,25 +133,6 @@ class WhenEgoGapBelow(_LatchingTrigger):
 
 
 @dataclass
-class WhenEgoWithin(_LatchingTrigger):
-    """Fires when the straight-line distance to the ego drops below a bound."""
-
-    distance: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.distance <= 0.0:
-            raise ConfigurationError(
-                f"trigger distance must be positive: {self.distance}"
-            )
-
-    def _condition(self, now: float, actor, context) -> bool:
-        return (
-            context.ego_state.position.distance_to(actor.state.position)
-            <= self.distance
-        )
-
-
-@dataclass
 class WhenActorGapBelow(_LatchingTrigger):
     """Fires when the along-road gap to another actor drops below a bound.
 

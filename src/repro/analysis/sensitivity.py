@@ -6,7 +6,9 @@ lane." Fixing ``s_n`` is exactly a :class:`FixedGapThreat`; the sweep
 solves the tolerable latency at every grid point and reports 1/l.
 
 The paper's figure shows 30+ FPR in gray and unavoidable collisions in
-white; :class:`SensitivityGrid` carries those as masks (NaN = white).
+white; :class:`SensitivityGrid` marks the white region with NaN
+(:meth:`~SensitivityGrid.white_mask`), and the heatmap renderer
+(:func:`repro.analysis.report.render_heatmap`) draws both.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ class SensitivityGrid:
     ego_speeds_mph: np.ndarray
     actor_speeds_mph: np.ndarray
     min_fpr: np.ndarray
-
-    def gray_mask(self, cap: float = 30.0) -> np.ndarray:
-        """The paper's gray region: FPR above the system cap."""
-        with np.errstate(invalid="ignore"):
-            return self.min_fpr > cap
 
     def white_mask(self) -> np.ndarray:
         """The paper's white region: unavoidable collision."""
@@ -91,6 +88,10 @@ def sweep_min_fpr(
             below 25 mph" band. Pass e.g. ``1/30`` to study a stack
             already running at 30 FPR.
         search: latency solver override.
+
+    Raises:
+        ConfigurationError: on a non-positive gap or an empty speed
+            sweep.
     """
     if gap <= 0.0:
         raise ConfigurationError(f"gap must be positive, got {gap}")
@@ -98,6 +99,8 @@ def sweep_min_fpr(
         ego_speeds_mph = np.linspace(0.0, 70.0, 36)
     if actor_speeds_mph is None:
         actor_speeds_mph = np.linspace(0.0, 70.0, 36)
+    if len(ego_speeds_mph) == 0 or len(actor_speeds_mph) == 0:
+        raise ConfigurationError("a sweep needs at least one speed per axis")
     params = params if params is not None else ZhuyiParams()
     if l0 is None:
         l0 = params.l_max

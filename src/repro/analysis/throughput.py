@@ -99,19 +99,9 @@ class ThroughputModel:
         per_camera = self.model.giga_ops_per_frame * self.fpr / 1000.0
         return per_camera * self.cameras * self.extra_models_factor
 
-    def demand_at_fpr(self, fpr: float) -> float:
-        """Demand if every camera ran at ``fpr`` instead."""
-        if fpr <= 0.0:
-            raise ConfigurationError("FPR must be positive")
-        return self.demand_tops() * fpr / self.fpr
-
     def utilization(self, soc: SoC) -> float:
         """Demand as a fraction of one SoC's capability."""
         return self.demand_tops() / soc.tops
-
-    def feasible_on(self, soc: SoC) -> bool:
-        """Whether the demand fits the SoC at all."""
-        return self.utilization(soc) <= 1.0
 
     def figure1_rows(self) -> list[tuple[str, float]]:
         """The Figure 1 bars: demand plus each reference SoC."""

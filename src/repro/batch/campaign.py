@@ -28,6 +28,7 @@ from repro.core.latency import BACKENDS
 from repro.core.parameters import ZhuyiParams
 from repro.errors import ConfigurationError
 from repro.perception.noise import PerceptionNoise
+from repro.perception.pipeline import check_fpr
 from repro.perception.sensor import ANALYZED_CAMERAS, default_rig
 
 #: Variant name used when a campaign sweeps no parameter overrides.
@@ -430,6 +431,8 @@ class Campaign(Grid):
             raise ConfigurationError(
                 "campaign seeds and fprs must be non-empty"
             )
+        for fpr in self.fprs:
+            check_fpr(fpr)
         for name in self.scenarios:
             # ensure_scenario re-derives speed-sweep variants on demand,
             # so a campaign reloaded from JSONL (or validated in a fresh

@@ -32,6 +32,7 @@ from repro.core.latency import BACKENDS
 from repro.analysis.report import format_table, render_heatmap
 from repro.analysis.sensitivity import sweep_min_fpr
 from repro.errors import ConfigurationError
+from repro.perception.pipeline import check_fpr
 from repro.perception.sensor import ANALYZED_CAMERAS
 
 
@@ -49,6 +50,7 @@ def _cmd_scenarios(_: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = build_scenario(args.scenario, seed=args.seed)
+        check_fpr(args.fpr)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -109,11 +111,15 @@ def _cmd_mrf(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid = sweep_min_fpr(
-        gap=args.gap,
-        ego_speeds_mph=np.linspace(0.0, 70.0, args.resolution),
-        actor_speeds_mph=np.linspace(0.0, 70.0, args.resolution),
-    )
+    try:
+        grid = sweep_min_fpr(
+            gap=args.gap,
+            ego_speeds_mph=np.linspace(0.0, 70.0, args.resolution),
+            actor_speeds_mph=np.linspace(0.0, 70.0, args.resolution),
+        )
+    except (ConfigurationError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"s_n = {args.gap:g} m (x: v_e0, y: v_an, 0->70 mph)")
     print(render_heatmap(grid.min_fpr))
     print(f"max finite FPR: {grid.max_finite_fpr():.1f}")

@@ -40,7 +40,6 @@ from repro.core.latency import (
 )
 from repro.core.engine import LatencyEngine
 from repro.core.aggregation import (
-    aggregate_latencies,
     Aggregator,
     MaxAggregator,
     MeanAggregator,
@@ -78,7 +77,6 @@ __all__ = [
     "MaxAggregator",
     "MeanAggregator",
     "PercentileAggregator",
-    "aggregate_latencies",
     "CameraEstimate",
     "fpr_from_latency",
     "estimate_camera_fprs",

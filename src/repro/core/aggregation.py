@@ -236,13 +236,3 @@ class PercentileAggregator:
             exceeds.any(axis=1), exceeds.argmax(axis=1), latencies.shape[1] - 1
         )
         return sorted_latencies[rows, chosen]
-
-
-def aggregate_latencies(
-    latencies: Sequence[float],
-    probabilities: Sequence[float] | None = None,
-    aggregator: Aggregator | None = None,
-) -> float:
-    """Convenience wrapper: aggregate with the paper's default (PR_99)."""
-    chosen = aggregator if aggregator is not None else PercentileAggregator()
-    return chosen.aggregate(latencies, probabilities)

@@ -55,7 +55,6 @@ import numpy as np
 from repro.core.ego_profile import EgoMotion, ego_profile_arrays
 from repro.core.latency import _EPS, LatencyResult
 from repro.core.parameters import ZhuyiParams
-from repro.core.threat import LongitudinalThreat, sample_grid
 
 #: Sentinel index: "no such position on the merged scan grid". Half the
 #: int64 range so the +1 merge shifts can never overflow it.
@@ -123,58 +122,15 @@ class LatencyEngine:
     Drop-in equivalent of the scalar EXACT :class:`LatencySearch` —
     same :class:`LatencyResult`, bit-identical values — evaluated as
     one vectorized program over the full latency grid and over a whole
-    batch of (tick, threat) rows via :meth:`solve_rows`.
+    batch of (tick, threat) rows: :meth:`trace_grid` builds a tick
+    axis's candidate bookkeeping and :meth:`solve_rows` solves rows
+    sampled on it. A single tick is the one-tick grid.
 
     Attributes:
         params: the Zhuyi constants.
-        strict: require the distance constraint on the whole scanned
-            prefix up to ``t_n`` (the scalar search's default).
     """
 
     params: ZhuyiParams = field(default_factory=ZhuyiParams)
-    strict: bool = True
-
-    def solve(
-        self, ego: EgoMotion, threat: LongitudinalThreat, l0: float
-    ) -> LatencyResult:
-        """One actor — :meth:`solve_batch` of a singleton."""
-        return self.solve_batch(ego, [threat], l0)[0]
-
-    def solve_batch(
-        self,
-        ego: EgoMotion,
-        threats: Sequence[LongitudinalThreat],
-        l0: float,
-    ) -> list[LatencyResult]:
-        """Solve every actor of a tick against the full latency grid.
-
-        A one-tick :meth:`trace_grid` plus one :meth:`solve_rows` call
-        with a row per threat.
-
-        Args:
-            ego: the ego's longitudinal state at the tick.
-            threats: one threat view per actor (any mix of threat
-                types); the ego-side arrays are computed once and
-                shared.
-            l0: current processing latency (enters ``alpha``).
-
-        Returns:
-            One :class:`LatencyResult` per threat, in input order.
-        """
-        if not threats:
-            return []
-        grid = self.trace_grid([ego], l0)
-        # One flattened sample per threat covers both the master grid
-        # and the L reaction instants.
-        all_times = np.concatenate([grid.times, grid.reactions])
-        sampled = [sample_grid(threat, all_times) for threat in threats]
-        return self.solve_rows(
-            grid,
-            np.zeros(len(threats), dtype=np.int64),
-            [ego],
-            np.stack([g for g, _ in sampled]),
-            np.stack([s for _, s in sampled]),
-        )
 
     @staticmethod
     def _waves(n_latencies: int) -> list[tuple[int, int]]:
@@ -689,12 +645,10 @@ class LatencyEngine:
             first_candidate, np.where(ins & d_ok_r & v_ok_r, pos, _NO_INDEX)
         )
 
-        feasible = first_candidate < _NO_INDEX
-        if self.strict:
-            # Strict prefix: every merged index at or past the first
-            # distance violation is masked out, so only a candidate
-            # strictly before it survives.
-            feasible &= first_candidate < first_violation
+        # Strict prefix: every merged index at or past the first
+        # distance violation is masked out, so only a candidate strictly
+        # before it survives.
+        feasible = first_candidate < first_violation
 
         found = feasible.any(axis=-1)
         hit = feasible.argmax(axis=-1)

@@ -714,12 +714,7 @@ def _sample_trace_rows(
         spec,
         samples.times[local],
         rel_times,
-        ego_rows=EgoPathRows(
-            xs=ego_rows.xs[local],
-            ys=ego_rows.ys[local],
-            s=ego_rows.s[local],
-            d=ego_rows.d[local],
-        ),
+        ego_rows=ego_rows.take(local),
     )
 
 

@@ -13,8 +13,8 @@ Two inner-search strategies are provided:
 
 * ``EXACT`` (default) — a dense scan over ``t_n`` at ``tn_step``
   resolution ("a naive approach is to increment t_n by one timestep and
-  re-check"), vectorized with numpy. By default the scan is *strict*:
-  the distance constraint must hold at every scanned time up to ``t_n``,
+  re-check"), vectorized with numpy. The scan is *strict*: the
+  distance constraint must hold at every scanned time up to ``t_n``,
   not only at ``t_n`` itself. Without this, a slower actor that keeps
   moving away makes some far-future ``t_n`` trivially feasible even when
   the ego would have driven through the actor during its reaction window
@@ -105,15 +105,12 @@ class LatencySearch:
 
     Attributes:
         params: the Zhuyi constants.
-        strategy: inner-search strategy (dense reference scan, or the
-            paper's Eq 3 accelerated stepping).
-        strict: EXACT strategy only — require the distance constraint on
-            the whole prefix up to ``t_n`` (see the module docstring).
+        strategy: inner-search strategy (dense strict reference scan,
+            or the paper's Eq 3 accelerated stepping).
     """
 
     params: ZhuyiParams = field(default_factory=ZhuyiParams)
     strategy: SearchStrategy = SearchStrategy.EXACT
-    strict: bool = True
 
     def tolerable_latency(
         self,
@@ -225,16 +222,13 @@ class LatencySearch:
         reaction_time: float,
         horizon: float,
     ) -> tuple[float | None, int]:
-        """Dense scan over ``t_n`` — the reference implementation.
+        """Dense strict scan over ``t_n`` — the reference implementation.
 
-        In strict mode the scan starts at ``t = 0`` so that a distance
-        violation anywhere before the candidate ``t_n`` (an interim
-        collision during the reaction window) disqualifies it.
+        The scan starts at ``t = 0`` so that a distance violation
+        anywhere before the candidate ``t_n`` (an interim collision
+        during the reaction window) disqualifies it.
         """
         step = self.params.tn_step
-        # Scan a grid anchored at 0 in both modes so the strict scan's
-        # feasible set is an exact subset of the point scan's (the grids
-        # sample identical instants).
         times = np.arange(0.0, horizon + step, step)
         if times.size == 0:
             return None, 0
@@ -254,11 +248,9 @@ class LatencySearch:
         distance_ok = distance <= self.params.c1 * gaps + _EPS
         velocity_ok = speed <= self.params.c2 * actor_speeds + _EPS
         candidate = distance_ok & velocity_ok & (times >= reaction_time - _EPS)
-
-        if self.strict:
-            violations = np.flatnonzero(~distance_ok)
-            if violations.size:
-                candidate[violations[0]:] = False
+        violations = np.flatnonzero(~distance_ok)
+        if violations.size:
+            candidate[violations[0]:] = False
 
         feasible = np.flatnonzero(candidate)
         if feasible.size == 0:

@@ -7,13 +7,18 @@ Per call the estimator asks the predictor for a probabilistic set of
 futures per confirmed actor, solves the tolerable latency against each
 future, aggregates with Equation 4 (percentile by default) and produces
 Equation 5 per-camera estimates grouped by FOV at the perceived actor
-positions.
+positions. A live :meth:`OnlineEstimator.estimate` and the
+post-deployment :meth:`OnlineEstimator.replay` run one program: on a
+vectorized backend the live tick is the one-tick case of the replay's
+row pipeline, and the scalar per-tick loop is the reference both are
+tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,6 +69,21 @@ class _MarginThreat:
         return np.maximum(0.0, gaps - self.margin), speeds
 
 
+def _perceived(
+    actor_id: Hashable, state: VehicleState, now: float
+) -> PerceivedActor:
+    """A ground-truth state as a perfect stack's world-model entry."""
+    return PerceivedActor(
+        actor_id=actor_id,
+        position=state.position,
+        velocity=state.velocity(),
+        heading=state.heading,
+        speed=state.speed,
+        accel=state.accel,
+        timestamp=now,
+    )
+
+
 @dataclass
 class OnlineEstimator:
     """The Zhuyi block of Figure 3: world model + predictions in, FPRs out.
@@ -78,14 +98,15 @@ class OnlineEstimator:
             from every gap (metres); 0 disables the extension.
         assumed_actor_spec: physical spec attributed to perceived actors
             (the world model carries no extent information).
-        backend: ``"batched"`` (default) and ``"crosstrace"`` solve an
-            :meth:`estimate` tick's full batch — every predicted future
-            of every confirmed actor — in one
-            :class:`repro.core.engine.LatencyEngine` call, and
-            :meth:`replay` a whole trace through the offline block's row
-            solver (one estimator never sees more than one trace, so
-            the two names run the same program); ``"scalar"`` loops the
-            reference search. Bit-identical estimates.
+        backend: ``"batched"`` (default) and ``"crosstrace"`` run one
+            row program over a tick axis: :meth:`replay` feeds it a
+            whole trace and :meth:`estimate` one tick, every gated
+            (tick, actor, hypothesis) row solving through the offline
+            block's row solver (one estimator never sees more than one
+            trace, so the two names run the same program). They need a
+            predictor with ``predict_trace`` and an aggregator with
+            ``aggregate_rows``. ``"scalar"`` runs the per-tick
+            reference loop. Bit-identical estimates.
         noise: optional stochastic perception injected into
             :meth:`replay` (undetected ticks drop the actor from the
             replayed world model; position noise perturbs the perceived
@@ -93,6 +114,12 @@ class OnlineEstimator:
             scalar and batched replays bit-identical under noise, from
             any resume tick. Live :meth:`estimate` calls read a real
             world model and never consult this field.
+
+    Raises:
+        EstimationError: on a negative ``gap_margin``, an unknown
+            backend, or a vectorized backend whose predictor has no
+            ``predict_trace`` or whose aggregator has no
+            ``aggregate_rows`` (``backend="scalar"`` runs either).
     """
 
     params: ZhuyiParams
@@ -115,6 +142,16 @@ class OnlineEstimator:
         self._search = LatencySearch(params=self.params)
         self._engine = None
         if self.backend != "scalar":
+            for owner, method in (
+                (self.predictor, "predict_trace"),
+                (self.aggregator, "aggregate_rows"),
+            ):
+                if not hasattr(owner, method):
+                    raise EstimationError(
+                        f"backend {self.backend!r} estimates through "
+                        f"{method}, which {type(owner).__name__} lacks; "
+                        'use backend="scalar"'
+                    )
             self._engine = LatencyEngine(params=self.params)
 
     def estimate(
@@ -126,6 +163,10 @@ class OnlineEstimator:
         l0: float,
     ) -> EvaluationTick:
         """One online estimation tick.
+
+        On a vectorized backend this is the one-tick case of
+        :meth:`replay`'s row program, fed the world model at ``now``;
+        ``"scalar"`` runs the per-actor, per-future reference loop.
 
         Args:
             now: current time (seconds).
@@ -139,22 +180,35 @@ class OnlineEstimator:
             downstream consumers (safety check, prioritization, figures)
             are agnostic to where estimates came from.
         """
+        if self._engine is not None:
+            return self._estimate_ticks(
+                np.array([now]),
+                [ego_state],
+                ego_spec,
+                {actor.actor_id: [actor] for actor in world_model},
+                {
+                    actor.actor_id: (
+                        np.array([actor.position.x]),
+                        np.array([actor.position.y]),
+                    )
+                    for actor in world_model
+                },
+                None,
+                l0,
+            )[0]
+
         assessor = ThreatAssessor(params=self.params, road=self.road)
         ego_motion = EgoMotion.from_state(
             ego_state.speed, ego_state.accel, self.params
         )
-
-        # First pass: assess every predicted future of every confirmed
-        # actor, collecting the tick's full threat batch.
         actor_positions = {}
-        per_actor: list[tuple[str, list[tuple[float, object | None]]]] = []
+        actor_latencies: dict[str, float | None] = {}
         for perceived in world_model:
             actor_positions[perceived.actor_id] = perceived.position
-            predictions = self.predictor.predict(
-                perceived, now, self.params.horizon
-            )
             entries: list[tuple[float, object | None]] = []
-            for prediction in predictions:
+            for prediction in self.predictor.predict(
+                perceived, now, self.params.horizon
+            ):
                 threat = assessor.assess(
                     ego_state,
                     ego_spec,
@@ -167,29 +221,9 @@ class OnlineEstimator:
                         inner=threat, margin=self.gap_margin
                     )
                 entries.append((prediction.probability, threat))
-            per_actor.append((perceived.actor_id, entries))
-
-        # One kernel call covers the whole tick (all actors, all
-        # futures); the scalar backend loops in the same order.
-        batch = [
-            threat
-            for _, entries in per_actor
-            for _, threat in entries
-            if threat is not None
-        ]
-        if self._engine is not None:
-            solved = iter(self._engine.solve_batch(ego_motion, batch, l0))
-        else:
-            solved = iter(
-                self._search.tolerable_latency(ego_motion, threat, l0)
-                for threat in batch
-            )
-
-        actor_latencies: dict[str, float | None] = {}
-        for actor_id, entries in per_actor:
-            is_threat, latency = self._aggregate(entries, solved)
+            is_threat, latency = self._aggregate(entries, ego_motion, l0)
             if is_threat:
-                actor_latencies[actor_id] = latency
+                actor_latencies[perceived.actor_id] = latency
 
         return EvaluationTick.at(
             now,
@@ -218,10 +252,11 @@ class OnlineEstimator:
         undetected actors vanish from the replayed world model for that
         tick and perceived positions carry the counter-keyed jitter.
 
-        With ``backend="batched"`` (or ``"crosstrace"``) the replay runs
-        on the offline block's row machinery: ``predict_trace`` rolls
-        each hypothesis out over all ticks at once,
-        ``ThreatAssessor.could_collide_futures`` gates the futures, and
+        With ``backend="batched"`` (or ``"crosstrace"``) the replay is
+        the many-tick case of the program a live :meth:`estimate` runs
+        on one tick: ``predict_trace`` rolls each hypothesis out over
+        all ticks at once, ``ThreatAssessor.could_collide_futures``
+        gates the futures, and
         :func:`repro.core.evaluator.solve_row_sources` samples
         (``sample_threat_futures``) and solves every gated (tick, actor,
         hypothesis) row in bounded windows over the master prefix they
@@ -245,22 +280,9 @@ class OnlineEstimator:
             evaluator's output).
 
         Raises:
-            EstimationError: on a vectorized backend whose predictor has
-                no ``predict_trace`` or whose aggregator has no
-                ``aggregate_rows`` (``backend="scalar"`` replays either),
-                or on ``samples`` taken at another stride or noise.
+            EstimationError: on ``samples`` taken at another stride or
+                noise.
         """
-        if self._engine is not None:
-            for owner, method in (
-                (self.predictor, "predict_trace"),
-                (self.aggregator, "aggregate_rows"),
-            ):
-                if not hasattr(owner, method):
-                    raise EstimationError(
-                        f"backend {self.backend!r} replays through "
-                        f"{method}, which {type(owner).__name__} lacks; "
-                        'replay it with backend="scalar"'
-                    )
         if l0 is None:
             l0 = trace.default_l0()
         # The offline evaluator's presampler supplies the tick grid and
@@ -272,62 +294,67 @@ class OnlineEstimator:
             samples = presample_trace(trace, period, noise=self.noise)
         else:
             samples.check(period, self.noise)
-        if self._engine is not None:
-            return EvaluationSeries(
-                scenario=trace.scenario,
-                ticks=self._replay_rows(trace, samples, l0),
-                params=self.params,
-                l0=l0,
-            )
-
         times = samples.times
-        ego_states = samples.ego_states
-        actor_states = samples.actor_states
         detected = samples.detected
-        ticks = []
-        for i in range(len(times)):
-            now = float(times[i])
-            world = WorldModel()
-            for actor_id, states in actor_states.items():
-                if detected is not None and not detected[actor_id][i]:
-                    # An injected miss: the actor never reached the
+        if self._engine is not None:
+            ticks = self._estimate_ticks(
+                times,
+                samples.ego_states,
+                trace.ego_spec,
+                {
+                    actor_id: [
+                        _perceived(actor_id, state, float(now))
+                        for state, now in zip(states, times)
+                    ]
+                    for actor_id, states in samples.actor_states.items()
+                },
+                samples.actor_positions,
+                detected,
+                l0,
+            )
+        else:
+            ticks = []
+            for i, now in enumerate(times.tolist()):
+                world = WorldModel()
+                for actor_id, states in samples.actor_states.items():
+                    # An injected miss: the actor never reaches the
                     # replayed world model this tick.
-                    continue
-                state = states[i]
-                world.upsert(
-                    PerceivedActor(
-                        actor_id=actor_id,
-                        position=state.position,
-                        velocity=state.velocity(),
-                        heading=state.heading,
-                        speed=state.speed,
-                        accel=state.accel,
-                        timestamp=now,
+                    if detected is None or detected[actor_id][i]:
+                        world.upsert(_perceived(actor_id, states[i], now))
+                ticks.append(
+                    self.estimate(
+                        now=now,
+                        ego_state=samples.ego_states[i],
+                        ego_spec=trace.ego_spec,
+                        world_model=world,
+                        l0=l0,
                     )
                 )
-            ticks.append(
-                self.estimate(
-                    now=now,
-                    ego_state=ego_states[i],
-                    ego_spec=trace.ego_spec,
-                    world_model=world,
-                    l0=l0,
-                )
-            )
         return EvaluationSeries(
             scenario=trace.scenario, ticks=ticks, params=self.params, l0=l0
         )
 
-    def _replay_rows(
-        self, trace: ScenarioTrace, samples: TraceSamples, l0: float
+    def _estimate_ticks(
+        self,
+        times: np.ndarray,
+        ego_states: Sequence[VehicleState],
+        ego_spec: VehicleSpec,
+        actors: Mapping[Hashable, Sequence[PerceivedActor]],
+        positions: Mapping[Hashable, tuple[np.ndarray, np.ndarray]],
+        detected: Mapping[Hashable, np.ndarray] | None,
+        l0: float,
     ) -> list[EvaluationTick]:
-        """The vectorized replay's ticks, bit-identical to the per-tick
-        loop's: every kernel does its per-element arithmetic."""
-        times = samples.times
+        """The vectorized estimate over a tick axis, one tick per time.
+
+        ``actors`` holds each actor's perceived view at every tick and
+        ``positions`` its ``(xs, ys)`` arrays over the same ticks;
+        ``detected`` optionally drops an actor from a tick's world
+        model. Bit-identical to the scalar :meth:`estimate` at each
+        tick: every kernel does its per-element arithmetic.
+        """
         n_ticks = len(times)
-        ego_states = samples.ego_states
-        detected = samples.detected
         assessor = ThreatAssessor(params=self.params, road=self.road)
+        ego_rows = assessor.ego_path_rows(ego_states)
         motions = [
             EgoMotion.from_state(state.speed, state.accel, self.params)
             for state in ego_states
@@ -338,11 +365,12 @@ class OnlineEstimator:
             """One (actor, hypothesis) source's rows at ``ticks``."""
             gaps, speeds = assessor.sample_threat_futures(
                 [ego_states[i] for i in ticks],
-                trace.ego_spec,
+                ego_spec,
                 hypothesis.rollout.take(ticks),
                 self.assumed_actor_spec,
                 times[ticks],
                 rel_times,
+                ego_rows=ego_rows.take(ticks),
             )
             if self.gap_margin > 0.0:
                 gaps = np.maximum(0.0, gaps - self.gap_margin)
@@ -352,32 +380,19 @@ class OnlineEstimator:
         # hypothesis), its per-tick latencies, probabilities and active
         # mask. Solved rows fill the latencies in; gated-out futures
         # keep the most permissive latency.
-        per_actor: list[tuple[str, np.ndarray, list[tuple]]] = []
+        per_actor: list[tuple[Hashable, np.ndarray, list[tuple]]] = []
         sources = []
         slots: list[np.ndarray] = []
-        for actor_id, states in samples.actor_states.items():
-            actors = [
-                PerceivedActor(
-                    actor_id=actor_id,
-                    position=state.position,
-                    velocity=state.velocity(),
-                    heading=state.heading,
-                    speed=state.speed,
-                    accel=state.accel,
-                    timestamp=float(times[i]),
-                )
-                for i, state in enumerate(states)
-            ]
+        for actor_id, views in actors.items():
             threat = np.zeros(n_ticks, dtype=bool)
             per_hypothesis = []
             for hypothesis in self.predictor.predict_trace(
-                actors, times, self.params.horizon
+                views, times, self.params.horizon
             ):
-                # Injected misses drop the actor from the replayed
-                # world model for the tick: its hypotheses go inactive
-                # there, exactly as the scalar loop's skipped upsert
-                # leaves nothing to predict (rollouts are per-tick
-                # pure, so masking after the fact is equivalent).
+                # A tick whose world model lacks the actor has nothing
+                # to predict: its hypotheses go inactive there
+                # (rollouts are per-tick pure, so masking after the
+                # fact is equivalent).
                 active_mask = np.asarray(hypothesis.active, dtype=bool)
                 if detected is not None:
                     active_mask = active_mask & detected[actor_id]
@@ -386,10 +401,11 @@ class OnlineEstimator:
                 if active.size:
                     gates = assessor.could_collide_futures(
                         [ego_states[i] for i in active],
-                        trace.ego_spec,
+                        ego_spec,
                         hypothesis.rollout.take(active),
                         self.assumed_actor_spec,
                         times[active],
+                        ego_rows=ego_rows.take(active),
                     )
                     gated = active[gates]
                     threat[gated] = True
@@ -416,7 +432,7 @@ class OnlineEstimator:
             ]
 
         # Equation 4 across hypotheses, then Equation 5 per tick.
-        actor_latencies: list[dict[str, float | None]] = [
+        actor_latencies: list[dict[Hashable, float | None]] = [
             {} for _ in range(n_ticks)
         ]
         for actor_id, threat, per_hypothesis in per_actor:
@@ -438,7 +454,7 @@ class OnlineEstimator:
                     None if value <= UNAVOIDABLE_LATENCY else float(value)
                 )
         visibility = self.rig.visible_actors_trace(
-            ego_states, samples.actor_positions, detected=detected
+            ego_states, positions, detected=detected
         )
         return [
             EvaluationTick.at(
@@ -451,13 +467,14 @@ class OnlineEstimator:
             for i in range(n_ticks)
         ]
 
-    def _aggregate(self, entries, solved) -> tuple[bool, float | None]:
-        """``(is_threat, latency)`` — Eq 4 aggregate for one actor.
+    def _aggregate(
+        self, entries, ego_motion: EgoMotion, l0: float
+    ) -> tuple[bool, float | None]:
+        """``(is_threat, latency)`` — the scalar Eq 4 aggregate of one actor.
 
         ``entries`` pairs each predicted future's probability with its
-        threat view (``None`` when the future was gated out); ``solved``
-        yields the batch's :class:`LatencyResult` objects in the same
-        order the threats were collected. ``is_threat`` is False when
+        threat view (``None`` when the future was gated out), each
+        solved by the reference search. ``is_threat`` is False when
         every future was gated out (the actor cannot collide under any
         hypothesis).
         """
@@ -465,15 +482,18 @@ class OnlineEstimator:
         probabilities: list[float] = []
         any_threat = False
         for probability, threat in entries:
+            probabilities.append(probability)
             if threat is None:
                 # This future never collides: it contributes the most
                 # permissive latency rather than disappearing.
                 latencies.append(self.params.l_max)
-                probabilities.append(probability)
                 continue
             any_threat = True
-            latencies.append(next(solved).latency_or_zero())
-            probabilities.append(probability)
+            latencies.append(
+                self._search.tolerable_latency(
+                    ego_motion, threat, l0
+                ).latency_or_zero()
+            )
 
         if not any_threat:
             return False, None

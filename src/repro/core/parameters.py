@@ -111,10 +111,6 @@ class ZhuyiParams:
         grid.reverse()
         return grid
 
-    def fpr_floor(self) -> float:
-        """Smallest reportable FPR (actor poses no constraint)."""
-        return 1.0 / self.l_max
-
     def fpr_cap(self) -> float:
         """Largest reportable FPR (latency at the grid minimum)."""
         return 1.0 / self.l_min

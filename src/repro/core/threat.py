@@ -276,6 +276,15 @@ class EgoPathRows:
     s: np.ndarray
     d: np.ndarray
 
+    def take(self, ticks: np.ndarray) -> EgoPathRows:
+        """The rows at ``ticks`` (a subset of the tick axis)."""
+        return EgoPathRows(
+            xs=self.xs[ticks],
+            ys=self.ys[ticks],
+            s=self.s[ticks],
+            d=self.d[ticks],
+        )
+
 
 @dataclass(frozen=True)
 class ThreatAssessor:
@@ -484,6 +493,7 @@ class ThreatAssessor:
         futures: RolloutArrays,
         actor_spec: VehicleSpec,
         t0s: np.ndarray,
+        ego_rows: EgoPathRows | None = None,
     ) -> np.ndarray:
         """:meth:`could_collide_trace` for *predicted* per-tick futures.
 
@@ -502,6 +512,8 @@ class ThreatAssessor:
             futures: one predicted rollout per tick
                 (:class:`repro.dynamics.state.RolloutArrays`).
             t0s: the estimation instants, aligned with ``futures`` rows.
+            ego_rows: optional precomputed :meth:`ego_path_rows` for
+                these ticks (the cross-hypothesis ego-side cache).
 
         Returns:
             Boolean array: whether the actor could collide at each tick.
@@ -514,6 +526,7 @@ class ThreatAssessor:
             futures.times[:, -1],
             actor_spec,
             t0s,
+            ego_rows=ego_rows,
         )
 
     def sample_threat_futures(
@@ -524,6 +537,7 @@ class ThreatAssessor:
         actor_spec: VehicleSpec,
         t0s: np.ndarray,
         rel_times: np.ndarray,
+        ego_rows: EgoPathRows | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`sample_threats_trace` for *predicted* per-tick futures.
 
@@ -540,6 +554,8 @@ class ThreatAssessor:
             futures: one predicted rollout per queried tick.
             t0s: the queried estimation instants (row-aligned).
             rel_times: scan instants relative to each tick.
+            ego_rows: optional precomputed :meth:`ego_path_rows` for
+                these ticks (the cross-hypothesis ego-side cache).
 
         Returns:
             ``(s_n, v_an)`` arrays of shape ``(len(t0s), len(rel_times))``.
@@ -551,6 +567,7 @@ class ThreatAssessor:
             actor_spec,
             t0s,
             rel_times,
+            ego_rows=ego_rows,
         )
 
     def _gate_rows(
@@ -599,7 +616,8 @@ class ThreatAssessor:
         # same values and the same stop condition as the scalar loop.
         gate_rel = []
         t = 0.0
-        while t <= float(horizons.max()) + 1e-9:
+        limit = float(horizons.max()) + 1e-9
+        while t <= limit:
             gate_rel.append(t)
             # reprolint: disable=DET003 -- shared accumulated gate grid,
             # deliberately identical to could_collide's scalar loop

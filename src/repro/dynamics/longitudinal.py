@@ -8,7 +8,6 @@ acceleration integration is clamped at zero speed.
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 
@@ -146,19 +145,6 @@ def time_to_stop(speed: float, decel: float) -> float:
     if speed < 0.0:
         raise ValueError(f"speed must be non-negative, got {speed}")
     return speed / decel
-
-
-def speed_after_distance(speed: float, accel: float, distance: float) -> float:
-    """Speed after covering ``distance`` under constant acceleration.
-
-    Returns 0 if the vehicle stops before covering the distance.
-    """
-    if distance < 0.0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
-    radicand = speed * speed + 2.0 * accel * distance
-    if radicand <= 0.0:
-        return 0.0
-    return math.sqrt(radicand)
 
 
 def clamp(value: float, lower: float, upper: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -88,10 +88,6 @@ class VehicleState:
             length=spec.length,
             width=spec.width,
         )
-
-    def with_accel(self, accel: float) -> "VehicleState":
-        """Copy of this state with a different longitudinal acceleration."""
-        return replace(self, accel=accel)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ from repro.fuzz.fitness import (
     score_key,
     score_rows,
 )
+from repro.perception.pipeline import check_fpr
 from repro.scenarios.fuzzed import (
     RECIPES_ENV,
     fuzzed_recipe,
@@ -140,6 +141,8 @@ class FuzzConfig:
             raise ConfigurationError(
                 "fuzz sim_seeds and fprs must be non-empty"
             )
+        for fpr in self.fprs:
+            check_fpr(fpr)
         if self.stride <= 0.0:
             raise ConfigurationError(
                 f"stride must be positive, got {self.stride}"

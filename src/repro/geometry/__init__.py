@@ -10,7 +10,6 @@ from repro.geometry.vec import Vec2
 from repro.geometry.transforms import Frame2
 from repro.geometry.boxes import (
     OrientedBox,
-    box_distance,
     boxes_overlap,
     segment_intersects_box,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Frame2",
     "OrientedBox",
     "boxes_overlap",
-    "box_distance",
     "segment_intersects_box",
     "AngularSector",
 ]

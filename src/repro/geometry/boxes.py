@@ -44,17 +44,6 @@ class OrientedBox:
                 f"length={self.length}, width={self.width}"
             )
 
-    def corners(self) -> list[Vec2]:
-        """The four corners in counter-clockwise order."""
-        forward = Vec2.unit(self.heading) * (self.length / 2.0)
-        left = Vec2.unit(self.heading).perp() * (self.width / 2.0)
-        return [
-            self.center + forward + left,
-            self.center - forward + left,
-            self.center - forward - left,
-            self.center + forward - left,
-        ]
-
     def axes(self) -> tuple[Vec2, Vec2]:
         """The two unit edge normals (length axis and width axis)."""
         forward = Vec2.unit(self.heading)
@@ -63,16 +52,6 @@ class OrientedBox:
     def half_extents(self) -> tuple[float, float]:
         """Half-length and half-width."""
         return self.length / 2.0, self.width / 2.0
-
-    def contains_point(self, point: Vec2) -> bool:
-        """Whether a world point lies inside (or on) the box."""
-        delta = point - self.center
-        forward, left = self.axes()
-        half_len, half_wid = self.half_extents()
-        return (
-            abs(delta.dot(forward)) <= half_len + 1e-12
-            and abs(delta.dot(left)) <= half_wid + 1e-12
-        )
 
     def circumradius(self) -> float:
         """Radius of the smallest circle containing the box."""
@@ -103,30 +82,6 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
         if a_max < b_min or b_max < a_min:
             return False
     return True
-
-
-def box_distance(a: OrientedBox, b: OrientedBox) -> float:
-    """Approximate clearance between two boxes (0 when overlapping).
-
-    Exact corner-to-edge distance is unnecessary for this library; the
-    simulator uses :func:`boxes_overlap` for collision and this helper only
-    for diagnostics, so a corner/edge sampling approximation suffices.
-    """
-    if boxes_overlap(a, b):
-        return 0.0
-    best = math.inf
-    a_pts = a.corners() + [a.center]
-    b_pts = b.corners() + [b.center]
-    for pa in a_pts:
-        for pb in b_pts:
-            best = min(best, pa.distance_to(pb))
-    for pa in a.corners():
-        for qa, qb in _edges(b):
-            best = min(best, _point_segment_distance(pa, qa, qb))
-    for pb in b.corners():
-        for qa, qb in _edges(a):
-            best = min(best, _point_segment_distance(pb, qa, qb))
-    return best
 
 
 def segment_intersects_box(a: Vec2, b: Vec2, box: OrientedBox) -> bool:
@@ -162,18 +117,3 @@ def segment_intersects_box(a: Vec2, b: Vec2, box: OrientedBox) -> bool:
         if t_min > t_max:
             return False
     return True
-
-
-def _edges(box: OrientedBox) -> list[tuple[Vec2, Vec2]]:
-    pts = box.corners()
-    return [(pts[i], pts[(i + 1) % 4]) for i in range(4)]
-
-
-def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    seg = b - a
-    seg_len_sq = seg.norm_sq()
-    if seg_len_sq == 0.0:
-        return p.distance_to(a)
-    t = max(0.0, min(1.0, (p - a).dot(seg) / seg_len_sq))
-    closest = a + seg * t
-    return p.distance_to(closest)

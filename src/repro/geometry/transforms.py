@@ -7,7 +7,6 @@ motion in the ego's path frame. Both are plain SE(2) transforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.geometry.vec import Vec2
@@ -33,23 +32,6 @@ class Frame2:
     def to_world(self, point: Vec2) -> Vec2:
         """Express a frame-local point in the world frame."""
         return self.origin + point.rotated(self.heading)
-
-    def direction_to_local(self, direction: Vec2) -> Vec2:
-        """Rotate a world-frame direction into this frame (no translation)."""
-        return direction.rotated(-self.heading)
-
-    def heading_to_local(self, world_heading: float) -> float:
-        """Express a world heading (radians) relative to this frame."""
-        return wrap_angle(world_heading - self.heading)
-
-    def bearing_of(self, point: Vec2) -> float:
-        """Bearing (radians) of a world point as seen from this frame.
-
-        Zero bearing is straight ahead along the frame's +X axis; positive
-        bearings are to the left (counter-clockwise).
-        """
-        local = self.to_local(point)
-        return math.atan2(local.y, local.x)
 
     def compose(self, child: "Frame2") -> "Frame2":
         """The frame obtained by mounting ``child`` inside this frame.

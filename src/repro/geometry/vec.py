@@ -96,7 +96,3 @@ class Vec2:
     def unit(angle: float) -> "Vec2":
         """Unit vector at the given heading (radians)."""
         return Vec2(math.cos(angle), math.sin(angle))
-
-    def as_tuple(self) -> tuple[float, float]:
-        """The vector as a plain ``(x, y)`` tuple."""
-        return (self.x, self.y)

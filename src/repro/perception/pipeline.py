@@ -28,6 +28,27 @@ MIN_FPR = 0.5
 MAX_FPR = 120.0
 
 
+def check_fpr(rate: float) -> float:
+    """``rate`` as a float, when a camera can be configured to run at it.
+
+    A configured rate the simulator cannot honour is an error, not a
+    clamp: a run at 200 FPR would otherwise simulate 120 and report
+    200. Runtime retuning (:meth:`PerceptionSystem.set_fpr`) still
+    clamps.
+
+    Raises:
+        ConfigurationError: unless ``rate`` is finite and within
+            [:data:`MIN_FPR`, :data:`MAX_FPR`].
+    """
+    rate = float(rate)
+    # NaN fails both comparisons; infinities fall outside the range.
+    if not MIN_FPR <= rate <= MAX_FPR:
+        raise ConfigurationError(
+            f"FPR must be within [{MIN_FPR:g}, {MAX_FPR:g}], got {rate}"
+        )
+    return rate
+
+
 @dataclass(frozen=True)
 class _PendingFrame:
     """A captured frame waiting out its processing latency."""
@@ -45,7 +66,7 @@ class PerceptionSystem:
         rig: the camera rig (defaults to the paper's five-camera layout).
         detection_model: shared detection characteristics.
         fpr: initial rate for every camera — a scalar applied to all, or
-            a per-camera mapping.
+            a per-camera mapping; each must pass :func:`check_fpr`.
         confirmation_hits: the tracker's ``K``.
         latency_factor: processing latency as a multiple of the frame
             period (1.0 reproduces the paper's ``l0 = 1/FPR``).
@@ -98,7 +119,7 @@ class PerceptionSystem:
         else:
             rates = {name: float(fpr) for name in self.rig.names}
         for name, rate in rates.items():
-            self.set_fpr(name, rate)
+            self.set_fpr(name, check_fpr(rate))
             self._next_capture[name] = 0.0
         self._initial_fpr = dict(self._fpr)
 

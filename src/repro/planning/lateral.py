@@ -10,7 +10,6 @@ from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import ConfigurationError
 from repro.road.lane import FrenetPoint
 from repro.road.track import Road
-from repro.units import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,3 @@ class LaneKeeper:
         curvature = 2.0 * local.y / distance_sq
         steer = math.atan(spec.wheelbase * curvature)
         return min(max(steer, -MAX_STEER_ANGLE), MAX_STEER_ANGLE)
-
-    def heading_error(self, state: VehicleState) -> float:
-        """Ego heading error w.r.t. the road tangent (diagnostics)."""
-        frenet = self.road.to_frenet(state.position)
-        return wrap_angle(state.heading - self.road.heading_at(frenet.s))

@@ -27,7 +27,6 @@ from repro.dynamics.state import StateTrajectory, VehicleSpec, VehicleState
 from repro.errors import EstimationError, TraceError
 from repro.geometry.vec import Vec2
 from repro.sim.collision import CollisionEvent
-from repro.units import seconds_to_ms
 
 #: A trace's array columns, in the trace store's write order. ``times``
 #: ``(S,)`` holds the step timestamps; ``ego`` ``(5, S)`` the ego state
@@ -61,11 +60,6 @@ class TraceStep:
     actors: Mapping[str, VehicleState]
     planner_mode: str = "cruise"
     camera_fprs: Mapping[str, float] = field(default_factory=dict)
-
-    @property
-    def time_ms(self) -> int:
-        """Timestamp in milliseconds (the unit of the paper's figures)."""
-        return seconds_to_ms(self.time)
 
 
 class TraceRecorder:

@@ -35,11 +35,6 @@ class Alarm:
     operating_fpr: float
     required_fpr: float
 
-    @property
-    def deficit(self) -> float:
-        """How many frames/second short the camera is."""
-        return self.required_fpr - self.operating_fpr
-
 
 @dataclass(frozen=True)
 class SafetyVerdict:
@@ -75,11 +70,6 @@ class SafetyChecker:
     def history(self) -> Sequence[SafetyVerdict]:
         """All verdicts issued so far."""
         return tuple(self._history)
-
-    @property
-    def alarm_count(self) -> int:
-        """Total alarms raised so far."""
-        return sum(len(verdict.alarms) for verdict in self._history)
 
     def check(
         self,

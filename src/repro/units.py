@@ -25,39 +25,9 @@ def mph_to_mps(mph: float) -> float:
     return mph * METERS_PER_MILE / SECONDS_PER_HOUR
 
 
-def mps_to_mph(mps: float) -> float:
-    """Convert metres per second to miles per hour."""
-    return mps * SECONDS_PER_HOUR / METERS_PER_MILE
-
-
-def kmh_to_mps(kmh: float) -> float:
-    """Convert kilometres per hour to metres per second."""
-    return kmh / 3.6
-
-
-def mps_to_kmh(mps: float) -> float:
-    """Convert metres per second to kilometres per hour."""
-    return mps * 3.6
-
-
 def seconds_to_ms(seconds: float) -> int:
     """Convert seconds to integer milliseconds (round to nearest)."""
     return int(round(seconds * 1000.0))
-
-
-def ms_to_seconds(ms: float) -> float:
-    """Convert milliseconds to seconds."""
-    return ms / 1000.0
-
-
-def deg_to_rad(degrees: float) -> float:
-    """Convert degrees to radians."""
-    return math.radians(degrees)
-
-
-def rad_to_deg(radians: float) -> float:
-    """Convert radians to degrees."""
-    return math.degrees(radians)
 
 
 def wrap_angle(angle: float) -> float:

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from repro import build_scenario
+from repro.core.ego_profile import EgoMotion
+from repro.core.engine import LatencyEngine
 from repro.core.parameters import ZhuyiParams
+from repro.core.threat import sample_grid
 from repro.dynamics.state import VehicleSpec
 from repro.road.track import three_lane_straight_road
 from repro.sim.trace import COLUMNS, ScenarioTrace
@@ -75,6 +78,40 @@ def _producers_agree(trace: ScenarioTrace) -> bool:
 def producers_agree():
     """The simulator-vs-step-producers column check."""
     return _producers_agree
+
+
+def _solve_tick(engine: LatencyEngine, ego: EgoMotion, threats, l0: float):
+    """One tick's threats solved as rows of a one-tick grid.
+
+    The engine's single-tick case: ``trace_grid`` over the one ego
+    motion, each threat sampled on the master grid plus the reaction
+    instants, one ``solve_rows`` call with a row per threat.
+    """
+    grid = engine.trace_grid([ego], l0)
+    rel_times = np.concatenate([grid.times, grid.reactions])
+    gaps = np.empty((len(threats), rel_times.size))
+    speeds = np.empty((len(threats), rel_times.size))
+    for row, threat in enumerate(threats):
+        gaps[row], speeds[row] = sample_grid(threat, rel_times)
+    return engine.solve_rows(
+        grid, np.zeros(len(threats), dtype=np.int64), [ego], gaps, speeds
+    )
+
+
+@pytest.fixture(scope="session")
+def solve_tick():
+    """The one-tick ``trace_grid`` + ``solve_rows`` solve."""
+    return _solve_tick
+
+
+@pytest.fixture(params=[200.0, 0.0, -5.0, float("nan"), float("inf")])
+def unrunnable_fpr(request) -> float:
+    """A rate no camera can be configured to run at.
+
+    Above ``MAX_FPR``, zero, negative, NaN and infinite: each used to
+    run at a clamped rate under its own name.
+    """
+    return request.param
 
 
 @pytest.fixture(scope="session")

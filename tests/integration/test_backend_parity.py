@@ -9,10 +9,14 @@ counter-based perception noise. The online estimator gets the same
 treatment over a perceived world model.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro import OfflineEvaluator, build_scenario
 from repro.core.evaluator import presample_trace
+from repro.dynamics.state import VehicleSpec
 from repro.perception.noise import PerceptionNoise
 
 
@@ -96,20 +100,38 @@ class TestNoisyOfflineParity:
 
 @pytest.mark.slow
 class TestOnlineParity:
-    def test_online_tick_identical(self):
+    @pytest.mark.parametrize(
+        "name, fpr, settings, prioritized",
+        # (scenario, FPR, estimator settings, work prioritization) of
+        # the hooked runs: a curved road under the gap margin, four
+        # actors, and camera rates retuned from the estimates every tick.
+        [
+            ("cut_in", 30.0, {}, False),
+            ("challenging_cut_in_curved", 30.0, {"gap_margin": 0.5}, False),
+            ("cut_in_dense4", 30.0, {}, False),
+            ("cut_out_fast", 12.0, {}, True),
+        ],
+        ids=["cut_in", "curved-gap-margin", "dense4", "prioritized"],
+    )
+    def test_online_tick_identical(
+        self, name, fpr, settings, prioritized, columns_equal
+    ):
         from repro.core.aggregation import PercentileAggregator
         from repro.core.online import OnlineEstimator
         from repro.core.parameters import ZhuyiParams
         from repro.prediction.maneuver import ManeuverPredictor
-        from repro.system import SafetyChecker, ZhuyiOnlineSystem
+        from repro.system import (
+            SafetyChecker,
+            WorkPrioritizer,
+            ZhuyiOnlineSystem,
+        )
 
-        ticks = {}
+        runs = {}
         for backend in ("scalar", "batched"):
-            scenario = build_scenario("cut_in", seed=0)
-            params = ZhuyiParams()
+            scenario = build_scenario(name, seed=0)
             system = ZhuyiOnlineSystem(
                 estimator=OnlineEstimator(
-                    params=params,
+                    params=ZhuyiParams(),
                     predictor=ManeuverPredictor(
                         road=scenario.road,
                         target_lane=scenario.spec.ego_lane,
@@ -117,18 +139,128 @@ class TestOnlineParity:
                     road=scenario.road,
                     aggregator=PercentileAggregator(90.0),
                     backend=backend,
+                    **settings,
                 ),
                 checker=SafetyChecker(),
+                prioritizer=(
+                    WorkPrioritizer(
+                        total_budget=36.0,
+                        cameras=("front_120", "left", "right"),
+                    )
+                    if prioritized
+                    else None
+                ),
                 period=0.2,
             )
-            scenario.run(fpr=30.0, hooks=[system])
-            ticks[backend] = list(system.ticks())
+            trace = scenario.run(fpr=fpr, hooks=[system])
+            runs[backend] = (system.records, trace)
 
-        assert len(ticks["scalar"]) == len(ticks["batched"])
-        for a, b in zip(ticks["scalar"], ticks["batched"]):
-            assert a.time == b.time
-            assert dict(a.actor_latencies) == dict(b.actor_latencies)
-            assert dict(a.camera_estimates) == dict(b.camera_estimates)
+        (scalar, scalar_trace), (batched, batched_trace) = runs.values()
+        assert len(scalar) == len(batched)
+        assert any(record.tick.actor_latencies for record in scalar)
+        for a, b in zip(scalar, batched):
+            assert a.tick.time == b.tick.time
+            assert dict(a.tick.actor_latencies) == dict(
+                b.tick.actor_latencies
+            )
+            assert dict(a.tick.camera_estimates) == dict(
+                b.tick.camera_estimates
+            )
+            assert a.verdict == b.verdict
+            assert a.applied_rates == b.applied_rates
+        if prioritized:
+            assert any(record.applied_rates for record in scalar)
+        assert columns_equal(scalar_trace, batched_trace)
+
+
+class TestLiveTickRunsTheReplayProgram:
+    """A vectorized live tick is the one-tick case of the replay."""
+
+    @pytest.mark.parametrize("backend", ["batched", "crosstrace"])
+    def test_vectorized_estimate_runs_the_row_program(
+        self, backend, monkeypatch, straight_road
+    ):
+        from repro.core import threat as threat_module
+        from repro.core.engine import LatencyEngine
+        from repro.core.online import OnlineEstimator
+        from repro.core.parameters import ZhuyiParams
+        from repro.core.threat import ThreatAssessor
+        from repro.dynamics.state import VehicleState
+        from repro.geometry.vec import Vec2
+        from repro.perception.world_model import PerceivedActor, WorldModel
+        from repro.prediction.maneuver import ManeuverPredictor
+
+        lane = straight_road.lane_offset(1)
+        ego = VehicleState(
+            position=Vec2(100.0, lane), heading=0.0, speed=20.0, accel=0.0
+        )
+        world = WorldModel()
+        world.upsert(
+            PerceivedActor(
+                actor_id="lead",
+                position=Vec2(160.0, lane),
+                velocity=Vec2(15.0, 0.0),
+                heading=0.0,
+                speed=15.0,
+                accel=0.0,
+                timestamp=3.0,
+            )
+        )
+
+        def estimator(backend):
+            return OnlineEstimator(
+                params=ZhuyiParams(),
+                predictor=ManeuverPredictor(road=straight_road, target_lane=1),
+                road=straight_road,
+                backend=backend,
+            )
+
+        def tick(backend):
+            return estimator(backend).estimate(
+                now=3.0,
+                ego_state=ego,
+                ego_spec=VehicleSpec(),
+                world_model=world,
+                l0=1.0 / 30.0,
+            )
+
+        expected = tick("scalar")
+        # A binding latency: the lead is a threat, and not hopeless.
+        assert 0.0 < expected.actor_latencies["lead"] < 1.0
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"a {backend} estimate called {name}")
+
+            return call
+
+        monkeypatch.setattr(ManeuverPredictor, "predict", forbidden("predict"))
+        monkeypatch.setattr(ThreatAssessor, "assess", forbidden("assess"))
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, "sample_grid", None)
+                is threat_module.sample_grid
+            ):
+                monkeypatch.setattr(
+                    module, "sample_grid", forbidden("sample_grid")
+                )
+        calls = Counter()
+        for owner, method in (
+            (ManeuverPredictor, "predict_trace"),
+            (LatencyEngine, "solve_rows"),
+        ):
+
+            def counted(*args, _original=getattr(owner, method), _name=method,
+                        **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, method, counted)
+
+        result = tick(backend)
+        assert calls == {"predict_trace": 1, "solve_rows": 1}
+        assert result == expected
 
 
 class TestCrosstraceRunsTheEngine:

@@ -227,11 +227,13 @@ class TestReplayWindows:
         solve = LatencyEngine.solve_rows
 
         def spy_sample(
-            self, ego_states, ego_spec, futures, spec, t0s, rel_times
+            self, ego_states, ego_spec, futures, spec, t0s, rel_times,
+            **kwargs,
         ):
             pending.append(len(rel_times))
             return sample(
-                self, ego_states, ego_spec, futures, spec, t0s, rel_times
+                self, ego_states, ego_spec, futures, spec, t0s, rel_times,
+                **kwargs,
             )
 
         def spy_solve(self, grid, tick_indices, *args, **kwargs):
@@ -261,7 +263,11 @@ class TestReplayWindows:
 
 
 class TestNoSilentPerTickReplay:
-    """A vectorized replay never degrades to the per-tick loop."""
+    """A vectorized estimator never degrades to the per-tick loop.
+
+    One lacking ``predict_trace`` or ``aggregate_rows`` is refused when
+    it is built, before any live tick or replay could run.
+    """
 
     class LoopOnly:
         """A per-tick predictor without ``predict_trace``."""
@@ -290,14 +296,13 @@ class TestNoSilentPerTickReplay:
             else {"predictor": predictor, "aggregator": self.ScalarOnly()}
         )
         for backend in ("batched", "crosstrace"):
-            estimator = OnlineEstimator(
-                params=ZhuyiParams(),
-                road=scenario.road,
-                backend=backend,
-                **kwargs,
-            )
             with pytest.raises(EstimationError, match='backend="scalar"'):
-                estimator.replay(cut_in_trace_30, period=0.5)
+                OnlineEstimator(
+                    params=ZhuyiParams(),
+                    road=scenario.road,
+                    backend=backend,
+                    **kwargs,
+                )
         scalar = OnlineEstimator(
             params=ZhuyiParams(), road=scenario.road, backend="scalar",
             **kwargs,

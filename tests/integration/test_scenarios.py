@@ -38,6 +38,20 @@ class TestCatalog:
             mph_to_mps(scenario.spec.ego_speed_mph)
         )
 
+    def test_run_rejects_unrunnable_fpr(self, unrunnable_fpr):
+        # Refused before the first step, not run at a clamped rate.
+        steps = []
+
+        class StepRecorder:
+            def on_step(self, now, simulator):
+                steps.append(now)
+
+        with pytest.raises(ConfigurationError, match="FPR must be within"):
+            build_scenario("cut_in", seed=0).run(
+                fpr=unrunnable_fpr, hooks=[StepRecorder()]
+            )
+        assert steps == []
+
     def test_same_seed_same_choreography(self):
         a = build_scenario("cut_in", seed=3).build_actors()
         b = build_scenario("cut_in", seed=3).build_actors()

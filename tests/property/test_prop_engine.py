@@ -33,7 +33,6 @@ ego_accel = st.floats(min_value=-6.0, max_value=4.0)
 gap = st.floats(min_value=0.0, max_value=300.0)
 actor_speed = st.floats(min_value=0.0, max_value=40.0)
 l0 = st.floats(min_value=1.0 / 30.0, max_value=1.0)
-strict = st.booleans()
 
 relaxed = settings(max_examples=60, deadline=None)
 
@@ -46,15 +45,16 @@ def assert_same(scalar, batched):
 
 class TestFixedGapParity:
     @relaxed
-    @given(ego_speed, ego_accel, gap, actor_speed, l0, strict)
-    def test_exact_parity(self, v, a, g, va, current, is_strict):
+    @given(ego_speed, ego_accel, gap, actor_speed, l0)
+    def test_exact_parity(self, solve_tick, v, a, g, va, current):
         motion = EgoMotion.from_state(v, a, PARAMS)
         threat = FixedGapThreat(g, va)
-        scalar = LatencySearch(params=PARAMS, strict=is_strict)
-        engine = LatencyEngine(params=PARAMS, strict=is_strict)
+        engine = LatencyEngine(params=PARAMS)
         assert_same(
-            scalar.tolerable_latency(motion, threat, current),
-            engine.solve(motion, threat, current),
+            LatencySearch(params=PARAMS).tolerable_latency(
+                motion, threat, current
+            ),
+            solve_tick(engine, motion, [threat], current)[0],
         )
 
     @relaxed
@@ -65,7 +65,7 @@ class TestFixedGapParity:
         st.floats(min_value=0.01, max_value=0.05),
         st.integers(min_value=0, max_value=8),
     )
-    def test_tr_window_edges(self, v, g, va, step, k):
+    def test_tr_window_edges(self, solve_tick, v, g, va, step, k):
         # Odd tn_steps and confirmation multipliers park t_r between
         # grid points, where a sub-step feasible window can open
         # exactly at t_r — the union1d insertion the kernel replays in
@@ -77,12 +77,14 @@ class TestFixedGapParity:
             LatencySearch(params=params).tolerable_latency(
                 motion, threat, 1.0 / 30.0
             ),
-            LatencyEngine(params=params).solve(motion, threat, 1.0 / 30.0),
+            solve_tick(
+                LatencyEngine(params=params), motion, [threat], 1.0 / 30.0
+            )[0],
         )
 
     @relaxed
     @given(ego_speed, actor_speed, l0)
-    def test_unavoidable_parity(self, v, va, current):
+    def test_unavoidable_parity(self, solve_tick, v, va, current):
         # Zero gap with a moving ego: infeasible all the way down.
         motion = EgoMotion.from_state(v, 0.0, PARAMS)
         threat = FixedGapThreat(0.0, va)
@@ -90,7 +92,9 @@ class TestFixedGapParity:
             LatencySearch(params=PARAMS).tolerable_latency(
                 motion, threat, current
             ),
-            LatencyEngine(params=PARAMS).solve(motion, threat, current),
+            solve_tick(
+                LatencyEngine(params=PARAMS), motion, [threat], current
+            )[0],
         )
 
 
@@ -108,7 +112,9 @@ trajectory_points = st.lists(
 class TestTrajectoryParity:
     @relaxed
     @given(ego_speed, ego_accel, st.floats(5.0, 120.0), trajectory_points, l0)
-    def test_trajectory_threat_parity(self, v, a, start_x, points, current):
+    def test_trajectory_threat_parity(
+        self, solve_tick, v, a, start_x, points, current
+    ):
         samples = []
         x = start_x
         for index, (dx, y, speed) in enumerate(points):
@@ -131,7 +137,9 @@ class TestTrajectoryParity:
             LatencySearch(params=PARAMS).tolerable_latency(
                 motion, threat, current
             ),
-            LatencyEngine(params=PARAMS).solve(motion, threat, current),
+            solve_tick(
+                LatencyEngine(params=PARAMS), motion, [threat], current
+            )[0],
         )
 
 
@@ -177,17 +185,16 @@ class TestTrimmedRows:
         st.lists(st.tuples(ego_speed, ego_accel), min_size=1, max_size=4),
         st.integers(min_value=0, max_value=2**32 - 1),
         l0,
-        strict,
         st.data(),
     )
     def test_trimmed_rows_solve_like_full_width(
-        self, egos, seed, current, is_strict, data
+        self, egos, seed, current, data
     ):
         # Rows cut to any master width from their ticks' longest
         # readable prefix up to the whole master grid (the reaction
         # columns kept last) solve exactly like full-width rows.
         motions = [EgoMotion.from_state(v, a, PARAMS) for v, a in egos]
-        engine = LatencyEngine(params=PARAMS, strict=is_strict)
+        engine = LatencyEngine(params=PARAMS)
         # A row-less tick faster than any drawn one stretches the master
         # grid past every row's prefix, as a stacked trace's would.
         stacked = motions + [EgoMotion.from_state(45.0, 4.0, PARAMS)]

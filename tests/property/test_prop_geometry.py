@@ -82,13 +82,6 @@ class TestBoxProperties:
     def test_box_overlaps_itself(self, box):
         assert boxes_overlap(box, box)
 
-    @given(boxes())
-    def test_corners_inside_own_box(self, box):
-        for corner in box.corners():
-            # Shrink toward the centre to dodge boundary epsilon.
-            probe = box.center.lerp(corner, 0.999)
-            assert box.contains_point(probe)
-
     @given(boxes(), st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
     def test_far_translation_never_overlaps(self, box, fx, fy):

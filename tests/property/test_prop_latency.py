@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ego_profile import EgoMotion
-from repro.core.latency import LatencySearch, SearchStrategy
+from repro.core.latency import LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import FixedGapThreat
 
 PARAMS = ZhuyiParams()
 EXACT = LatencySearch(params=PARAMS)
-PAPER = LatencySearch(params=PARAMS, strategy=SearchStrategy.PAPER)
-POINT = LatencySearch(params=PARAMS, strict=False)
 
 ego_speed = st.floats(min_value=0.0, max_value=40.0)
 gap = st.floats(min_value=1.0, max_value=300.0)
@@ -44,22 +42,6 @@ class TestSearchInvariants:
         travelled, v_en = ego(v).total_travel(reaction, result.check_time)
         assert travelled <= PARAMS.c1 * g + 1e-6
         assert v_en <= PARAMS.c2 * va + 1e-6
-
-    @relaxed
-    @given(ego_speed, gap, actor_speed)
-    def test_strict_at_most_point(self, v, g, va):
-        threat = FixedGapThreat(g, va)
-        strict = EXACT.tolerable_latency(ego(v), threat, 1.0).latency_or_zero()
-        loose = POINT.tolerable_latency(ego(v), threat, 1.0).latency_or_zero()
-        assert strict <= loose + 1e-9
-
-    @relaxed
-    @given(ego_speed, gap, actor_speed)
-    def test_paper_at_most_point(self, v, g, va):
-        threat = FixedGapThreat(g, va)
-        paper = PAPER.tolerable_latency(ego(v), threat, 1.0).latency_or_zero()
-        loose = POINT.tolerable_latency(ego(v), threat, 1.0).latency_or_zero()
-        assert paper <= loose + 1e-9
 
     @relaxed
     @given(ego_speed, gap, gap, actor_speed)

@@ -10,7 +10,6 @@ from repro.actors.behavior import (
     ScenarioContext,
     WhenActorGapBelow,
     WhenEgoGapBelow,
-    WhenEgoWithin,
 )
 from repro.actors.maneuvers import (
     Cruise,
@@ -73,11 +72,6 @@ class TestTriggers:
         actor = make_actor(Cruise(10.0), station=100.0)
         assert not trigger.fired(0.0, actor, context(ego_x=50.0))
         assert trigger.fired(1.0, actor, context(ego_x=65.0))
-
-    def test_when_ego_within(self):
-        trigger = WhenEgoWithin(distance=60.0)
-        actor = make_actor(Cruise(10.0), station=100.0)
-        assert trigger.fired(0.0, actor, context(ego_x=50.0))
 
     def test_when_actor_gap_below(self):
         trigger = WhenActorGapBelow(target_id="obstacle", gap=30.0)

@@ -6,7 +6,6 @@ from repro.core.aggregation import (
     MaxAggregator,
     MeanAggregator,
     PercentileAggregator,
-    aggregate_latencies,
 )
 from repro.errors import EstimationError
 
@@ -88,17 +87,6 @@ class TestValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(EstimationError):
             MeanAggregator().aggregate([0.1, 0.2], [1.0, -0.5])
-
-
-class TestConvenienceWrapper:
-    def test_default_is_percentile(self):
-        latencies = [0.1, 0.5, 0.9]
-        assert aggregate_latencies(latencies) == PercentileAggregator().aggregate(
-            latencies
-        )
-
-    def test_custom_aggregator(self):
-        assert aggregate_latencies([0.1, 0.9], aggregator=MaxAggregator()) == 0.1
 
 
 class TestAggregateRows:

@@ -1,4 +1,4 @@
-"""Oriented boxes: overlap, containment, segment intersection."""
+"""Oriented boxes: overlap and segment intersection."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import GeometryError
 from repro.geometry.boxes import (
     OrientedBox,
-    box_distance,
     boxes_overlap,
     segment_intersects_box,
 )
@@ -27,34 +26,9 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             OrientedBox(Vec2(0, 0), 0.0, length=1.0, width=-2.0)
 
-    def test_corners_are_ccw_and_centered(self):
-        box = car(0, 0)
-        corners = box.corners()
-        assert len(corners) == 4
-        centroid = Vec2(
-            sum(c.x for c in corners) / 4, sum(c.y for c in corners) / 4
-        )
-        assert centroid.distance_to(box.center) < 1e-12
-
     def test_circumradius(self):
         box = car(0, 0)
         assert box.circumradius() == pytest.approx(math.hypot(2.4, 0.95))
-
-
-class TestContainment:
-    def test_center_inside(self):
-        assert car(0, 0).contains_point(Vec2(0, 0))
-
-    def test_just_outside_width(self):
-        assert not car(0, 0).contains_point(Vec2(0, 1.0))
-
-    def test_just_inside_length(self):
-        assert car(0, 0).contains_point(Vec2(2.3, 0))
-
-    def test_rotated_containment(self):
-        box = car(0, 0, heading=math.pi / 2)  # length now along Y
-        assert box.contains_point(Vec2(0, 2.3))
-        assert not box.contains_point(Vec2(2.3, 0))
 
 
 class TestOverlap:
@@ -93,18 +67,6 @@ class TestOverlap:
     def test_symmetric(self):
         a, b = car(0, 0), car(4.0, 1.0)
         assert boxes_overlap(a, b) == boxes_overlap(b, a)
-
-
-class TestDistance:
-    def test_zero_when_overlapping(self):
-        assert box_distance(car(0, 0), car(1, 0)) == 0.0
-
-    def test_longitudinal_gap(self):
-        # Centres 10 m apart, half-lengths 2.4 each -> 5.2 m clearance.
-        assert box_distance(car(0, 0), car(10, 0)) == pytest.approx(5.2, abs=0.05)
-
-    def test_lateral_gap(self):
-        assert box_distance(car(0, 0), car(0, 3.5)) == pytest.approx(1.6, abs=0.05)
 
 
 class TestSegmentIntersection:

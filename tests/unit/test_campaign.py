@@ -16,7 +16,6 @@ from repro.batch import (
 from repro.core.parameters import ZhuyiParams
 from repro.errors import ConfigurationError, TraceError
 
-
 def summary(
     index: int,
     scenario: str = "cut_in",
@@ -113,6 +112,14 @@ class TestCampaignSpec:
     def test_bad_stride_rejected(self):
         with pytest.raises(ConfigurationError):
             Campaign(scenarios=("cut_in",), stride=0.0)
+
+    def test_unrunnable_fpr_rejected(self, unrunnable_fpr):
+        # The simulator runs cameras within [MIN_FPR, MAX_FPR]; a grid
+        # rate outside it would run at another rate under its name.
+        with pytest.raises(ConfigurationError, match="FPR must be within"):
+            Campaign(
+                scenarios=("vehicle_following",), fprs=(30.0, unrunnable_fpr)
+            )
 
     def test_grid_dict_round_trip(self):
         campaign = Campaign(

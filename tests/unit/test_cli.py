@@ -104,6 +104,28 @@ class TestCommands:
         assert "s_n = 30 m" in out
         assert "max finite FPR" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--resolution", "-3"], "must be non-negative"),
+            (["--", "-5"], "gap must be positive"),
+            (["--resolution", "0"], "at least one speed"),
+        ],
+        ids=["negative-resolution", "negative-gap", "empty-sweep"],
+    )
+    def test_sweep_bad_input_exits_two(self, argv, message, capsys):
+        assert main(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "max finite FPR" not in captured.out
+
+    def test_run_rejects_unrunnable_fpr(self, unrunnable_fpr, capsys):
+        assert main(["run", "cut_in", "--fpr", str(unrunnable_fpr)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: FPR must be within")
+        assert "collision" not in captured.out
+
     @pytest.mark.slow
     def test_run_and_save_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
@@ -147,8 +169,12 @@ class TestMRFCommand:
             (["cut_in", "--grid", "2,2"], "duplicate fpr"),
             (["cut_in", "--seeds", "0"], "must be non-empty"),
             (["warp"], "unknown scenario 'warp'"),
+            (["vehicle_following", "--grid", "0,30"], "FPR must be within"),
         ],
-        ids=["malformed-grid", "duplicate-rate", "no-seeds", "unknown"],
+        ids=[
+            "malformed-grid", "duplicate-rate", "no-seeds", "unknown",
+            "unrunnable-rate",
+        ],
     )
     def test_bad_input_exits_two(self, argv, message, capsys):
         assert main(["mrf", *argv]) == 2
@@ -195,6 +221,15 @@ class TestCampaignCommand:
     def test_bad_fpr_list_exits_nonzero(self, capsys):
         assert main(["campaign", "cut_in", "--fprs", "30,abc"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unrunnable_fpr_exits_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "grid.jsonl"
+        code = main(
+            ["campaign", "cut_in", "--fprs", "30,200", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: FPR must be within")
+        assert not out.exists()
 
     def test_malformed_shard_exits_nonzero(self, capsys):
         assert main(["campaign", "cut_in", "--shard", "nope"]) == 2
@@ -513,6 +548,15 @@ class TestFuzzCommand:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unrunnable_fprs_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "fuzz"
+        code = main(
+            ["fuzz", "cut_out", "--out", str(out), "--smoke", "--fprs", "0"]
+        )
+        assert code == 2
+        assert "FPR must be within" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_campaign_fuzz_archive_unreadable_exits_two(
         self, tmp_path, capsys

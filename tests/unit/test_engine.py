@@ -41,38 +41,31 @@ class TestSolveParity:
     ]
 
     @pytest.mark.parametrize("speed,accel,gap,actor_speed,l0", CASES)
-    def test_fixed_gap_parity(self, speed, accel, gap, actor_speed, l0):
+    def test_fixed_gap_parity(
+        self, speed, accel, gap, actor_speed, l0, solve_tick
+    ):
         threat = FixedGapThreat(gap, actor_speed)
         scalar = LatencySearch(params=PARAMS).tolerable_latency(
             ego(speed, accel), threat, l0
         )
-        batched = LatencyEngine(params=PARAMS).solve(
-            ego(speed, accel), threat, l0
+        (batched,) = solve_tick(
+            LatencyEngine(params=PARAMS), ego(speed, accel), [threat], l0
         )
         assert_same(scalar, batched)
 
-    @pytest.mark.parametrize("speed,accel,gap,actor_speed,l0", CASES)
-    def test_non_strict_parity(self, speed, accel, gap, actor_speed, l0):
-        threat = FixedGapThreat(gap, actor_speed)
-        scalar = LatencySearch(params=PARAMS, strict=False).tolerable_latency(
-            ego(speed, accel), threat, l0
-        )
-        batched = LatencyEngine(params=PARAMS, strict=False).solve(
-            ego(speed, accel), threat, l0
-        )
-        assert_same(scalar, batched)
-
-    def test_speed_cap_parity(self):
+    def test_speed_cap_parity(self, solve_tick):
         params = ZhuyiParams(ego_speed_cap=22.0)
         threat = FixedGapThreat(70.0, 8.0)
         motion = ego(20.0, 3.0, params)
         scalar = LatencySearch(params=params).tolerable_latency(
             motion, threat, 0.2
         )
-        batched = LatencyEngine(params=params).solve(motion, threat, 0.2)
+        (batched,) = solve_tick(
+            LatencyEngine(params=params), motion, [threat], 0.2
+        )
         assert_same(scalar, batched)
 
-    def test_coarse_grid_parity(self):
+    def test_coarse_grid_parity(self, solve_tick):
         # A t_r that falls between tn_step multiples exercises the
         # union1d-insertion bookkeeping.
         params = ZhuyiParams(dl=0.1, l_min=0.1, tn_step=0.03, k=3)
@@ -81,15 +74,20 @@ class TestSolveParity:
         scalar = LatencySearch(params=params).tolerable_latency(
             motion, threat, 0.1
         )
-        batched = LatencyEngine(params=params).solve(motion, threat, 0.1)
+        (batched,) = solve_tick(
+            LatencyEngine(params=params), motion, [threat], 0.1
+        )
         assert_same(scalar, batched)
 
 
 class TestSolveBatch:
-    def test_empty_batch(self):
-        assert LatencyEngine(params=PARAMS).solve_batch(ego(10.0), [], 1.0) == []
+    """Every threat of one tick as rows of a one-tick grid."""
 
-    def test_batch_matches_singletons(self):
+    def test_empty_batch(self, solve_tick):
+        engine = LatencyEngine(params=PARAMS)
+        assert solve_tick(engine, ego(10.0), [], 1.0) == []
+
+    def test_batch_matches_singletons(self, solve_tick):
         threats = [
             FixedGapThreat(15.0, 0.0),
             FixedGapThreat(120.0, 20.0),
@@ -98,16 +96,17 @@ class TestSolveBatch:
         ]
         engine = LatencyEngine(params=PARAMS)
         motion = ego(22.0, -1.0)
-        batch = engine.solve_batch(motion, threats, 1.0 / 30.0)
+        batch = solve_tick(engine, motion, threats, 1.0 / 30.0)
         assert len(batch) == len(threats)
         for threat, result in zip(threats, batch):
-            assert_same(engine.solve(motion, threat, 1.0 / 30.0), result)
+            (single,) = solve_tick(engine, motion, [threat], 1.0 / 30.0)
+            assert_same(single, result)
 
-    def test_batch_matches_scalar_loop(self):
+    def test_batch_matches_scalar_loop(self, solve_tick):
         threats = [FixedGapThreat(gap, 5.0) for gap in (3.0, 40.0, 400.0)]
         motion = ego(28.0)
         search = LatencySearch(params=PARAMS)
-        batch = LatencyEngine(params=PARAMS).solve_batch(motion, threats, 0.1)
+        batch = solve_tick(LatencyEngine(params=PARAMS), motion, threats, 0.1)
         for threat, result in zip(threats, batch):
             assert_same(search.tolerable_latency(motion, threat, 0.1), result)
 

@@ -69,6 +69,13 @@ class TestFuzzConfig:
         with pytest.raises(ConfigurationError):
             FuzzConfig(family="cut_out", **{"population": 6, **kwargs})
 
+    def test_unrunnable_fpr_rejected(self, unrunnable_fpr):
+        # Every genome would run the grid, so it fails before any run.
+        with pytest.raises(ConfigurationError, match="FPR must be within"):
+            FuzzConfig(
+                family="cut_out", population=6, fprs=(30.0, unrunnable_fpr)
+            )
+
     def test_to_dict_round_trips_values(self):
         data = CONFIG.to_dict()
         assert data["family"] == "cut_out"

@@ -119,37 +119,6 @@ class TestEgoStateEffects:
 
 
 class TestStrategies:
-    def test_paper_never_less_conservative_than_exact(self, params):
-        # The M-bounded Eq 3 search may miss a feasible t_n; it must never
-        # report a larger tolerable latency than the dense point check.
-        exact = LatencySearch(
-            params=params, strategy=SearchStrategy.EXACT, strict=False
-        )
-        paper = LatencySearch(params=params, strategy=SearchStrategy.PAPER)
-        cases = [
-            (ego(10.0), FixedGapThreat(gap=30.0, actor_speed=0.0)),
-            (ego(25.0), FixedGapThreat(gap=80.0, actor_speed=10.0)),
-            (ego(30.0), FixedGapThreat(gap=120.0, actor_speed=20.0)),
-            (ego(15.0), FixedGapThreat(gap=25.0, actor_speed=5.0)),
-        ]
-        for motion, threat in cases:
-            le = exact.tolerable_latency(motion, threat, NO_ALPHA).latency_or_zero()
-            lp = paper.tolerable_latency(motion, threat, NO_ALPHA).latency_or_zero()
-            assert lp <= le + 1e-9
-
-    def test_strict_never_more_permissive_than_point(self, params):
-        strict = LatencySearch(params=params, strict=True)
-        point = LatencySearch(params=params, strict=False)
-        cases = [
-            (ego(10.0), FixedGapThreat(gap=30.0, actor_speed=0.0)),
-            (ego(30.0), FixedGapThreat(gap=60.0, actor_speed=25.0)),
-            (ego(20.0), FixedGapThreat(gap=45.0, actor_speed=12.0)),
-        ]
-        for motion, threat in cases:
-            ls = strict.tolerable_latency(motion, threat, NO_ALPHA).latency_or_zero()
-            lp = point.tolerable_latency(motion, threat, NO_ALPHA).latency_or_zero()
-            assert ls <= lp + 1e-9
-
     def test_check_time_not_before_reaction(self, params):
         for strategy in SearchStrategy:
             search = LatencySearch(params=params, strategy=strategy)

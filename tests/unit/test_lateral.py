@@ -42,10 +42,6 @@ class TestStraightRoad:
         with pytest.raises(ConfigurationError):
             LaneKeeper(road=self.road, target_lane=7)
 
-    def test_heading_error(self):
-        state = VehicleState(Vec2(100, 0), 0.3, 20.0, 0.0)
-        assert self.keeper.heading_error(state) == pytest.approx(0.3)
-
 
 class TestCurvedRoad:
     def test_holds_lane_through_curve(self):

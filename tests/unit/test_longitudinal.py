@@ -5,7 +5,6 @@ import pytest
 from repro.dynamics.longitudinal import (
     braking_distance,
     clamp,
-    speed_after_distance,
     time_to_stop,
     travel,
 )
@@ -76,18 +75,6 @@ class TestStopping:
             braking_distance(10.0, 0.0)
         with pytest.raises(ValueError):
             time_to_stop(10.0, -1.0)
-
-
-class TestSpeedAfterDistance:
-    def test_accelerating(self):
-        assert speed_after_distance(3.0, 2.0, 4.0) == pytest.approx(5.0)
-
-    def test_braking_to_zero_before_distance(self):
-        assert speed_after_distance(10.0, -5.0, 100.0) == 0.0
-
-    def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            speed_after_distance(1.0, 0.0, -1.0)
 
 
 class TestClamp:

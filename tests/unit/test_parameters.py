@@ -32,7 +32,6 @@ class TestDefaults:
         assert fprs[-1] == pytest.approx(30.0)
 
     def test_fpr_bounds(self, params):
-        assert params.fpr_floor() == pytest.approx(1.0)
         assert params.fpr_cap() == pytest.approx(30.0)
 
 

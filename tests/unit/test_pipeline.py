@@ -6,7 +6,8 @@ from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import ConfigurationError
 from repro.geometry.vec import Vec2
 from repro.perception.detection import DetectionModel
-from repro.perception.pipeline import MIN_FPR, PerceptionSystem
+from repro.perception.pipeline import MAX_FPR, MIN_FPR, PerceptionSystem
+from repro.perception.sensor import default_rig
 
 
 SPEC = VehicleSpec()
@@ -57,6 +58,20 @@ class TestScheduling:
         system = PerceptionSystem(fpr=30.0)
         system.set_fpr("left", 0.0)
         assert system.fpr("left") == MIN_FPR
+
+    def test_unrunnable_initial_rate_rejected(self, unrunnable_fpr):
+        # Runtime retuning clamps; a configured rate outside the range
+        # is refused, for every camera form.
+        with pytest.raises(ConfigurationError, match="FPR must be within"):
+            PerceptionSystem(fpr=unrunnable_fpr)
+        rates = dict.fromkeys(default_rig().names, 30.0)
+        rates["left"] = unrunnable_fpr
+        with pytest.raises(ConfigurationError, match="FPR must be within"):
+            PerceptionSystem(fpr=rates)
+
+    def test_range_ends_accepted(self):
+        for fpr in (MIN_FPR, MAX_FPR):
+            assert PerceptionSystem(fpr=fpr).fpr("front_120") == fpr
 
     def test_unknown_camera_raises(self):
         system = PerceptionSystem(fpr=30.0)

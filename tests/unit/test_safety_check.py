@@ -48,7 +48,8 @@ class TestVerdicts:
         assert not verdict.safe
         alarm = verdict.alarms[0]
         assert alarm.camera == "front_120"
-        assert alarm.deficit == pytest.approx(2.0)
+        assert alarm.operating_fpr == 10.0
+        assert alarm.required_fpr == pytest.approx(12.0)
         assert verdict.recommended_action is MitigationAction.RAISE_PROCESSING_RATE
 
     def test_multiple_alarms(self):
@@ -72,7 +73,7 @@ class TestVerdicts:
         checker.check(tick(12.0, time=0.0), {"front_120": 10.0, "left": 2.0})
         checker.check(tick(3.0, time=0.1), {"front_120": 10.0, "left": 2.0})
         assert len(checker.history) == 2
-        assert checker.alarm_count == 1
+        assert [len(verdict.alarms) for verdict in checker.history] == [1, 0]
 
     def test_rejects_margin_below_one(self):
         with pytest.raises(ConfigurationError):

@@ -69,11 +69,6 @@ class TestShape:
 
 
 class TestMasks:
-    def test_gray_above_cap(self, grid_30):
-        gray = grid_30.gray_mask(cap=30.0)
-        with np.errstate(invalid="ignore"):
-            assert np.all(grid_30.min_fpr[gray] > 30.0)
-
     def test_white_is_nan(self, grid_30):
         assert np.all(np.isnan(grid_30.min_fpr[grid_30.white_mask()]))
 
@@ -85,3 +80,16 @@ class TestValidation:
     def test_rejects_bad_gap(self):
         with pytest.raises(ConfigurationError):
             sweep_min_fpr(gap=0.0)
+
+    @pytest.mark.parametrize("empty", ["ego", "actor"])
+    def test_rejects_empty_speed_axis(self, empty):
+        # An empty axis would render an empty heatmap and report a
+        # maximum FPR of 0 as if the sweep had found one.
+        speeds = {"ego": np.linspace(0.0, 70.0, 3), "actor": np.array([10.0])}
+        speeds[empty] = np.array([])
+        with pytest.raises(ConfigurationError, match="at least one speed"):
+            sweep_min_fpr(
+                gap=30.0,
+                ego_speeds_mph=speeds["ego"],
+                actor_speeds_mph=speeds["actor"],
+            )

@@ -56,11 +56,6 @@ class TestVehicleState:
         assert box.width == 1.9
         assert box.center == Vec2(10, 5)
 
-    def test_with_accel(self):
-        s = state(0).with_accel(-3.0)
-        assert s.accel == -3.0
-        assert s.speed == 10.0
-
 
 class TestStateTrajectory:
     def _trajectory(self) -> StateTrajectory:

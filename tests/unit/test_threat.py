@@ -590,3 +590,43 @@ class TestFuturesBatch:
         )
         assert queries.shape[1] == width
         assert np.unique(queries[0]).size == width
+
+    @pytest.mark.parametrize("with_road", [True, False])
+    def test_shared_ego_rows_change_nothing(self, with_road):
+        # The live tick and the replay pass one ego-side cache, cut to
+        # the ticks at hand, to every (actor, hypothesis) call; gates and
+        # samples are those each call derives on its own.
+        spec = VehicleSpec()
+        _, assessor, t0s, ego_states, trajectories = self.per_tick_setup(
+            road=with_road
+        )
+        ticks = np.array([1, 3])
+        states = [ego_states[i] for i in ticks]
+        futures = self.rollout_rows([trajectories[i] for i in ticks])
+        ego_rows = assessor.ego_path_rows(ego_states).take(ticks)
+        rel_times = np.array([0.0, 0.1, 0.37, 1.0, 2.5, 7.0, 30.0])
+        assert np.array_equal(
+            assessor.could_collide_futures(
+                states, spec, futures, spec, t0s[ticks], ego_rows=ego_rows
+            ),
+            assessor.could_collide_futures(
+                states, spec, futures, spec, t0s[ticks]
+            ),
+        )
+        cached = assessor.sample_threat_futures(
+            states, spec, futures, spec, t0s[ticks], rel_times,
+            ego_rows=ego_rows,
+        )
+        derived = assessor.sample_threat_futures(
+            states, spec, futures, spec, t0s[ticks], rel_times
+        )
+        for got, want in zip(cached, derived):
+            assert np.array_equal(got, want)
+
+    def test_take_selects_tick_rows(self):
+        _, assessor, _, ego_states, _ = self.per_tick_setup(road=True)
+        ticks = np.array([3, 0, 2])
+        taken = assessor.ego_path_rows(ego_states).take(ticks)
+        expected = assessor.ego_path_rows([ego_states[i] for i in ticks])
+        for name in ("xs", "ys", "s", "d"):
+            assert np.array_equal(getattr(taken, name), getattr(expected, name))

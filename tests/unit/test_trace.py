@@ -69,9 +69,6 @@ class TestQueries:
         step = make_trace().step_at(0.44)
         assert step.time == pytest.approx(0.4)
 
-    def test_time_ms(self):
-        assert make_trace().steps[3].time_ms == 300
-
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceError):
             ScenarioTrace(scenario="x", dt=0.1, steps=[])

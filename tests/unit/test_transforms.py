@@ -31,19 +31,6 @@ class TestSemantics:
         assert local.x == pytest.approx(10.0)
         assert local.y == pytest.approx(0.0, abs=1e-12)
 
-    def test_bearing_left_is_positive(self):
-        frame = Frame2(Vec2(0, 0), 0.0)
-        assert frame.bearing_of(Vec2(1, 1)) == pytest.approx(math.pi / 4)
-        assert frame.bearing_of(Vec2(1, -1)) == pytest.approx(-math.pi / 4)
-
-    def test_heading_to_local(self):
-        frame = Frame2(Vec2(0, 0), 1.0)
-        assert frame.heading_to_local(1.5) == pytest.approx(0.5)
-
-    def test_direction_transform_ignores_origin(self):
-        frame = Frame2(Vec2(100, 100), 0.0)
-        assert frame.direction_to_local(Vec2(1, 0)) == Vec2(1, 0)
-
 
 class TestCompose:
     def test_compose_translation(self):

@@ -87,8 +87,5 @@ class TestMisc:
         assert a.lerp(b, 0.0) == a
         assert a.lerp(b, 1.0) == b
 
-    def test_as_tuple(self):
-        assert Vec2(1.5, -2.5).as_tuple() == (1.5, -2.5)
-
     def test_hashable(self):
         assert len({Vec2(1, 2), Vec2(1, 2), Vec2(3, 4)}) == 2
