@@ -498,7 +498,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 f"fpr={row['fpr']:g} [{row['variant']}]: {outcome}"
             )
 
-        rows = ReplayService(store=store).run(
+        rows = ReplayService(store=store, workers=args.workers).run(
             plan,
             out=args.out,
             shard=shard,
@@ -859,6 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
         "optionally with max, mean, percentile or percentile:Q "
         "(repeatable; default without --online/--from-campaign is one "
         "offline default-parameter variant)",
+    )
+    replay.add_argument(
+        "--workers", type=int, default=1, help="parallel worker processes"
     )
     replay.add_argument(
         "--stride", type=float, default=0.05, help="estimation cadence (s)"

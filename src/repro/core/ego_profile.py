@@ -146,7 +146,10 @@ def ego_profile_arrays(
     cap = speed_cap
     v0 = ego.speed
     a0 = ego.accel
-    coast = np.minimum(times, reaction)
+    # The coast terms live on the time axis alone: up to t_r the coast
+    # time min(times, t_r) is the time itself, and past t_r the braking
+    # branch is selected anyway.
+    coast = times
 
     if a0 > 0.0:
         limit = cap if cap is not None else math.inf

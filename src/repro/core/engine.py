@@ -20,9 +20,13 @@ predicted futures or parameter variants solved together:
 * Each row's threat is sampled once over the prefix of that master
   grid its tick reads (plus the ``L`` reaction instants) instead of
   once per candidate.
-* Eq 1/2 feasibility, the strict-prefix mask and the per-candidate scan
-  windows evaluate simultaneously as ``(R, L, T)`` boolean arrays; the
-  largest feasible latency falls out of a single argmax per row.
+* Eq 1/2 feasibility and the per-candidate ``t_n >= t_r`` windows
+  evaluate simultaneously as ``(R, S, T)`` boolean arrays over the ``S``
+  candidates of a wave (see :meth:`LatencyEngine._waves`). One
+  short-circuiting arg-reduction per (row, candidate) finds the first
+  violation and the first candidate instant, and comparing them with
+  that candidate's scan length stands in for a prefix mask; the largest
+  feasible latency falls out of a single argmax per row.
 
 Exact-parity contract: results are **bit-identical** to the scalar
 EXACT search — ``latency``, ``check_time`` *and* the ``iterations``
@@ -79,9 +83,17 @@ _ROWS_CHUNK_ELEMENTS = 2_000_000
 _GROUPED_MIN_ROWS_PER_TICK = 16
 
 
-def _first_true(mask: np.ndarray) -> np.ndarray:
-    """Index of the first True along the last axis (``_NO_INDEX`` if none)."""
-    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), _NO_INDEX)
+def _first(mask: np.ndarray, value: bool, lengths: np.ndarray) -> np.ndarray:
+    """Index of the first ``value`` along the last axis of ``mask``.
+
+    ``_NO_INDEX`` where there is none before ``lengths`` (broadcast
+    against the leading axes). One short-circuiting ``argmax`` (or
+    ``argmin`` for False) finds the first index; reading the mask back
+    there tells a real hit from the all-other fallback index 0.
+    """
+    first = mask.argmax(axis=-1) if value else mask.argmin(axis=-1)
+    hit = np.take_along_axis(mask, first[..., None], axis=-1)[..., 0]
+    return np.where((hit == value) & (first < lengths), first, _NO_INDEX)
 
 
 @dataclass(frozen=True)
@@ -434,7 +446,6 @@ class LatencyEngine:
                     ego_motions[n], reactions, times
                 )
             )
-            valid = np.arange(t_cap)[None, :] < lengths[:, None]
             ins = grid.inserted[n, lo:hi]
 
             group = order[bounds[g] : bounds[g + 1]]
@@ -462,7 +473,7 @@ class LatencyEngine:
                     aspeeds[r, first_reaction + lo : first_reaction + hi],
                     row_c1[r],
                     row_c2[r],
-                    valid[None],
+                    lengths[None],
                     ins[None],
                 )
         return found, hit, check_times, scanned
@@ -488,12 +499,13 @@ class LatencyEngine:
         program's cache working set at ``_ROWS_CHUNK_ELEMENTS``, sized
         from the rows' longest candidate scan rather than the master
         axis; each chunk's time axis is then trimmed to the longest
-        prefix its (row, candidate) scans admit. Every instant past a
-        row's ``lengths`` is masked invalid anyway, so the answers are
-        identical and the program never pays for the master grid's
-        tail — which, on stacked multi-trace grids, belongs to *other*
-        traces' horizons. Same arguments and returns as
-        :meth:`_solve_rows_grouped`.
+        prefix its (row, candidate) scans admit. No index past a row's
+        ``lengths`` counts, so the answers are identical and the
+        program never pays for the master grid's tail — which, on
+        stacked multi-trace grids, belongs to *other* traces' horizons.
+        A chunk of consecutive rows (every chunk of the first wave)
+        reads its row arrays as views, not gathered copies. Same
+        arguments and returns as :meth:`_solve_rows_grouped`.
         """
         first_reaction = gaps.shape[1] - grid.reactions.size
         reactions = grid.reactions[lo:hi]
@@ -509,8 +521,12 @@ class LatencyEngine:
         for begin in range(0, rows.size, chunk):
             sel = slice(begin, begin + chunk)
             r = rows[sel]
+            if r[-1] - r[0] == r.size - 1:
+                # Active rows ascend, so a chunk without gaps is a slice.
+                r = slice(int(r[0]), int(r[-1]) + 1)
             ticks = tick_indices[r]
-            t_cap = int(grid.lengths[ticks, lo:hi].max())
+            lengths = grid.lengths[ticks, lo:hi]
+            t_cap = int(lengths.max())
             times = grid.times[:t_cap]
             unique_ticks, row_pos = np.unique(ticks, return_inverse=True)
             shape = (unique_ticks.size, hi - lo)
@@ -524,10 +540,6 @@ class LatencyEngine:
                 tick = self._tick_profile(ego_motions[int(n)], reactions, times)
                 for profile, values in zip(profiles, tick):
                     profile[i] = values
-            valid = (
-                np.arange(t_cap)[None, None, :]
-                < grid.lengths[ticks, lo:hi][:, :, None]
-            )
             (
                 found[sel],
                 hit[sel],
@@ -546,7 +558,7 @@ class LatencyEngine:
                 aspeeds[r, first_reaction + lo : first_reaction + hi],
                 row_c1[r],
                 row_c2[r],
-                valid,
+                lengths,
                 grid.inserted[ticks, lo:hi],
             )
         return found, hit, check_times, scanned
@@ -558,24 +570,25 @@ class LatencyEngine:
 
         ``(dist, speed)`` of shape ``(S, T)`` over ``times`` and
         ``(dist_r, speed_r)`` of shape ``(S,)`` at each candidate's own
-        ``t_r``; the scalar reaction-travel anchors are computed once
-        and shared by both.
+        ``t_r``. One profile over ``times ++ reactions`` serves both:
+        candidate ``i``'s own ``t_r`` sample sits on the diagonal of
+        the reaction block, computed from the same scalar
+        reaction-travel anchors by the same element arithmetic.
         """
         cap = self.params.ego_speed_cap
         pairs = [ego.reaction_travel(float(r), cap) for r in reactions]
-        d_e1 = np.array([p[0] for p in pairs])
-        v_tr = np.array([p[1] for p in pairs])
+        d_e1 = np.array([p[0] for p in pairs])[:, None]
+        v_tr = np.array([p[1] for p in pairs])[:, None]
         dist, speed = ego_profile_arrays(
             ego,
             reactions[:, None],
-            times,
+            np.concatenate([times, reactions]),
             cap,
-            anchors=(d_e1[:, None], v_tr[:, None]),
+            anchors=(d_e1, v_tr),
         )
-        dist_r, speed_r = ego_profile_arrays(
-            ego, reactions, reactions, cap, anchors=(d_e1, v_tr)
-        )
-        return dist, speed, dist_r, speed_r
+        n = times.size
+        own = (np.arange(reactions.size), n + np.arange(reactions.size))
+        return dist[:, :n], speed[:, :n], dist[own], speed[own]
 
     def _scan(
         self,
@@ -591,7 +604,7 @@ class LatencyEngine:
         va_r: np.ndarray,
         c1: np.ndarray,
         c2: np.ndarray,
-        valid: np.ndarray,
+        lengths: np.ndarray,
         ins: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Eq 1/2 feasibility of candidates ``[lo, hi)`` for ``R`` rows.
@@ -601,9 +614,9 @@ class LatencyEngine:
         ``row_pos`` maps rows onto it — an index array gathers one
         profile per row (one gathered array alive at a time), while
         ``slice(None)`` over a single tick's profile broadcasts it to
-        every row without copies. ``valid`` (prefix lengths,
-        ``(·, S, T)``) and ``ins`` (``t_r`` insertions, ``(·, S)``) are
-        per row or broadcast the same way.
+        every row without copies. ``lengths`` (the master prefix each
+        candidate scans) and ``ins`` (``t_r`` insertions), both
+        ``(·, S)``, are per row or broadcast the same way.
         ``gaps_m``/``va_m`` are the ``(R, T)`` threat samples on
         ``times``, ``gaps_r``/``va_r`` the ``(R, S)`` samples at
         ``t_r``, ``c1``/``c2`` the ``(R,)`` constraint columns.
@@ -617,17 +630,20 @@ class LatencyEngine:
         reactions = grid.reactions[lo:hi]
         pos = grid.insert_at[lo:hi]
 
-        # Eq 1/2 for every (row, candidate, instant).
+        # Eq 1/2 for every (row, candidate, instant) of the chunk width.
         d_ok = dist[row_pos] <= c1[:, None, None] * gaps_m[:, None, :] + _EPS
         v_ok = speed[row_pos] <= c2[:, None, None] * va_m[:, None, :] + _EPS
         window = times[None, :] >= reactions[:, None] - _EPS
-        candidate = d_ok & v_ok & (window & valid)
-        d_bad = ~d_ok & valid
+        # d_ok & v_ok & window, built in v_ok's buffer.
+        candidate = np.logical_and(v_ok, d_ok, out=v_ok)
+        candidate &= window
 
-        # First indices on the master grid, then mapped onto the merged
-        # (t_r-inserted) grid the scalar search scans.
-        fv_m = _first_true(d_bad)  # (R, S)
-        cf_m = _first_true(candidate)
+        # First indices on the master grid — a (row, candidate) scans
+        # only its ``lengths`` prefix, so a first index at or past it
+        # is none — then mapped onto the merged (t_r-inserted) grid the
+        # scalar search scans.
+        fv_m = _first(d_ok, False, lengths)  # (R, S)
+        cf_m = _first(candidate, True, lengths)
         first_violation = np.where(
             fv_m != _NO_INDEX, fv_m + (ins & (fv_m >= pos)), _NO_INDEX
         )

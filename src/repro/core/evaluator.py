@@ -25,7 +25,7 @@ from repro.core.engine import LatencyEngine, TraceGrid
 from repro.core.fpr import CameraEstimate, estimate_camera_fprs
 from repro.core.latency import BACKENDS, LatencyResult, LatencySearch
 from repro.core.parameters import ZhuyiParams
-from repro.core.threat import EgoPathRows, ThreatAssessor
+from repro.core.threat import CorridorLayout, EgoPathRows, ThreatAssessor
 from repro.errors import EstimationError
 from repro.geometry.vec import Vec2
 from repro.perception.noise import PerceptionNoise
@@ -702,7 +702,7 @@ def _sample_trace_rows(
     spec,
     offset: int,
     ticks: np.ndarray,
-    rel_times: np.ndarray,
+    layout: CorridorLayout,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One (job, actor) source's rows at stacked ``ticks``."""
     local = ticks - offset
@@ -713,8 +713,9 @@ def _sample_trace_rows(
         trajectory,
         spec,
         samples.times[local],
-        rel_times,
+        layout.rel_times,
         ego_rows=ego_rows.take(local),
+        layout=layout,
     )
 
 
@@ -733,16 +734,18 @@ def solve_row_sources(
     per (trace, actor), the online replay one per (actor, prediction
     hypothesis), and each keeps its own reduction. A source is a pair
     ``(ticks, sample)``: the sorted stacked ticks its threat is gated
-    at, and ``sample(ticks, rel_times)`` returning its ``(s_n, v_an)``
-    rows at a subset of them.
+    at, and ``sample(ticks, layout)`` returning its ``(s_n, v_an)``
+    rows at a subset of them, sampled on ``layout.rel_times``.
 
     A window of stacked ticks holds about ``_ROW_ELEMENTS`` elements at
     ``rows_per_tick x len(c1s)`` rows of ``T + L`` columns per tick.
     Its sources sample their ticks over the master prefix the window's
     ticks read (:meth:`TraceGrid.readable_prefix`) plus the ``L``
-    reactions; each row is tiled once per constraint pair ``(c1s[v],
-    c2s[v])`` into one :meth:`LatencyEngine.solve_rows` call. Rows
-    solve independently: windows bound memory, not results.
+    reactions, whose :class:`~repro.core.threat.CorridorLayout` the
+    window builds once for all of its sources; each row is tiled once
+    per constraint pair ``(c1s[v], c2s[v])`` into one
+    :meth:`LatencyEngine.solve_rows` call. Rows solve independently:
+    windows bound memory, not results.
 
     Yields:
         ``(source, ticks, solved)``: ``source`` indexes ``sources``,
@@ -772,12 +775,14 @@ def solve_row_sources(
         prefix = grid.readable_prefix(
             np.concatenate([ticks for _, ticks, _ in picked])
         )
-        rel_times = np.concatenate([grid.times[:prefix], grid.reactions])
+        layout = CorridorLayout.of(
+            np.concatenate([grid.times[:prefix], grid.reactions])
+        )
         tick_chunks: list[np.ndarray] = []
         gap_chunks: list[np.ndarray] = []
         speed_chunks: list[np.ndarray] = []
         for _, ticks, sample in picked:
-            gaps, speeds = sample(ticks, rel_times)
+            gaps, speeds = sample(ticks, layout)
             tick_chunks.append(ticks)
             gap_chunks.append(gaps)
             speed_chunks.append(speeds)

@@ -361,7 +361,7 @@ class OnlineEstimator:
         ]
         grid = self._engine.trace_grid(motions, l0)
 
-        def sample(hypothesis, ticks, rel_times):
+        def sample(hypothesis, ticks, layout):
             """One (actor, hypothesis) source's rows at ``ticks``."""
             gaps, speeds = assessor.sample_threat_futures(
                 [ego_states[i] for i in ticks],
@@ -369,8 +369,9 @@ class OnlineEstimator:
                 hypothesis.rollout.take(ticks),
                 self.assumed_actor_spec,
                 times[ticks],
-                rel_times,
+                layout.rel_times,
                 ego_rows=ego_rows.take(ticks),
+                layout=layout,
             )
             if self.gap_margin > 0.0:
                 gaps = np.maximum(0.0, gaps - self.gap_margin)

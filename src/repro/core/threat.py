@@ -249,6 +249,71 @@ class TrajectoryThreat:
 
 
 @dataclass(frozen=True)
+class CorridorLayout:
+    """Sample columns of a scan layout plus its corridor-mask instants.
+
+    A row sampler interpolates every distinct relative instant once:
+    the ``rel_times`` scan columns first, then each 10 ms-quantized
+    corridor-mask instant (the per-tick threat's round-half-to-even
+    snap onto ``0, 10 ms, ... < 25 s``) that no scan column holds,
+    ascending. The layout depends on ``rel_times`` alone, so a caller
+    sampling many sources on one scan layout — every source of a
+    :func:`repro.core.evaluator.solve_row_sources` window — builds it
+    once with :meth:`of` and passes it to each sampler call.
+
+    Attributes:
+        rel_times: ``(n,)`` scan instants relative to each tick.
+        instants: the instants to sample: ``rel_times``, then the
+            mask-only instants.
+        mask_columns: the column of ``instants`` holding each distinct
+            mask instant, ascending — a slice when those are the
+            leading scan columns in order, as on the engine's master
+            grid at the default 10 ms ``tn_step``.
+        mask_of_scan: ``(n,)`` distinct mask instant each scan column
+            reads.
+    """
+
+    rel_times: np.ndarray
+    instants: np.ndarray
+    mask_columns: slice | np.ndarray
+    mask_of_scan: np.ndarray
+
+    @staticmethod
+    def of(rel_times: np.ndarray) -> CorridorLayout:
+        """The layout of the scan instants ``rel_times``."""
+        rel_times = np.asarray(rel_times, dtype=float)
+        grid = np.arange(0.0, _MASK_SPAN, _MASK_STEP)
+        indices = np.clip(
+            np.rint(rel_times / _MASK_STEP).astype(int), 0, grid.size - 1
+        )
+        mask_instants, mask_of_scan = np.unique(
+            grid[indices], return_inverse=True
+        )
+        # A quantized instant reuses the scan column holding the same
+        # float; a query t0 + c with the same float c interpolates and
+        # projects to the same floats, so the reuse changes no value.
+        order = np.argsort(rel_times, kind="stable")
+        at = order[
+            np.minimum(
+                np.searchsorted(rel_times[order], mask_instants),
+                rel_times.size - 1,
+            )
+        ]
+        reused = rel_times[at] == mask_instants
+        mask_columns = np.where(
+            reused, at, rel_times.size + np.cumsum(~reused) - 1
+        )
+        if np.array_equal(mask_columns, np.arange(mask_columns.size)):
+            mask_columns = slice(0, mask_columns.size)
+        return CorridorLayout(
+            rel_times=rel_times,
+            instants=np.concatenate([rel_times, mask_instants[~reused]]),
+            mask_columns=mask_columns,
+            mask_of_scan=mask_of_scan,
+        )
+
+
+@dataclass(frozen=True)
 class EgoPathRows:
     """Ego-side row arrays shared by every actor of a trace.
 
@@ -538,6 +603,7 @@ class ThreatAssessor:
         t0s: np.ndarray,
         rel_times: np.ndarray,
         ego_rows: EgoPathRows | None = None,
+        layout: CorridorLayout | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`sample_threats_trace` for *predicted* per-tick futures.
 
@@ -556,6 +622,8 @@ class ThreatAssessor:
             rel_times: scan instants relative to each tick.
             ego_rows: optional precomputed :meth:`ego_path_rows` for
                 these ticks (the cross-hypothesis ego-side cache).
+            layout: optional precomputed :meth:`CorridorLayout.of` of
+                ``rel_times`` (the cross-source cache of one window).
 
         Returns:
             ``(s_n, v_an)`` arrays of shape ``(len(t0s), len(rel_times))``.
@@ -568,6 +636,7 @@ class ThreatAssessor:
             t0s,
             rel_times,
             ego_rows=ego_rows,
+            layout=layout,
         )
 
     def _gate_rows(
@@ -654,6 +723,7 @@ class ThreatAssessor:
         t0s: np.ndarray,
         rel_times: np.ndarray,
         ego_rows: EgoPathRows | None = None,
+        layout: CorridorLayout | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Threat quantities over (tick, instant) rows — the shared kernel.
 
@@ -661,18 +731,15 @@ class ThreatAssessor:
         is a per-tick :class:`TrajectoryThreat` build-and-sample —
         including the 10 ms corridor-mask quantization — with every
         distinct relative instant interpolated once per batch (one
-        ``sampler`` call): the ``rel_times`` scan columns come first,
-        and a quantized mask instant reuses the scan column holding
-        the same float, or is appended after them when no scan instant
-        does (a ``tn_step`` other than 10 ms, off-grid queries).
-        Lateral offsets are computed once per distinct mask instant and
-        gathered to the scan columns. A query ``t0 + c`` with the same
-        float ``c`` interpolates and projects to the same floats, so
-        the reuse changes no value.
+        ``sampler`` call over the :class:`CorridorLayout` instants).
+        Lateral offsets are computed once per distinct mask instant —
+        on a view of the leading scan columns when the layout's mask
+        columns are those, in order — and gathered to the scan columns.
 
         ``rel_times`` is any scan layout — the solver's is the master
         prefix ``times[:T']`` plus the ``L`` reactions (``T' + L``
-        columns).
+        columns). ``layout`` is its :meth:`CorridorLayout.of`, built
+        here when the caller has none.
         """
         t0s = np.asarray(t0s, dtype=float)
         rel_times = np.asarray(rel_times, dtype=float)
@@ -680,28 +747,9 @@ class ThreatAssessor:
         n_rel = rel_times.size
         instants = rel_times
         if self.params.gate_lateral:
-            # Each scan instant's 10 ms-quantized corridor-mask instant,
-            # as the per-tick threat reads it; then the column holding
-            # each distinct mask instant.
-            grid = np.arange(0.0, _MASK_SPAN, _MASK_STEP)
-            indices = np.clip(
-                np.rint(rel_times / _MASK_STEP).astype(int),
-                0,
-                grid.size - 1,
-            )
-            mask_instants, mask_of_scan = np.unique(
-                grid[indices], return_inverse=True
-            )
-            order = np.argsort(rel_times, kind="stable")
-            at = order[
-                np.minimum(
-                    np.searchsorted(rel_times[order], mask_instants),
-                    n_rel - 1,
-                )
-            ]
-            reused = rel_times[at] == mask_instants
-            mask_columns = np.where(reused, at, n_rel + np.cumsum(~reused) - 1)
-            instants = np.concatenate([rel_times, mask_instants[~reused]])
+            if layout is None:
+                layout = CorridorLayout.of(rel_times)
+            instants = layout.instants
         xs, ys, speeds = sampler(t0s[:, None] + instants[None, :])
         if ego_rows is None:
             ego_rows = self.ego_path_rows(ego_states)
@@ -712,8 +760,8 @@ class ThreatAssessor:
         gaps = np.maximum(0.0, distances - half_lengths)
         speeds = speeds[:, :n_rel]
         if self.params.gate_lateral:
-            mask_xs = xs[:, mask_columns]
-            mask_ys = ys[:, mask_columns]
+            mask_xs = xs[:, layout.mask_columns]
+            mask_ys = ys[:, layout.mask_columns]
             if self.road is None:
                 # Each tick's own ego heading frame: the arithmetic of
                 # CorridorSpec.lateral_offsets' no-road branch, with its
@@ -749,7 +797,7 @@ class ThreatAssessor:
             in_corridor = (
                 np.abs(offsets - ego_lateral[:, None]) <= overlap_width
             )
-            gaps = np.where(in_corridor[:, mask_of_scan], gaps, np.inf)
+            gaps = np.where(in_corridor[:, layout.mask_of_scan], gaps, np.inf)
         return gaps, np.ascontiguousarray(speeds)
 
     def sample_threats_trace(
@@ -761,6 +809,7 @@ class ThreatAssessor:
         t0s: np.ndarray,
         rel_times: np.ndarray,
         ego_rows: EgoPathRows | None = None,
+        layout: CorridorLayout | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`TrajectoryThreat.sample` across many ticks.
 
@@ -781,6 +830,8 @@ class ThreatAssessor:
             rel_times: scan instants relative to each tick.
             ego_rows: optional precomputed :meth:`ego_path_rows` for
                 these ticks (the cross-actor ego-side cache).
+            layout: optional precomputed :meth:`CorridorLayout.of` of
+                ``rel_times`` (the cross-source cache of one window).
 
         Returns:
             ``(s_n, v_an)`` arrays of shape ``(len(t0s), len(rel_times))``.
@@ -793,4 +844,5 @@ class ThreatAssessor:
             t0s,
             rel_times,
             ego_rows=ego_rows,
+            layout=layout,
         )

@@ -361,11 +361,22 @@ class RolloutArrays:
     grids — the shape every predictor batch rollout produces (one row
     per estimation tick, ``S`` samples per row). Row ``r`` of
     :meth:`sample_extrapolated` is **bit-identical** to
-    ``StateTrajectory.sample_extrapolated`` on that row's knots: the
-    interpolation replays ``np.interp``'s exact arithmetic (bracket by
-    ``searchsorted`` semantics, ``slope * (t - t_lo) + y_lo``, exact
-    knot hits returned verbatim) and queries beyond the final knot
-    coast at the row's end velocity, exactly like the scalar class.
+    ``StateTrajectory.sample_extrapolated`` on that row's knots. Each
+    row is a knot table of ``S + 1`` linear pieces, every piece a
+    ``(t_anchor, v_anchor, slope)`` triple evaluated as ``slope * (q -
+    t_anchor) + v_anchor`` — ``np.interp``'s own formula:
+
+    * piece 0, before the first knot: flat at the first value;
+    * pieces ``1 .. S-1``, the interior intervals, anchored at their
+      left knot with ``np.interp``'s slope (computed once per piece,
+      not once per query);
+    * piece ``S``, from the last knot on: coasting at the row's end
+      velocity, speed flat. ``end_v * dt + v_last`` is the scalar
+      class's ``v_last + end_v * dt``, because IEEE addition commutes.
+
+    A query's piece is the count of knots at or before it — the
+    ``searchsorted`` bracket of ``np.interp`` — and exact knot hits
+    return the knot value verbatim, as ``np.interp`` does.
 
     Attributes:
         times: ``(R, S)`` knot timestamps, strictly ascending per row.
@@ -414,64 +425,52 @@ class RolloutArrays:
         but in one array program for the whole batch.
         """
         queries = np.asarray(queries, dtype=float)
-        n_rows, n_knots = self.times.shape
-        first = self.times[:, :1]
-        last = self.times[:, -1:]
-        beyond = queries > last
-
-        if n_knots == 1:
-            xs = np.broadcast_to(self.xs[:, :1], queries.shape).copy()
-            ys = np.broadcast_to(self.ys[:, :1], queries.shape).copy()
-            speeds = np.broadcast_to(self.speeds[:, :1], queries.shape).copy()
-        else:
-            # Bracket index per (row, query): the count of knots <= q,
-            # clipped to the last interior interval — np.interp's
-            # bracket. One C-level searchsorted per row beats the
-            # branchless (rows x queries x knots) comparison cube by a
-            # wide margin on replay-sized batches.
-            counts = np.empty(queries.shape, dtype=np.int64)
-            for row in range(n_rows):
-                counts[row] = np.searchsorted(
-                    self.times[row], queries[row], side="right"
-                )
-            lo = np.clip(counts - 1, 0, n_knots - 2)
-            # Flat gather indices shared by the value arrays (cheaper
-            # than repeated take_along_axis index bookkeeping).
-            flat_lo = lo + (np.arange(n_rows) * n_knots)[:, None]
-            flat_hi = flat_lo + 1
-            t_lo = self.times.ravel()[flat_lo]
-            span = self.times.ravel()[flat_hi] - t_lo
-            offset = queries - t_lo
-            on_knot = queries == t_lo
-
-            def interp(values: np.ndarray) -> np.ndarray:
-                flat = values.ravel()
-                v_lo = flat[flat_lo]
-                v_hi = flat[flat_hi]
-                slope = (v_hi - v_lo) / span
-                out = slope * offset + v_lo
-                # np.interp returns knot values verbatim on exact hits.
-                return np.where(on_knot, v_lo, out)
-
-            xs = interp(self.xs)
-            ys = interp(self.ys)
-            speeds = interp(self.speeds)
-
-        for values, out in (
-            (self.xs, xs),
-            (self.ys, ys),
-            (self.speeds, speeds),
+        times = self.times
+        n_rows, n_knots = times.shape
+        # Piece per (row, query): the count of knots <= q, np.interp's
+        # bracket, offset to the row's block of the flat tables. One
+        # C-level searchsorted per row beats the branchless (rows x
+        # queries x knots) comparison cube by a wide margin on
+        # replay-sized batches.
+        pieces = np.empty(queries.shape, dtype=np.intp)
+        for row in range(n_rows):
+            pieces[row] = times[row].searchsorted(queries[row], side="right")
+        pieces += (np.arange(n_rows) * (n_knots + 1))[:, None]
+        offset = queries - _anchored(times).ravel()[pieces]
+        # q - t_anchor is zero exactly on a knot hit, where np.interp
+        # returns the knot value verbatim (slope * 0 + v would turn a
+        # -0.0 knot value into +0.0).
+        hit = offset == 0.0
+        spans = np.diff(times, axis=1)
+        out = []
+        # The flat pieces stay exact: before the first knot 0.0 times
+        # q - t < 0 is -0.0, the speed coasts on -0.0 times q - t > 0,
+        # and -0.0 + v is v.
+        for values, end_slope in (
+            (self.xs, self.end_vx),
+            (self.ys, self.end_vy),
+            (self.speeds, -0.0),
         ):
-            np.copyto(out, values[:, :1], where=queries <= first)
-            np.copyto(out, values[:, -1:], where=queries == last)
+            slopes = np.empty((n_rows, n_knots + 1))
+            slopes[:, 0] = 0.0
+            np.divide(np.diff(values, axis=1), spans, out=slopes[:, 1:-1])
+            slopes[:, -1] = end_slope
+            anchor = _anchored(values).ravel()[pieces]
+            sampled = slopes.ravel()[pieces]
+            sampled *= offset
+            sampled += anchor
+            np.copyto(sampled, anchor, where=hit)
+            out.append(sampled)
+        return tuple(out)
 
-        # Coasting past the final sample, matching the scalar class.
-        if np.any(beyond):
-            dt = queries - last
-            np.copyto(xs, self.xs[:, -1:] + self.end_vx[:, None] * dt, where=beyond)
-            np.copyto(ys, self.ys[:, -1:] + self.end_vy[:, None] * dt, where=beyond)
-            np.copyto(speeds, np.broadcast_to(self.speeds[:, -1:], queries.shape), where=beyond)
-        return xs, ys, speeds
+
+def _anchored(knots: np.ndarray) -> np.ndarray:
+    """``(R, S + 1)`` piece anchors of ``(R, S)`` knot columns.
+
+    Piece 0 (before the first knot) anchors at the first knot, piece
+    ``p >= 1`` at knot ``p - 1``.
+    """
+    return np.concatenate([knots[:, :1], knots], axis=1)
 
 
 def _lerp_angle(a: float, b: float, w: float) -> float:

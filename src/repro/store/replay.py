@@ -203,9 +203,11 @@ class ReplayService:
 
     Attributes:
         store: the trace store rows are re-estimated from.
+        workers: the runner's worker processes (1 runs in-process).
     """
 
     store: "TraceStore"
+    workers: int = 1
 
     def run(
         self,
@@ -233,10 +235,10 @@ class ReplayService:
             Every row of the (shard's) plan, ascending by index.
 
         Raises:
-            ConfigurationError: on resume, a file written for another
-                plan or another shard.
+            ConfigurationError: a worker count below 1, or on resume, a
+                file written for another plan or another shard.
         """
-        runner = CampaignRunner(store=self.store)
+        runner = CampaignRunner(workers=self.workers, store=self.store)
         hook = None
         if progress is not None:
             def hook(done: int, total: int, summary: RunSummary) -> None:

@@ -6,7 +6,9 @@ session-scoped traces instead of re-running scenarios per test.
 
 from __future__ import annotations
 
+import inspect
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -148,3 +150,30 @@ def cut_out_trace_30():
 def vehicle_following_trace_30():
     """Vehicle-following scenario at 30 FPR."""
     return build_scenario("vehicle_following", seed=0).run(fpr=30.0)
+
+
+class CallCounter(Counter):
+    """Counts calls of watched methods, keyed by method name."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self._monkeypatch = monkeypatch
+
+    def watch(self, owner, name: str) -> None:
+        """Wrap ``owner.name`` (a method or staticmethod) to count calls."""
+        original = getattr(owner, name)
+        static = isinstance(inspect.getattr_static(owner, name), staticmethod)
+
+        def counted(*args, **kwargs):
+            self[name] += 1
+            return original(*args, **kwargs)
+
+        self._monkeypatch.setattr(
+            owner, name, staticmethod(counted) if static else counted
+        )
+
+
+@pytest.fixture
+def call_counter(monkeypatch) -> CallCounter:
+    """A :class:`CallCounter` whose wrappers undo after the test."""
+    return CallCounter(monkeypatch)

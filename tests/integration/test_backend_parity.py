@@ -262,6 +262,71 @@ class TestLiveTickRunsTheReplayProgram:
         assert calls == {"predict_trace": 1, "solve_rows": 1}
         assert result == expected
 
+    def test_one_corridor_layout_per_tick(self, straight_road, call_counter):
+        from repro.core.engine import LatencyEngine
+        from repro.core.online import OnlineEstimator
+        from repro.core.parameters import ZhuyiParams
+        from repro.core.threat import CorridorLayout, ThreatAssessor
+        from repro.dynamics.state import VehicleState
+        from repro.geometry.vec import Vec2
+        from repro.perception.world_model import PerceivedActor, WorldModel
+        from repro.prediction.maneuver import ManeuverPredictor
+
+        lane = straight_road.lane_offset(1)
+        estimators = {
+            backend: OnlineEstimator(
+                params=ZhuyiParams(),
+                predictor=ManeuverPredictor(road=straight_road, target_lane=1),
+                road=straight_road,
+                backend=backend,
+            )
+            for backend in ("scalar", "batched")
+        }
+
+        def tick(backend, now):
+            # A lead in the ego's lane and a car in the next lane: each
+            # has several gated futures, so a tick samples many sources.
+            world = WorldModel()
+            for actor_id, x, y in (
+                ("lead", 160.0, lane),
+                ("side", 130.0, straight_road.lane_offset(2)),
+            ):
+                world.upsert(
+                    PerceivedActor(
+                        actor_id=actor_id,
+                        position=Vec2(x + 15.0 * now, y),
+                        velocity=Vec2(15.0, 0.0),
+                        heading=0.0,
+                        speed=15.0,
+                        accel=0.0,
+                        timestamp=now,
+                    )
+                )
+            return estimators[backend].estimate(
+                now=now,
+                ego_state=VehicleState(
+                    position=Vec2(100.0 + 20.0 * now, lane),
+                    heading=0.0,
+                    speed=20.0,
+                    accel=0.0,
+                ),
+                ego_spec=VehicleSpec(),
+                world_model=world,
+                l0=1.0 / 30.0,
+            )
+
+        nows = (3.0, 3.2, 3.4)
+        expected = [tick("scalar", now) for now in nows]
+        call_counter.watch(CorridorLayout, "of")
+        call_counter.watch(ThreatAssessor, "sample_threat_futures")
+        call_counter.watch(LatencyEngine, "solve_rows")
+        for now, want in zip(nows, expected):
+            call_counter.clear()
+            assert tick("batched", now) == want
+            assert call_counter["solve_rows"] == 1
+            assert call_counter["of"] == 1
+            assert call_counter["sample_threat_futures"] > 2
+
 
 class TestCrosstraceRunsTheEngine:
     """``crosstrace`` names the engine, never the scalar reference.

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import OfflineEvaluator
+from repro import OfflineEvaluator, build_scenario
 from repro.batch import Campaign, CampaignRunner, ParamVariant
 from repro.core.evaluator import TraceJob, evaluate_trace_block, presample_trace
 from repro.core.parameters import ZhuyiParams
@@ -284,6 +284,42 @@ class TestBlockWindows:
                 pending, solves = 0, solves + 1
         assert pending == 0
         assert solves > 1
+
+    def test_one_corridor_layout_per_window(self, monkeypatch, call_counter):
+        import repro.core.evaluator as evaluator_module
+        from repro.core.engine import LatencyEngine
+        from repro.core.threat import CorridorLayout, ThreatAssessor
+        from repro.scenarios.catalog import ensure_scenario
+
+        assert ensure_scenario("cut_in_dense8")
+        scenario = build_scenario("cut_in_dense8", seed=0)
+        trace = scenario.run(fpr=30.0)
+
+        def evaluate(backend):
+            return OfflineEvaluator(
+                stride=0.5, road=scenario.road, backend=backend
+            ).evaluate(trace)
+
+        scalar = evaluate("scalar")
+        # Windows of a few stacked ticks, each sampling several actors.
+        monkeypatch.setattr(evaluator_module, "_ROW_ELEMENTS", 100_000)
+        call_counter.watch(CorridorLayout, "of")
+        call_counter.watch(ThreatAssessor, "sample_threats_trace")
+        call_counter.watch(LatencyEngine, "solve_rows")
+        block = evaluate("batched")
+
+        for tick_a, tick_b in zip(block.ticks, scalar.ticks, strict=True):
+            assert tick_a.time == tick_b.time
+            assert dict(tick_a.actor_latencies) == dict(
+                tick_b.actor_latencies
+            )
+            assert dict(tick_a.camera_estimates) == dict(
+                tick_b.camera_estimates
+            )
+        windows = call_counter["solve_rows"]
+        assert windows > 1
+        assert call_counter["of"] == windows
+        assert call_counter["sample_threats_trace"] > 2 * windows
 
     def test_windows_carry_their_readable_prefix(
         self, monkeypatch, cut_in_trace_30, cut_out_trace_30

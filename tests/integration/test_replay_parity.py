@@ -27,7 +27,7 @@ from repro.core.engine import LatencyEngine
 from repro.core.evaluator import presample_trace
 from repro.core.online import OnlineEstimator
 from repro.core.parameters import ZhuyiParams
-from repro.core.threat import ThreatAssessor
+from repro.core.threat import CorridorLayout, ThreatAssessor
 from repro.errors import EstimationError
 from repro.perception.noise import PerceptionNoise
 from repro.prediction.constant_accel import ConstantAccelerationPredictor
@@ -216,6 +216,25 @@ class TestReplayWindows:
         assert_series_identical(scalar, batched)
         assert len(windows) > 1
         assert all(len(ticks) == 1 for ticks in windows)
+
+    def test_one_corridor_layout_per_window(
+        self, monkeypatch, dense, call_counter
+    ):
+        scenario, trace, scalar = dense
+        # Windows of a few ticks, each sampling every gated (actor,
+        # hypothesis) source on one layout.
+        monkeypatch.setattr(evaluator_module, "_ROW_ELEMENTS", 40_000)
+        call_counter.watch(CorridorLayout, "of")
+        call_counter.watch(ThreatAssessor, "sample_threat_futures")
+        call_counter.watch(LatencyEngine, "solve_rows")
+        batched = maneuver_estimator(scenario, "batched").replay(
+            trace, period=0.5
+        )
+        assert_series_identical(scalar, batched)
+        windows = call_counter["solve_rows"]
+        assert windows > 1
+        assert call_counter["of"] == windows
+        assert call_counter["sample_threat_futures"] > 2 * windows
 
     def test_windows_carry_their_readable_prefix(self, monkeypatch, dense):
         scenario, trace, scalar = dense

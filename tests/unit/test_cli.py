@@ -1,5 +1,6 @@
 """CLI surface."""
 
+import json
 import os
 
 import pytest
@@ -453,11 +454,12 @@ class TestCampaignMergeCommand:
 class TestReplayCommand:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
-        """A one-cell campaign recorded into a trace store."""
+        """A two-cell campaign recorded into a trace store."""
         root = tmp_path_factory.mktemp("recorded")
         code = main(
             [
-                "campaign", "cut_in", "--seeds", "1", "--fprs", "30",
+                "campaign", "cut_in", "vehicle_following", "--seeds", "1",
+                "--fprs", "30",
                 "--stride", "0.5", "--store", str(root / "traces"),
                 "--out", str(root / "rec.jsonl"), "--quiet",
             ]
@@ -494,6 +496,40 @@ class TestReplayCommand:
         )
         assert code == 2
         assert "error: --from-campaign" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_write_the_same_run_lines(self, recorded, tmp_path):
+        runs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.jsonl"
+            code = main(
+                [
+                    "replay", "--store", str(recorded / "traces"),
+                    "--from-campaign", str(recorded / "rec.jsonl"),
+                    "--online", "cv", "--online", "maneuver:percentile",
+                    "--workers", workers, "--out", str(out), "--quiet",
+                ]
+            )
+            assert code == 0
+            lines = out.read_text().splitlines()
+            footer = json.loads(lines[-1])
+            assert footer["kind"] == "completed"
+            assert footer["workers"] == int(workers)
+            runs[workers] = [line for line in lines if '"kind": "run"' in line]
+        assert len(runs["1"]) == 4
+        assert runs["1"] == runs["2"]
+
+    def test_workers_below_one_exit_two(self, recorded, tmp_path, capsys):
+        out = tmp_path / "rep.jsonl"
+        code = main(
+            [
+                "replay", "--store", str(recorded / "traces"),
+                "--from-campaign", str(recorded / "rec.jsonl"),
+                "--workers", "0", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "worker count" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -111,6 +111,115 @@ class TestSolveBatch:
             assert_same(search.tolerable_latency(motion, threat, 0.1), result)
 
 
+class _ProbeThreat:
+    """A base gap and actor speed, overridden at chosen instants.
+
+    Instants match by float equality: the scalar scan grid and the
+    engine's master grid hold the same ``i * tn_step`` values.
+    """
+
+    def __init__(self, gap, actor_speed, overrides):
+        self.gap = gap
+        self.actor_speed = actor_speed
+        self.overrides = overrides
+
+    def sample(self, times):
+        times = np.asarray(times, dtype=float)
+        gaps = np.full(times.shape, self.gap)
+        speeds = np.full(times.shape, self.actor_speed)
+        for instant, (gap, actor_speed) in self.overrides.items():
+            at = times == instant
+            gaps[at] = gap
+            speeds[at] = actor_speed
+        return gaps, speeds
+
+
+class TestScanBoundary:
+    """The first master instant past a candidate's scan never counts.
+
+    Candidate ``s`` scans master indices ``[0, lengths[s])``; a longer
+    candidate of the same wave widens the chunk past that, so index
+    ``lengths[s]`` sits inside the array program but outside ``s``'s
+    scan. With a negative actor speed, Eq 2 fails at every other
+    instant, so the probes below control exactly which instants are
+    candidates.
+    """
+
+    L0 = 1.0 / 30.0
+    S = 2  # wave (1, 3): candidate 1 scans past candidate 2's end
+
+    def setup_method(self):
+        from repro.core.ego_profile import ego_profile_arrays
+
+        self.engine = LatencyEngine(params=PARAMS)
+        self.motion = ego(20.0)
+        grid = self.engine.trace_grid([self.motion], self.L0)
+        self.grid = grid
+        lengths = grid.lengths[0]
+        assert (1, 3) in self.engine._waves(grid.latencies.size)
+        assert lengths[self.S - 1] > lengths[self.S]
+        #: The first master instant past candidate S's scan.
+        self.past_end = float(grid.times[lengths[self.S]])
+        self.dist = {}
+        self.speed = {}
+        for s in (self.S - 1, self.S):
+            self.dist[s], self.speed[s] = ego_profile_arrays(
+                self.motion, float(grid.reactions[s]), grid.times
+            )
+
+    def solve(self, threat, rows):
+        expected = LatencySearch(params=PARAMS).tolerable_latency(
+            self.motion, threat, self.L0
+        )
+        gaps, speeds = threat.sample(
+            np.concatenate([self.grid.times, self.grid.reactions])
+        )
+        # One row takes the gathered kernel, 16 the tick-grouped one.
+        results = self.engine.solve_rows(
+            self.grid,
+            np.zeros(rows, dtype=np.int64),
+            [self.motion],
+            np.tile(gaps, (rows, 1)),
+            np.tile(speeds, (rows, 1)),
+        )
+        for result in results:
+            assert_same(expected, result)
+        return expected
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_violation_past_the_scan_keeps_the_candidate(self, rows):
+        # Candidate S has come to rest at ``stopped``, where the longer
+        # candidates still move: Eq 2 holds there for S alone. Right
+        # after ``past_end`` Eq 2 holds for everyone, but the only
+        # distance violation, at ``past_end``, comes first for the
+        # candidates that scan it.
+        times, lengths = self.grid.times, self.grid.lengths[0]
+        stopped = times[np.flatnonzero(self.speed[self.S] == 0.0)[0]]
+        assert self.speed[self.S - 1][times == stopped] > 0.1
+        after = times[lengths[self.S] + 1 : lengths[self.S] + 5]
+        assert after[-1] < times[lengths[self.S - 1] - 1]
+        overrides = {float(stopped): (1e6, 0.0), self.past_end: (0.0, 0.0)}
+        overrides.update({float(t): (1e6, 0.0) for t in after})
+        result = self.solve(_ProbeThreat(1e6, -1.0, overrides), rows)
+        assert result.latency == self.grid.latencies[self.S]
+        assert result.check_time == stopped
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_candidate_past_the_scan_is_not_found(self, rows):
+        # At ``past_end`` the ego of candidate S has travelled less than
+        # the longer candidates': a gap between their stopping
+        # distances makes it a distance violation for those and a
+        # candidate instant for S, which does not scan it.
+        at = self.grid.times == self.past_end
+        d_short = float(self.dist[self.S][at][0])
+        d_long = float(self.dist[self.S - 1][at][0])
+        assert d_short < d_long
+        gap = (d_short + d_long) / 2.0 / PARAMS.c1
+        threat = _ProbeThreat(1e6, -1.0, {self.past_end: (gap, 100.0)})
+        result = self.solve(threat, rows)
+        assert result.latency is None
+
+
 class TestSolveRows:
     def test_rows_match_per_tick_batches(self):
         engine = LatencyEngine(params=PARAMS)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import ZhuyiParams
-from repro.core.threat import FixedGapThreat, ThreatAssessor, TrajectoryThreat
+from repro.core.threat import (
+    CorridorLayout,
+    FixedGapThreat,
+    ThreatAssessor,
+    TrajectoryThreat,
+)
 from repro.dynamics.state import (
     StateTrajectory,
     TimedState,
@@ -354,6 +359,11 @@ class TestTraceSampler:
         queries = self._assert_matches_per_tick(road, rel_times)
         assert queries.shape[1] == width
         assert np.unique(queries[0]).size == width
+        # The mask instants are the leading scan columns, in order: the
+        # sampler reads them as one slice.
+        layout = CorridorLayout.of(rel_times)
+        assert np.array_equal(layout.instants, rel_times)
+        assert isinstance(layout.mask_columns, slice)
 
     def test_gate_disabled_skips_corridor(self):
         assessor = ThreatAssessor(params=ZhuyiParams(gate_lateral=False))
