@@ -96,6 +96,59 @@ def _first(mask: np.ndarray, value: bool, lengths: np.ndarray) -> np.ndarray:
     return np.where((hit == value) & (first < lengths), first, _NO_INDEX)
 
 
+@dataclass(frozen=True, eq=False)
+class SolvedRows(Sequence[LatencyResult]):
+    """:meth:`LatencyEngine.solve_rows` answers, one column per field.
+
+    Row ``k``'s :class:`LatencyResult` is built only when it is indexed
+    or iterated; the row solver's own readers take the columns.
+    Compares equal to, and concatenates like, a list of the same
+    results.
+
+    Attributes:
+        latency: (R,) tolerable latencies; NaN where no candidate is
+            feasible (a ``None`` result).
+        check_time: (R,) check times; NaN where ``latency`` is.
+        iterations: (R,) constraint evaluations per row.
+    """
+
+    latency: np.ndarray
+    check_time: np.ndarray
+    iterations: np.ndarray
+
+    def __len__(self) -> int:
+        return self.latency.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SolvedRows(
+                self.latency[index],
+                self.check_time[index],
+                self.iterations[index],
+            )
+        if np.isnan(self.latency[index]):
+            return LatencyResult(
+                latency=None,
+                check_time=None,
+                iterations=int(self.iterations[index]),
+            )
+        return LatencyResult(
+            latency=float(self.latency[index]),
+            check_time=float(self.check_time[index]),
+            iterations=int(self.iterations[index]),
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SolvedRows, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other) -> list[LatencyResult]:
+        if isinstance(other, (SolvedRows, list, tuple)):
+            return list(self) + list(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class TraceGrid:
     """Candidate/time bookkeeping for every tick at once.
@@ -257,7 +310,7 @@ class LatencyEngine:
         gaps: np.ndarray,
         aspeeds: np.ndarray,
         constraints: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> list[LatencyResult]:
+    ) -> SolvedRows:
         """Solve a batch of (tick, actor) rows spanning many ticks.
 
         Each row pairs a tick index with that actor's threat samples
@@ -300,7 +353,10 @@ class LatencyEngine:
                 to a solve under an engine carrying that row's c1/c2.
 
         Returns:
-            One :class:`LatencyResult` per row, in input order.
+            The rows' results in input order, as :class:`SolvedRows`
+            columns filled by index assignment per wave: a NaN latency
+            means no feasible candidate. Indexing or iterating the
+            result yields one :class:`LatencyResult` per row.
 
         Raises:
             ValueError: ``gaps`` and ``aspeeds`` are not one shared 2-D
@@ -321,7 +377,9 @@ class LatencyEngine:
                 f"got shape {tick_indices.shape}"
             )
         if n_rows == 0:
-            return []
+            return SolvedRows(
+                np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+            )
         width = gaps.shape[1] - grid.reactions.size
         readable = grid.readable_prefix(tick_indices)
         if width < readable:
@@ -355,7 +413,10 @@ class LatencyEngine:
             axis=1,
         )
 
-        results: list[LatencyResult | None] = [None] * n_rows
+        # Rows no wave resolves keep NaN and are charged every scan.
+        latency = np.full(n_rows, np.nan)
+        check_time = np.full(n_rows, np.nan)
+        iterations = miss_prefix[tick_indices, -1]
         active = np.arange(n_rows)
         for lo, hi in self._waves(grid.latencies.size):
             if active.size == 0:
@@ -376,24 +437,15 @@ class LatencyEngine:
                 row_c1,
                 row_c2,
             )
-            for k in np.flatnonzero(found):
-                row = int(active[k])
-                h = lo + int(hit[k])
-                results[row] = LatencyResult(
-                    latency=float(grid.latencies[h]),
-                    check_time=float(check_times[k]),
-                    iterations=int(
-                        miss_prefix[tick_indices[row], h] + scanned[k]
-                    ),
-                )
-            active = active[~found]
-        for row in active:
-            results[int(row)] = LatencyResult(
-                latency=None,
-                check_time=None,
-                iterations=int(miss_prefix[tick_indices[row], -1]),
+            rows = active[found]
+            h = lo + hit[found]
+            latency[rows] = grid.latencies[h]
+            check_time[rows] = check_times[found]
+            iterations[rows] = (
+                miss_prefix[tick_indices[rows], h] + scanned[found]
             )
-        return results
+            active = active[~found]
+        return SolvedRows(latency, check_time, iterations)
 
     def _solve_rows_grouped(
         self,

@@ -14,18 +14,25 @@ columns and Figures 4-6.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.ego_profile import EgoMotion
 from repro.core.engine import LatencyEngine, TraceGrid
-from repro.core.fpr import CameraEstimate, estimate_camera_fprs
-from repro.core.latency import BACKENDS, LatencyResult, LatencySearch
+from repro.core.fpr import (
+    CameraColumns,
+    CameraEstimate,
+    camera_fpr_columns,
+    estimate_camera_fprs,
+)
+from repro.core.latency import BACKENDS, LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import CorridorLayout, EgoPathRows, ThreatAssessor
+from repro.dynamics.state import StateTrajectory, VehicleState
 from repro.errors import EstimationError
 from repro.geometry.vec import Vec2
 from repro.perception.noise import PerceptionNoise
@@ -54,8 +61,11 @@ class EvaluationTick:
         visibility: Mapping[str, Sequence[Hashable]],
         params: ZhuyiParams,
     ) -> EvaluationTick:
-        """The Equation 5 rollup of one instant — the one tick builder
-        of the offline loop and block, the live estimate and the replay."""
+        """The scalar path's tick builder: one instant's Equation 5
+        rollup through the reference :func:`estimate_camera_fprs`, for
+        the scalar offline loop and the scalar online estimate. The
+        vectorized paths roll a whole tick axis up at once
+        (:meth:`EvaluationSeries.rollup`)."""
         return cls(
             time=time,
             camera_estimates=estimate_camera_fprs(
@@ -83,8 +93,36 @@ class EvaluationTick:
         return sum(self.fpr(camera) for camera in cameras)
 
 
+_EMPTY_SERIES = "an evaluation series needs at least one tick"
+
+
 class EvaluationSeries:
-    """A time series of evaluation ticks with the paper's summaries."""
+    """A time series of Equation 5 estimates with the paper's summaries.
+
+    The series holds columns over its tick axis: :attr:`tick_times`,
+    :attr:`ego_speed` and :attr:`ego_accel`, the per-camera
+    :class:`~repro.core.fpr.CameraColumns` in :attr:`camera_columns`,
+    and the (tick, actor) :attr:`latency_table` over :attr:`actor_ids`
+    (NaN: an unavoidable verdict, ``inf``: the actor is absent from
+    that tick's latencies). The summaries read the columns.
+
+    The vectorized paths build a series from columns
+    (:meth:`rollup`). The constructor records ticks into the same
+    columns; the scalar loops build their series that way. Either way
+    :attr:`ticks` is a lazy sequence: its ``len`` builds nothing, and
+    each :class:`EvaluationTick` it builds on access equals the scalar
+    loop's, dict order included.
+
+    Args:
+        scenario: the evaluated scenario's name.
+        ticks: the ticks to record (at least one), all estimating the
+            same cameras.
+        params: the Zhuyi constants.
+        l0: the processing latency the ticks were estimated at.
+        actor_ids: the actor axis order, which each tick's
+            ``actor_latencies`` follows; actors it omits join after it
+            in order of first appearance.
+    """
 
     def __init__(
         self,
@@ -92,29 +130,145 @@ class EvaluationSeries:
         ticks: Sequence[EvaluationTick],
         params: ZhuyiParams,
         l0: float,
+        actor_ids: Iterable[Hashable] = (),
     ):
+        ticks = list(ticks)
         if not ticks:
-            raise EstimationError("an evaluation series needs at least one tick")
+            raise EstimationError(_EMPTY_SERIES)
+        cameras = ticks[0].camera_estimates.keys()
+        axis = dict.fromkeys(actor_ids)
+        for tick in ticks:
+            if tick.camera_estimates.keys() != cameras:
+                raise EstimationError(
+                    "the ticks of a series must estimate the same cameras"
+                )
+            axis.update(dict.fromkeys(tick.actor_latencies))
+            axis.update(
+                (estimate.binding_actor, None)
+                for estimate in tick.camera_estimates.values()
+                if estimate.binding_actor is not None
+            )
+        index = {actor_id: a for a, actor_id in enumerate(axis)}
+        latencies = np.full((len(ticks), len(index)), np.inf)
+        for i, tick in enumerate(ticks):
+            for actor_id, latency in tick.actor_latencies.items():
+                latencies[i, index[actor_id]] = (
+                    np.nan if latency is None else latency
+                )
+        self._adopt(
+            scenario,
+            params,
+            l0,
+            np.array([tick.time for tick in ticks], dtype=float),
+            np.array([tick.ego_speed for tick in ticks], dtype=float),
+            np.array([tick.ego_accel for tick in ticks], dtype=float),
+            tuple(axis),
+            latencies,
+            CameraColumns.record(
+                [tick.camera_estimates for tick in ticks], index
+            ),
+        )
+
+    @classmethod
+    def rollup(
+        cls,
+        scenario: str,
+        params: ZhuyiParams,
+        l0: float,
+        times: np.ndarray,
+        ego_states: Sequence,
+        actor_ids: Sequence[Hashable],
+        latencies: np.ndarray,
+        visibility: Mapping[str, np.ndarray],
+    ) -> EvaluationSeries:
+        """The Equation 5 rollup of a tick axis, as a series.
+
+        The vectorized paths' one tick builder — the offline block, the
+        online replay and the live one-tick estimate — running
+        :func:`~repro.core.fpr.camera_fpr_columns` on the (tick, actor)
+        ``latencies`` table (NaN: unavoidable, ``inf``: absent) and the
+        per-camera ``visibility`` bit tables, both with columns in
+        ``actor_ids`` order.
+        """
+        if not len(times):
+            raise EstimationError(_EMPTY_SERIES)
+        series = cls.__new__(cls)
+        series._adopt(
+            scenario,
+            params,
+            l0,
+            times,
+            np.array([state.speed for state in ego_states], dtype=float),
+            np.array([state.accel for state in ego_states], dtype=float),
+            tuple(actor_ids),
+            latencies,
+            camera_fpr_columns(latencies, visibility, params),
+        )
+        return series
+
+    def _adopt(
+        self,
+        scenario: str,
+        params: ZhuyiParams,
+        l0: float,
+        times: np.ndarray,
+        ego_speed: np.ndarray,
+        ego_accel: np.ndarray,
+        actor_ids: tuple[Hashable, ...],
+        latencies: np.ndarray,
+        columns: CameraColumns,
+    ) -> None:
         self.scenario = scenario
-        self.ticks = list(ticks)
         self.params = params
         self.l0 = l0
+        self.tick_times = times
+        self.ego_speed = ego_speed
+        self.ego_accel = ego_accel
+        self.actor_ids = actor_ids
+        self.latency_table = latencies
+        self.camera_columns = columns
+
+    @property
+    def ticks(self) -> Sequence[EvaluationTick]:
+        """The ticks, each built from the columns when accessed."""
+        return _SeriesTicks(self)
+
+    def _tick(self, i: int) -> EvaluationTick:
+        return EvaluationTick(
+            time=float(self.tick_times[i]),
+            camera_estimates=self.camera_columns.estimates(i, self.actor_ids),
+            actor_latencies={
+                actor_id: None if math.isnan(latency) else latency
+                for actor_id, latency in zip(
+                    self.actor_ids, self.latency_table[i].tolist()
+                )
+                if latency != np.inf
+            },
+            ego_speed=float(self.ego_speed[i]),
+            ego_accel=float(self.ego_accel[i]),
+        )
+
+    def _camera(self, camera: str) -> int:
+        """The camera's row in :attr:`camera_columns`."""
+        if camera not in self.camera_columns.cameras:
+            raise EstimationError(f"no estimate for camera {camera!r}")
+        return self.camera_columns.cameras.index(camera)
 
     def times(self) -> list[float]:
         """Evaluation timestamps (seconds)."""
-        return [tick.time for tick in self.ticks]
+        return self.tick_times.tolist()
 
     def camera_latency_series(self, camera: str) -> list[float]:
         """Binding latency of one camera over time (seconds)."""
-        return [tick.latency(camera) for tick in self.ticks]
+        return self.camera_columns.latency[self._camera(camera)].tolist()
 
     def camera_fpr_series(self, camera: str) -> list[float]:
         """FPR estimate of one camera over time."""
-        return [tick.fpr(camera) for tick in self.ticks]
+        return self.camera_columns.fpr[self._camera(camera)].tolist()
 
     def ego_accel_series(self) -> list[float]:
         """Ego longitudinal acceleration over time (m/s^2)."""
-        return [tick.ego_accel for tick in self.ticks]
+        return self.ego_accel.tolist()
 
     def max_fpr(self, camera: str | None = None) -> float:
         """Highest FPR estimate — one camera, or across all cameras.
@@ -122,19 +276,24 @@ class EvaluationSeries:
         Table 1's "maximum estimated FPR" is this value across all
         cameras at all times for one run.
         """
+        fpr = self.camera_columns.fpr
         if camera is not None:
-            return max(self.camera_fpr_series(camera))
-        return max(
-            estimate.fpr
-            for tick in self.ticks
-            for estimate in tick.camera_estimates.values()
-        )
+            return float(fpr[self._camera(camera)].max())
+        return float(fpr.max())
 
     def max_total_fpr(
         self, cameras: Sequence[str] = ANALYZED_CAMERAS
     ) -> float:
-        """Table 1's ``max(F_c1 + F_c2 + F_c3)``."""
-        return max(tick.total_fpr(cameras) for tick in self.ticks)
+        """Table 1's ``max(F_c1 + F_c2 + F_c3)``.
+
+        The cameras' columns add left to right in ``cameras`` order, the
+        order :meth:`EvaluationTick.total_fpr`'s ``sum`` adds them in.
+        """
+        fpr = self.camera_columns.fpr
+        total = 0
+        for camera in cameras:
+            total = total + fpr[self._camera(camera)]
+        return float(np.max(total))
 
     def fraction_of_provision(
         self,
@@ -143,6 +302,22 @@ class EvaluationSeries:
     ) -> float:
         """Table 1's last column: peak demand over the 30-FPR provision."""
         return self.max_total_fpr(cameras) / (provisioned_fpr * len(cameras))
+
+
+class _SeriesTicks(Sequence[EvaluationTick]):
+    """:attr:`EvaluationSeries.ticks`: a view building ticks on access."""
+
+    def __init__(self, series: EvaluationSeries):
+        self._series = series
+
+    def __len__(self) -> int:
+        return self._series.tick_times.size
+
+    def __getitem__(self, index):
+        ticks = range(len(self))
+        if isinstance(index, slice):
+            return [self._series._tick(i) for i in ticks[index]]
+        return self._series._tick(ticks[index])
 
 
 @dataclass(frozen=True)
@@ -157,11 +332,17 @@ class TraceSamples:
     or :meth:`repro.core.online.OnlineEstimator.replay` via their
     ``samples`` argument.
 
+    The vectorized offline block reads actors through their position
+    arrays and trajectories, never as per-tick states. Those are built
+    on demand, one actor at a time, for the readers that take state
+    objects: the scalar loop and the online replay's perceived views.
+
     Attributes:
         stride: evaluation period the samples were taken at (seconds).
         times: the tick timestamps, ``start + i * stride``.
         ego_states: ego state at each tick (one batched interpolation).
-        actor_states: per-actor states at each tick.
+        actor_states: per-actor states at each tick; an actor's list is
+            interpolated the first time it is read.
         actor_trajectories: the full interpolated trajectories, still
             needed by the threat assessor for future lookups.
         actor_positions: per-actor ``(xs, ys)`` position arrays at each
@@ -200,6 +381,42 @@ class TraceSamples:
             )
 
 
+class _ActorStates(Mapping[str, Sequence[VehicleState]]):
+    """:attr:`TraceSamples.actor_states`: each actor's tick states are
+    interpolated when first read. Under noise their positions are the
+    perturbed ``positions``, as the eager sampling set them."""
+
+    def __init__(
+        self,
+        trajectories: Mapping[str, StateTrajectory],
+        times: np.ndarray,
+        positions: Mapping[str, tuple[np.ndarray, np.ndarray]] | None,
+    ):
+        self._trajectories = trajectories
+        self._times = times
+        self._positions = positions
+        self._built: dict[str, list[VehicleState]] = {}
+
+    def __getitem__(self, actor_id: str) -> list[VehicleState]:
+        states = self._built.get(actor_id)
+        if states is None:
+            states, _ = self._trajectories[actor_id].sample_ticks(self._times)
+            if self._positions is not None:
+                xs, ys = self._positions[actor_id]
+                states = [
+                    replace(state, position=Vec2(float(x), float(y)))
+                    for state, x, y in zip(states, xs, ys)
+                ]
+            self._built[actor_id] = states
+        return states
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._trajectories)
+
+    def __len__(self) -> int:
+        return len(self._trajectories)
+
+
 def effective_noise(noise: PerceptionNoise | None) -> PerceptionNoise | None:
     """Normalize a noise setting: disabled configurations act as ``None``."""
     if noise is not None and noise.enabled:
@@ -214,18 +431,20 @@ def presample_trace(
 ) -> TraceSamples:
     """Sample every trajectory of a trace once at the evaluation stride.
 
-    Tick times are computed as ``start + i * stride`` rather than by
+    Tick times are computed as ``start + i * stride``, not by
     accumulating ``t0 += stride``: repeated float addition drifts, which
     on long traces (or near-multiple durations) skips or duplicates the
-    final tick. Each vehicle is interpolated in one vectorized call
-    instead of a bisect-based ``state_at`` per tick.
+    final tick. The ego is interpolated in one vectorized call; each
+    actor's positions are too, and its per-tick states wait until
+    :attr:`TraceSamples.actor_states` is first read for it.
 
-    When ``noise`` is enabled the sampled actor states carry the
-    injected perception: positions perturbed by the counter-keyed
-    draws, plus per-actor detection masks. Draw keys are the tick
-    timestamps themselves (by bit pattern), so resampling any window of
-    the same grid — a resumed replay, a different shard — reproduces
-    the same injected values tick for tick.
+    When ``noise`` is enabled the samples carry the injected
+    perception: positions perturbed by the counter-keyed draws, plus
+    per-actor detection masks. Every draw is made here, for every
+    actor. Draw keys are the tick timestamps themselves (by bit
+    pattern), so resampling any window of the same grid — a resumed
+    replay, a different shard — reproduces the same injected values
+    tick for tick.
 
     Args:
         trace: the recorded closed-loop run.
@@ -247,37 +466,28 @@ def presample_trace(
     start, end = trace.time_span()
     count = time_grid_count(end - start, stride)
     times = start + stride * np.arange(count)
-    # One interpolation pass per actor yields both the state objects
-    # and the position arrays (StateTrajectory.sample_ticks).
-    actor_ticks = {
-        actor_id: trajectory.sample_ticks(times)
+    actor_positions = {
+        actor_id: trajectory.sample_positions(times)
         for actor_id, trajectory in actor_trajectories.items()
     }
     detected: dict[str, np.ndarray] | None = None
     if noise is not None:
         detected = {}
-        for actor_id, (states, (xs, ys)) in list(actor_ticks.items()):
+        for actor_id, (xs, ys) in actor_positions.items():
             mask, dx, dy = noise.sample_actor(actor_id, times)
             detected[actor_id] = mask
-            xs = xs + dx
-            ys = ys + dy
-            states = [
-                replace(state, position=Vec2(float(x), float(y)))
-                for state, x, y in zip(states, xs, ys)
-            ]
-            actor_ticks[actor_id] = (states, (xs, ys))
+            actor_positions[actor_id] = (xs + dx, ys + dy)
     return TraceSamples(
         stride=stride,
         times=times,
         ego_states=ego_trajectory.sample_states(times),
-        actor_states={
-            actor_id: states for actor_id, (states, _) in actor_ticks.items()
-        },
+        actor_states=_ActorStates(
+            actor_trajectories,
+            times,
+            None if noise is None else actor_positions,
+        ),
         actor_trajectories=actor_trajectories,
-        actor_positions={
-            actor_id: positions
-            for actor_id, (_, positions) in actor_ticks.items()
-        },
+        actor_positions=actor_positions,
         detected=detected,
         noise=noise,
     )
@@ -411,7 +621,11 @@ class OfflineEvaluator:
             for i in range(len(times))
         ]
         return EvaluationSeries(
-            scenario=trace.scenario, ticks=ticks, params=self.params, l0=l0
+            scenario=trace.scenario,
+            ticks=ticks,
+            params=self.params,
+            l0=l0,
+            actor_ids=actor_trajectories,
         )
 
     def _evaluate_tick(
@@ -500,10 +714,11 @@ def evaluate_trace_block(
     campaign super-cell a many-job one. Instead of one evaluator pass
     per (trace, variant), the whole block shares its array programs —
 
-    * Equation 5 visibility tables build in one
-      :meth:`~repro.perception.sensor.CameraRig.visible_actors_traces`
-      pass over every trace's concatenated ticks, shared by all
-      variants (FOV membership never depends on the Zhuyi constants);
+    * Equation 5 visibility bit tables build in one
+      :meth:`~repro.perception.sensor.CameraRig.visibility_traces`
+      pass over every trace's concatenated ticks, detection masks
+      ANDed in, shared by all variants (FOV membership never depends
+      on the Zhuyi constants);
     * variants group by :meth:`~repro.core.parameters.ZhuyiParams.
       solver_grid_key` — within a group, gates, threat samples and the
       candidate grid are common, and only the Eq 1/2 ``c1``/``c2``
@@ -517,7 +732,11 @@ def evaluate_trace_block(
       window through one
       :meth:`~repro.core.engine.LatencyEngine.solve_rows` call. The
       windows bound the block's peak memory however many traces and
-      variants it holds.
+      variants it holds;
+    * each solved latency lands in one (tick, actor) table per (trace,
+      variant), and :meth:`EvaluationSeries.rollup` runs Equation 5 on
+      the table and the visibility bit tables as one array program.
+      The series keep these columns; no per-tick object is built.
 
     Every constituent kernel is bit-identical to its per-tick scalar
     counterpart (see each method's parity argument), so the returned
@@ -548,7 +767,7 @@ def evaluate_trace_block(
     if not jobs:
         return []
 
-    visibility_tables = rig.visible_actors_traces(
+    visibility = rig.visibility_traces(
         [
             (job.samples.ego_states, job.samples.actor_positions)
             for job in jobs
@@ -567,10 +786,13 @@ def evaluate_trace_block(
         groups.setdefault(params.solver_grid_key(), []).append(v)
 
     for vlist in groups.values():
-        # Per (job, variant): per-tick {actor: latency} dictionaries,
-        # gated actors only.
-        tables: dict[tuple[int, int], list[dict[str, float | None]]] = {
-            (j, v): [{} for _ in job.samples.times]
+        # Per (job, variant): the (tick, actor) latency table, actors in
+        # trajectory order; inf until a solved row fills it in.
+        tables = {
+            (j, v): np.full(
+                (job.samples.times.size, len(job.samples.actor_trajectories)),
+                np.inf,
+            )
             for j, job in enumerate(jobs)
             for v in vlist
         }
@@ -582,34 +804,18 @@ def evaluate_trace_block(
         for l0, job_indices in l0_groups.items():
             _solve_stack(jobs, job_indices, l0, variants, vlist, tables)
 
-        # Assemble each (job, variant) series: trajectory-ordered
-        # latency dictionaries, shared visibility tables, Equation 5
-        # rollup.
         for j, job in enumerate(jobs):
             samples = job.samples
-            order = list(samples.actor_trajectories)
             for v in vlist:
-                ticks = []
-                for i, t0 in enumerate(samples.times):
-                    table = tables[(j, v)][i]
-                    ticks.append(
-                        EvaluationTick.at(
-                            float(t0),
-                            samples.ego_states[i],
-                            {
-                                actor_id: table[actor_id]
-                                for actor_id in order
-                                if actor_id in table
-                            },
-                            visibility_tables[j][i],
-                            variants[v],
-                        )
-                    )
-                output[j][v] = EvaluationSeries(
-                    scenario=job.trace.scenario,
-                    ticks=ticks,
-                    params=variants[v],
-                    l0=job.l0,
+                output[j][v] = EvaluationSeries.rollup(
+                    job.trace.scenario,
+                    variants[v],
+                    job.l0,
+                    samples.times,
+                    samples.ego_states,
+                    tuple(samples.actor_trajectories),
+                    tables[(j, v)],
+                    visibility[j],
                 )
     return [list(row) for row in output]
 
@@ -620,15 +826,16 @@ def _solve_stack(
     l0: float,
     variants: Sequence[ZhuyiParams],
     vlist: Sequence[int],
-    tables: dict[tuple[int, int], list[dict[str, float | None]]],
+    tables: dict[tuple[int, int], np.ndarray],
 ) -> None:
     """Solve one l0 stack of a variant group into ``tables``.
 
     The jobs' ticks concatenate into one :meth:`LatencyEngine.trace_grid`;
     each (job, actor) with any gated tick is one source of
     :func:`solve_row_sources`, sampled through
-    :meth:`ThreatAssessor.sample_threats_trace`, and each solved row
-    stores its ``result.latency`` under every variant of the group.
+    :meth:`ThreatAssessor.sample_threats_trace`, and each source's
+    solved latencies scatter into its actor's column of every variant's
+    (tick, actor) table.
     """
     gparams = variants[vlist[0]]
     engine = LatencyEngine(params=gparams)
@@ -644,14 +851,16 @@ def _solve_stack(
 
     # Gates and ego path rows once per job: one source per (job, actor)
     # with any gated tick, holding its gated stacked tick indices.
-    owners: list[tuple[int, str, int]] = []
+    owners: list[tuple[int, int, int]] = []
     sources = []
     for j, offset in zip(job_indices, offsets):
         job = jobs[j]
         samples = job.samples
         assessor = ThreatAssessor(params=gparams, road=job.road)
         ego_rows = assessor.ego_path_rows(samples.ego_states)
-        for actor_id, trajectory in samples.actor_trajectories.items():
+        for column, (actor_id, trajectory) in enumerate(
+            samples.actor_trajectories.items()
+        ):
             spec = job.trace.actor_spec(actor_id)
             gate = assessor.could_collide_trace(
                 samples.ego_states,
@@ -667,7 +876,7 @@ def _solve_stack(
                 gate = gate & samples.detected[actor_id]
             gated = offset + np.flatnonzero(gate)
             if gated.size:
-                owners.append((j, actor_id, offset))
+                owners.append((j, column, offset))
                 sources.append(
                     (
                         gated,
@@ -687,11 +896,10 @@ def _solve_stack(
         np.array([variants[v].c1 for v in vlist]),
         np.array([variants[v].c2 for v in vlist]),
     )
-    for source, ticks, solved in solved_rows:
-        j, actor_id, offset = owners[source]
-        for v, results in zip(vlist, solved):
-            for tick, result in zip(ticks - offset, results):
-                tables[(j, v)][int(tick)][actor_id] = result.latency
+    for source, ticks, latencies in solved_rows:
+        j, column, offset = owners[source]
+        for v, latency in zip(vlist, latencies):
+            tables[(j, v)][ticks - offset, column] = latency
 
 
 def _sample_trace_rows(
@@ -727,7 +935,7 @@ def solve_row_sources(
     rows_per_tick: int,
     c1s: np.ndarray,
     c2s: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray, list[list[LatencyResult]]]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Solve every gated row of ``sources``, one window of ticks at a time.
 
     The one vectorized row solver: the offline block feeds it a source
@@ -748,9 +956,11 @@ def solve_row_sources(
     windows bound memory, not results.
 
     Yields:
-        ``(source, ticks, solved)``: ``source`` indexes ``sources``,
-        ``ticks`` are its ticks in the window and ``solved[v][k]`` the
-        result of ``ticks[k]`` under constraint pair ``v``.
+        ``(source, ticks, latencies)``: ``source`` indexes ``sources``,
+        ``ticks`` are its ticks in the window and ``latencies[v, k]``,
+        a slice of the window's solved latency column, the tolerable
+        latency of ``ticks[k]`` under constraint pair ``v`` (NaN: no
+        feasible candidate).
     """
     n_variants = len(c1s)
     n_columns = grid.times.size + grid.reactions.size
@@ -795,10 +1005,8 @@ def solve_row_sources(
             np.vstack(speed_chunks * n_variants),
             constraints=(np.repeat(c1s, width), np.repeat(c2s, width)),
         )
+        latencies = results.latency.reshape(n_variants, width)
         position = 0
         for index, ticks, _ in picked:
-            starts = np.arange(n_variants) * width + position
-            yield index, ticks, [
-                results[start : start + ticks.size] for start in starts
-            ]
+            yield index, ticks, latencies[:, position : position + ticks.size]
             position += ticks.size

@@ -182,6 +182,7 @@ class OnlineEstimator:
         """
         if self._engine is not None:
             return self._estimate_ticks(
+                "live",
                 np.array([now]),
                 [ego_state],
                 ego_spec,
@@ -195,7 +196,7 @@ class OnlineEstimator:
                 },
                 None,
                 l0,
-            )[0]
+            ).ticks[0]
 
         assessor = ThreatAssessor(params=self.params, road=self.road)
         ego_motion = EgoMotion.from_state(
@@ -261,9 +262,11 @@ class OnlineEstimator:
         (``sample_threat_futures``) and solves every gated (tick, actor,
         hypothesis) row in bounded windows over the master prefix they
         read. Equation 4 runs through the aggregator's
-        ``aggregate_rows``, Equation 5 through one
-        ``CameraRig.visible_actors_trace`` pass. ``"scalar"`` replays
-        the per-tick reference loop; the two are bit-identical.
+        ``aggregate_rows`` into a (tick, actor) latency table, and
+        Equation 5 through :meth:`EvaluationSeries.rollup` on that
+        table and one ``CameraRig.visibility_trace`` pass.
+        ``"scalar"`` replays the per-tick reference loop; the two are
+        bit-identical.
 
         Args:
             trace: the recorded closed-loop run.
@@ -297,7 +300,8 @@ class OnlineEstimator:
         times = samples.times
         detected = samples.detected
         if self._engine is not None:
-            ticks = self._estimate_ticks(
+            return self._estimate_ticks(
+                trace.scenario,
                 times,
                 samples.ego_states,
                 trace.ego_spec,
@@ -312,30 +316,34 @@ class OnlineEstimator:
                 detected,
                 l0,
             )
-        else:
-            ticks = []
-            for i, now in enumerate(times.tolist()):
-                world = WorldModel()
-                for actor_id, states in samples.actor_states.items():
-                    # An injected miss: the actor never reaches the
-                    # replayed world model this tick.
-                    if detected is None or detected[actor_id][i]:
-                        world.upsert(_perceived(actor_id, states[i], now))
-                ticks.append(
-                    self.estimate(
-                        now=now,
-                        ego_state=samples.ego_states[i],
-                        ego_spec=trace.ego_spec,
-                        world_model=world,
-                        l0=l0,
-                    )
+        ticks = []
+        for i, now in enumerate(times.tolist()):
+            world = WorldModel()
+            for actor_id, states in samples.actor_states.items():
+                # An injected miss: the actor never reaches the
+                # replayed world model this tick.
+                if detected is None or detected[actor_id][i]:
+                    world.upsert(_perceived(actor_id, states[i], now))
+            ticks.append(
+                self.estimate(
+                    now=now,
+                    ego_state=samples.ego_states[i],
+                    ego_spec=trace.ego_spec,
+                    world_model=world,
+                    l0=l0,
                 )
+            )
         return EvaluationSeries(
-            scenario=trace.scenario, ticks=ticks, params=self.params, l0=l0
+            scenario=trace.scenario,
+            ticks=ticks,
+            params=self.params,
+            l0=l0,
+            actor_ids=samples.actor_states,
         )
 
     def _estimate_ticks(
         self,
+        scenario: str,
         times: np.ndarray,
         ego_states: Sequence[VehicleState],
         ego_spec: VehicleSpec,
@@ -343,11 +351,12 @@ class OnlineEstimator:
         positions: Mapping[Hashable, tuple[np.ndarray, np.ndarray]],
         detected: Mapping[Hashable, np.ndarray] | None,
         l0: float,
-    ) -> list[EvaluationTick]:
+    ) -> EvaluationSeries:
         """The vectorized estimate over a tick axis, one tick per time.
 
         ``actors`` holds each actor's perceived view at every tick and
-        ``positions`` its ``(xs, ys)`` arrays over the same ticks;
+        ``positions`` its ``(xs, ys)`` arrays over the same ticks, both
+        keyed alike and in one order (the series' actor axis);
         ``detected`` optionally drops an actor from a tick's world
         model. Bit-identical to the scalar :meth:`estimate` at each
         tick: every kernel does its per-element arithmetic.
@@ -381,7 +390,7 @@ class OnlineEstimator:
         # hypothesis), its per-tick latencies, probabilities and active
         # mask. Solved rows fill the latencies in; gated-out futures
         # keep the most permissive latency.
-        per_actor: list[tuple[Hashable, np.ndarray, list[tuple]]] = []
+        per_actor: list[tuple[np.ndarray, list[tuple]]] = []
         sources = []
         slots: list[np.ndarray] = []
         for actor_id, views in actors.items():
@@ -416,7 +425,7 @@ class OnlineEstimator:
                 per_hypothesis.append(
                     (latencies, hypothesis.probabilities, active_mask)
                 )
-            per_actor.append((actor_id, threat, per_hypothesis))
+            per_actor.append((threat, per_hypothesis))
 
         solved_rows = solve_row_sources(
             self._engine,
@@ -427,16 +436,16 @@ class OnlineEstimator:
             np.array([self.params.c1]),
             np.array([self.params.c2]),
         )
-        for source, ticks, (solved,) in solved_rows:
-            slots[source][ticks] = [
-                result.latency_or_zero() for result in solved
-            ]
+        for source, ticks, (latency,) in solved_rows:
+            # latency_or_zero: an unavoidable row joins Eq 4 at zero.
+            slots[source][ticks] = np.where(
+                np.isnan(latency), UNAVOIDABLE_LATENCY, latency
+            )
 
-        # Equation 4 across hypotheses, then Equation 5 per tick.
-        actor_latencies: list[dict[Hashable, float | None]] = [
-            {} for _ in range(n_ticks)
-        ]
-        for actor_id, threat, per_hypothesis in per_actor:
+        # Equation 4 across hypotheses into the (tick, actor) table
+        # (inf: no threat, NaN: unavoidable), then Equation 5.
+        table = np.full((n_ticks, len(per_actor)), np.inf)
+        for a, (threat, per_hypothesis) in enumerate(per_actor):
             # Ticks where every future is gated out — or where the
             # predictor emitted none — carry no threat, as in the
             # scalar loop.
@@ -450,23 +459,19 @@ class OnlineEstimator:
             aggregated = self.aggregator.aggregate_rows(
                 latencies, probabilities, active
             )
-            for row, value in zip(rows, aggregated):
-                actor_latencies[int(row)][actor_id] = (
-                    None if value <= UNAVOIDABLE_LATENCY else float(value)
-                )
-        visibility = self.rig.visible_actors_trace(
-            ego_states, positions, detected=detected
-        )
-        return [
-            EvaluationTick.at(
-                float(times[i]),
-                ego_states[i],
-                actor_latencies[i],
-                visibility[i],
-                self.params,
+            table[rows, a] = np.where(
+                aggregated <= UNAVOIDABLE_LATENCY, np.nan, aggregated
             )
-            for i in range(n_ticks)
-        ]
+        return EvaluationSeries.rollup(
+            scenario,
+            self.params,
+            l0,
+            times,
+            ego_states,
+            list(actors),
+            table,
+            self.rig.visibility_trace(ego_states, positions, detected),
+        )
 
     def _aggregate(
         self, entries, ego_motion: EgoMotion, l0: float

@@ -266,17 +266,24 @@ class StateTrajectory:
             accel=s0.accel + (s1.accel - s0.accel) * w,
         )
 
+    def sample_positions(
+        self, times: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized ``(xs, ys)`` at many query times, clamped at the
+        ends: :meth:`sample_ticks`'s position arrays, with no states."""
+        times = np.asarray(times, dtype=float)
+        return (
+            np.interp(times, self._t, self._x),
+            np.interp(times, self._t, self._y),
+        )
+
     def _interp_clamped(
         self, times: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Clamped linear interpolation of ``(times, x, y, speed)``."""
         times = np.asarray(times, dtype=float)
-        return (
-            times,
-            np.interp(times, self._t, self._x),
-            np.interp(times, self._t, self._y),
-            np.interp(times, self._t, self._speed),
-        )
+        xs, ys = self.sample_positions(times)
+        return times, xs, ys, np.interp(times, self._t, self._speed)
 
     def sample_extrapolated(
         self, times: np.ndarray

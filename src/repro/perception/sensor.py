@@ -103,6 +103,7 @@ class CameraRig:
         self,
         ego_states: Sequence[VehicleState],
         actor_positions: Mapping[Hashable, tuple[np.ndarray, np.ndarray]],
+        detected: Mapping[Hashable, np.ndarray] | None = None,
     ) -> dict[str, np.ndarray]:
         """Per-camera FOV membership over a whole trace, as bit tables.
 
@@ -120,13 +121,19 @@ class CameraRig:
             ego_states: the ego state at each tick.
             actor_positions: per actor, the ``(xs, ys)`` world position
                 arrays over the same ticks.
+            detected: optional per-actor detection masks (one bool per
+                tick), ANDed into every camera's column: an undetected
+                actor is indistinguishable from one outside the FOV for
+                the Equation 5 grouping.
 
         Returns:
             Per camera, a boolean array of shape
             ``(len(ego_states), len(actor_positions))`` whose columns
             follow the mapping's iteration order.
         """
-        return self.visibility_traces([(ego_states, actor_positions)])[0]
+        return self.visibility_traces(
+            [(ego_states, actor_positions)], detected=[detected]
+        )[0]
 
     def visibility_traces(
         self,
@@ -136,6 +143,7 @@ class CameraRig:
                 Mapping[Hashable, tuple[np.ndarray, np.ndarray]],
             ]
         ],
+        detected: Sequence[Mapping[Hashable, np.ndarray] | None] | None = None,
     ) -> list[dict[str, np.ndarray]]:
         """:meth:`visibility_trace` for a stack of traces at once.
 
@@ -154,10 +162,14 @@ class CameraRig:
         Args:
             blocks: per trace, the ``(ego_states, actor_positions)``
                 pair :meth:`visibility_trace` takes.
+            detected: optional per-block detection masks, each applied
+                as :meth:`visibility_trace` applies its own.
 
         Returns:
             One per-camera table dict per block, in block order.
         """
+        if detected is None:
+            detected = [None] * len(blocks)
         offsets = [0]
         for ego_states, _ in blocks:
             offsets.append(offsets[-1] + len(ego_states))
@@ -183,7 +195,9 @@ class CameraRig:
                 i += 1
 
         out: list[dict[str, np.ndarray]] = []
-        for block_index, (ego_states, actor_positions) in enumerate(blocks):
+        for block_index, ((ego_states, actor_positions), block_detected) in (
+            enumerate(zip(blocks, detected))
+        ):
             lo, hi = offsets[block_index], offsets[block_index + 1]
             tick_count = hi - lo
             ids = list(actor_positions)
@@ -203,6 +217,14 @@ class CameraRig:
                 [np.asarray(actor_positions[a][1], dtype=float) for a in ids],
                 axis=1,
             )
+            mask = (
+                None
+                if block_detected is None
+                else np.stack(
+                    [np.asarray(block_detected[a], dtype=bool) for a in ids],
+                    axis=1,
+                )
+            )
             tables: dict[str, np.ndarray] = {}
             for camera in self._cameras:
                 dx = xs - origin_x[camera.name][lo:hi, None]
@@ -215,9 +237,8 @@ class CameraRig:
                     rot_s[camera.name][lo:hi, None] * dx
                     + rot_c[camera.name][lo:hi, None] * dy
                 )
-                tables[camera.name] = camera.fov.contains_local_batch(
-                    local_x, local_y
-                )
+                table = camera.fov.contains_local_batch(local_x, local_y)
+                tables[camera.name] = table if mask is None else table & mask
             out.append(tables)
         return out
 
@@ -238,9 +259,10 @@ class CameraRig:
         from the groupings, exactly as if they had been removed from
         that tick's ``actor_positions`` mapping.
         """
-        ids = list(actor_positions)
-        tables = self.visibility_trace(ego_states, actor_positions)
-        return self._group_tables(ids, len(ego_states), tables, detected)
+        tables = self.visibility_trace(ego_states, actor_positions, detected)
+        return self._group_tables(
+            list(actor_positions), len(ego_states), tables
+        )
 
     def visible_actors_traces(
         self,
@@ -259,15 +281,10 @@ class CameraRig:
         to running :meth:`visible_actors_trace` per block, including
         its optional per-block ``detected`` masking.
         """
-        all_tables = self.visibility_traces(blocks)
-        if detected is None:
-            detected = [None] * len(blocks)
         return [
-            self._group_tables(
-                list(actor_positions), len(ego_states), tables, block_detected
-            )
-            for (ego_states, actor_positions), tables, block_detected in zip(
-                blocks, all_tables, detected
+            self._group_tables(list(actor_positions), len(ego_states), tables)
+            for (ego_states, actor_positions), tables in zip(
+                blocks, self.visibility_traces(blocks, detected)
             )
         ]
 
@@ -276,20 +293,8 @@ class CameraRig:
         ids: list[Hashable],
         tick_count: int,
         tables: Mapping[str, np.ndarray],
-        detected: Mapping[Hashable, np.ndarray] | None = None,
     ) -> list[dict[str, list[Hashable]]]:
         """Bit tables to per-tick camera groupings (mapping order kept)."""
-        if detected is not None and ids:
-            # Detection masks AND into every camera's column — an
-            # undetected actor is indistinguishable from one outside
-            # the FOV for the Equation 5 grouping.
-            mask = np.stack(
-                [np.asarray(detected[actor_id], dtype=bool) for actor_id in ids],
-                axis=1,
-            )
-            tables = {
-                name: table & mask for name, table in tables.items()
-            }
         return [
             {
                 camera.name: [

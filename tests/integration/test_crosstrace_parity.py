@@ -205,6 +205,52 @@ class TestNoisyCampaignParity:
         )
 
 
+class TestNoBlockRetry:
+    """A clean block never falls back to the per-variant retry.
+
+    ``_solve_block`` catches every exception and re-evaluates each cell
+    per variant through ``_evaluate_cell``, so a block kernel fault
+    that shows only when several jobs stack would look like slowness
+    with correct rows. Online variants take ``_evaluate_cell`` on
+    purpose; an offline spec there means the block failed.
+    """
+
+    def test_offline_specs_stay_in_the_block(self, monkeypatch, tmp_path):
+        import repro.batch.runner as runner_module
+
+        evaluated = []
+        evaluate_cell = runner_module._evaluate_cell
+
+        def spy(specs, *args, **kwargs):
+            evaluated.extend(specs)
+            return evaluate_cell(specs, *args, **kwargs)
+
+        grid = dict(
+            scenarios=("cut_in", "challenging_cut_in_curved"),
+            seeds=(0,),
+            fprs=(30.0,),
+            variants=(
+                ParamVariant("paper"),
+                ParamVariant("tight", replace(ZhuyiParams(), c1=0.85)),
+                ParamVariant("cv", predictor="cv"),
+            ),
+            stride=0.5,
+            noise=PerceptionNoise(miss_rate=0.1, position_noise=0.25, seed=5),
+        )
+        scalar = run_campaign("scalar", tmp_path, **grid)
+        monkeypatch.setattr(runner_module, "_evaluate_cell", spy)
+        campaign = Campaign(backend="crosstrace", **grid)
+        out = tmp_path / "block.jsonl"
+        result = CampaignRunner(workers=1, supercell=2).run(campaign, out=out)
+
+        assert not result.failures()
+        assert evaluated, "the online variant replays per cell"
+        assert all(spec.predictor is not None for spec in evaluated)
+        lines = out.read_text().splitlines()
+        assert [line for line in lines if '"kind": "run"' in line] == scalar
+        assert len(scalar) == 6
+
+
 def assert_block_matches_scalar(traces, stride, noise=None):
     """Stacked roadless traces: one block equals per-trace scalar runs."""
     samples = [presample_trace(trace, stride, noise=noise) for trace in traces]
