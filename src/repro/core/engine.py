@@ -9,8 +9,9 @@ Offline evaluation multiplies that by every actor at every trace tick —
 the dominant interpreter overhead of a campaign.
 
 This module replaces the inner loops with one array program over rows,
-where a row is one (tick, threat) pair — any number of ticks, actors,
-predicted futures or parameter variants solved together:
+where a row is one (tick, threat) pair — any number of ticks, actors
+or predicted futures solved together, each under a ``(V,)`` axis of
+parameter variants:
 
 * Latency candidates only shift the reaction time ``t_r``, so the whole
   family of ego distance/speed profiles is a single broadcasted
@@ -21,12 +22,15 @@ predicted futures or parameter variants solved together:
   grid its tick reads (plus the ``L`` reaction instants) instead of
   once per candidate.
 * Eq 1/2 feasibility and the per-candidate ``t_n >= t_r`` windows
-  evaluate simultaneously as ``(R, S, T)`` boolean arrays over the ``S``
-  candidates of a wave (see :meth:`LatencyEngine._waves`). One
-  short-circuiting arg-reduction per (row, candidate) finds the first
-  violation and the first candidate instant, and comparing them with
-  that candidate's scan length stands in for a prefix mask; the largest
-  feasible latency falls out of a single argmax per row.
+  evaluate simultaneously as ``(V, R, S, T)`` boolean arrays over the
+  ``V`` (c1, c2) constraint pairs and the ``S`` candidates of a wave
+  (see :meth:`LatencyEngine._waves`): the variants only scale the
+  threat samples, so each row's samples and ego profile are read once
+  and broadcast over them. One short-circuiting arg-reduction per
+  (variant, row, candidate) finds the first violation and the first
+  candidate instant, and comparing them with that candidate's scan
+  length stands in for a prefix mask; the largest feasible latency
+  falls out of a single argmax per (variant, row).
 
 Exact-parity contract: results are **bit-identical** to the scalar
 EXACT search — ``latency``, ``check_time`` *and* the ``iterations``
@@ -64,22 +68,24 @@ from repro.core.parameters import ZhuyiParams
 #: int64 range so the +1 merge shifts can never overflow it.
 _NO_INDEX = np.iinfo(np.int64).max // 2
 
-#: Per-chunk element budget for :meth:`LatencyEngine.solve_rows`. A
-#: cache-locality compromise, settled by sweeping campaign workloads:
-#: larger chunks amortize the per-tick ego-profile builds over more
-#: rows, but once the float64 ``(R, S, T)`` temporaries outgrow the
-#: last-level cache every broadcasted comparison turns memory-bound —
-#: cross-trace row blocks big enough to saturate the old 8M cap ran
-#: ~1.5x slower than at this setting, and halving it again loses the
-#: profile amortization instead.
+#: Per-chunk element budget for :meth:`LatencyEngine.solve_rows`, counted
+#: over the ``(V, R, S, T)`` comparison arrays. A cache-locality
+#: compromise, settled by sweeping campaign workloads: larger chunks
+#: amortize the per-tick ego-profile builds over more rows, but once the
+#: temporaries outgrow the last-level cache every broadcasted comparison
+#: turns memory-bound — cross-trace row blocks big enough to saturate the
+#: old 8M cap ran ~1.5x slower than at this setting, and halving it
+#: again loses the profile amortization instead.
 _ROWS_CHUNK_ELEMENTS = 2_000_000
 
-#: Rows-per-distinct-tick density at which :meth:`LatencyEngine.solve_rows`
-#: switches a wave to the tick-resident grouped kernel. Per-trace row
-#: batches sit near the actor count (~2-8 rows per tick), where the
-#: gathered cross-tick program wins; variant-stacked campaign blocks sit
-#: at actors x variants (tens of rows per tick), where re-reading one
-#: cache-hot (S, T) profile per tick beats materializing per-row copies.
+#: Source rows per distinct tick at which :meth:`LatencyEngine.solve_rows`
+#: switches a wave to the tick-resident grouped kernel. The count is of
+#: rows, not (variant, row) pairs: the variants of a row already share
+#: its gathered profile. Offline batches sit near the actor count (~2-8
+#: rows per tick), where the gathered cross-tick program wins; the
+#: online replay stacks one row per (actor, prediction hypothesis), and
+#: its tick-dense waves are where re-reading one cache-hot (S, T)
+#: profile per tick beats materializing per-row copies.
 _GROUPED_MIN_ROWS_PER_TICK = 16
 
 
@@ -100,16 +106,17 @@ def _first(mask: np.ndarray, value: bool, lengths: np.ndarray) -> np.ndarray:
 class SolvedRows(Sequence[LatencyResult]):
     """:meth:`LatencyEngine.solve_rows` answers, one column per field.
 
-    Row ``k``'s :class:`LatencyResult` is built only when it is indexed
-    or iterated; the row solver's own readers take the columns.
-    Compares equal to, and concatenates like, a list of the same
-    results.
+    One entry per (variant, row) pair, variant-major: entry
+    ``v * R + r`` is row ``r`` under constraint pair ``v``. Entry
+    ``k``'s :class:`LatencyResult` is built only when it is indexed or
+    iterated; the row solver's own readers take the columns. Compares
+    equal to, and concatenates like, a list of the same results.
 
     Attributes:
-        latency: (R,) tolerable latencies; NaN where no candidate is
-            feasible (a ``None`` result).
-        check_time: (R,) check times; NaN where ``latency`` is.
-        iterations: (R,) constraint evaluations per row.
+        latency: (V * R,) tolerable latencies; NaN where no candidate
+            is feasible (a ``None`` result).
+        check_time: (V * R,) check times; NaN where ``latency`` is.
+        iterations: (V * R,) constraint evaluations per entry.
     """
 
     latency: np.ndarray
@@ -321,17 +328,25 @@ class LatencyEngine:
         ``T = grid.times.size``: every column past a
         row's ``grid.lengths`` entry is masked out, so trimmed and
         full-width rows solve identically. The reaction columns are
-        the last ``L``. Candidates are solved in :meth:`_waves`, every
-        still-unresolved row of a wave in one array program. Rows need
-        not be unique per (tick, actor): the online replay feeds one
-        row per (tick, actor, prediction hypothesis), each solved
-        independently against its tick's ego profile — and the
-        cross-trace campaign path feeds one row per (trace, tick,
-        actor, parameter variant), with ``tick_indices`` offset into a
+        the last ``L``. Rows need not be unique per (tick, actor): the
+        online replay feeds one row per (tick, actor, prediction
+        hypothesis), each solved independently against its tick's ego
+        profile, and the cross-trace campaign path feeds one row per
+        (trace, tick, actor), with ``tick_indices`` offset into a
         stacked multi-trace :meth:`trace_grid`.
 
-        Each wave picks its kernel from the rows-per-distinct-tick
-        density: sparse waves gather per-row ego profiles
+        Every row is solved under each of ``V`` constraint pairs, the
+        variant axis of the campaign block. Candidates are solved in
+        :meth:`_waves`, every row with a still-unresolved variant in
+        one array program over all ``V`` variants. A (row, variant)
+        pair takes the first wave in which one of its candidates is
+        feasible — where a solve under that variant alone stops — so
+        its ``latency``, ``check_time`` and ``iterations`` are that
+        solve's; later waves recompute resolved pairs alongside their
+        row's open ones, and those answers are dropped.
+
+        Each wave picks its kernel from the source rows per distinct
+        tick: sparse waves gather per-row ego profiles
         (:meth:`_solve_rows_slice`), dense ones broadcast each tick's
         profile against all of its rows (:meth:`_solve_rows_grouped`).
         Both run the same feasibility program (:meth:`_scan`), so the
@@ -342,27 +357,30 @@ class LatencyEngine:
             tick_indices: (R,) tick index of each row.
             ego_motions: per-tick ego states (trace-aligned).
             gaps / aspeeds: (R, T' + L) threat samples per row.
-            constraints: optional per-row ``(c1, c2)`` arrays of shape
-                ``(R,)``, overriding ``params.c1``/``params.c2`` — the
-                variant axis of the cross-trace campaign kernel. Every
+            constraints: optional ``(c1s, c2s)`` vectors of shape
+                ``(V,)``, replacing ``params.c1``/``params.c2`` (the
+                default is the one pair ``V = 1`` they make). Every
                 other constant (the latency grid, ``k``, the ego
                 profile, gating) still comes from ``params``, so only
-                variants differing in nothing but c1/c2 may stack.
-                Per-row broadcasting multiplies each row by its own
-                scalar, so a row's feasibility program is bit-identical
-                to a solve under an engine carrying that row's c1/c2.
+                variants differing in nothing but c1/c2 may share a
+                call. Each threshold is ``c1s[v] * gap + eps``, the
+                element arithmetic of an engine carrying that
+                variant's c1/c2, so every answer is bit-identical to
+                that engine's.
 
         Returns:
-            The rows' results in input order, as :class:`SolvedRows`
-            columns filled by index assignment per wave: a NaN latency
-            means no feasible candidate. Indexing or iterating the
-            result yields one :class:`LatencyResult` per row.
+            The answers as :class:`SolvedRows` columns of ``V * R``
+            entries, variant-major (entry ``v * R + r`` is row ``r``
+            under pair ``v``): a NaN latency means no feasible
+            candidate. Indexing or iterating the result yields one
+            :class:`LatencyResult` per entry.
 
         Raises:
             ValueError: ``gaps`` and ``aspeeds`` are not one shared 2-D
-                shape, ``tick_indices`` is not ``(R,)``, or the master
-                width is below the rows' longest readable prefix or
-                above ``grid.times.size``.
+                shape, ``tick_indices`` is not ``(R,)``, the constraint
+                vectors are not one shared non-empty ``(V,)`` shape, or
+                the master width is below the rows' longest readable
+                prefix or above ``grid.times.size``.
         """
         tick_indices = np.asarray(tick_indices)
         if gaps.shape != aspeeds.shape or gaps.ndim != 2:
@@ -376,6 +394,18 @@ class LatencyEngine:
                 f"tick_indices must be an (R,) array for {n_rows} rows, "
                 f"got shape {tick_indices.shape}"
             )
+        if constraints is None:
+            c1s = np.array([self.params.c1], dtype=float)
+            c2s = np.array([self.params.c2], dtype=float)
+        else:
+            c1s = np.asarray(constraints[0], dtype=float)
+            c2s = np.asarray(constraints[1], dtype=float)
+            if c1s.ndim != 1 or c1s.shape != c2s.shape or not c1s.size:
+                raise ValueError(
+                    "constraints must be two non-empty (V,) vectors, got "
+                    f"shapes {c1s.shape} and {c2s.shape}"
+                )
+        n_variants = c1s.size
         if n_rows == 0:
             return SolvedRows(
                 np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
@@ -392,17 +422,6 @@ class LatencyEngine:
                 f"rows carry {width} master columns, above the master "
                 f"grid's {grid.times.size}"
             )
-        if constraints is None:
-            row_c1 = np.full(n_rows, self.params.c1)
-            row_c2 = np.full(n_rows, self.params.c2)
-        else:
-            row_c1 = np.asarray(constraints[0], dtype=float)
-            row_c2 = np.asarray(constraints[1], dtype=float)
-            if row_c1.shape != (n_rows,) or row_c2.shape != (n_rows,):
-                raise ValueError(
-                    "per-row constraints must be (R,) arrays matching "
-                    f"{n_rows} rows, got {row_c1.shape} and {row_c2.shape}"
-                )
         # Per-tick cumulative merged scan sizes — the iterations charged
         # for missing every candidate before a hit.
         miss_prefix = np.concatenate(
@@ -413,10 +432,12 @@ class LatencyEngine:
             axis=1,
         )
 
-        # Rows no wave resolves keep NaN and are charged every scan.
-        latency = np.full(n_rows, np.nan)
-        check_time = np.full(n_rows, np.nan)
-        iterations = miss_prefix[tick_indices, -1]
+        # Pairs no wave resolves keep NaN and are charged every scan.
+        shape = (n_variants, n_rows)
+        latency = np.full(shape, np.nan)
+        check_time = np.full(shape, np.nan)
+        iterations = np.tile(miss_prefix[tick_indices, -1], (n_variants, 1))
+        open_pairs = np.ones(shape, dtype=bool)
         active = np.arange(n_rows)
         for lo, hi in self._waves(grid.latencies.size):
             if active.size == 0:
@@ -434,18 +455,24 @@ class LatencyEngine:
                 ego_motions,
                 gaps,
                 aspeeds,
-                row_c1,
-                row_c2,
+                c1s,
+                c2s,
             )
-            rows = active[found]
-            h = lo + hit[found]
-            latency[rows] = grid.latencies[h]
-            check_time[rows] = check_times[found]
-            iterations[rows] = (
-                miss_prefix[tick_indices[rows], h] + scanned[found]
+            # Only still-open pairs take this wave's answer.
+            new = found & open_pairs[:, active]
+            variant, pair = np.nonzero(new)
+            rows = active[pair]
+            h = lo + hit[new]
+            latency[variant, rows] = grid.latencies[h]
+            check_time[variant, rows] = check_times[new]
+            iterations[variant, rows] = (
+                miss_prefix[tick_indices[rows], h] + scanned[new]
             )
-            active = active[~found]
-        return SolvedRows(latency, check_time, iterations)
+            open_pairs[variant, rows] = False
+            active = active[open_pairs[:, active].any(axis=0)]
+        return SolvedRows(
+            latency.reshape(-1), check_time.reshape(-1), iterations.reshape(-1)
+        )
 
     def _solve_rows_grouped(
         self,
@@ -457,8 +484,8 @@ class LatencyEngine:
         ego_motions: Sequence[EgoMotion],
         gaps: np.ndarray,
         aspeeds: np.ndarray,
-        row_c1: np.ndarray,
-        row_c2: np.ndarray,
+        c1s: np.ndarray,
+        c2s: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Candidates ``[lo, hi)`` for tick-dense row batches.
 
@@ -466,19 +493,21 @@ class LatencyEngine:
         group runs :meth:`_scan` by broadcasting against its tick's own
         ``(S, T)`` ego profile — trimmed to that tick's longest
         candidate scan — instead of gathering per-row ``(R, S, T)``
-        profile copies. It wins when many rows (actor x variant stacks)
-        share each distinct tick. ``gaps``/``aspeeds`` and the c1/c2
-        columns are the full per-row arrays of :meth:`solve_rows` (a
-        ``T'``-column master prefix, then the ``L`` reaction columns);
-        ``rows`` selects the still-active subset. Returns ``(found,
-        hit, check_times, scanned)`` aligned with ``rows``.
+        profile copies. It wins when many rows (actor x hypothesis
+        stacks) share each distinct tick. ``gaps``/``aspeeds`` are the
+        full row arrays of :meth:`solve_rows` (a ``T'``-column master
+        prefix, then the ``L`` reaction columns), ``c1s``/``c2s`` its
+        ``(V,)`` constraint vectors; ``rows`` selects the still-active
+        subset. Returns ``(found, hit, check_times, scanned)``, each
+        ``(V, rows.size)``.
         """
         first_reaction = gaps.shape[1] - grid.reactions.size
         reactions = grid.reactions[lo:hi]
-        found = np.zeros(rows.size, dtype=bool)
-        hit = np.zeros(rows.size, dtype=np.int64)
-        check_times = np.zeros(rows.size, dtype=float)
-        scanned = np.zeros(rows.size, dtype=np.int64)
+        answers = (c1s.size, rows.size)
+        found = np.zeros(answers, dtype=bool)
+        hit = np.zeros(answers, dtype=np.int64)
+        check_times = np.zeros(answers, dtype=float)
+        scanned = np.zeros(answers, dtype=np.int64)
 
         ticks = tick_indices[rows]
         order = np.argsort(ticks, kind="stable")
@@ -501,17 +530,19 @@ class LatencyEngine:
             ins = grid.inserted[n, lo:hi]
 
             group = order[bounds[g] : bounds[g + 1]]
-            # Bound the (G, S, T) workspace for pathologically wide
-            # groups; ordinary campaign stacks fit in one pass.
-            step = max(1, int(_ROWS_CHUNK_ELEMENTS / ((hi - lo) * t_cap)))
+            # Bound the (V, G, S, T) workspace for pathologically wide
+            # groups; ordinary stacks fit in one pass.
+            step = max(
+                1, int(_ROWS_CHUNK_ELEMENTS / (c1s.size * (hi - lo) * t_cap))
+            )
             for begin in range(0, group.size, step):
                 sel = group[begin : begin + step]
                 r = rows[sel]
                 (
-                    found[sel],
-                    hit[sel],
-                    check_times[sel],
-                    scanned[sel],
+                    found[:, sel],
+                    hit[:, sel],
+                    check_times[:, sel],
+                    scanned[:, sel],
                 ) = self._scan(
                     grid,
                     lo,
@@ -523,8 +554,8 @@ class LatencyEngine:
                     aspeeds[r, :t_cap],
                     gaps[r, first_reaction + lo : first_reaction + hi],
                     aspeeds[r, first_reaction + lo : first_reaction + hi],
-                    row_c1[r],
-                    row_c2[r],
+                    c1s,
+                    c2s,
                     lengths[None],
                     ins[None],
                 )
@@ -540,35 +571,41 @@ class LatencyEngine:
         ego_motions: Sequence[EgoMotion],
         gaps: np.ndarray,
         aspeeds: np.ndarray,
-        row_c1: np.ndarray,
-        row_c2: np.ndarray,
+        c1s: np.ndarray,
+        c2s: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Candidates ``[lo, hi)`` for rows spanning many ticks.
 
         The gathered kernel: per chunk of rows, ego profile slices are
         built once per distinct tick and gathered to rows, and
-        :meth:`_scan` runs as one ``(R, S, T)`` batch. Chunks cap each
-        program's cache working set at ``_ROWS_CHUNK_ELEMENTS``, sized
-        from the rows' longest candidate scan rather than the master
-        axis; each chunk's time axis is then trimmed to the longest
-        prefix its (row, candidate) scans admit. No index past a row's
-        ``lengths`` counts, so the answers are identical and the
-        program never pays for the master grid's tail — which, on
-        stacked multi-trace grids, belongs to *other* traces' horizons.
-        A chunk of consecutive rows (every chunk of the first wave)
-        reads its row arrays as views, not gathered copies. Same
-        arguments and returns as :meth:`_solve_rows_grouped`.
+        :meth:`_scan` runs as one ``(V, R, S, T)`` batch. Chunks cap
+        each program's cache working set at ``_ROWS_CHUNK_ELEMENTS``,
+        sized from the variant count and the rows' longest candidate
+        scan rather than the master axis; each chunk's time axis is
+        then trimmed to the longest prefix its (row, candidate) scans
+        admit. No index past a row's ``lengths`` counts, so the answers
+        are identical and the program never pays for the master grid's
+        tail — which, on stacked multi-trace grids, belongs to *other*
+        traces' horizons. A chunk of consecutive rows (every chunk of
+        the first wave) reads its row arrays as views, not gathered
+        copies. Same arguments and returns as
+        :meth:`_solve_rows_grouped`.
         """
         first_reaction = gaps.shape[1] - grid.reactions.size
         reactions = grid.reactions[lo:hi]
-        found = np.zeros(rows.size, dtype=bool)
-        hit = np.zeros(rows.size, dtype=np.int64)
-        check_times = np.zeros(rows.size, dtype=float)
-        scanned = np.zeros(rows.size, dtype=np.int64)
+        answers = (c1s.size, rows.size)
+        found = np.zeros(answers, dtype=bool)
+        hit = np.zeros(answers, dtype=np.int64)
+        check_times = np.zeros(answers, dtype=float)
+        scanned = np.zeros(answers, dtype=np.int64)
 
         wave_cap = int(grid.lengths[tick_indices[rows], lo:hi].max())
         chunk = max(
-            1, int(_ROWS_CHUNK_ELEMENTS / ((hi - lo) * max(1, wave_cap)))
+            1,
+            int(
+                _ROWS_CHUNK_ELEMENTS
+                / (c1s.size * (hi - lo) * max(1, wave_cap))
+            ),
         )
         for begin in range(0, rows.size, chunk):
             sel = slice(begin, begin + chunk)
@@ -593,10 +630,10 @@ class LatencyEngine:
                 for profile, values in zip(profiles, tick):
                     profile[i] = values
             (
-                found[sel],
-                hit[sel],
-                check_times[sel],
-                scanned[sel],
+                found[:, sel],
+                hit[:, sel],
+                check_times[:, sel],
+                scanned[:, sel],
             ) = self._scan(
                 grid,
                 lo,
@@ -608,8 +645,8 @@ class LatencyEngine:
                 aspeeds[r, :t_cap],
                 gaps[r, first_reaction + lo : first_reaction + hi],
                 aspeeds[r, first_reaction + lo : first_reaction + hi],
-                row_c1[r],
-                row_c2[r],
+                c1s,
+                c2s,
                 lengths,
                 grid.inserted[ticks, lo:hi],
             )
@@ -654,12 +691,13 @@ class LatencyEngine:
         va_m: np.ndarray,
         gaps_r: np.ndarray,
         va_r: np.ndarray,
-        c1: np.ndarray,
-        c2: np.ndarray,
+        c1s: np.ndarray,
+        c2s: np.ndarray,
         lengths: np.ndarray,
         ins: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Eq 1/2 feasibility of candidates ``[lo, hi)`` for ``R`` rows.
+        """Eq 1/2 feasibility of candidates ``[lo, hi)`` for ``R`` rows
+        under ``V`` constraint pairs.
 
         ``profiles`` holds per-tick ego ``(dist, speed)`` over ``times``
         and ``(dist_r, speed_r)`` at ``t_r``, with a leading tick axis;
@@ -671,20 +709,29 @@ class LatencyEngine:
         ``(·, S)``, are per row or broadcast the same way.
         ``gaps_m``/``va_m`` are the ``(R, T)`` threat samples on
         ``times``, ``gaps_r``/``va_r`` the ``(R, S)`` samples at
-        ``t_r``, ``c1``/``c2`` the ``(R,)`` constraint columns.
+        ``t_r``, ``c1s``/``c2s`` the ``(V,)`` constraint vectors. Each
+        row's profile is gathered once and compared against ``(V, R,
+        T)`` thresholds ``c1s[v] * gap + eps``, the same element
+        arithmetic as a one-variant solve.
 
-        Returns per-row ``(found, hit, check_time, scanned)``: whether
-        some candidate in the slice is feasible, the first feasible
-        slice-local candidate index, its check time, and how many
-        merged grid points that candidate's scan consumed.
+        Returns per-(variant, row) ``(found, hit, check_time,
+        scanned)``, each ``(V, R)``: whether some candidate in the
+        slice is feasible, the first feasible slice-local candidate
+        index, its check time, and how many merged grid points that
+        candidate's scan consumed.
         """
         dist, speed, dist_r, speed_r = profiles
         reactions = grid.reactions[lo:hi]
         pos = grid.insert_at[lo:hi]
 
-        # Eq 1/2 for every (row, candidate, instant) of the chunk width.
-        d_ok = dist[row_pos] <= c1[:, None, None] * gaps_m[:, None, :] + _EPS
-        v_ok = speed[row_pos] <= c2[:, None, None] * va_m[:, None, :] + _EPS
+        # Eq 1/2 for every (variant, row, candidate, instant) of the
+        # chunk width.
+        d_ok = dist[row_pos] <= (c1s[:, None, None] * gaps_m[None] + _EPS)[
+            :, :, None, :
+        ]
+        v_ok = speed[row_pos] <= (c2s[:, None, None] * va_m[None] + _EPS)[
+            :, :, None, :
+        ]
         window = times[None, :] >= reactions[:, None] - _EPS
         # d_ok & v_ok & window, built in v_ok's buffer.
         candidate = np.logical_and(v_ok, d_ok, out=v_ok)
@@ -694,7 +741,7 @@ class LatencyEngine:
         # only its ``lengths`` prefix, so a first index at or past it
         # is none — then mapped onto the merged (t_r-inserted) grid the
         # scalar search scans.
-        fv_m = _first(d_ok, False, lengths)  # (R, S)
+        fv_m = _first(d_ok, False, lengths)  # (V, R, S)
         cf_m = _first(candidate, True, lengths)
         first_violation = np.where(
             fv_m != _NO_INDEX, fv_m + (ins & (fv_m >= pos)), _NO_INDEX
@@ -704,8 +751,8 @@ class LatencyEngine:
         )
 
         # The t_r sample itself (t_n = t_r is always inside the window).
-        d_ok_r = dist_r[row_pos] <= c1[:, None] * gaps_r + _EPS
-        v_ok_r = speed_r[row_pos] <= c2[:, None] * va_r + _EPS
+        d_ok_r = dist_r[row_pos] <= c1s[:, None, None] * gaps_r[None] + _EPS
+        v_ok_r = speed_r[row_pos] <= c2s[:, None, None] * va_r[None] + _EPS
         first_violation = np.minimum(
             first_violation, np.where(ins & ~d_ok_r, pos, _NO_INDEX)
         )
@@ -720,12 +767,12 @@ class LatencyEngine:
 
         found = feasible.any(axis=-1)
         hit = feasible.argmax(axis=-1)
-        rows = np.arange(feasible.shape[0])
-        best = first_candidate[rows, hit]
+        pick = (*np.indices(hit.shape, sparse=True), hit)
+        best = first_candidate[pick]
 
         # Check times: merged index ``pos`` is the inserted t_r when an
         # insertion happened (master indices then map around it).
-        ins_h = np.broadcast_to(ins, feasible.shape)[rows, hit]
+        ins_h = np.broadcast_to(ins, feasible.shape)[pick]
         pos_h = pos[hit]
         from_reaction = ins_h & (best == pos_h)
         master_index = best - (ins_h & (best > pos_h))

@@ -693,11 +693,14 @@ class TraceJob:
     road: Road | None = None
 
 
-#: Row-element budget of one block window: stacked ticks x actors x
-#: variants x scan instants of threat samples per
-#: :meth:`LatencyEngine.solve_rows` call stays near this — big enough to
-#: amortize per-call overhead, small enough that the row arrays (~2 x 16
-#: MB of float64 samples) stay cache-friendly instead of memory-bound.
+#: Element budget of one block window: stacked ticks x actors x
+#: variants x scan instants per :meth:`LatencyEngine.solve_rows` call
+#: stays near this — big enough to amortize per-call overhead, small
+#: enough that the (variant, row) scans stay cache-friendly instead of
+#: memory-bound. The row arrays hold one copy of each row however many
+#: variants solve it (at most ~2 x 16 MB of float64 samples, 1/V of
+#: that under V variants); widening the windows by V to fill that
+#: budget with rows measured slower.
 _ROW_ELEMENTS = 2_000_000
 
 
@@ -722,14 +725,14 @@ def evaluate_trace_block(
     * variants group by :meth:`~repro.core.parameters.ZhuyiParams.
       solver_grid_key` — within a group, gates, threat samples and the
       candidate grid are common, and only the Eq 1/2 ``c1``/``c2``
-      comparisons differ, carried as per-row constraint columns;
+      comparisons differ, carried as the row solver's variant axis;
     * within a group, traces sharing ``l0`` stack into one
       :meth:`~repro.core.engine.LatencyEngine.trace_grid` whose tick
       axis concatenates their ego motions. Gates and ego path rows are
       built once per trace; then :func:`solve_row_sources` samples
-      every gated (trace, tick, actor) row one bounded window of
-      stacked ticks at a time, tiles it once per variant and solves the
-      window through one
+      every gated (trace, tick, actor) row once, one bounded window of
+      stacked ticks at a time, and solves the window under all of the
+      group's variants through one
       :meth:`~repro.core.engine.LatencyEngine.solve_rows` call. The
       windows bound the block's peak memory however many traces and
       variants it holds;
@@ -946,12 +949,13 @@ def solve_row_sources(
     rows at a subset of them, sampled on ``layout.rel_times``.
 
     A window of stacked ticks holds about ``_ROW_ELEMENTS`` elements at
-    ``rows_per_tick x len(c1s)`` rows of ``T + L`` columns per tick.
-    Its sources sample their ticks over the master prefix the window's
-    ticks read (:meth:`TraceGrid.readable_prefix`) plus the ``L``
-    reactions, whose :class:`~repro.core.threat.CorridorLayout` the
-    window builds once for all of its sources; each row is tiled once
-    per constraint pair ``(c1s[v], c2s[v])`` into one
+    ``rows_per_tick x len(c1s)`` (row, constraint pair) answers of
+    ``T + L`` columns per tick. Its sources sample their ticks once
+    over the master prefix the window's ticks read
+    (:meth:`TraceGrid.readable_prefix`) plus the ``L`` reactions,
+    whose :class:`~repro.core.threat.CorridorLayout` the window builds
+    once for all of its sources, and the window's rows solve under
+    every constraint pair ``(c1s[v], c2s[v])`` in one
     :meth:`LatencyEngine.solve_rows` call. Rows solve independently:
     windows bound memory, not results.
 
@@ -996,16 +1000,15 @@ def solve_row_sources(
             tick_chunks.append(ticks)
             gap_chunks.append(gaps)
             speed_chunks.append(speeds)
-        width = sum(ticks.size for ticks in tick_chunks)
         results = engine.solve_rows(
             grid,
-            np.concatenate(tick_chunks * n_variants),
+            np.concatenate(tick_chunks),
             motions,
-            np.vstack(gap_chunks * n_variants),
-            np.vstack(speed_chunks * n_variants),
-            constraints=(np.repeat(c1s, width), np.repeat(c2s, width)),
+            np.vstack(gap_chunks),
+            np.vstack(speed_chunks),
+            constraints=(c1s, c2s),
         )
-        latencies = results.latency.reshape(n_variants, width)
+        latencies = results.latency.reshape(n_variants, -1)
         position = 0
         for index, ticks, _ in picked:
             yield index, ticks, latencies[:, position : position + ticks.size]

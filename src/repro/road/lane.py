@@ -356,6 +356,26 @@ class CompositeCenterline:
             self._offsets.append(running)
             running += segment.length
         self._total_length = running
+        # Per arc, what to_frenet bounds its cost with: the rounding
+        # scale of its point arithmetic and its two endpoints, computed
+        # once by the very call the exact cost makes at a clamped
+        # station. None for every other segment.
+        self._arc_bounds = [
+            (
+                1e-9
+                * (
+                    1.0
+                    + abs(segment.center.x)
+                    + abs(segment.center.y)
+                    + segment.radius
+                ),
+                _centerline_point(segment, 0.0),
+                _centerline_point(segment, segment.length),
+            )
+            if isinstance(segment, ArcCenterline)
+            else None
+            for segment in self._segments
+        ]
 
     @property
     def length(self) -> float:
@@ -391,25 +411,57 @@ class CompositeCenterline:
         return segment.pose_at(local_s, d)
 
     def to_frenet(self, point: Vec2) -> FrenetPoint:
+        """The nearest segment's projection, as :meth:`to_frenet_batch`.
+
+        Each segment's cost is the distance to its clamped projection
+        plus any overshoot; strict ``<`` in chain order picks the
+        winner. An arc's projection inside it costs its lateral offset
+        ``|d|`` up to rounding, so the loop carries bounds ``|d| -+
+        eps`` there and computes the exact cost (one trig call) only
+        when the bounds cannot decide a comparison. Outside an arc the
+        cost is exact from its cached endpoint. The winner, ties
+        included, is the exact loop's.
+        """
         best: FrenetPoint | None = None
-        best_cost = math.inf
-        for segment, offset in zip(self._segments, self._offsets):
+        # The best cost lies in [best_lo, best_hi]; ``pending`` holds
+        # what settles it exactly while only its bounds are known.
+        best_lo = best_hi = math.inf
+        pending = None
+        for segment, offset, arc in zip(
+            self._segments, self._offsets, self._arc_bounds
+        ):
             local = segment.to_frenet(point)
             clamped_s = min(max(local.s, 0.0), segment.length)
-            on_x, on_y = _centerline_point(segment, clamped_s)
-            dx = point.x - on_x
-            dy = point.y - on_y
-            cost = math.sqrt(dx * dx + dy * dy)
-            # Penalize projections that fall outside the segment so interior
-            # matches win over endpoint extrapolations.
-            if local.s < 0.0 or local.s > segment.length:
-                cost += abs(local.s - clamped_s)
-            # Strict < keeps the earliest segment on an exact cost tie
-            # (a point equidistant from two segments near a joint): the
-            # bit-stable tie-break the batch kernel replays.
-            if cost < best_cost:
-                best_cost = cost
-                best = FrenetPoint(offset + clamped_s, local.d)
+            settle = None
+            if arc is None:
+                lo = hi = _segment_cost(segment, point, local, clamped_s)
+            elif local.s < 0.0 or local.s > segment.length:
+                _, first, last = arc
+                end = first if local.s < 0.0 else last
+                lo = hi = _segment_cost(segment, point, local, clamped_s, end)
+            else:
+                margin = abs(local.d)
+                eps = arc[0] + 1e-9 * margin
+                lo, hi = margin - eps, margin + eps
+                settle = (segment, point, local, clamped_s)
+            if lo >= best_hi:
+                continue
+            if not hi < best_lo:
+                # The bounds overlap (or are NaN): compare exactly.
+                if pending is not None:
+                    best_lo = best_hi = _segment_cost(*pending)
+                    pending = None
+                if settle is not None:
+                    lo = hi = _segment_cost(*settle)
+                    settle = None
+                # Strict < keeps the earliest segment on an exact cost
+                # tie (a point equidistant from two segments near a
+                # joint): the bit-stable tie-break the batch kernel
+                # replays.
+                if not lo < best_lo:
+                    continue
+            best_lo, best_hi, pending = lo, hi, settle
+            best = FrenetPoint(offset + clamped_s, local.d)
         assert best is not None
         return best
 
@@ -486,6 +538,29 @@ class CompositeCenterline:
                 continue
             headings[member] = segment.heading_at_batch(clamped[member] - offset)
         return headings
+
+
+def _segment_cost(
+    segment: Centerline,
+    point: Vec2,
+    local: FrenetPoint,
+    clamped_s: float,
+    on: tuple[float, float] | None = None,
+) -> float:
+    """:meth:`CompositeCenterline.to_frenet`'s cost of one segment.
+
+    The distance from ``point`` to the segment's point at the clamped
+    station (``on`` when it is already known), plus the overshoot of a
+    projection falling outside the segment, so interior matches win
+    over endpoint extrapolations.
+    """
+    on_x, on_y = _centerline_point(segment, clamped_s) if on is None else on
+    dx = point.x - on_x
+    dy = point.y - on_y
+    cost = math.sqrt(dx * dx + dy * dy)
+    if local.s < 0.0 or local.s > segment.length:
+        cost += abs(local.s - clamped_s)
+    return cost
 
 
 def _centerline_point(segment: Centerline, s: float) -> tuple[float, float]:

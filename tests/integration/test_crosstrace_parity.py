@@ -215,7 +215,9 @@ class TestNoBlockRetry:
     purpose; an offline spec there means the block failed.
     """
 
-    def test_offline_specs_stay_in_the_block(self, monkeypatch, tmp_path):
+    @staticmethod
+    def spy_cells(monkeypatch):
+        """Record every spec that reaches ``_evaluate_cell``."""
         import repro.batch.runner as runner_module
 
         evaluated = []
@@ -225,6 +227,10 @@ class TestNoBlockRetry:
             evaluated.extend(specs)
             return evaluate_cell(specs, *args, **kwargs)
 
+        monkeypatch.setattr(runner_module, "_evaluate_cell", spy)
+        return evaluated
+
+    def test_offline_specs_stay_in_the_block(self, monkeypatch, tmp_path):
         grid = dict(
             scenarios=("cut_in", "challenging_cut_in_curved"),
             seeds=(0,),
@@ -238,7 +244,7 @@ class TestNoBlockRetry:
             noise=PerceptionNoise(miss_rate=0.1, position_noise=0.25, seed=5),
         )
         scalar = run_campaign("scalar", tmp_path, **grid)
-        monkeypatch.setattr(runner_module, "_evaluate_cell", spy)
+        evaluated = self.spy_cells(monkeypatch)
         campaign = Campaign(backend="crosstrace", **grid)
         out = tmp_path / "block.jsonl"
         result = CampaignRunner(workers=1, supercell=2).run(campaign, out=out)
@@ -249,6 +255,34 @@ class TestNoBlockRetry:
         lines = out.read_text().splitlines()
         assert [line for line in lines if '"kind": "run"' in line] == scalar
         assert len(scalar) == 6
+
+    def test_constraint_sweep_stays_in_the_block(self, monkeypatch, tmp_path):
+        """The benchmark's four-variant c1/c2 sweep solves on the variant
+        axis of one block, never through the per-variant retry."""
+        grid = dict(
+            scenarios=("cut_in_dense8", "challenging_cut_in_curved"),
+            seeds=(0,),
+            fprs=(30.0,),
+            variants=(
+                ParamVariant("paper"),
+                ParamVariant("c1_0.85", ZhuyiParams(c1=0.85)),
+                ParamVariant("c2_0.85", ZhuyiParams(c2=0.85)),
+                ParamVariant("c1_0.95", ZhuyiParams(c1=0.95)),
+            ),
+            stride=0.5,
+            noise=PerceptionNoise(miss_rate=0.05, position_noise=0.2, seed=0),
+        )
+        scalar = run_campaign("scalar", tmp_path, **grid)
+        evaluated = self.spy_cells(monkeypatch)
+        campaign = Campaign(backend="crosstrace", **grid)
+        out = tmp_path / "block.jsonl"
+        result = CampaignRunner(workers=1, supercell=2).run(campaign, out=out)
+
+        assert not result.failures()
+        assert not evaluated, "an offline spec fell back to the retry"
+        lines = out.read_text().splitlines()
+        assert [line for line in lines if '"kind": "run"' in line] == scalar
+        assert len(scalar) == 8
 
 
 def assert_block_matches_scalar(traces, stride, noise=None):
@@ -366,6 +400,80 @@ class TestBlockWindows:
         assert windows > 1
         assert call_counter["of"] == windows
         assert call_counter["sample_threats_trace"] > 2 * windows
+
+    def test_window_rows_sampled_and_solved_once(
+        self, monkeypatch, call_counter
+    ):
+        """A window's rows are sampled once per source and solved once,
+        under all of the block's variants."""
+        import repro.core.evaluator as evaluator_module
+        from repro.core.engine import LatencyEngine
+        from repro.core.threat import ThreatAssessor
+        from repro.scenarios.catalog import ensure_scenario
+
+        assert ensure_scenario("cut_in_dense8")
+        scenario = build_scenario("cut_in_dense8", seed=0)
+        trace = scenario.run(fpr=30.0)
+        variants = [
+            ZhuyiParams(),
+            ZhuyiParams(c1=0.85),
+            ZhuyiParams(c2=0.85),
+            ZhuyiParams(c1=0.95),
+        ]
+        alone = [
+            OfflineEvaluator(
+                params=params, stride=0.5, road=scenario.road
+            ).evaluate(trace)
+            for params in variants
+        ]
+
+        # Windows of a few stacked ticks, each sampling several actors.
+        monkeypatch.setattr(evaluator_module, "_ROW_ELEMENTS", 100_000)
+        sampled: list[tuple[int, int]] = []
+        windows = []
+        sample = ThreatAssessor.sample_threats_trace
+        solve = LatencyEngine.solve_rows
+
+        def spy_sample(self, ego_states, ego_spec, trajectory, *args, **kwargs):
+            sampled.append((id(trajectory), len(ego_states)))
+            return sample(self, ego_states, ego_spec, trajectory, *args, **kwargs)
+
+        def spy_solve(self, grid, tick_indices, motions, gaps, *args, **kwargs):
+            result = solve(self, grid, tick_indices, motions, gaps, *args, **kwargs)
+            windows.append((list(sampled), gaps.shape[0], len(result)))
+            sampled.clear()
+            return result
+
+        monkeypatch.setattr(ThreatAssessor, "sample_threats_trace", spy_sample)
+        monkeypatch.setattr(LatencyEngine, "solve_rows", spy_solve)
+        call_counter.watch(ThreatAssessor, "sample_threats_trace")
+        call_counter.watch(LatencyEngine, "solve_rows")
+        job = TraceJob(
+            trace=trace,
+            samples=presample_trace(trace, 0.5),
+            l0=trace.default_l0(),
+            road=scenario.road,
+        )
+        (block,) = evaluate_trace_block([job], variants, 0.5)
+
+        assert not sampled
+        assert call_counter["solve_rows"] == len(windows) > 1
+        assert call_counter["sample_threats_trace"] == sum(
+            len(window) for window, _, _ in windows
+        )
+        for window, rows, answers in windows:
+            sources = [source for source, _ in window]
+            assert len(set(sources)) == len(sources), "a source sampled twice"
+            assert rows == sum(count for _, count in window)
+            assert answers == len(variants) * rows
+        for series, expected in zip(block, alone, strict=True):
+            for tick_a, tick_b in zip(series.ticks, expected.ticks, strict=True):
+                assert dict(tick_a.actor_latencies) == dict(
+                    tick_b.actor_latencies
+                )
+                assert dict(tick_a.camera_estimates) == dict(
+                    tick_b.camera_estimates
+                )
 
     def test_windows_carry_their_readable_prefix(
         self, monkeypatch, cut_in_trace_30, cut_out_trace_30

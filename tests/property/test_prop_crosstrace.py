@@ -13,8 +13,10 @@ about any row's answer. Concretely:
   tick-resident grouped kernel) agrees with one-row-at-a-time solves
   (which take the gathered kernel), pinning the two kernels against
   each other;
-* variant stacking via per-row ``constraints`` matches dedicated
-  engines carrying each variant's c1/c2.
+* the variant axis — ``(V,)`` ``constraints`` vectors over untiled
+  rows — matches dedicated engines carrying each variant's c1/c2, in
+  both kernels, whether a row's variants resolve in one wave, in
+  different waves or in none.
 
 Bulk sample arrays come from seeded numpy generators (hypothesis draws
 the seeds and shapes); the solver only ever compares these values, so
@@ -168,7 +170,7 @@ def test_grouped_kernel_matches_row_at_a_time(seed, n_ticks):
 @relaxed
 @given(seed=seeds, n_ticks=tick_counts)
 def test_variant_constraints_match_dedicated_engines(seed, n_ticks):
-    """c1/c2 row constraints == per-variant engines on the same grid."""
+    """(V,) c1/c2 constraint vectors == per-variant engines on the grid."""
     base = ZhuyiParams()
     engine = LatencyEngine(params=base)
     rng = np.random.default_rng(seed)
@@ -178,16 +180,15 @@ def test_variant_constraints_match_dedicated_engines(seed, n_ticks):
     ticks, gaps, speeds = _rows(rng, n_ticks, 3, width)
 
     variants = [(1.0, 1.0), (0.85, 1.0), (1.0, 0.85), (0.9, 0.95)]
-    n = len(variants)
     stacked = engine.solve_rows(
         grid,
-        np.tile(ticks, n),
+        ticks,
         motions,
-        np.tile(gaps, (n, 1)),
-        np.tile(speeds, (n, 1)),
+        gaps,
+        speeds,
         constraints=(
-            np.repeat([c1 for c1, _ in variants], ticks.size),
-            np.repeat([c2 for _, c2 in variants], ticks.size),
+            np.array([c1 for c1, _ in variants]),
+            np.array([c2 for _, c2 in variants]),
         ),
     )
     for vi, (c1, c2) in enumerate(variants):
@@ -195,3 +196,56 @@ def test_variant_constraints_match_dedicated_engines(seed, n_ticks):
             params=replace(base, c1=c1, c2=c2)
         ).solve_rows(grid, ticks, motions, gaps, speeds)
         assert stacked[vi * ticks.size : (vi + 1) * ticks.size] == dedicated
+
+
+constraint_pairs = st.lists(
+    st.tuples(
+        st.floats(min_value=0.7, max_value=1.0),
+        st.floats(min_value=0.7, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@relaxed
+@given(
+    seed=seeds,
+    n_ticks=st.integers(min_value=1, max_value=3),
+    pairs=constraint_pairs,
+)
+def test_variant_axis_matches_dedicated_engines(seed, n_ticks, pairs):
+    """V in 1..5 drawn (c1, c2) pairs over untiled rows == per-variant
+    engines, as a tick-dense batch (grouped kernel) and as singletons
+    (gathered kernel)."""
+    base = ZhuyiParams()
+    engine = LatencyEngine(params=base)
+    rng = np.random.default_rng(seed)
+    motions = _motions(rng, n_ticks, base)
+    grid = engine.trace_grid(motions, L0)
+    width = grid.times.size + grid.reactions.size
+    # Past _GROUPED_MIN_ROWS_PER_TICK source rows per tick: the batch
+    # takes the grouped kernel, each singleton the gathered one.
+    ticks, gaps, speeds = _rows(rng, n_ticks, 20, width)
+    constraints = (
+        np.array([c1 for c1, _ in pairs]),
+        np.array([c2 for _, c2 in pairs]),
+    )
+
+    batch = engine.solve_rows(
+        grid, ticks, motions, gaps, speeds, constraints=constraints
+    )
+    assert len(batch) == len(pairs) * ticks.size
+    singles = [
+        engine.solve_rows(
+            grid, ticks[r : r + 1], motions, gaps[r : r + 1],
+            speeds[r : r + 1], constraints=constraints,
+        )
+        for r in range(ticks.size)
+    ]
+    for v, (c1, c2) in enumerate(pairs):
+        dedicated = LatencyEngine(
+            params=replace(base, c1=c1, c2=c2)
+        ).solve_rows(grid, ticks, motions, gaps, speeds)
+        assert batch[v * ticks.size : (v + 1) * ticks.size] == dedicated
+        assert [single[v] for single in singles] == dedicated

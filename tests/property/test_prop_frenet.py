@@ -195,6 +195,57 @@ class TestBatchBitParity:
             assert scalar.d == batch_d[i]
 
 
+class TestJointProjection:
+    """Scalar projections around a straight→arc joint == the batch kernel.
+
+    The scalar composite decides most arc comparisons from bounds on
+    the arc's cost and computes the exact cost only where the bounds
+    overlap. Points within 3 m of the joint and 8 m of the centerline,
+    on both sides of the road, are where both segments compete.
+    """
+
+    @pytest.mark.parametrize("turn_left", [True, False])
+    @relaxed
+    @given(
+        start=st.tuples(coordinate, coordinate),
+        pose_heading=heading,
+        straight_length=length,
+        r=radius,
+        offsets=st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-8.0, 8.0)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_joint_points_bitwise(
+        self, turn_left, start, pose_heading, straight_length, r, offsets
+    ):
+        straight = StraightCenterline(
+            start=Vec2(*start),
+            heading=pose_heading,
+            segment_length=straight_length,
+        )
+        arc = _arc_from_pose(
+            straight.point_at(straight_length),
+            pose_heading,
+            r,
+            0.5 * math.pi * r,
+            turn_left,
+        )
+        centerline = CompositeCenterline([straight, arc])
+        points = [
+            centerline.to_world(FrenetPoint(straight_length + ds, d))
+            for ds, d in offsets
+        ]
+        xs = np.array([p.x for p in points])
+        ys = np.array([p.y for p in points])
+        batch_s, batch_d = centerline.to_frenet_batch(xs, ys)
+        for i, point in enumerate(points):
+            scalar = centerline.to_frenet(point)
+            assert scalar.s == batch_s[i], (point, scalar.s, batch_s[i])
+            assert scalar.d == batch_d[i], (point, scalar.d, batch_d[i])
+
+
 class TestRoundTrip:
     @relaxed
     @given(any_centerline(), st.data())

@@ -6,10 +6,12 @@ EXACT strategy, so every test here compares against
 :class:`LatencySearch` rather than against golden numbers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.engine import LatencyEngine
+from repro.core.engine import _GROUPED_MIN_ROWS_PER_TICK, LatencyEngine
 from repro.core.ego_profile import EgoMotion
 from repro.core.latency import LatencySearch
 from repro.core.parameters import ZhuyiParams
@@ -268,6 +270,185 @@ class TestSolveRows:
             np.empty((0, rel.size)),
         )
         assert out == []
+
+
+class TestVariantAxis:
+    """``(V,)`` constraint vectors over untiled rows == dedicated engines.
+
+    Each case runs once as a tick-dense batch (every row repeated
+    ``_GROUPED_MIN_ROWS_PER_TICK`` times: the grouped kernel) and once
+    row by row (the gathered kernel); every variant's answers must
+    equal an engine carrying its c1/c2, bit for bit.
+    """
+
+    L0 = 1.0 / 30.0
+    #: c1 1.0 answers at l_max (wave 0), c1 0.5 in the last wave.
+    SPLIT = FixedGapThreat(150.0, 10.0)
+    #: Unavoidable under every pair drawn here.
+    DOOMED = FixedGapThreat(30.0, 0.0)
+
+    def rows(self, motions, tick_threats):
+        grid = LatencyEngine(params=PARAMS).trace_grid(motions, self.L0)
+        rel_times = np.concatenate([grid.times, grid.reactions])
+        samples = [threat.sample(rel_times) for _, threat in tick_threats]
+        return (
+            grid,
+            np.array([tick for tick, _ in tick_threats]),
+            np.stack([gaps for gaps, _ in samples]),
+            np.stack([speeds for _, speeds in samples]),
+        )
+
+    def check(self, monkeypatch, motions, tick_threats, pairs, dense):
+        grid, ticks, gaps, speeds = self.rows(motions, tick_threats)
+        if dense:
+            copies = _GROUPED_MIN_ROWS_PER_TICK
+            ticks = np.repeat(ticks, copies)
+            gaps = np.repeat(gaps, copies, axis=0)
+            speeds = np.repeat(speeds, copies, axis=0)
+        kernels = []
+        for name in ("_solve_rows_grouped", "_solve_rows_slice"):
+            kernel = getattr(LatencyEngine, name)
+
+            def spy(self, *args, _kernel=kernel, _name=name, **kwargs):
+                kernels.append(_name)
+                return _kernel(self, *args, **kwargs)
+
+            monkeypatch.setattr(LatencyEngine, name, spy)
+
+        engine = LatencyEngine(params=PARAMS)
+        c1s = np.array([c1 for c1, _ in pairs])
+        c2s = np.array([c2 for _, c2 in pairs])
+        if dense:
+            solved = [
+                engine.solve_rows(
+                    grid, ticks, motions, gaps, speeds, constraints=(c1s, c2s)
+                )
+            ]
+        else:
+            solved = [
+                engine.solve_rows(
+                    grid, ticks[r : r + 1], motions, gaps[r : r + 1],
+                    speeds[r : r + 1], constraints=(c1s, c2s),
+                )
+                for r in range(ticks.size)
+            ]
+        assert kernels[0] == (
+            "_solve_rows_grouped" if dense else "_solve_rows_slice"
+        )
+        rows = ticks.size // len(solved)
+        dedicated = []
+        for v, (c1, c2) in enumerate(pairs):
+            alone = LatencyEngine(
+                params=replace(PARAMS, c1=c1, c2=c2)
+            ).solve_rows(grid, ticks, motions, gaps, speeds)
+            axis = [
+                result
+                for batch in solved
+                for result in batch[v * rows : (v + 1) * rows]
+            ]
+            assert len(axis) == len(alone)
+            for expected, result in zip(alone, axis):
+                assert_same(expected, result)
+            dedicated.append(alone)
+        return grid, dedicated
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_variants_resolve_in_different_waves(self, monkeypatch, dense):
+        motions = [ego(20.0), ego(12.0, -1.0)]
+        grid, (loose, tight) = self.check(
+            monkeypatch,
+            motions,
+            [(0, self.SPLIT), (1, FixedGapThreat(90.0, 15.0))],
+            [(1.0, 0.9), (0.5, 0.9)],
+            dense,
+        )
+        waves = LatencyEngine._waves(grid.latencies.size)
+
+        def wave(result):
+            index = int(np.flatnonzero(grid.latencies == result.latency)[0])
+            return next(w for w, (lo, hi) in enumerate(waves) if lo <= index < hi)
+
+        assert wave(loose[0]) == 0
+        assert wave(tight[0]) == len(waves) - 1
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_row_no_variant_resolves(self, monkeypatch, dense):
+        motions = [ego(20.0), ego(12.0, -1.0)]
+        _, dedicated = self.check(
+            monkeypatch,
+            motions,
+            [(0, self.DOOMED), (1, self.SPLIT)],
+            [(1.0, 1.0), (0.7, 0.7), (0.85, 1.0)],
+            dense,
+        )
+        assert all(alone[0].latency is None for alone in dedicated)
+        assert all(alone[-1].latency is not None for alone in dedicated)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_one_tick_grid(self, monkeypatch, dense):
+        self.check(
+            monkeypatch,
+            [ego(20.0)],
+            [(0, self.SPLIT), (0, self.DOOMED), (0, FixedGapThreat(80.0, 10.0))],
+            [(0.9, 0.9), (1.0, 0.8), (0.7, 1.0), (0.5, 0.5)],
+            dense,
+        )
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_default_is_the_params_pair(self, monkeypatch, dense):
+        motions = [ego(20.0), ego(12.0, -1.0)]
+        tick_threats = [(0, self.SPLIT), (1, FixedGapThreat(80.0, 10.0))]
+        self.check(
+            monkeypatch, motions, tick_threats, [(PARAMS.c1, PARAMS.c2)], dense
+        )
+        grid, ticks, gaps, speeds = self.rows(motions, tick_threats)
+        default = LatencyEngine(params=PARAMS).solve_rows(
+            grid, ticks, motions, gaps, speeds
+        )
+        search = LatencySearch(params=PARAMS)
+        assert len(default) == len(tick_threats)
+        for (tick, threat), result in zip(tick_threats, default):
+            assert_same(
+                search.tolerable_latency(motions[tick], threat, self.L0),
+                result,
+            )
+
+    def test_kernel_choice_counts_source_rows(self, monkeypatch):
+        # Below the threshold in source rows but above it in (variant,
+        # row) pairs: the wave stays on the gathered kernel.
+        motions = [ego(20.0)]
+        rows = _GROUPED_MIN_ROWS_PER_TICK // 2
+        grid, ticks, gaps, speeds = self.rows(
+            motions, [(0, FixedGapThreat(150.0 + k, 10.0)) for k in range(rows)]
+        )
+        grouped = []
+        kernel = LatencyEngine._solve_rows_grouped
+
+        def spy(self, *args, **kwargs):
+            grouped.append(True)
+            return kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(LatencyEngine, "_solve_rows_grouped", spy)
+        pairs = np.full(4, 0.9), np.full(4, 0.9)
+        out = LatencyEngine(params=PARAMS).solve_rows(
+            grid, ticks, motions, gaps, speeds, constraints=pairs
+        )
+        assert len(out) == 4 * rows
+        assert not grouped
+
+    def test_constraint_vectors_must_match(self):
+        grid, ticks, gaps, speeds = self.rows([ego(20.0)], [(0, self.SPLIT)])
+        engine = LatencyEngine(params=PARAMS)
+        for constraints in (
+            (np.array([0.9, 0.8]), np.array([0.9])),
+            (np.array([]), np.array([])),
+            (np.full((2, 1), 0.9), np.full((2, 1), 0.9)),
+        ):
+            with pytest.raises(ValueError, match=r"\(V,\) vectors"):
+                engine.solve_rows(
+                    grid, ticks, [ego(20.0)], gaps, speeds,
+                    constraints=constraints,
+                )
 
 
 class TestSolveRowsWidthContract:
