@@ -13,11 +13,12 @@ where a row is one (tick, threat) pair — any number of ticks, actors
 or predicted futures solved together, each under a ``(V,)`` axis of
 parameter variants:
 
-* Latency candidates only shift the reaction time ``t_r``, so the whole
-  family of ego distance/speed profiles is a single broadcasted
-  ``(L, T)`` computation over a shared master time grid
-  (:func:`repro.core.ego_profile.ego_profile_arrays`), built once per
-  distinct tick.
+* Latency candidates only shift the reaction time ``t_r``, so the ego
+  distance/speed profiles of a row chunk are one ``(ticks, S, T)``
+  computation over a shared master time grid
+  (:func:`repro.core.ego_profile.ego_profile_arrays`): one call per
+  chunk builds every distinct tick's profiles in bounded blocks,
+  evaluating the braking terms only past the wave's earliest ``t_r``.
 * Each row's threat is sampled once over the prefix of that master
   grid its tick reads (plus the ``L`` reaction instants) instead of
   once per candidate.
@@ -60,7 +61,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.ego_profile import EgoMotion, ego_profile_arrays
+from repro.core.ego_profile import (
+    _PROFILE_BLOCK_ELEMENTS,
+    EgoMotion,
+    ego_profile_arrays,
+)
 from repro.core.latency import _EPS, LatencyResult
 from repro.core.parameters import ZhuyiParams
 
@@ -71,11 +76,13 @@ _NO_INDEX = np.iinfo(np.int64).max // 2
 #: Per-chunk element budget for :meth:`LatencyEngine.solve_rows`, counted
 #: over the ``(V, R, S, T)`` comparison arrays. A cache-locality
 #: compromise, settled by sweeping campaign workloads: larger chunks
-#: amortize the per-tick ego-profile builds over more rows, but once the
-#: temporaries outgrow the last-level cache every broadcasted comparison
-#: turns memory-bound — cross-trace row blocks big enough to saturate the
-#: old 8M cap ran ~1.5x slower than at this setting, and halving it
-#: again loses the profile amortization instead.
+#: amortize the per-chunk array calls (the profile call, the scan's
+#: reductions) over more rows, but once the temporaries outgrow the
+#: last-level cache every broadcasted comparison turns memory-bound —
+#: cross-trace row blocks big enough to saturate the old 8M cap ran
+#: ~1.5x slower than at this setting. With block profiles, 500k
+#: elements ran 1-6% and 125k 17-21% slower on ``variants_warm``
+#: (seeds 0-2, 2-vCPU x86-64).
 _ROWS_CHUNK_ELEMENTS = 2_000_000
 
 #: Source rows per distinct tick at which :meth:`LatencyEngine.solve_rows`
@@ -494,12 +501,14 @@ class LatencyEngine:
         ``(S, T)`` ego profile — trimmed to that tick's longest
         candidate scan — instead of gathering per-row ``(R, S, T)``
         profile copies. It wins when many rows (actor x hypothesis
-        stacks) share each distinct tick. ``gaps``/``aspeeds`` are the
-        full row arrays of :meth:`solve_rows` (a ``T'``-column master
-        prefix, then the ``L`` reaction columns), ``c1s``/``c2s`` its
-        ``(V,)`` constraint vectors; ``rows`` selects the still-active
-        subset. Returns ``(found, hit, check_times, scanned)``, each
-        ``(V, rows.size)``.
+        stacks) share each distinct tick. The groups' profiles come
+        from one :func:`ego_profile_arrays` call per batch of groups,
+        each batch one block of that routine. ``gaps``/``aspeeds`` are
+        the full row arrays of :meth:`solve_rows` (a ``T'``-column
+        master prefix, then the ``L`` reaction columns), ``c1s``/``c2s``
+        its ``(V,)`` constraint vectors; ``rows`` selects the
+        still-active subset. Returns ``(found, hit, check_times,
+        scanned)``, each ``(V, rows.size)``.
         """
         first_reaction = gaps.shape[1] - grid.reactions.size
         reactions = grid.reactions[lo:hi]
@@ -516,16 +525,32 @@ class LatencyEngine:
             np.concatenate(([True], sorted_ticks[1:] != sorted_ticks[:-1]))
         )
         bounds = np.append(starts, sorted_ticks.size)
+        group_ticks = sorted_ticks[starts]
+        t_caps = grid.lengths[group_ticks, lo:hi].max(axis=1)
+        # The groups' profiles come from one call per batch of groups,
+        # each batch one block of the profile routine.
+        batch = max(
+            1, _PROFILE_BLOCK_ELEMENTS // ((hi - lo) * int(t_caps.max()))
+        )
         for g in range(starts.size):
-            n = int(sorted_ticks[bounds[g]])
+            n = int(group_ticks[g])
             lengths = grid.lengths[n, lo:hi]
-            t_cap = int(lengths.max())
+            t_cap = int(t_caps[g])
             times = grid.times[:t_cap]
-            profiles = tuple(
-                profile[None]
-                for profile in self._tick_profile(
-                    ego_motions[n], reactions, times
+            if g % batch == 0:
+                batch_ticks = group_ticks[g : g + batch]
+                dist, speed, dist_r, speed_r = ego_profile_arrays(
+                    [ego_motions[m] for m in batch_ticks.tolist()],
+                    reactions,
+                    grid.times[: int(t_caps[g : g + batch].max())],
+                    self.params.ego_speed_cap,
                 )
+            i = slice(g % batch, g % batch + 1)
+            profiles = (
+                dist[i, :, :t_cap],
+                speed[i, :, :t_cap],
+                dist_r[i],
+                speed_r[i],
             )
             ins = grid.inserted[n, lo:hi]
 
@@ -576,8 +601,9 @@ class LatencyEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Candidates ``[lo, hi)`` for rows spanning many ticks.
 
-        The gathered kernel: per chunk of rows, ego profile slices are
-        built once per distinct tick and gathered to rows, and
+        The gathered kernel: per chunk of rows, one
+        :func:`ego_profile_arrays` call builds the profiles of the
+        chunk's distinct ticks, which are gathered to rows, and
         :meth:`_scan` runs as one ``(V, R, S, T)`` batch. Chunks cap
         each program's cache working set at ``_ROWS_CHUNK_ELEMENTS``,
         sized from the variant count and the rows' longest candidate
@@ -618,17 +644,12 @@ class LatencyEngine:
             t_cap = int(lengths.max())
             times = grid.times[:t_cap]
             unique_ticks, row_pos = np.unique(ticks, return_inverse=True)
-            shape = (unique_ticks.size, hi - lo)
-            profiles = (
-                np.empty(shape + (t_cap,)),
-                np.empty(shape + (t_cap,)),
-                np.empty(shape),
-                np.empty(shape),
+            profiles = ego_profile_arrays(
+                [ego_motions[n] for n in unique_ticks.tolist()],
+                reactions,
+                times,
+                self.params.ego_speed_cap,
             )
-            for i, n in enumerate(unique_ticks):
-                tick = self._tick_profile(ego_motions[int(n)], reactions, times)
-                for profile, values in zip(profiles, tick):
-                    profile[i] = values
             (
                 found[:, sel],
                 hit[:, sel],
@@ -651,33 +672,6 @@ class LatencyEngine:
                 grid.inserted[ticks, lo:hi],
             )
         return found, hit, check_times, scanned
-
-    def _tick_profile(
-        self, ego: EgoMotion, reactions: np.ndarray, times: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One tick's ego profiles for a candidate slice.
-
-        ``(dist, speed)`` of shape ``(S, T)`` over ``times`` and
-        ``(dist_r, speed_r)`` of shape ``(S,)`` at each candidate's own
-        ``t_r``. One profile over ``times ++ reactions`` serves both:
-        candidate ``i``'s own ``t_r`` sample sits on the diagonal of
-        the reaction block, computed from the same scalar
-        reaction-travel anchors by the same element arithmetic.
-        """
-        cap = self.params.ego_speed_cap
-        pairs = [ego.reaction_travel(float(r), cap) for r in reactions]
-        d_e1 = np.array([p[0] for p in pairs])[:, None]
-        v_tr = np.array([p[1] for p in pairs])[:, None]
-        dist, speed = ego_profile_arrays(
-            ego,
-            reactions[:, None],
-            np.concatenate([times, reactions]),
-            cap,
-            anchors=(d_e1, v_tr),
-        )
-        n = times.size
-        own = (np.arange(reactions.size), n + np.arange(reactions.size))
-        return dist[:, :n], speed[:, :n], dist[own], speed[own]
 
     def _scan(
         self,

@@ -240,9 +240,11 @@ class LatencySearch:
         if reaction_time <= horizon:
             times = np.union1d(times, [reaction_time])
 
-        distance, speed = ego_profile_arrays(
-            ego, reaction_time, times, self.params.ego_speed_cap
+        # The one-tick, one-candidate case of the engine's profiles.
+        distance, speed, _, _ = ego_profile_arrays(
+            [ego], np.array([reaction_time]), times, self.params.ego_speed_cap
         )
+        distance, speed = distance[0, 0], speed[0, 0]
         gaps, actor_speeds = sample_grid(threat, times)
 
         distance_ok = distance <= self.params.c1 * gaps + _EPS

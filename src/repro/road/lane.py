@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -228,6 +229,23 @@ class ArcCenterline:
         sweep = s / self.radius
         return self.start_angle + (sweep if self.turn_left else -sweep)
 
+    @cached_property
+    def _far_side(self) -> float:
+        """Wrapped sweeps below this lie one turn up, past the arc's end.
+
+        A bearing's sweep wraps into ``(-pi, pi]``, which holds an arc
+        of at most half a turn. A longer arc's far part wraps below
+        zero, so a bearing is taken on the turn nearer the arc: the two
+        ends are equally near at half the arc's sweep minus ``pi``. An
+        arc of a full turn or more covers its own start, and every
+        bearing stays on its first turn. ``-inf`` (no bearing moves)
+        for arcs of half a turn or less.
+        """
+        sweep = self.arc_length / self.radius
+        if sweep <= math.pi:
+            return -math.inf
+        return min(0.5 * sweep - math.pi, 0.0)
+
     def point_at(self, s: float) -> Vec2:
         return self.center + Vec2.from_polar(self.radius, self._angle_at(s))
 
@@ -275,6 +293,8 @@ class ArcCenterline:
         else:
             sweep = wrap_angle(self.start_angle - angle)
             d = distance - self.radius
+        if sweep < self._far_side:
+            sweep += 2.0 * math.pi
         return FrenetPoint(s=sweep * self.radius, d=d)
 
     def to_frenet_batch(
@@ -290,6 +310,9 @@ class ArcCenterline:
         else:
             sweep = _wrap_angles(self.start_angle - angle)
             d = distance - self.radius
+        far_side = self._far_side
+        if far_side > -math.inf:
+            sweep = np.where(sweep < far_side, sweep + 2.0 * math.pi, sweep)
         return sweep * self.radius, d
 
     def to_world_batch(

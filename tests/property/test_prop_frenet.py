@@ -262,6 +262,52 @@ class TestRoundTrip:
         assert math.isclose(back_d[0], d, abs_tol=1e-6)
 
 
+class TestLongArcs:
+    """Arcs sweeping more than half a turn project onto their far part.
+
+    A sweep wrapped into ``(-pi, pi]`` alone would send the far part of
+    such an arc to negative stations.
+    """
+
+    @pytest.mark.parametrize("turn_left", [True, False])
+    @relaxed
+    @given(
+        start=st.tuples(coordinate, coordinate),
+        pose_heading=heading,
+        r=radius,
+        sweep=st.floats(min_value=1.01 * math.pi, max_value=1.99 * math.pi),
+        data=st.data(),
+    )
+    def test_world_roundtrip(self, turn_left, start, pose_heading, r, sweep, data):
+        arc = _arc_from_pose(Vec2(*start), pose_heading, r, sweep * r, turn_left)
+        s = data.draw(st.floats(min_value=0.0, max_value=arc.length))
+        d = data.draw(st.floats(min_value=-0.4 * r, max_value=0.4 * r))
+        world = arc.to_world(FrenetPoint(s, d))
+        scalar = arc.to_frenet(world)
+        batch_s, batch_d = arc.to_frenet_batch(
+            np.array([world.x]), np.array([world.y])
+        )
+        assert scalar.s == batch_s[0] and scalar.d == batch_d[0]
+        assert math.isclose(scalar.s, s, abs_tol=1e-6)
+        assert math.isclose(scalar.d, d, abs_tol=1e-6)
+
+    @pytest.mark.parametrize("turn_left", [True, False])
+    @relaxed
+    @given(
+        r=radius,
+        sweep=st.floats(min_value=2.01 * math.pi, max_value=3.0 * math.pi),
+        data=st.data(),
+    )
+    def test_overlapping_arc_keeps_its_first_turn(self, turn_left, r, sweep, data):
+        # An arc of more than a full turn covers its own start; stations
+        # of its first turn (e.g. a small-radius curved road's entry into
+        # the curve) must not jump a turn ahead.
+        arc = _arc_from_pose(Vec2(0.0, 0.0), 0.0, r, sweep * r, turn_left)
+        s = data.draw(st.floats(min_value=0.0, max_value=1.99 * math.pi * r))
+        world = arc.to_world(FrenetPoint(s, 0.0))
+        assert math.isclose(arc.to_frenet(world).s, s, abs_tol=1e-6)
+
+
 class TestElementwisePurity:
     @relaxed
     @given(centerline_with_points(), st.permutations(range(6)))

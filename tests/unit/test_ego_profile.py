@@ -117,8 +117,10 @@ class TestProfileArrays:
         ego = self.motion(18.0, -1.5)
         reaction = 0.73
         times = np.array([1.0, 2.0, 4.0, 8.0])
-        distance, speed = ego_profile_arrays(ego, reaction, times)
-        for t, d, v in zip(times, distance, speed):
+        (distance,), (speed,), _, _ = ego_profile_arrays(
+            [ego], [reaction], times
+        )
+        for t, d, v in zip(times, distance[0], speed[0]):
             expect_d, expect_v = ego.total_travel(reaction, float(t))
             assert d == pytest.approx(expect_d, abs=1e-12)
             assert v == pytest.approx(expect_v, abs=1e-12)
@@ -129,9 +131,9 @@ class TestProfileArrays:
         np = self.np
         ego = self.motion(4.0, -2.0)
         times = np.array([0.0, 1.0, 2.0, 3.0])  # stops at t=2 in-coast
-        distance, speed = ego_profile_arrays(ego, 3.0, times)
-        assert speed[2] == 0.0 and speed[3] == 0.0
-        assert distance[3] == distance[2]  # no reversing
+        (distance,), (speed,), _, _ = ego_profile_arrays([ego], [3.0], times)
+        assert speed[0, 2] == 0.0 and speed[0, 3] == 0.0
+        assert distance[0, 3] == distance[0, 2]  # no reversing
 
     def test_speed_cap_respected(self):
         from repro.core.ego_profile import ego_profile_arrays
@@ -140,7 +142,9 @@ class TestProfileArrays:
         params = ZhuyiParams(ego_speed_cap=10.0)
         ego = EgoMotion.from_state(8.0, 3.0, params)
         times = np.array([0.5, 2.0, 5.0])
-        _, speed = ego_profile_arrays(ego, 6.0, times, speed_cap=10.0)
+        _, speed, _, _ = ego_profile_arrays(
+            [ego], [6.0], times, speed_cap=10.0
+        )
         assert speed.max() <= 10.0
 
     def test_broadcast_reaction_column_matches_rows(self):
@@ -150,13 +154,15 @@ class TestProfileArrays:
         ego = self.motion(22.0, 1.0)
         reactions = np.array([0.4, 1.1, 2.9])
         times = np.arange(0.0, 6.0, 0.31)
-        distance_2d, speed_2d = ego_profile_arrays(
-            ego, reactions[:, None], times
+        (distance_2d,), (speed_2d,), _, _ = ego_profile_arrays(
+            [ego], reactions, times
         )
         for row, reaction in enumerate(reactions):
-            distance, speed = ego_profile_arrays(ego, float(reaction), times)
-            assert np.array_equal(distance_2d[row], distance)
-            assert np.array_equal(speed_2d[row], speed)
+            distance, speed, _, _ = ego_profile_arrays(
+                [ego], [reaction], times
+            )
+            assert np.array_equal(distance_2d[row], distance[0, 0])
+            assert np.array_equal(speed_2d[row], speed[0, 0])
 
     def test_elementwise_reaction_diagonal(self):
         from repro.core.ego_profile import ego_profile_arrays
@@ -164,7 +170,9 @@ class TestProfileArrays:
         np = self.np
         ego = self.motion(15.0, -0.5)
         reactions = np.array([0.2, 0.9, 1.7])
-        distance, speed = ego_profile_arrays(ego, reactions, reactions)
+        _, _, (distance,), (speed,) = ego_profile_arrays(
+            [ego], reactions, reactions
+        )
         for r, d, v in zip(reactions, distance, speed):
             d_e1, v_tr = ego.reaction_travel(float(r))
             assert d == d_e1 and v == v_tr

@@ -11,8 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.engine import _GROUPED_MIN_ROWS_PER_TICK, LatencyEngine
-from repro.core.ego_profile import EgoMotion
+from repro.core.ego_profile import EgoMotion, ego_profile_arrays
 from repro.core.latency import LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import FixedGapThreat
@@ -151,8 +152,6 @@ class TestScanBoundary:
     S = 2  # wave (1, 3): candidate 1 scans past candidate 2's end
 
     def setup_method(self):
-        from repro.core.ego_profile import ego_profile_arrays
-
         self.engine = LatencyEngine(params=PARAMS)
         self.motion = ego(20.0)
         grid = self.engine.trace_grid([self.motion], self.L0)
@@ -165,9 +164,10 @@ class TestScanBoundary:
         self.dist = {}
         self.speed = {}
         for s in (self.S - 1, self.S):
-            self.dist[s], self.speed[s] = ego_profile_arrays(
-                self.motion, float(grid.reactions[s]), grid.times
+            dist, speed, _, _ = ego_profile_arrays(
+                [self.motion], grid.reactions[s : s + 1], grid.times
             )
+            self.dist[s], self.speed[s] = dist[0, 0], speed[0, 0]
 
     def solve(self, threat, rows):
         expected = LatencySearch(params=PARAMS).tolerable_latency(
@@ -270,6 +270,76 @@ class TestSolveRows:
             np.empty((0, rel.size)),
         )
         assert out == []
+
+
+class TestProfileCalls:
+    """Ego profiles come from one routine call per chunk, never per tick.
+
+    The gathered kernel builds every distinct tick of a row chunk in
+    one :func:`ego_profile_arrays` call; the tick-grouped kernel builds
+    a batch of tick groups per call.
+    """
+
+    L0 = 1.0 / 30.0
+    THREATS = (FixedGapThreat(40.0, 5.0), FixedGapThreat(200.0, 25.0))
+
+    def solve(self, monkeypatch, copies, chunk_rows=None):
+        motions = [ego(10.0 + 2.0 * k, 0.5 * (k % 3 - 1)) for k in range(12)]
+        engine = LatencyEngine(params=PARAMS)
+        grid = engine.trace_grid(motions, self.L0)
+        rel_times = np.concatenate([grid.times, grid.reactions])
+        tick_threats = [
+            (tick, threat)
+            for tick in range(len(motions))
+            for threat in self.THREATS
+            for _ in range(copies)
+        ]
+        samples = [threat.sample(rel_times) for _, threat in tick_threats]
+        ticks = np.array([tick for tick, _ in tick_threats])
+        if chunk_rows is not None:
+            wave_cap = int(grid.lengths[:, 0].max())
+            monkeypatch.setattr(
+                engine_module, "_ROWS_CHUNK_ELEMENTS", chunk_rows * wave_cap
+            )
+        calls = []
+
+        def spy(egos, reactions, times, speed_cap=None):
+            calls.append((len(egos), len(reactions)))
+            return ego_profile_arrays(egos, reactions, times, speed_cap)
+
+        monkeypatch.setattr(engine_module, "ego_profile_arrays", spy)
+        results = engine.solve_rows(
+            grid,
+            ticks,
+            motions,
+            np.stack([gaps for gaps, _ in samples]),
+            np.stack([speeds for _, speeds in samples]),
+        )
+        search = LatencySearch(params=PARAMS)
+        for (tick, threat), result in zip(tick_threats, results):
+            assert_same(
+                search.tolerable_latency(motions[tick], threat, self.L0),
+                result,
+            )
+        return ticks, calls
+
+    def test_gathered_kernel_one_call_per_chunk(self, monkeypatch):
+        ticks, calls = self.solve(monkeypatch, copies=1, chunk_rows=5)
+        # Wave 0 (one candidate) takes every row in chunks of 5 rows;
+        # each chunk's call covers the chunk's distinct ticks.
+        expected = [
+            np.unique(ticks[begin : begin + 5]).size
+            for begin in range(0, ticks.size, 5)
+        ]
+        assert [n for n, s in calls if s == 1] == expected
+        assert len(calls) > len(expected)  # later waves ran too
+
+    def test_grouped_kernel_one_call_per_wave(self, monkeypatch):
+        _, calls = self.solve(monkeypatch, copies=_GROUPED_MIN_ROWS_PER_TICK)
+        # Every wave is tick-dense; one call builds all of its groups.
+        assert calls[0] == (12, 1)
+        candidates = [s for _, s in calls]
+        assert len(set(candidates)) == len(candidates)
 
 
 class TestVariantAxis:

@@ -104,6 +104,17 @@ class TestCurvedRoad:
         assert back.s == pytest.approx(700.0, abs=1e-6)
         assert back.d == pytest.approx(-3.5, abs=1e-6)
 
+    def test_catalog_curve_longer_than_half_a_turn(self):
+        # The catalog's curved road: R = 350 m, a 1,400 m arc (4 rad).
+        road = three_lane_curved_road(
+            entry_length=150.0, radius=350.0, arc_length=1400.0, turn_left=False
+        )
+        point = road.to_world(FrenetPoint(1300.0, 0.0))
+        assert road.on_road(point)
+        back = road.to_frenet(point)
+        assert back.s == pytest.approx(1300.0, abs=1e-6)
+        assert back.d == pytest.approx(0.0, abs=1e-6)
+
 
 class TestBatchKernels:
     """to_world_batch / heading_at_batch vs their scalar counterparts."""
