@@ -276,7 +276,9 @@ def execute_cell(
         cell-contract violation (mixed cell coordinates or mixed
         strides) is folded into every spec's summary, as is a
         simulation failure; an evaluation failure only into the failing
-        variant's (with the trace's duration preserved).
+        variant's, or on a vectorized backend a block kernel failure
+        into every offline variant's (with the trace's duration
+        preserved).
     """
     return execute_supercell([specs], store)
 
@@ -301,8 +303,8 @@ def execute_supercell(
 
     Never raises: contract violations, simulation failures and
     collisions resolve per cell, and if the block kernel itself fails
-    the surviving cells are retried per variant through
-    :func:`_evaluate_cell` (keeping per-variant failure granularity).
+    every offline spec of the block reports the error (with its trace's
+    duration), while the cells' online variants still replay.
 
     Args:
         cells: the block's cells, each a single-cell spec list sharing
@@ -429,7 +431,13 @@ def _solve_block(
     variants: list,
     stride: float,
 ) -> dict[int, list[RunSummary]]:
-    """The offline summaries of a block's cells, keyed by position."""
+    """The offline summaries of a block's cells, keyed by position.
+
+    A block kernel error fails every offline spec of the block with the
+    error and its trace's duration, as a presampling error does; the
+    cells' online variants still replay, and a ``--resume
+    --retry-failed`` run re-runs the failed rows.
+    """
     try:
         # Per-cell noise rides inside the samples (detection masks and
         # perturbed states), so cells with different derived noise
@@ -451,13 +459,14 @@ def _solve_block(
             ]
             for (pos, specs, _, trace, _), row in zip(block, rows)
         }
-    except Exception:  # noqa: BLE001 - block-level failure capture
-        # A block kernel error retries the cells per variant, which
-        # keeps per-variant failure granularity instead of failing the
-        # whole block.
+    except Exception as exc:  # noqa: BLE001 - block-level failure capture
+        error = f"{type(exc).__name__}: {exc}"
         return {
-            pos: _evaluate_cell(_offline(specs), built, trace, samples)
-            for pos, specs, built, trace, samples in block
+            pos: [
+                _failure_summary(spec, error, duration=trace.duration)
+                for spec in _offline(specs)
+            ]
+            for pos, specs, _, trace, _ in block
         }
 
 

@@ -3,23 +3,26 @@
 The paper splits the ego's travel into ``d_e1`` (distance covered during
 the reaction time ``t_r`` with acceleration unchanged) and ``d_e2``
 (distance covered while hard-braking at ``a_b`` until the check time
-``t_n``). Both are clamped constant-acceleration segments, built from
-:func:`repro.dynamics.longitudinal.travel`. :func:`ego_profile_arrays`
-evaluates them over whole time grids for many ticks and reaction times
-at once; every latency search, scalar or batched, takes its ego
-profiles from it.
+``t_n``). Both are clamped constant-acceleration segments: the scalar
+:class:`EgoMotion` methods build them from
+:func:`repro.dynamics.longitudinal.travel`, and
+:func:`ego_profile_arrays` evaluates them over whole time grids for many
+ticks and reaction times at once, its coast from the one vectorized
+form of the same kinematics,
+:func:`repro.dynamics.longitudinal.travel_arrays`. Every latency
+search, scalar or batched, takes its ego profiles from
+:func:`ego_profile_arrays`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.parameters import ZhuyiParams
-from repro.dynamics.longitudinal import time_to_stop, travel
+from repro.dynamics.longitudinal import time_to_stop, travel, travel_arrays
 from repro.errors import EstimationError
 
 
@@ -140,10 +143,13 @@ def ego_profile_arrays(
     """Coast-then-brake ``(distance, speed)`` of many ticks and candidates.
 
     Each ego of ``egos`` (one per tick) holds its current acceleration
-    until a candidate's reaction time ``t_r`` (speed clamped to ``[0,
-    speed_cap]``) and hard-brakes at ``a_b`` after — the d_e1/d_e2
-    split of Equations 1-2 evaluated over the whole ``times`` grid for
-    every ``(tick, candidate)`` pair at once. This is the one ego
+    until a candidate's reaction time ``t_r`` — the clamped coast of
+    :func:`repro.dynamics.longitudinal.travel`: the speed stops at zero,
+    and an ego accelerating below ``speed_cap`` stops at the cap, while
+    one already at or over it holds its speed — and hard-brakes at
+    ``a_b`` after: the d_e1/d_e2 split of Equations 1-2 evaluated over
+    the whole ``times`` grid for every ``(tick, candidate)`` pair at
+    once. This is the one ego
     kinematics routine of the latency search: the scalar
     :class:`repro.core.latency.LatencySearch` is its one-tick,
     one-candidate case over its ``t_r``-inserted grid, and both wave
@@ -152,15 +158,15 @@ def ego_profile_arrays(
     two paths can drift.
 
     Ticks are processed in blocks of about ``_PROFILE_BLOCK_ELEMENTS``
-    ticks x candidates x instants. Within a block the coast terms are
-    computed once per tick over the instants up to the latest ``t_r``
-    and the reactions themselves, with the per-tick branch of the
-    clamped coast (accelerating into the cap, decelerating to rest, or
-    cruising) as ``(limit, t_limit)`` columns. The braking terms, from
-    the scalar :meth:`EgoMotion.reaction_travel` anchors ``(d_e1,
-    v_tr)``, are evaluated only past the earliest ``t_r``, for every
-    candidate in one array program; candidate ``j``'s instants up to
-    and including its own ``t_r`` then take the coast values.
+    ticks x candidates x instants. Within a block one
+    :func:`repro.dynamics.longitudinal.travel_arrays` call evaluates the
+    clamped coast of every tick over the instants up to the latest
+    ``t_r`` and over the reactions themselves; its reaction columns are
+    the braking anchors ``(d_e1, v_tr)``, bit for bit the scalar
+    :meth:`EgoMotion.reaction_travel` values. The braking terms are
+    evaluated only past the earliest ``t_r``, for every candidate in one
+    array program; candidate ``j``'s instants up to and including its
+    own ``t_r`` then take the coast values.
 
     Args:
         egos: ``(U,)`` ego motions, one per tick.
@@ -183,22 +189,9 @@ def ego_profile_arrays(
     if n_ticks == 0:
         return distance, speed, distance_r, speed_r
 
-    cap = math.inf if speed_cap is None else speed_cap
-    v0 = np.array([ego.speed for ego in egos], dtype=float)
-    a0 = np.array([ego.accel for ego in egos], dtype=float)
+    v0 = np.array([ego.speed for ego in egos], dtype=float)[:, None]
+    a0 = np.array([ego.accel for ego in egos], dtype=float)[:, None]
     a_b = np.array([ego.braking_decel for ego in egos], dtype=float)
-    # The clamped coast's per-tick branch: accelerating egos reach
-    # ``limit`` (the cap) at ``t_limit``, decelerating ones come to
-    # rest, cruising ones never change speed. Overflow of a division by
-    # a subnormal acceleration means "never", as in float arithmetic.
-    rising, falling = a0 > 0.0, a0 < 0.0
-    with np.errstate(over="ignore"):
-        t_rise = np.where(
-            cap > v0, (cap - v0) / np.where(rising, a0, 1.0), 0.0
-        )
-        t_fall = v0 / np.where(falling, -a0, 1.0)
-    limit = np.where(rising, cap, np.where(falling, 0.0, v0))
-    t_limit = np.where(rising, t_rise, np.where(falling, t_fall, math.inf))
 
     # Candidate j brakes from the first instant strictly past its t_r;
     # its own t_r column (``t_r > t_r`` is false) samples the coast. No
@@ -211,30 +204,15 @@ def ego_profile_arrays(
     coasting = ~(times[k_min:n_coast] > reactions[:, None])
     tau = times[k_min:] - reactions[:, None]
     coast = np.concatenate([times[:n_coast], reactions])
-    reaction_list = reactions.tolist()
     block = max(1, _PROFILE_BLOCK_ELEMENTS // max(1, n_candidates * n_times))
     for lo in range(0, n_ticks, block):
         hi = min(lo + block, n_ticks)
-        v0_b, a0_b = v0[lo:hi, None], a0[lo:hi, None]
-        t_limit_b = t_limit[lo:hi, None]
-        capped = np.minimum(coast, t_limit_b)
-        coast_distance = v0_b * capped + 0.5 * a0_b * capped**2
-        finite = np.isfinite(t_limit[lo:hi])
-        if finite.any():
-            coast_distance[finite] += limit[lo:hi][finite, None] * np.maximum(
-                0.0, coast - t_limit_b[finite]
-            )
-        coast_speed = np.clip(v0_b + a0_b * coast, 0.0, cap)
+        coast_distance, coast_speed = travel_arrays(
+            v0[lo:hi], a0[lo:hi], coast, speed_cap
+        )
         distance_r[lo:hi] = coast_distance[:, n_coast:]
         speed_r[lo:hi] = coast_speed[:, n_coast:]
-
-        anchors = np.array(
-            [
-                [ego.reaction_travel(r, speed_cap) for r in reaction_list]
-                for ego in egos[lo:hi]
-            ]
-        ).reshape(hi - lo, n_candidates, 2)
-        d_e1, v_tr = anchors[..., 0, None], anchors[..., 1, None]
+        d_e1, v_tr = distance_r[lo:hi, :, None], speed_r[lo:hi, :, None]
         distance[lo:hi, :, :k_min] = coast_distance[:, None, :k_min]
         speed[lo:hi, :, :k_min] = coast_speed[:, None, :k_min]
         # The braking arithmetic past the earliest t_r, then the coast

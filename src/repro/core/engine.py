@@ -68,6 +68,7 @@ from repro.core.ego_profile import (
 )
 from repro.core.latency import _EPS, LatencyResult
 from repro.core.parameters import ZhuyiParams
+from repro.dynamics.longitudinal import travel_arrays
 
 #: Sentinel index: "no such position on the merged scan grid". Half the
 #: int64 range so the +1 merge shifts can never overflow it.
@@ -185,6 +186,7 @@ class TraceGrid:
     reactions: np.ndarray  #: (L,) reaction time t_r per candidate
     times: np.ndarray  #: (T,) master scan grid
     insert_at: np.ndarray  #: (L,) sorted position of t_r on the master grid
+    horizons: np.ndarray  #: (N, L) per-tick scan horizon of each candidate
     lengths: np.ndarray  #: (N, L) per-tick candidate prefix lengths
     inserted: np.ndarray  #: (N, L) bool: t_r occupies its own merged slot
     sizes: np.ndarray  #: (N, L) merged scan size (length + inserted)
@@ -239,9 +241,11 @@ class LatencyEngine:
         """Candidate/time bookkeeping for every tick of a trace at once.
 
         The reactions are tick-independent; the per-tick horizons (and
-        the prefix lengths / ``t_r`` insertions they induce) vectorize
-        over ticks with the same closed forms the scalar path evaluates
-        one call at a time.
+        the prefix lengths / ``t_r`` insertions they induce) come from
+        one :func:`repro.dynamics.longitudinal.travel_arrays` call over
+        every (tick, reaction), equal bit for bit to the scalar
+        :meth:`EgoMotion.stop_time_after` the scalar search calls one
+        candidate at a time.
 
         Cross-trace stacking: ``ego_motions`` may concatenate the ticks
         of *many* traces (sharing ``l0``) along the tick axis — the
@@ -263,43 +267,14 @@ class LatencyEngine:
             ]
         )
 
-        if cap is None:
-            # stop_time_after(r) = r + v_tr / a_b, with v_tr evaluated
-            # by the very same branches travel() takes in the uncapped
-            # case — including deciding "stopped during the reaction
-            # window" by the time-to-zero division, so even knife-edge
-            # ticks land on the same side as the scalar call.
-            v0 = np.array([ego.speed for ego in ego_motions])
-            a0 = np.array([ego.accel for ego in ego_motions])
-            a_b = np.array([ego.braking_decel for ego in ego_motions])
-            decelerating = a0 < 0.0
-            with np.errstate(over="ignore"):
-                # The division overflows to inf for subnormal
-                # decelerations; inf means "never stops in-window",
-                # exactly what the scalar branch concludes.
-                time_to_zero = np.where(
-                    decelerating, v0 / np.where(decelerating, -a0, 1.0), np.inf
-                )
-            stopped = time_to_zero[:, None] <= reactions[None, :]
-            v_tr = np.where(
-                stopped, 0.0, v0[:, None] + a0[:, None] * reactions[None, :]
-            )
-            stops = reactions[None, :] + v_tr / a_b[:, None]
-            horizons = stops + params.horizon_margin
-        else:
-            # A speed cap brings travel()'s cap branches into play; the
-            # capped closed form matches them except within one ulp of
-            # the cap-crossing time, so stay on the scalar calls.
-            horizons = np.array(
-                [
-                    [
-                        ego.stop_time_after(float(r), cap)
-                        + params.horizon_margin
-                        for r in reactions
-                    ]
-                    for ego in ego_motions
-                ]
-            )
+        # stop_time_after(r, cap) + horizon_margin for every (tick,
+        # reaction): r + v_tr / a_b, with v_tr from the one clamped-coast
+        # kernel, bit for bit the scalar call's with or without a cap.
+        v0 = np.array([ego.speed for ego in ego_motions], dtype=float)
+        a0 = np.array([ego.accel for ego in ego_motions], dtype=float)
+        a_b = np.array([ego.braking_decel for ego in ego_motions])
+        _, v_tr = travel_arrays(v0[:, None], a0[:, None], reactions, cap)
+        horizons = reactions + v_tr / a_b[:, None] + params.horizon_margin
 
         lengths = np.ceil((horizons + step) / step).astype(np.int64)
         times = np.arange(0.0, float(horizons.max()) + step, step)
@@ -311,6 +286,7 @@ class LatencyEngine:
             reactions=reactions,
             times=times,
             insert_at=insert_at.astype(np.int64),
+            horizons=horizons,
             lengths=lengths,
             inserted=inserted,
             sizes=lengths + inserted,

@@ -38,22 +38,26 @@ def travel(
     if accel < 0.0:
         time_to_zero = current / -accel
         if time_to_zero <= remaining:
-            distance += current * time_to_zero + 0.5 * accel * time_to_zero**2
+            distance += current * time_to_zero + 0.5 * accel * (
+                time_to_zero * time_to_zero
+            )
             return distance, 0.0
-        distance += current * remaining + 0.5 * accel * remaining**2
+        distance += current * remaining + 0.5 * accel * (remaining * remaining)
         return distance, current + accel * remaining
 
     if accel > 0.0 and max_speed is not None and current < max_speed:
         time_to_cap = (max_speed - current) / accel
         if time_to_cap < remaining:
-            distance += current * time_to_cap + 0.5 * accel * time_to_cap**2
+            distance += current * time_to_cap + 0.5 * accel * (
+                time_to_cap * time_to_cap
+            )
             remaining -= time_to_cap
             current = max_speed
             return distance + current * remaining, current
     elif accel > 0.0 and max_speed is not None and current >= max_speed:
         return current * remaining, current
 
-    distance += current * remaining + 0.5 * accel * remaining**2
+    distance += current * remaining + 0.5 * accel * (remaining * remaining)
     return distance, current + accel * remaining
 
 
@@ -65,67 +69,67 @@ def travel_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`travel` over broadcastable array inputs.
 
-    Evaluates the same clamped constant-acceleration closed forms as the
-    scalar function, branch for branch and operation for operation, so a
-    single element of the returned ``(distance, end_speed)`` arrays is
-    the value a scalar :func:`travel` call at that element's inputs
-    would produce (the predictor batch rollouts rely on this: the same
-    kernel serves one tick and a whole trace of ticks).
+    The one array form of the clamped coast: every element of the
+    returned ``(distance, end_speed)`` arrays equals, bit for bit, the
+    scalar :func:`travel` call at that element's inputs. The predictors'
+    batch rollouts, the ego profiles and braking anchors of
+    :func:`repro.core.ego_profile.ego_profile_arrays` and the scan
+    horizons of :meth:`repro.core.engine.LatencyEngine.trace_grid` all
+    take their clamped coast from it.
+
+    The branch is decided per (speed, accel) pair, at the shape those
+    two inputs broadcast to, as the time ``t_limit`` at which the
+    clamped speed reaches its limit: the time to zero when braking, the
+    time to ``max_speed`` when accelerating below it, and never
+    otherwise (at or over the cap the speed holds, so the acceleration
+    term is dropped). Each element evaluates one closed form up to
+    ``min(duration, t_limit)``; only elements past their limit cruise
+    at the cap and end at the limit speed. A ``(ticks, 1)`` speed column
+    against an ``(instants,)`` duration row so decides its branches
+    once per tick.
 
     Raises:
         ValueError: on negative speeds or durations anywhere in the
             batch, mirroring the scalar validation.
     """
-    v0, a, t = np.broadcast_arrays(
-        np.asarray(speed, dtype=float),
-        np.asarray(accel, dtype=float),
-        np.asarray(duration, dtype=float),
-    )
-    if np.any(v0 < 0.0):
+    v0 = np.asarray(speed, dtype=float)
+    a = np.asarray(accel, dtype=float)
+    t = np.asarray(duration, dtype=float)
+    if (v0 < 0.0).any():
         raise ValueError("speed must be non-negative")
-    if np.any(t < 0.0):
+    if (t < 0.0).any():
         raise ValueError("duration must be non-negative")
 
-    # Unclamped constant-acceleration integration — the default branch.
-    distance = v0 * t + 0.5 * a * t**2
-    end_speed = v0 + a * t
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Braking: stop (do not reverse) at v = 0.
-        braking = a < 0.0
-        time_to_zero = np.where(
-            braking, v0 / np.where(braking, -a, 1.0), np.inf
+    cap = np.inf if max_speed is None else max_speed
+    braking = a < 0.0
+    rising = (a > 0.0) & (v0 < cap)
+    limited = braking | rising
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Unlimited pairs' quotients are discarded; a division by a
+        # subnormal acceleration overflows to inf, "never", as in the
+        # scalar float arithmetic.
+        t_limit = np.where(
+            limited, np.where(braking, v0, cap - v0) / np.abs(a), np.inf
         )
-        stopped = braking & (time_to_zero <= t)
-        stop_distance = v0 * time_to_zero + 0.5 * a * time_to_zero**2
-        distance = np.where(stopped, stop_distance, distance)
-        end_speed = np.where(stopped, 0.0, end_speed)
+    # At or over the cap the speed holds (and a zero acceleration adds
+    # nothing either way).
+    a = np.where(limited, a, 0.0)
+    # travel's comparisons as one strict threshold per pair: the cap is
+    # crossed at t_limit < t, zero is reached at t_limit <= t, which is
+    # past the float just below t_limit. Flooring that at 0 keeps the
+    # zero-duration pass-through of travel's early return.
+    threshold = np.where(
+        braking, np.maximum(np.nextafter(t_limit, -np.inf), 0.0), t_limit
+    )
 
-        if max_speed is not None:
-            # Accelerating into the cap: integrate to the crossing, then
-            # coast at the cap. Already at/over the cap: hold speed.
-            rising = a > 0.0
-            below = rising & (v0 < max_speed)
-            time_to_cap = np.where(
-                below, (max_speed - v0) / np.where(rising, a, 1.0), np.inf
-            )
-            crossed = below & (time_to_cap < t)
-            cap_distance = (
-                v0 * time_to_cap
-                + 0.5 * a * time_to_cap**2
-                + max_speed * (t - time_to_cap)
-            )
-            distance = np.where(crossed, cap_distance, distance)
-            end_speed = np.where(crossed, max_speed, end_speed)
-            over = rising & (v0 >= max_speed)
-            distance = np.where(over, v0 * t, distance)
-            end_speed = np.where(over, v0, end_speed)
-    # Zero-duration rows pass through as the scalar early return does:
-    # a subnormal speed's time to zero can underflow to 0 and would
-    # otherwise count the row as stopped.
-    still = t == 0.0
-    distance = np.where(still, 0.0, distance)
-    end_speed = np.where(still, v0, end_speed)
+    c = np.minimum(t, t_limit)
+    distance = v0 * c + 0.5 * a * (c * c)
+    end_speed = np.where(
+        threshold < t, np.where(braking, 0.0, cap), v0 + a * t
+    )
+    if np.isfinite(cap) and rising.any():
+        # Cruise at the cap past the crossing; t - c is +0 before it.
+        distance = distance + np.where(rising, cap, 0.0) * (t - c)
     return distance, end_speed
 
 

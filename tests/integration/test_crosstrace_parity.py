@@ -206,13 +206,13 @@ class TestNoisyCampaignParity:
 
 
 class TestNoBlockRetry:
-    """A clean block never falls back to the per-variant retry.
+    """A block's offline specs solve in the block or fail with it.
 
-    ``_solve_block`` catches every exception and re-evaluates each cell
-    per variant through ``_evaluate_cell``, so a block kernel fault
-    that shows only when several jobs stack would look like slowness
-    with correct rows. Online variants take ``_evaluate_cell`` on
-    purpose; an offline spec there means the block failed.
+    There is no per-variant retry: a block kernel error fails the
+    block's offline specs, so a kernel fault that shows only when
+    several jobs stack reads as error rows, not as slowness with
+    correct rows. Online variants take ``_evaluate_cell`` on purpose;
+    an offline spec there means the block was bypassed.
     """
 
     @staticmethod
@@ -279,10 +279,49 @@ class TestNoBlockRetry:
         result = CampaignRunner(workers=1, supercell=2).run(campaign, out=out)
 
         assert not result.failures()
-        assert not evaluated, "an offline spec fell back to the retry"
+        assert not evaluated, "an offline spec left the block"
         lines = out.read_text().splitlines()
         assert [line for line in lines if '"kind": "run"' in line] == scalar
         assert len(scalar) == 8
+
+
+    def test_block_error_fails_the_offline_specs(self, monkeypatch):
+        """A block kernel error fails exactly the block's offline specs,
+        with the error and the trace's duration; the cells' online
+        variants still replay, and no offline spec re-runs per variant."""
+        import repro.batch.runner as runner_module
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(runner_module, "evaluate_trace_block", explode)
+        evaluated = self.spy_cells(monkeypatch)
+        campaign = Campaign(
+            backend="crosstrace",
+            scenarios=("cut_in", "cut_out"),
+            seeds=(0,),
+            fprs=(30.0,),
+            variants=(
+                ParamVariant("paper"),
+                ParamVariant("tight", replace(ZhuyiParams(), c1=0.85)),
+                ParamVariant("cv", predictor="cv"),
+            ),
+            stride=0.5,
+        )
+        result = CampaignRunner(workers=1, supercell=2).run(campaign)
+
+        runs = campaign.runs()
+        offline = {spec.index for spec in runs if spec.predictor is None}
+        assert len(offline) == 4 and len(result.summaries) == 6
+        failed = result.failures()
+        assert {summary.index for summary in failed} == offline
+        for summary in failed:
+            assert summary.error == "RuntimeError: kernel exploded"
+            assert summary.duration > 0.0
+        assert sorted(spec.index for spec in evaluated) == sorted(
+            set(range(6)) - offline
+        )
+        assert all(spec.predictor is not None for spec in evaluated)
 
 
 def assert_block_matches_scalar(traces, stride, noise=None):

@@ -4,11 +4,13 @@
 brake profiles of many ticks and candidates in blocks, evaluating the
 braking terms only past each candidate's reaction time. Every (tick,
 candidate) row and every ``t_r`` sample must equal, byte for byte, the
-profile the engine built one tick at a time before block profiles: the
-formula is frozen below so the reference cannot move with the routine.
+profile the engine built one tick at a time before block profiles, with
+its coast taken from the scalar ``travel`` reference at every instant:
+the braking formula is frozen below so the reference cannot move with
+the routine. The draw puts egos above a speed cap too, where the coast
+and the braking anchors must hold the same ``v0``.
 """
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core import ego_profile
 from repro.core.ego_profile import EgoMotion, ego_profile_arrays
 from repro.core.parameters import ZhuyiParams
+from repro.dynamics.longitudinal import travel
 
 PARAMS = ZhuyiParams()
 
@@ -25,34 +28,19 @@ PARAMS = ZhuyiParams()
 def frozen_tick_profile(ego, reactions, times, cap):
     """One tick's ``(S, T)`` profiles and ``(S,)`` t_r samples, frozen.
 
-    The per-tick formula over ``times ++ reactions`` with scalar
-    reaction-travel anchors; candidate ``i``'s own t_r sample is the
-    diagonal of the reaction block.
+    The coast is the scalar ``travel`` at each instant of ``times ++
+    reactions``; past each t_r the per-tick braking formula runs from
+    scalar reaction-travel anchors. Candidate ``i``'s own t_r sample is
+    the diagonal of the reaction block.
     """
     pairs = [ego.reaction_travel(float(r), cap) for r in reactions]
     d_e1 = np.array([p[0] for p in pairs])[:, None]
     v_tr = np.array([p[1] for p in pairs])[:, None]
     reaction = reactions[:, None]
     coast = np.concatenate([times, reactions])
-    v0, a0 = ego.speed, ego.accel
-    if a0 > 0.0:
-        limit = cap if cap is not None else math.inf
-        t_limit = (limit - v0) / a0 if limit > v0 else 0.0
-    elif a0 < 0.0:
-        limit = 0.0
-        t_limit = v0 / -a0
-    else:
-        limit = v0
-        t_limit = math.inf
-    capped = np.minimum(coast, t_limit)
-    coast_distance = v0 * capped + 0.5 * a0 * capped**2
-    if math.isfinite(t_limit):
-        coast_distance = coast_distance + limit * np.maximum(
-            0.0, coast - t_limit
-        )
-    coast_speed = np.clip(
-        v0 + a0 * coast, 0.0, cap if cap is not None else math.inf
-    )
+    coast_terms = [travel(ego.speed, ego.accel, float(t), cap) for t in coast]
+    coast_distance = np.array([d for d, _ in coast_terms])
+    coast_speed = np.array([v for _, v in coast_terms])
     a_b = ego.braking_decel
     tau = np.maximum(0.0, coast - reaction)
     v_brake = np.maximum(0.0, v_tr - a_b * tau)

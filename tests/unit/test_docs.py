@@ -54,25 +54,3 @@ def test_fence_extraction_sees_the_examples():
     assert langs.count("python") >= 2
     assert langs.count("bash") >= 2
     assert langs.count("json") >= 3
-
-
-def _warning_step_tests(text: str, end: str) -> list[str]:
-    """Tests named by the one ``-W error::RuntimeWarning`` command in ``text``.
-
-    The command runs from its flag to ``end`` (the next CI step, or the
-    close of the docs' code fence).
-    """
-    flag = "-W error::RuntimeWarning"
-    assert text.count(flag) == 1
-    command = text[text.index(flag) :].split(end, 1)[0]
-    return re.findall(r"tests/[^\s\\]+", command)
-
-
-def test_warning_step_lists_match():
-    # CI's RuntimeWarning-as-error step and its copy in docs/TESTING.md
-    # must name the same suites, in the same order.
-    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    testing = (REPO_ROOT / "docs" / "TESTING.md").read_text()
-    ci_tests = _warning_step_tests(ci, "- name:")
-    assert ci_tests and len(set(ci_tests)) == len(ci_tests)
-    assert _warning_step_tests(testing, "```") == ci_tests

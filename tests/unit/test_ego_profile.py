@@ -176,3 +176,58 @@ class TestProfileArrays:
         for r, d, v in zip(reactions, distance, speed):
             d_e1, v_tr = ego.reaction_travel(float(r))
             assert d == d_e1 and v == v_tr
+
+    @pytest.mark.parametrize("accel", [1.0, 0.0, -1.0])
+    def test_above_cap_ego_holds_its_speed(self, accel):
+        # An ego already above the cap coasts as travel() says: it holds
+        # v0 (or slows), and braking starts from the coast's own t_r
+        # sample, so the speed never jumps.
+        from repro.core.ego_profile import ego_profile_arrays
+        from repro.dynamics.longitudinal import travel
+
+        np = self.np
+        cap, reaction = 25.0, 1.0
+        ego = EgoMotion.from_state(30.0, accel, ZhuyiParams(ego_speed_cap=cap))
+        times = np.arange(0.0, 3.0, 0.25)
+        (distance,), (speed,), (distance_r,), (speed_r,) = ego_profile_arrays(
+            [ego], [reaction], times, cap
+        )
+        assert speed[0, 0] == 30.0
+        for k, t in enumerate(times):
+            if t <= reaction:
+                expected = travel(30.0, accel, float(t), cap)
+                assert (distance[0, k], speed[0, k]) == expected
+        expected = travel(30.0, accel, reaction, cap)
+        assert (distance_r[0], speed_r[0]) == expected
+        assert np.all(np.diff(speed[0][times >= reaction]) <= 0.0)
+
+    def test_vectorized_paths_call_no_scalar_kinematics(self, monkeypatch):
+        # ego_profile_arrays and trace_grid take the coast, the braking
+        # anchors and the scan horizons from travel_arrays alone.
+        from repro.core.ego_profile import ego_profile_arrays
+        from repro.core.engine import LatencyEngine
+
+        calls = []
+
+        def spy(name):
+            original = getattr(EgoMotion, name)
+
+            def recorded(ego, *args, **kwargs):
+                calls.append(name)
+                return original(ego, *args, **kwargs)
+
+            return recorded
+
+        for name in ("reaction_travel", "stop_time_after"):
+            monkeypatch.setattr(EgoMotion, name, spy(name))
+        for cap in (None, 25.0):
+            params = ZhuyiParams(ego_speed_cap=cap)
+            egos = [
+                EgoMotion.from_state(v, a, params)
+                for v, a in ((30.0, 1.0), (12.0, -2.0), (20.0, 0.0))
+            ]
+            grid = LatencyEngine(params=params).trace_grid(egos, 1.0 / 30.0)
+            ego_profile_arrays(egos, grid.reactions, grid.times, cap)
+        assert calls == []
+        egos[0].stop_time_after(1.0, 25.0)
+        assert calls == ["stop_time_after", "reaction_travel"]

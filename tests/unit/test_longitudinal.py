@@ -105,6 +105,11 @@ class TestTravelArrays:
             (10.0, 2.0, 3.0, None),   # uncapped acceleration
             (0.0, -3.0, 1.0, None),   # stopped stays stopped
             (10.0, 3.0, 0.0, 12.0),   # zero duration
+            # Exactly at the time to zero or to the cap, where v0 + a*t
+            # rounds off the limit: travel ends at 0 (t_limit <= t) but
+            # short of the cap (t_limit < t).
+            (15.499591600957965, -4.883766884505305, 3.1736960357656336, None),
+            (5.290217119641222, 0.5980131407300194, 32.95877889288223, 25.0),
         ]
         for v0, a, t, cap in cases:
             d_ref, v_ref = travel(v0, a, t, cap)
@@ -112,7 +117,31 @@ class TestTravelArrays:
                 np.array([v0]), np.array([a]), np.array([t]), cap
             )
             assert v[0] == v_ref, (v0, a, t, cap)
-            assert d[0] == pytest.approx(d_ref, rel=1e-12), (v0, a, t, cap)
+            assert d[0] == d_ref, (v0, a, t, cap)
+
+    @pytest.mark.parametrize("cap", [None, 25.0])
+    def test_random_inputs_bit_for_bit(self, cap):
+        # Full-mantissa inputs: a scalar that squared by libm pow would
+        # differ from the kernel's multiplication on about 1 in 2,500
+        # distances.
+        import numpy as np
+
+        from repro.dynamics.longitudinal import travel_arrays
+
+        rng = np.random.default_rng(7)
+        n = 20_000
+        v0 = rng.uniform(0.0, 40.0, n)
+        a = rng.uniform(-8.0, 4.0, n)
+        t = rng.uniform(0.0, 10.0, n)
+        distance, end_speed = travel_arrays(v0, a, t, cap)
+        expected = [
+            travel(v, acc, dt, cap)
+            for v, acc, dt in zip(v0.tolist(), a.tolist(), t.tolist())
+        ]
+        ref_distance = np.array([d for d, _ in expected])
+        ref_speed = np.array([s for _, s in expected])
+        assert distance.tobytes() == ref_distance.tobytes()
+        assert end_speed.tobytes() == ref_speed.tobytes()
 
     def test_rejects_negative_inputs(self):
         import numpy as np
