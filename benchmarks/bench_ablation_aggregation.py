@@ -6,6 +6,8 @@ ordering (max most pessimistic, mean most permissive, percentile
 between) must emerge.
 """
 
+import numpy as np
+
 from benchmarks.conftest import emit
 from repro.analysis.report import format_table
 from repro.core.aggregation import (
@@ -26,13 +28,16 @@ def _run():
     predictor = ManeuverPredictor(road=scenario.road, target_lane=1)
 
     # Reconstruct a mid-event world-model snapshot from the trace's
-    # ground truth (ideal perception) at the cut-in moment.
+    # ground truth (ideal perception) at the recorded instant nearest
+    # the cut-in moment. The simulator records every actor at every
+    # step.
     from repro.perception.world_model import PerceivedActor, WorldModel
 
-    tick_time = trace.duration * 0.45
-    step = trace.step_at(tick_time)
+    times = trace.columns["times"]
+    now = float(times[np.argmin(np.abs(times - trace.duration * 0.45))])
     world = WorldModel()
-    for actor_id, state in step.actors.items():
+    for actor_id in trace.actor_ids():
+        state = trace.actor_trajectory(actor_id).state_at(now)
         world.upsert(
             PerceivedActor(
                 actor_id=actor_id,
@@ -41,7 +46,7 @@ def _run():
                 heading=state.heading,
                 speed=state.speed,
                 accel=state.accel,
-                timestamp=step.time,
+                timestamp=now,
             )
         )
 
@@ -59,8 +64,8 @@ def _run():
             aggregator=aggregator,
         )
         tick = estimator.estimate(
-            now=step.time,
-            ego_state=step.ego,
+            now=now,
+            ego_state=trace.ego_trajectory().state_at(now),
             ego_spec=trace.ego_spec,
             world_model=world,
             l0=1.0 / 30.0,

@@ -28,23 +28,28 @@ from repro.units import seconds_to_ms
 
 @dataclass(frozen=True)
 class FigureSeries:
-    """One figure's data: per-camera latency series + ego acceleration."""
+    """One figure's data: per-camera latency and FPR series + ego accel.
+
+    ``camera_fprs`` holds each tick's Equation 5 estimate as the
+    estimator reported it (an unavoidable tick reads the model's FPR
+    cap), so the figures never derive a rate from a latency themselves.
+    """
 
     scenario: str
     mode: str
     times_ms: tuple[int, ...]
     camera_latencies: Mapping[str, tuple[float, ...]]
+    camera_fprs: Mapping[str, tuple[float, ...]]
     ego_accel: tuple[float, ...]
     collided: bool
 
     def latency(self, camera: str) -> tuple[float, ...]:
         """Latency series (seconds) for one camera."""
-        if camera not in self.camera_latencies:
-            raise ConfigurationError(
-                f"no series for camera {camera!r}; have "
-                f"{sorted(self.camera_latencies)}"
-            )
-        return self.camera_latencies[camera]
+        return self._series(self.camera_latencies, camera)
+
+    def fpr(self, camera: str) -> tuple[float, ...]:
+        """FPR estimate series for one camera."""
+        return self._series(self.camera_fprs, camera)
 
     def min_latency(self, camera: str) -> float:
         """Most demanding latency over the run (seconds)."""
@@ -52,7 +57,17 @@ class FigureSeries:
 
     def max_fpr(self, camera: str) -> float:
         """Highest FPR requirement over the run."""
-        return max(1.0 / max(value, 1e-3) for value in self.latency(camera))
+        return max(self.fpr(camera))
+
+    @staticmethod
+    def _series(
+        table: Mapping[str, tuple[float, ...]], camera: str
+    ) -> tuple[float, ...]:
+        if camera not in table:
+            raise ConfigurationError(
+                f"no series for camera {camera!r}; have {sorted(table)}"
+            )
+        return table[camera]
 
 
 def offline_figure_series(
@@ -78,6 +93,10 @@ def offline_figure_series(
         times_ms=tuple(seconds_to_ms(t) for t in series.times()),
         camera_latencies={
             camera: tuple(series.camera_latency_series(camera))
+            for camera in cameras
+        },
+        camera_fprs={
+            camera: tuple(series.camera_fpr_series(camera))
             for camera in cameras
         },
         ego_accel=tuple(series.ego_accel_series()),
@@ -126,6 +145,10 @@ def online_figure_series(
             camera: tuple(tick.latency(camera) for tick in ticks)
             for camera in cameras
         },
+        camera_fprs={
+            camera: tuple(tick.fpr(camera) for tick in ticks)
+            for camera in cameras
+        },
         ego_accel=tuple(tick.ego_accel for tick in ticks),
         collided=trace.has_collision,
     )
@@ -145,7 +168,7 @@ def decel_correlation(
     This scans non-negative lags (demand leading braking) up to
     ``max_lag`` samples and returns the strongest Pearson coefficient.
     """
-    fprs = [1.0 / max(value, 1e-3) for value in series.latency(camera)]
+    fprs = series.fpr(camera)
     braking = [max(0.0, -accel) for accel in series.ego_accel]
     best = pearson_correlation(fprs, braking)
     for lag in range(1, min(max_lag, len(fprs) - 2) + 1):

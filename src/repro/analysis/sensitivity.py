@@ -72,7 +72,6 @@ def sweep_min_fpr(
     actor_speeds_mph: np.ndarray | None = None,
     params: ZhuyiParams | None = None,
     l0: float | None = None,
-    search: LatencySearch | None = None,
 ) -> SensitivityGrid:
     """Run the Figure 8 sweep for one fixed gap.
 
@@ -87,7 +86,6 @@ def sweep_min_fpr(
             is the only reading that reproduces the paper's "FPR <= 2
             below 25 mph" band. Pass e.g. ``1/30`` to study a stack
             already running at 30 FPR.
-        search: latency solver override.
 
     Raises:
         ConfigurationError: on a non-positive gap or an empty speed
@@ -104,7 +102,7 @@ def sweep_min_fpr(
     params = params if params is not None else ZhuyiParams()
     if l0 is None:
         l0 = params.l_max
-    solver = search if search is not None else LatencySearch(params=params)
+    solver = LatencySearch(params=params)
 
     grid = np.empty((len(actor_speeds_mph), len(ego_speeds_mph)))
     for i, actor_mph in enumerate(actor_speeds_mph):

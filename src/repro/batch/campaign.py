@@ -15,6 +15,7 @@ cell-stripe sharding — so the campaign runner executes either.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
@@ -42,6 +43,11 @@ SCHEMA_VERSION = 2
 #: Named predictors an online variant may request. ``maneuver`` takes
 #: the cell's road so lane-change hypotheses bend with the geometry.
 PREDICTORS = ("cv", "ca", "maneuver")
+
+#: Former ``ZhuyiParams`` fields that headers written before their
+#: removal still carry, each with the one value every recorded run
+#: used: lateral collision gating on, no ego speed cap.
+_RETIRED_PARAMS = {"gate_lateral": True, "ego_speed_cap": None}
 
 
 def build_predictor(spec: str, road):
@@ -135,13 +141,29 @@ class ParamVariant:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ParamVariant":
+        """Inverse of :meth:`to_dict`.
+
+        A retired params key loads at the value every recorded run used
+        and is dropped.
+
+        Raises:
+            ConfigurationError: a retired key at any other value.
+        """
+        params = data.get("params")
+        if params is not None:
+            params = dict(params)
+            for key, value in _RETIRED_PARAMS.items():
+                found = params.pop(key, value)
+                if found is not value:
+                    raise ConfigurationError(
+                        f"variant {data['name']!r}: params key {key!r} "
+                        f"is retired; only {json.dumps(value)} loads, got "
+                        f"{json.dumps(found)}"
+                    )
+            params = ZhuyiParams(**params)
         return cls(
             name=data["name"],
-            params=(
-                None
-                if data.get("params") is None
-                else ZhuyiParams(**data["params"])
-            ),
+            params=params,
             predictor=data.get("predictor"),
             aggregator=data.get("aggregator"),
         )

@@ -303,7 +303,10 @@ class CampaignResult:
 
         Raises:
             TraceError: empty file, malformed JSON before the final
-                line, missing header, or an unsupported schema version.
+                line, missing or malformed header, or an unsupported
+                schema version.
+            ConfigurationError: a header whose grid settings are
+                invalid.
         """
         text = Path(path).read_text()
         # Every record is written as one "line\n" write, so a clean
@@ -342,7 +345,13 @@ class CampaignResult:
                 f"{grid_kind.KIND} schema {schema!r} unsupported "
                 f"(expected one of {supported})"
             )
-        campaign = grid_kind.from_dict(header[grid_kind.PAYLOAD])
+        try:
+            campaign = grid_kind.from_dict(header[grid_kind.PAYLOAD])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(
+                f"malformed {grid_kind.KIND} header in {path}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         summaries = [
             RunSummary.from_dict(record)
             for record in records[1:]

@@ -71,19 +71,17 @@ class EgoMotion:
             braking_decel=braking_deceleration(accel, params),
         )
 
-    def reaction_travel(
-        self, reaction_time: float, speed_cap: float | None = None
-    ) -> tuple[float, float]:
+    def reaction_travel(self, reaction_time: float) -> tuple[float, float]:
         """``(d_e1, v_e(t_r))``: travel during the reaction window.
 
         The ego holds its current acceleration for ``reaction_time``
-        seconds (speed clamped at zero and optionally at ``speed_cap``).
+        seconds (speed clamped at zero).
         """
         if reaction_time < 0.0:
             raise EstimationError(
                 f"reaction time must be non-negative: {reaction_time}"
             )
-        return travel(self.speed, self.accel, reaction_time, speed_cap)
+        return travel(self.speed, self.accel, reaction_time)
 
     def braking_travel(
         self, speed_at_reaction: float, braking_time: float
@@ -96,29 +94,24 @@ class EgoMotion:
         return travel(speed_at_reaction, -self.braking_decel, braking_time)
 
     def total_travel(
-        self,
-        reaction_time: float,
-        check_time: float,
-        speed_cap: float | None = None,
+        self, reaction_time: float, check_time: float
     ) -> tuple[float, float]:
         """``(d_e1 + d_e2, v_en)`` for a check at ``check_time >= t_r``."""
         if check_time < reaction_time:
             raise EstimationError(
                 f"check time {check_time} precedes reaction time {reaction_time}"
             )
-        d_e1, v_tr = self.reaction_travel(reaction_time, speed_cap)
+        d_e1, v_tr = self.reaction_travel(reaction_time)
         d_e2, v_en = self.braking_travel(v_tr, check_time - reaction_time)
         return d_e1 + d_e2, v_en
 
-    def stop_time_after(
-        self, reaction_time: float, speed_cap: float | None = None
-    ) -> float:
+    def stop_time_after(self, reaction_time: float) -> float:
         """Absolute time at which the ego reaches zero speed.
 
         The ego coasts (current acceleration) until ``reaction_time`` and
         hard-brakes afterwards. Used to bound the ``t_n`` search.
         """
-        _, v_tr = self.reaction_travel(reaction_time, speed_cap)
+        _, v_tr = self.reaction_travel(reaction_time)
         return reaction_time + time_to_stop(v_tr, self.braking_decel)
 
 
@@ -138,19 +131,16 @@ def ego_profile_arrays(
     egos: Sequence[EgoMotion],
     reactions: np.ndarray,
     times: np.ndarray,
-    speed_cap: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coast-then-brake ``(distance, speed)`` of many ticks and candidates.
 
     Each ego of ``egos`` (one per tick) holds its current acceleration
     until a candidate's reaction time ``t_r`` — the clamped coast of
-    :func:`repro.dynamics.longitudinal.travel`: the speed stops at zero,
-    and an ego accelerating below ``speed_cap`` stops at the cap, while
-    one already at or over it holds its speed — and hard-brakes at
-    ``a_b`` after: the d_e1/d_e2 split of Equations 1-2 evaluated over
-    the whole ``times`` grid for every ``(tick, candidate)`` pair at
-    once. This is the one ego
-    kinematics routine of the latency search: the scalar
+    :func:`repro.dynamics.longitudinal.travel`, the speed stopped at
+    zero — and hard-brakes at ``a_b`` after: the d_e1/d_e2 split of
+    Equations 1-2 evaluated over the whole ``times`` grid for every
+    ``(tick, candidate)`` pair at once. This is the one ego kinematics
+    routine of the latency search: the scalar
     :class:`repro.core.latency.LatencySearch` is its one-tick,
     one-candidate case over its ``t_r``-inserted grid, and both wave
     kernels of :class:`repro.core.engine.LatencyEngine` build a row
@@ -172,7 +162,6 @@ def ego_profile_arrays(
         egos: ``(U,)`` ego motions, one per tick.
         reactions: ``(S,)`` candidate reaction times.
         times: ``(T,)`` ascending check instants.
-        speed_cap: optional ego speed cap.
 
     Returns:
         ``(distance, speed)``, each ``(U, S, T)``, and ``(distance_r,
@@ -208,7 +197,7 @@ def ego_profile_arrays(
     for lo in range(0, n_ticks, block):
         hi = min(lo + block, n_ticks)
         coast_distance, coast_speed = travel_arrays(
-            v0[lo:hi], a0[lo:hi], coast, speed_cap
+            v0[lo:hi], a0[lo:hi], coast
         )
         distance_r[lo:hi] = coast_distance[:, n_coast:]
         speed_r[lo:hi] = coast_speed[:, n_coast:]

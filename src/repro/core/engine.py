@@ -257,7 +257,6 @@ class LatencyEngine:
         bit-identical whether its trace was gridded alone or stacked.
         """
         params = self.params
-        cap = params.ego_speed_cap
         step = params.tn_step
         latency_list = params.latency_grid()
         reactions = np.array(
@@ -267,13 +266,13 @@ class LatencyEngine:
             ]
         )
 
-        # stop_time_after(r, cap) + horizon_margin for every (tick,
-        # reaction): r + v_tr / a_b, with v_tr from the one clamped-coast
-        # kernel, bit for bit the scalar call's with or without a cap.
+        # stop_time_after(r) + horizon_margin for every (tick, reaction):
+        # r + v_tr / a_b, with v_tr from the one clamped-coast kernel,
+        # bit for bit the scalar call's.
         v0 = np.array([ego.speed for ego in ego_motions], dtype=float)
         a0 = np.array([ego.accel for ego in ego_motions], dtype=float)
         a_b = np.array([ego.braking_decel for ego in ego_motions])
-        _, v_tr = travel_arrays(v0[:, None], a0[:, None], reactions, cap)
+        _, v_tr = travel_arrays(v0[:, None], a0[:, None], reactions)
         horizons = reactions + v_tr / a_b[:, None] + params.horizon_margin
 
         lengths = np.ceil((horizons + step) / step).astype(np.int64)
@@ -519,7 +518,6 @@ class LatencyEngine:
                     [ego_motions[m] for m in batch_ticks.tolist()],
                     reactions,
                     grid.times[: int(t_caps[g : g + batch].max())],
-                    self.params.ego_speed_cap,
                 )
             i = slice(g % batch, g % batch + 1)
             profiles = (
@@ -624,7 +622,6 @@ class LatencyEngine:
                 [ego_motions[n] for n in unique_ticks.tolist()],
                 reactions,
                 times,
-                self.params.ego_speed_cap,
             )
             (
                 found[:, sel],

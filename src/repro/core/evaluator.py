@@ -36,7 +36,7 @@ from repro.dynamics.state import StateTrajectory, VehicleState
 from repro.errors import EstimationError
 from repro.geometry.vec import Vec2
 from repro.perception.noise import PerceptionNoise
-from repro.perception.sensor import ANALYZED_CAMERAS, CameraRig, default_rig
+from repro.perception.sensor import ANALYZED_CAMERAS, default_rig
 from repro.road.track import Road
 from repro.sim.trace import ScenarioTrace
 from repro.units import time_grid_count
@@ -497,9 +497,12 @@ def presample_trace(
 class OfflineEvaluator:
     """Runs the Zhuyi model over a recorded scenario trace.
 
+    Equation 5 groups actors by the FOVs of the paper's five cameras
+    (:func:`~repro.perception.sensor.default_rig`), the rig the
+    simulator perceives with.
+
     Attributes:
         params: the Zhuyi constants.
-        rig: camera rig used for FOV grouping (the paper's five cameras).
         road: road geometry for lateral threat gating (falls back to the
             ego heading frame when omitted).
         stride: evaluation period along the trace (seconds). The paper
@@ -523,7 +526,6 @@ class OfflineEvaluator:
     """
 
     params: ZhuyiParams = field(default_factory=ZhuyiParams)
-    rig: CameraRig = field(default_factory=default_rig)
     road: Road | None = None
     stride: float = 0.05
     backend: str = "batched"
@@ -537,6 +539,7 @@ class OfflineEvaluator:
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
         self._search = LatencySearch(params=self.params)
+        self._rig = default_rig()
 
     def evaluate(
         self,
@@ -569,9 +572,7 @@ class OfflineEvaluator:
 
         if self.backend != "scalar":
             job = TraceJob(trace=trace, samples=samples, l0=l0, road=self.road)
-            return evaluate_trace_block(
-                [job], [self.params], self.stride, rig=self.rig
-            )[0][0]
+            return evaluate_trace_block([job], [self.params], self.stride)[0][0]
 
         assessor = ThreatAssessor(params=self.params, road=self.road)
         times = samples.times
@@ -671,7 +672,7 @@ class OfflineEvaluator:
             t0,
             ego_state,
             actor_latencies,
-            self.rig.visible_actors(ego_state, actor_positions),
+            self._rig.visible_actors(ego_state, actor_positions),
             self.params,
         )
 
@@ -708,7 +709,6 @@ def evaluate_trace_block(
     jobs: Sequence[TraceJob],
     variants: Sequence[ZhuyiParams],
     stride: float,
-    rig: CameraRig | None = None,
 ) -> list[list[EvaluationSeries]]:
     """Evaluate many traces under many parameter variants in one block.
 
@@ -752,15 +752,12 @@ def evaluate_trace_block(
             scalar :meth:`OfflineEvaluator.evaluate` applies them.
         variants: the parameter variants to evaluate each trace under.
         stride: evaluation period (must match every job's samples).
-        rig: camera rig (the paper's five-camera default when omitted).
 
     Returns:
         ``series[j][v]``: job ``j`` evaluated under variant ``v``.
     """
     if not variants:
         raise EstimationError("evaluate_trace_block needs at least one variant")
-    if rig is None:
-        rig = default_rig()
     for job in jobs:
         if abs(job.samples.stride - stride) > 1e-12:
             raise EstimationError(
@@ -770,7 +767,7 @@ def evaluate_trace_block(
     if not jobs:
         return []
 
-    visibility = rig.visibility_traces(
+    visibility = default_rig().visibility_traces(
         [
             (job.samples.ego_states, job.samples.actor_positions)
             for job in jobs

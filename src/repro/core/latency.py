@@ -151,8 +151,7 @@ class LatencySearch:
         Returns ``(t_n or None, constraint evaluations used)``.
         """
         horizon = (
-            ego.stop_time_after(reaction_time, self.params.ego_speed_cap)
-            + self.params.horizon_margin
+            ego.stop_time_after(reaction_time) + self.params.horizon_margin
         )
         if self.strategy is SearchStrategy.PAPER:
             return self._paper_search(ego, threat, reaction_time, horizon)
@@ -171,9 +170,7 @@ class LatencySearch:
         distance constraint (Eq 1) holds with that much headroom and
         ``gap_v <= 0`` means the velocity constraint (Eq 2) holds.
         """
-        travelled, v_en = ego.total_travel(
-            reaction_time, check_time, self.params.ego_speed_cap
-        )
+        travelled, v_en = ego.total_travel(reaction_time, check_time)
         s_n = threat.gap_at(check_time)
         v_an = threat.actor_speed_at(check_time)
         gap_d = self.params.c1 * s_n - travelled
@@ -242,7 +239,7 @@ class LatencySearch:
 
         # The one-tick, one-candidate case of the engine's profiles.
         distance, speed, _, _ = ego_profile_arrays(
-            [ego], np.array([reaction_time]), times, self.params.ego_speed_cap
+            [ego], np.array([reaction_time]), times
         )
         distance, speed = distance[0, 0], speed[0, 0]
         gaps, actor_speeds = sample_grid(threat, times)

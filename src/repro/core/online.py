@@ -34,39 +34,20 @@ from repro.core.evaluator import (
 )
 from repro.core.latency import BACKENDS, UNAVOIDABLE_LATENCY, LatencySearch
 from repro.core.parameters import ZhuyiParams
-from repro.core.threat import LongitudinalThreat, ThreatAssessor
+from repro.core.threat import ThreatAssessor
 from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import EstimationError
 from repro.perception.noise import PerceptionNoise
-from repro.perception.sensor import CameraRig, default_rig
+from repro.perception.sensor import default_rig
 from repro.perception.world_model import PerceivedActor, WorldModel
 from repro.prediction.base import Predictor
 from repro.road.track import Road
 from repro.sim.trace import ScenarioTrace
 
 
-@dataclass(frozen=True)
-class _MarginThreat:
-    """Decorator shrinking the gap — the perception-uncertainty extension.
-
-    Wraps any threat and subtracts a safety margin from ``s_n``,
-    modelling position uncertainty in the perceived world model. This is
-    the hook the paper's future-work section sketches ("extended to
-    account for perception uncertainty").
-    """
-
-    inner: LongitudinalThreat
-    margin: float
-
-    def gap_at(self, t: float) -> float:
-        return max(0.0, self.inner.gap_at(t) - self.margin)
-
-    def actor_speed_at(self, t: float) -> float:
-        return self.inner.actor_speed_at(t)
-
-    def sample(self, times):
-        gaps, speeds = self.inner.sample(times)
-        return np.maximum(0.0, gaps - self.margin), speeds
+#: The physical spec attributed to every perceived actor: the world
+#: model carries no extent information.
+_PERCEIVED_SPEC = VehicleSpec()
 
 
 def _perceived(
@@ -88,16 +69,15 @@ def _perceived(
 class OnlineEstimator:
     """The Zhuyi block of Figure 3: world model + predictions in, FPRs out.
 
+    Equation 5 groups actors by the FOVs of the paper's five cameras
+    (:func:`~repro.perception.sensor.default_rig`), the rig the
+    simulator perceives with.
+
     Attributes:
         params: the Zhuyi constants.
         predictor: trajectory predictor supplying the set ``T`` of Eq 4.
-        rig: camera rig for FOV grouping.
         aggregator: Equation 4 reduction (paper default: 99th percentile).
         road: road geometry for threat gating.
-        gap_margin: optional perception-uncertainty margin subtracted
-            from every gap (metres); 0 disables the extension.
-        assumed_actor_spec: physical spec attributed to perceived actors
-            (the world model carries no extent information).
         backend: ``"batched"`` (default) and ``"crosstrace"`` run one
             row program over a tick axis: :meth:`replay` feeds it a
             whole trace and :meth:`estimate` one tick, every gated
@@ -116,30 +96,25 @@ class OnlineEstimator:
             world model and never consult this field.
 
     Raises:
-        EstimationError: on a negative ``gap_margin``, an unknown
-            backend, or a vectorized backend whose predictor has no
-            ``predict_trace`` or whose aggregator has no
-            ``aggregate_rows`` (``backend="scalar"`` runs either).
+        EstimationError: on an unknown backend, or a vectorized backend
+            whose predictor has no ``predict_trace`` or whose aggregator
+            has no ``aggregate_rows`` (``backend="scalar"`` runs either).
     """
 
     params: ZhuyiParams
     predictor: Predictor
-    rig: CameraRig = field(default_factory=default_rig)
     aggregator: Aggregator = field(default_factory=PercentileAggregator)
     road: Road | None = None
-    gap_margin: float = 0.0
-    assumed_actor_spec: VehicleSpec = field(default_factory=VehicleSpec)
     backend: str = "batched"
     noise: PerceptionNoise | None = None
 
     def __post_init__(self) -> None:
-        if self.gap_margin < 0.0:
-            raise EstimationError("gap margin must be non-negative")
         if self.backend not in BACKENDS:
             raise EstimationError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
         self._search = LatencySearch(params=self.params)
+        self._rig = default_rig()
         self._engine = None
         if self.backend != "scalar":
             for owner, method in (
@@ -214,13 +189,9 @@ class OnlineEstimator:
                     ego_state,
                     ego_spec,
                     prediction.trajectory,
-                    self.assumed_actor_spec,
+                    _PERCEIVED_SPEC,
                     t0=now,
                 )
-                if threat is not None and self.gap_margin > 0.0:
-                    threat = _MarginThreat(
-                        inner=threat, margin=self.gap_margin
-                    )
                 entries.append((prediction.probability, threat))
             is_threat, latency = self._aggregate(entries, ego_motion, l0)
             if is_threat:
@@ -230,7 +201,7 @@ class OnlineEstimator:
             now,
             ego_state,
             actor_latencies,
-            self.rig.visible_actors(ego_state, actor_positions),
+            self._rig.visible_actors(ego_state, actor_positions),
             self.params,
         )
 
@@ -372,19 +343,16 @@ class OnlineEstimator:
 
         def sample(hypothesis, ticks, layout):
             """One (actor, hypothesis) source's rows at ``ticks``."""
-            gaps, speeds = assessor.sample_threat_futures(
+            return assessor.sample_threat_futures(
                 [ego_states[i] for i in ticks],
                 ego_spec,
                 hypothesis.rollout.take(ticks),
-                self.assumed_actor_spec,
+                _PERCEIVED_SPEC,
                 times[ticks],
                 layout.rel_times,
                 ego_rows=ego_rows.take(ticks),
                 layout=layout,
             )
-            if self.gap_margin > 0.0:
-                gaps = np.maximum(0.0, gaps - self.gap_margin)
-            return gaps, speeds
 
         # Per actor, the ticks any hypothesis is gated at; per (actor,
         # hypothesis), its per-tick latencies, probabilities and active
@@ -413,7 +381,7 @@ class OnlineEstimator:
                         [ego_states[i] for i in active],
                         ego_spec,
                         hypothesis.rollout.take(active),
-                        self.assumed_actor_spec,
+                        _PERCEIVED_SPEC,
                         times[active],
                         ego_rows=ego_rows.take(active),
                     )
@@ -470,7 +438,7 @@ class OnlineEstimator:
             ego_states,
             list(actors),
             table,
-            self.rig.visibility_trace(ego_states, positions, detected),
+            self._rig.visibility_trace(ego_states, positions, detected),
         )
 
     def _aggregate(

@@ -34,12 +34,9 @@ class ZhuyiParams:
         horizon_margin: slack added after the ego's stopping time when
             bounding the ``t_n`` search, seconds.
         lateral_margin: extra lateral clearance (metres) added to the two
-            half-widths when gating which actors can collide at all.
-        gate_lateral: whether to skip actors whose predictions never enter
-            the ego's lane corridor (the paper "considers the possibility
-            of a collision"; this is that consideration).
-        ego_speed_cap: optional cap on the ego speed while coasting through
-            the reaction window (models a speed limiter); ``None`` = uncapped.
+            half-widths when gating which actors can collide at all (the
+            paper "considers the possibility of a collision": actors whose
+            predictions never enter the ego's lane corridor are skipped).
     """
 
     c1: float = 0.9
@@ -55,8 +52,6 @@ class ZhuyiParams:
     horizon: float = 8.0
     horizon_margin: float = 1.0
     lateral_margin: float = 0.25
-    gate_lateral: bool = True
-    ego_speed_cap: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.c1 <= 1.0:
@@ -121,13 +116,12 @@ class ZhuyiParams:
         Two variants whose keys compare equal share *everything* the
         latency kernel precomputes — the candidate grid and reaction
         times (``l_max``/``l_min``/``dl``/``k``), the ego profile
-        (``c3``/``c4``/``ego_speed_cap``), the scan grid (``tn_step``/
-        ``horizon_margin``) and the collision gating (``gate_lateral``/
-        ``lateral_margin``/``horizon``) — and differ only in where the
-        Eq 1/2 feasibility comparisons draw the line. Such variants can
-        be solved together through one cross-trace kernel with per-row
-        ``c1``/``c2`` columns (the campaign super-cell path); anything
-        else needs its own grid.
+        (``c3``/``c4``), the scan grid (``tn_step``/``horizon_margin``)
+        and the collision gating (``lateral_margin``/``horizon``) — and
+        differ only in where the Eq 1/2 feasibility comparisons draw the
+        line. Such variants can be solved together through one
+        cross-trace kernel with per-row ``c1``/``c2`` columns (the
+        campaign super-cell path); anything else needs its own grid.
         """
         return replace(self, c1=1.0, c2=1.0)
 

@@ -384,7 +384,7 @@ class ThreatAssessor:
         t0: float = 0.0,
     ) -> TrajectoryThreat | None:
         """The actor's threat view, or ``None`` if it cannot collide."""
-        if self.params.gate_lateral and not self._could_collide(
+        if not self._could_collide(
             ego_state, ego_spec, actor_trajectory, actor_spec, t0
         ):
             return None
@@ -406,10 +406,14 @@ class ThreatAssessor:
         :meth:`could_collide_trace` table — build threats directly;
         :meth:`assess` is the gate-then-build convenience.
         """
-        corridor = None
-        if self.params.gate_lateral:
-            _, ego_d = self._path_coordinates(ego_state, ego_state)
-            corridor = CorridorSpec(
+        _, ego_d = self._path_coordinates(ego_state, ego_state)
+        return TrajectoryThreat(
+            ego_state=ego_state,
+            ego_spec=ego_spec,
+            actor_trajectory=actor_trajectory,
+            actor_spec=actor_spec,
+            t0=t0,
+            corridor=CorridorSpec(
                 road=self.road,
                 ego_frame_origin=ego_state,
                 ego_lateral=ego_d,
@@ -417,14 +421,7 @@ class ThreatAssessor:
                     (ego_spec.width + actor_spec.width) / 2.0
                     + self.params.lateral_margin
                 ),
-            )
-        return TrajectoryThreat(
-            ego_state=ego_state,
-            ego_spec=ego_spec,
-            actor_trajectory=actor_trajectory,
-            actor_spec=actor_spec,
-            t0=t0,
-            corridor=corridor,
+            ),
         )
 
     def _path_coordinates(self, state: VehicleState, ego_state: VehicleState):
@@ -526,8 +523,7 @@ class ThreatAssessor:
         once — element-for-element the same arithmetic as the per-tick
         gate, so the verdicts are identical; only the per-tick
         interpreter overhead (the offline evaluator's second-largest
-        cost) disappears. With ``gate_lateral`` off this is all-True,
-        mirroring :meth:`assess`.
+        cost) disappears.
 
         Args:
             ego_states: the ego state at each tick (``t0s``-aligned).
@@ -662,8 +658,6 @@ class ThreatAssessor:
         verdicts — one derivation serving both the offline trace gate
         and the replay futures gate, so the two cannot drift.
         """
-        if not self.params.gate_lateral:
-            return np.ones(t0s.shape, dtype=bool)
         # Per-tick ego path coordinates. With a road these are absolute
         # Frenet coordinates; without one, each tick's gate works in
         # that tick's ego heading frame — where the ego itself sits at
@@ -745,12 +739,9 @@ class ThreatAssessor:
         rel_times = np.asarray(rel_times, dtype=float)
         half_lengths = (ego_spec.length + actor_spec.length) / 2.0
         n_rel = rel_times.size
-        instants = rel_times
-        if self.params.gate_lateral:
-            if layout is None:
-                layout = CorridorLayout.of(rel_times)
-            instants = layout.instants
-        xs, ys, speeds = sampler(t0s[:, None] + instants[None, :])
+        if layout is None:
+            layout = CorridorLayout.of(rel_times)
+        xs, ys, speeds = sampler(t0s[:, None] + layout.instants[None, :])
         if ego_rows is None:
             ego_rows = self.ego_path_rows(ego_states)
         ego_xs, ego_ys = ego_rows.xs, ego_rows.ys
@@ -759,45 +750,40 @@ class ThreatAssessor:
         )
         gaps = np.maximum(0.0, distances - half_lengths)
         speeds = speeds[:, :n_rel]
-        if self.params.gate_lateral:
-            mask_xs = xs[:, layout.mask_columns]
-            mask_ys = ys[:, layout.mask_columns]
-            if self.road is None:
-                # Each tick's own ego heading frame: the arithmetic of
-                # CorridorSpec.lateral_offsets' no-road branch, with its
-                # per-tick math.sin/cos rotation constants as columns.
-                headings = [state.heading for state in ego_states]
-                sin_h = np.array([math.sin(h) for h in headings])[:, None]
-                cos_h = np.array([math.cos(h) for h in headings])[:, None]
-                offsets = -sin_h * (mask_xs - ego_xs[:, None]) + cos_h * (
-                    mask_ys - ego_ys[:, None]
-                )
-            else:
-                # The road branch of CorridorSpec.lateral_offsets
-                # ignores the per-tick frame fields; one spec serves
-                # every tick.
-                corridor = CorridorSpec(
-                    road=self.road,
-                    ego_frame_origin=ego_states[0],
-                    ego_lateral=0.0,
-                    overlap_width=0.0,
-                )
-                offsets = corridor.lateral_offsets(mask_xs, mask_ys)
-            # Per-tick ego laterals batch through the exact Frenet
-            # kernel: to_frenet_batch is bit-identical to the scalar
-            # to_frenet build_threat calls (the road/lane.py contract),
-            # so a corridor-edge tick lands on the same side in both
-            # backends without a per-tick scalar fallback. Without a
-            # road the ego sits at its own frame's origin (zeros).
-            ego_lateral = ego_rows.d
-            overlap_width = (
-                (ego_spec.width + actor_spec.width) / 2.0
-                + self.params.lateral_margin
+        mask_xs = xs[:, layout.mask_columns]
+        mask_ys = ys[:, layout.mask_columns]
+        if self.road is None:
+            # Each tick's own ego heading frame: the arithmetic of
+            # CorridorSpec.lateral_offsets' no-road branch, with its
+            # per-tick math.sin/cos rotation constants as columns.
+            headings = [state.heading for state in ego_states]
+            sin_h = np.array([math.sin(h) for h in headings])[:, None]
+            cos_h = np.array([math.cos(h) for h in headings])[:, None]
+            offsets = -sin_h * (mask_xs - ego_xs[:, None]) + cos_h * (
+                mask_ys - ego_ys[:, None]
             )
-            in_corridor = (
-                np.abs(offsets - ego_lateral[:, None]) <= overlap_width
+        else:
+            # The road branch of CorridorSpec.lateral_offsets ignores the
+            # per-tick frame fields; one spec serves every tick.
+            corridor = CorridorSpec(
+                road=self.road,
+                ego_frame_origin=ego_states[0],
+                ego_lateral=0.0,
+                overlap_width=0.0,
             )
-            gaps = np.where(in_corridor[:, layout.mask_of_scan], gaps, np.inf)
+            offsets = corridor.lateral_offsets(mask_xs, mask_ys)
+        # Per-tick ego laterals batch through the exact Frenet kernel:
+        # to_frenet_batch is bit-identical to the scalar to_frenet
+        # build_threat calls (the road/lane.py contract), so a
+        # corridor-edge tick lands on the same side in both backends
+        # without a per-tick scalar fallback. Without a road the ego
+        # sits at its own frame's origin (zeros).
+        overlap_width = (
+            (ego_spec.width + actor_spec.width) / 2.0
+            + self.params.lateral_margin
+        )
+        in_corridor = np.abs(offsets - ego_rows.d[:, None]) <= overlap_width
+        gaps = np.where(in_corridor[:, layout.mask_of_scan], gaps, np.inf)
         return gaps, np.ascontiguousarray(speeds)
 
     def sample_threats_trace(

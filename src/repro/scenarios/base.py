@@ -150,7 +150,7 @@ class BuiltScenario:
             detection_model: perception characteristics; the default has
                 occlusion on (DriveSim cameras cannot see through
                 vehicles — this is what makes cut-out reveals sudden).
-            sim_config: overrides duration / dt / stopping behaviour.
+            sim_config: overrides duration / dt.
             confirmation_hits: the tracker's ``K``.
             ego_spec: the ego's physical spec.
         """

@@ -49,14 +49,17 @@ class SimHook(Protocol):
         ...
 
 
+#: A run ends at its first collision, or once everything (ego and
+#: actors below 0.05 m/s) has stood still for this many seconds.
+_SETTLE_AFTER_STOP = 3.0
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Run-level settings."""
 
     dt: float = 0.01
     duration: float = 30.0
-    stop_on_collision: bool = True
-    settle_after_stop: float = 3.0
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -175,22 +178,21 @@ class Simulator:
                 self.time, self.ego_state, actor_map
             )
             self._collisions.extend(events)
-            if events and config.stop_on_collision:
+            if events:
                 self._record(self.time, states)
                 break
 
             # End early once everything has settled to a stop.
-            if config.settle_after_stop > 0.0:
-                moving = self.ego_state.speed > 0.05 or any(
-                    state.speed > 0.05 for state in states.values()
-                )
-                if moving:
-                    stopped_since = None
-                elif stopped_since is None:
-                    stopped_since = self.time
-                elif self.time - stopped_since >= config.settle_after_stop:
-                    self._record(self.time, states)
-                    break
+            moving = self.ego_state.speed > 0.05 or any(
+                state.speed > 0.05 for state in states.values()
+            )
+            if moving:
+                stopped_since = None
+            elif stopped_since is None:
+                stopped_since = self.time
+            elif self.time - stopped_since >= _SETTLE_AFTER_STOP:
+                self._record(self.time, states)
+                break
 
         recorder = self._recorder
         if not recorder or recorder.last_time < self.time - 1e-9:

@@ -466,10 +466,6 @@ class ScenarioTrace:
             )
         return self._actor_trajectories[actor_id]
 
-    def step_at(self, time: float) -> TraceStep:
-        """The recorded step closest to ``time``."""
-        return min(self.steps, key=lambda step: abs(step.time - time))
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------

@@ -36,20 +36,20 @@ class OnlineRecord:
 class ZhuyiOnlineSystem:
     """Online safety check + work prioritization as a simulation hook.
 
+    The model's ``l0`` is the front_120 camera's current processing
+    latency.
+
     Attributes:
         estimator: the online Zhuyi estimator.
         checker: safety checker receiving every tick.
         prioritizer: when given, camera rates are retuned every tick.
         period: estimation cadence (seconds).
-        reference_camera: camera whose current processing latency is used
-            as the model's ``l0``.
     """
 
     estimator: OnlineEstimator
     checker: SafetyChecker = field(default_factory=SafetyChecker)
     prioritizer: WorkPrioritizer | None = None
     period: float = 0.1
-    reference_camera: str = "front_120"
     records: list[OnlineRecord] = field(default_factory=list)
     _next_run: float = field(default=0.0, init=False)
 
@@ -68,7 +68,7 @@ class ZhuyiOnlineSystem:
         self._next_run = now + self.period
 
         perception = simulator.perception
-        l0 = perception.processing_latency(self.reference_camera)
+        l0 = perception.processing_latency("front_120")
         tick = self.estimator.estimate(
             now=now,
             ego_state=simulator.ego_state,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.evaluator import EvaluationTick
-from repro.errors import ConfigurationError
 
 
 class MitigationAction(enum.Enum):
@@ -50,21 +49,12 @@ class SafetyVerdict:
 class SafetyChecker:
     """Compares operating rates against Zhuyi estimates.
 
-    Attributes:
-        margin: multiplicative headroom required on top of the estimate
-            (1.0 = the paper's plain comparison).
-        action_policy: mitigation recommended when alarms fire.
+    A camera alarms when its operating rate is below its estimate (the
+    paper's plain comparison); an alarmed verdict recommends raising the
+    under-provisioned cameras' rates.
     """
 
-    margin: float = 1.0
-    action_policy: MitigationAction = MitigationAction.RAISE_PROCESSING_RATE
     _history: list[SafetyVerdict] = field(default_factory=list, init=False)
-
-    def __post_init__(self) -> None:
-        if self.margin < 1.0:
-            raise ConfigurationError(
-                f"safety margin must be at least 1, got {self.margin}"
-            )
 
     @property
     def history(self) -> Sequence[SafetyVerdict]:
@@ -86,21 +76,22 @@ class SafetyChecker:
             if camera not in operating_fprs:
                 continue
             operating = operating_fprs[camera]
-            required = estimate.fpr * self.margin
-            if operating + 1e-9 < required:
+            if operating + 1e-9 < estimate.fpr:
                 alarms.append(
                     Alarm(
                         time=tick.time,
                         camera=camera,
                         operating_fpr=operating,
-                        required_fpr=required,
+                        required_fpr=estimate.fpr,
                     )
                 )
         verdict = SafetyVerdict(
             time=tick.time,
             safe=not alarms,
             alarms=tuple(alarms),
-            recommended_action=self.action_policy if alarms else None,
+            recommended_action=(
+                MitigationAction.RAISE_PROCESSING_RATE if alarms else None
+            ),
         )
         self._history.append(verdict)
         return verdict

@@ -101,20 +101,20 @@ class TestNoisyOfflineParity:
 @pytest.mark.slow
 class TestOnlineParity:
     @pytest.mark.parametrize(
-        "name, fpr, settings, prioritized",
-        # (scenario, FPR, estimator settings, work prioritization) of
-        # the hooked runs: a curved road under the gap margin, four
-        # actors, and camera rates retuned from the estimates every tick.
+        "name, fpr, prioritized",
+        # (scenario, FPR, work prioritization) of the hooked runs: a
+        # curved road, four actors, and camera rates retuned from the
+        # estimates every tick.
         [
-            ("cut_in", 30.0, {}, False),
-            ("challenging_cut_in_curved", 30.0, {"gap_margin": 0.5}, False),
-            ("cut_in_dense4", 30.0, {}, False),
-            ("cut_out_fast", 12.0, {}, True),
+            ("cut_in", 30.0, False),
+            ("challenging_cut_in_curved", 30.0, False),
+            ("cut_in_dense4", 30.0, False),
+            ("cut_out_fast", 12.0, True),
         ],
-        ids=["cut_in", "curved-gap-margin", "dense4", "prioritized"],
+        ids=["cut_in", "curved", "dense4", "prioritized"],
     )
     def test_online_tick_identical(
-        self, name, fpr, settings, prioritized, columns_equal
+        self, name, fpr, prioritized, columns_equal
     ):
         from repro.core.aggregation import PercentileAggregator
         from repro.core.online import OnlineEstimator
@@ -139,7 +139,6 @@ class TestOnlineParity:
                     road=scenario.road,
                     aggregator=PercentileAggregator(90.0),
                     backend=backend,
-                    **settings,
                 ),
                 checker=SafetyChecker(),
                 prioritizer=(

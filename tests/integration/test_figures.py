@@ -7,7 +7,10 @@ from repro.analysis.figures import (
     offline_figure_series,
     online_figure_series,
 )
+from repro.core.evaluator import OfflineEvaluator
 from repro.errors import ConfigurationError
+from repro.perception.sensor import ANALYZED_CAMERAS
+from repro.scenarios.catalog import build_scenario
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,21 @@ class TestFigure7:
         # the operating rate.
         assert not fig7.collided
         assert fig7.max_fpr("front_120") <= 30.0 + 1e-6
+
+
+class TestEquation5Rates:
+    def test_figure_rates_are_the_evaluator_rates(self):
+        # cut_out_fast at 5 FPR has unavoidable ticks: Equation 5 caps
+        # their rate at the model's 30, where 1/latency reads 1000.
+        figure = offline_figure_series("cut_out_fast", seed=0, fpr=5.0)
+        built = build_scenario("cut_out_fast", seed=0)
+        series = OfflineEvaluator(road=built.road, stride=0.1).evaluate(
+            built.run(fpr=5.0)
+        )
+        for camera in ANALYZED_CAMERAS:
+            assert figure.max_fpr(camera) == series.max_fpr(camera)
+            assert figure.fpr(camera) == tuple(series.camera_fpr_series(camera))
+        assert figure.max_fpr("front_120") == 30.0
 
 
 class TestOfflineOnlineRelationship:

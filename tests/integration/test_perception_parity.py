@@ -16,6 +16,7 @@ import pytest
 
 from repro import OfflineEvaluator, build_scenario
 from repro.core.evaluator import presample_trace
+from repro.perception.sensor import default_rig
 from repro.scenarios.catalog import SCENARIO_NAMES, density_sweep
 
 
@@ -44,8 +45,7 @@ class TestVisibilityTraceParity:
     def test_catalog_scenario(self, name):
         scenario, trace = build_trace(name)
         samples = presample_trace(trace, 0.25)
-        evaluator = OfflineEvaluator(road=scenario.road, stride=0.25)
-        rig = evaluator.rig
+        rig = default_rig()
         batched = rig.visible_actors_trace(
             samples.ego_states, samples.actor_positions
         )
@@ -63,7 +63,7 @@ class TestVisibilityTraceParity:
     def test_membership_tables_align_with_groupings(self):
         scenario, trace = build_trace("cut_out")
         samples = presample_trace(trace, 0.5)
-        rig = OfflineEvaluator(road=scenario.road, stride=0.5).rig
+        rig = default_rig()
         tables = rig.visibility_trace(
             samples.ego_states, samples.actor_positions
         )

@@ -119,11 +119,6 @@ class TestReplayConfigurations:
             )
             assert_series_identical(series["scalar"], series["batched"])
 
-    def test_gap_margin(self):
-        scenario, trace = build_trace("cut_out")
-        series = replay_both(scenario, trace, period=0.5, gap_margin=0.75)
-        assert_series_identical(series["scalar"], series["batched"])
-
     def test_single_future_predictor(self):
         scenario, trace = build_trace("vehicle_following")
         series = {}

@@ -7,8 +7,7 @@ candidate) row and every ``t_r`` sample must equal, byte for byte, the
 profile the engine built one tick at a time before block profiles, with
 its coast taken from the scalar ``travel`` reference at every instant:
 the braking formula is frozen below so the reference cannot move with
-the routine. The draw puts egos above a speed cap too, where the coast
-and the braking anchors must hold the same ``v0``.
+the routine.
 """
 
 from unittest import mock
@@ -25,7 +24,7 @@ from repro.dynamics.longitudinal import travel
 PARAMS = ZhuyiParams()
 
 
-def frozen_tick_profile(ego, reactions, times, cap):
+def frozen_tick_profile(ego, reactions, times):
     """One tick's ``(S, T)`` profiles and ``(S,)`` t_r samples, frozen.
 
     The coast is the scalar ``travel`` at each instant of ``times ++
@@ -33,12 +32,12 @@ def frozen_tick_profile(ego, reactions, times, cap):
     scalar reaction-travel anchors. Candidate ``i``'s own t_r sample is
     the diagonal of the reaction block.
     """
-    pairs = [ego.reaction_travel(float(r), cap) for r in reactions]
+    pairs = [ego.reaction_travel(float(r)) for r in reactions]
     d_e1 = np.array([p[0] for p in pairs])[:, None]
     v_tr = np.array([p[1] for p in pairs])[:, None]
     reaction = reactions[:, None]
     coast = np.concatenate([times, reactions])
-    coast_terms = [travel(ego.speed, ego.accel, float(t), cap) for t in coast]
+    coast_terms = [travel(ego.speed, ego.accel, float(t)) for t in coast]
     coast_distance = np.array([d for d, _ in coast_terms])
     coast_speed = np.array([v for _, v in coast_terms])
     a_b = ego.braking_decel
@@ -69,16 +68,6 @@ tick_states = st.lists(st.one_of(cruising, stopping), min_size=1, max_size=40)
 def profile_cases(draw):
     states = draw(tick_states)
     egos = [EgoMotion.from_state(v, a, PARAMS) for v, a in states]
-    speeds = [v for v, _ in states]
-    kind = draw(st.sampled_from(["none", "below", "above"]))
-    if kind == "none":
-        cap = None
-    elif kind == "below":
-        cap = draw(st.floats(min_value=0.1, max_value=1.0)) * max(
-            min(speeds), 0.5
-        )
-    else:
-        cap = max(speeds) + draw(st.floats(min_value=0.1, max_value=10.0))
     step = draw(st.sampled_from([0.01, 0.05, 0.1, 0.25]))
     times = np.arange(0.0, draw(st.floats(min_value=0.2, max_value=4.0)), step)
     # Free reactions, one exactly on a grid instant and one past the
@@ -93,19 +82,19 @@ def profile_cases(draw):
     past_end = float(times[-1]) + draw(st.floats(min_value=1e-6, max_value=2.0))
     reactions = np.array(draw(st.permutations(free + [on_grid, past_end])))
     ticks_per_block = draw(st.integers(min_value=1, max_value=3))
-    return egos, reactions, times, cap, ticks_per_block
+    return egos, reactions, times, ticks_per_block
 
 
-def assert_rows_match(egos, reactions, times, cap, ticks_per_block):
+def assert_rows_match(egos, reactions, times, ticks_per_block):
     block = ticks_per_block * reactions.size * times.size
     with mock.patch.object(ego_profile, "_PROFILE_BLOCK_ELEMENTS", block):
         distance, speed, distance_r, speed_r = ego_profile_arrays(
-            egos, reactions, times, cap
+            egos, reactions, times
         )
     assert distance.shape == speed.shape == (len(egos), reactions.size, times.size)
     assert distance_r.shape == speed_r.shape == (len(egos), reactions.size)
     for u, ego in enumerate(egos):
-        expected = frozen_tick_profile(ego, reactions, times, cap)
+        expected = frozen_tick_profile(ego, reactions, times)
         for j in range(reactions.size):
             assert distance[u, j].tobytes() == expected[0][j].tobytes()
             assert speed[u, j].tobytes() == expected[1][j].tobytes()
@@ -120,16 +109,12 @@ class TestBlockProfileParity:
         assert_rows_match(*case)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        tick_states,
-        st.floats(min_value=0.0, max_value=5.0),
-        st.sampled_from([None, 15.0]),
-    )
-    def test_one_candidate(self, states, reaction, cap):
+    @given(tick_states, st.floats(min_value=0.0, max_value=5.0))
+    def test_one_candidate(self, states, reaction):
         # The scalar search's case: one tick or many, one reaction.
         egos = [EgoMotion.from_state(v, a, PARAMS) for v, a in states]
         times = np.arange(0.0, 6.0, 0.05)
-        assert_rows_match(egos, np.array([reaction]), times, cap, 1)
+        assert_rows_match(egos, np.array([reaction]), times, 1)
 
     def test_no_ticks(self):
         distance, speed, distance_r, speed_r = ego_profile_arrays(

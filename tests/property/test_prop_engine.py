@@ -9,7 +9,7 @@ scan step.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import LatencyEngine
@@ -229,55 +229,19 @@ class TestTrimmedRows:
             assert_same(expected, result)
 
 
-@st.composite
-def horizon_cases(draw):
-    """Ego states for a trace grid, with or without a speed cap.
-
-    Under a cap the draw adds egos above it and accelerating egos that
-    reach it exactly at a candidate's reaction time.
-    """
-    cap = draw(st.one_of(st.none(), st.floats(min_value=5.0, max_value=35.0)))
-    params = ZhuyiParams(ego_speed_cap=cap)
-    current = draw(l0)
-    states = draw(
-        st.lists(st.tuples(ego_speed, ego_accel), min_size=1, max_size=12)
-    )
-    if cap is not None:
-        above = st.floats(min_value=cap, max_value=cap + 15.0)
-        states += draw(st.lists(st.tuples(above, ego_accel), max_size=4))
-        reactions = [
-            latency + params.confirmation_delay(latency, current)
-            for latency in params.latency_grid()
-        ]
-        for reaction in draw(st.lists(st.sampled_from(reactions), max_size=4)):
-            v = draw(st.floats(min_value=0.0, max_value=0.99 * cap))
-            accel = (cap - v) / reaction
-            if (cap - v) / accel == reaction:
-                states.append((v, accel))
-    return params, current, states
-
-
 class TestTraceGridHorizons:
     @settings(max_examples=100, deadline=None)
-    @given(horizon_cases())
-    # Reaches the cap exactly at the first candidate's t_r, where
-    # v0 + a*t_r rounds below the cap: travel has not crossed it.
-    @example(
-        (
-            ZhuyiParams(ego_speed_cap=25.0),
-            1.0 / 30.0,
-            [(1.2982501889031663, 4.0631571104737425)],
-        )
+    @given(
+        l0, st.lists(st.tuples(ego_speed, ego_accel), min_size=1, max_size=12)
     )
-    def test_horizons_equal_scalar_stop_times(self, case):
-        params, current, states = case
+    def test_horizons_equal_scalar_stop_times(self, current, states):
+        params = ZhuyiParams()
         motions = [EgoMotion.from_state(v, a, params) for v, a in states]
         grid = LatencyEngine(params=params).trace_grid(motions, current)
         expected = np.array(
             [
                 [
-                    motion.stop_time_after(r, params.ego_speed_cap)
-                    + params.horizon_margin
+                    motion.stop_time_after(r) + params.horizon_margin
                     for r in grid.reactions.tolist()
                 ]
                 for motion in motions

@@ -131,6 +131,32 @@ class TestCampaignSpec:
         )
         assert Campaign.from_dict(campaign.to_dict()) == campaign
 
+    def _retired_header(self, **retired):
+        campaign = Campaign(
+            scenarios=("cut_in",),
+            variants=(ParamVariant("strict", ZhuyiParams(c1=0.8)),),
+        )
+        data = campaign.to_dict()
+        data["variants"][0]["params"].update(retired)
+        return campaign, data
+
+    def test_headers_with_retired_params_still_load(self):
+        # Files written while ZhuyiParams had gate_lateral and
+        # ego_speed_cap carry them at the one value every run used.
+        campaign, data = self._retired_header(
+            gate_lateral=True, ego_speed_cap=None
+        )
+        assert Campaign.from_dict(data) == campaign
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("gate_lateral", False), ("ego_speed_cap", 25.0), ("gate_lateral", 1)],
+    )
+    def test_retired_params_at_other_values_refused(self, key, value):
+        _, data = self._retired_header(**{key: value})
+        with pytest.raises(ConfigurationError, match=key):
+            Campaign.from_dict(data)
+
 
 class TestShardPartition:
     def campaign(self) -> Campaign:

@@ -451,6 +451,123 @@ class TestCampaignMergeCommand:
         assert "cannot write" in capsys.readouterr().err
 
 
+class TestRecordedHeaders:
+    """Headers read back by --resume, campaign-merge and --from-campaign."""
+
+    @staticmethod
+    def _campaign():
+        from repro.batch import Campaign
+        from repro.batch.campaign import ParamVariant
+        from repro.core.parameters import ZhuyiParams
+
+        return Campaign(
+            scenarios=("cut_in", "vehicle_following"),
+            stride=0.5,
+            variants=(ParamVariant("paper", ZhuyiParams()),),
+        )
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        edit(header["grid"])
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+
+    @staticmethod
+    def _run_lines(path):
+        return [
+            line for line in path.read_text().splitlines()
+            if '"kind": "run"' in line
+        ]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda grid: grid["variants"][0]["params"].update(warp=1.0),
+                "malformed campaign header",
+            ),
+            (lambda grid: grid.pop("stride"), "KeyError: 'stride'"),
+            (
+                lambda grid: grid["variants"][0]["params"].update(
+                    gate_lateral=False
+                ),
+                "'gate_lateral' is retired",
+            ),
+            (
+                lambda grid: grid["variants"][0]["params"].update(
+                    ego_speed_cap=25.0
+                ),
+                "'ego_speed_cap' is retired",
+            ),
+        ],
+        ids=["unknown-param", "no-stride", "gate-off", "speed-cap"],
+    )
+    @pytest.mark.parametrize("command", ["resume", "merge", "replay"])
+    def test_bad_header_exits_two(
+        self, tmp_path, capsys, edit, message, command
+    ):
+        from repro.batch import CampaignResult
+
+        path = tmp_path / "c.jsonl"
+        CampaignResult(self._campaign(), []).save_jsonl(path)
+        self._rewrite_header(path, edit)
+        argv = {
+            "resume": ["campaign", "--resume", str(path)],
+            "merge": ["campaign-merge", str(path)],
+            "replay": [
+                "replay", "--store", str(tmp_path / "traces"),
+                "--from-campaign", str(path),
+            ],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.slow
+    def test_file_with_retired_params_resumes_and_merges(self, tmp_path):
+        # A file whose header carries the full ZhuyiParams of the
+        # version that still had gate_lateral and ego_speed_cap, cut
+        # after its first run line.
+        from repro.batch import CampaignRunner
+        from repro.store import TraceStore
+
+        campaign = self._campaign()
+        store = tmp_path / "traces"
+        fresh = tmp_path / "fresh.jsonl"
+        CampaignRunner(store=TraceStore(store)).run(campaign, out=fresh)
+        fresh_runs = self._run_lines(fresh)
+        assert len(fresh_runs) == 2
+
+        old = tmp_path / "old.jsonl"
+        header = fresh.read_text().splitlines()[0]
+        old.write_text(header + "\n" + fresh_runs[0] + "\n")
+        self._rewrite_header(
+            old,
+            lambda grid: grid["variants"][0]["params"].update(
+                gate_lateral=True, ego_speed_cap=None
+            ),
+        )
+        part = tmp_path / "old_part.jsonl"
+        part.write_text(old.read_text())
+
+        assert main(
+            ["campaign", "--resume", str(old), "--store", str(store), "--quiet"]
+        ) == 0
+        assert '"gate_lateral": true' in old.read_text().splitlines()[0]
+        assert self._run_lines(old) == fresh_runs
+
+        shard = tmp_path / "shard.jsonl"
+        CampaignRunner(store=TraceStore(store)).run(
+            campaign, out=shard, shard=(1, 2)
+        )
+        merged = tmp_path / "merged.jsonl"
+        assert main(
+            ["campaign-merge", str(part), str(shard), "--out", str(merged)]
+        ) == 0
+        assert self._run_lines(merged) == fresh_runs
+
+
 class TestReplayCommand:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):

@@ -56,18 +56,6 @@ class TestSolveParity:
         )
         assert_same(scalar, batched)
 
-    def test_speed_cap_parity(self, solve_tick):
-        params = ZhuyiParams(ego_speed_cap=22.0)
-        threat = FixedGapThreat(70.0, 8.0)
-        motion = ego(20.0, 3.0, params)
-        scalar = LatencySearch(params=params).tolerable_latency(
-            motion, threat, 0.2
-        )
-        (batched,) = solve_tick(
-            LatencyEngine(params=params), motion, [threat], 0.2
-        )
-        assert_same(scalar, batched)
-
     def test_coarse_grid_parity(self, solve_tick):
         # A t_r that falls between tn_step multiples exercises the
         # union1d-insertion bookkeeping.
@@ -303,9 +291,9 @@ class TestProfileCalls:
             )
         calls = []
 
-        def spy(egos, reactions, times, speed_cap=None):
+        def spy(egos, reactions, times):
             calls.append((len(egos), len(reactions)))
-            return ego_profile_arrays(egos, reactions, times, speed_cap)
+            return ego_profile_arrays(egos, reactions, times)
 
         monkeypatch.setattr(engine_module, "ego_profile_arrays", spy)
         results = engine.solve_rows(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.evaluator import EvaluationTick
 from repro.core.fpr import CameraEstimate
-from repro.errors import ConfigurationError
 from repro.system.safety_check import (
     MitigationAction,
     SafetyChecker,
@@ -63,18 +62,9 @@ class TestVerdicts:
         verdict = checker.check(tick(12.0), {"left": 2.0})
         assert verdict.safe  # front not operated by this system
 
-    def test_margin_requires_headroom(self):
-        checker = SafetyChecker(margin=1.5)
-        verdict = checker.check(tick(8.0), {"front_120": 10.0, "left": 2.0})
-        assert not verdict.safe  # 8 * 1.5 = 12 > 10
-
     def test_history_and_counts(self):
         checker = SafetyChecker()
         checker.check(tick(12.0, time=0.0), {"front_120": 10.0, "left": 2.0})
         checker.check(tick(3.0, time=0.1), {"front_120": 10.0, "left": 2.0})
         assert len(checker.history) == 2
         assert [len(verdict.alarms) for verdict in checker.history] == [1, 0]
-
-    def test_rejects_margin_below_one(self):
-        with pytest.raises(ConfigurationError):
-            SafetyChecker(margin=0.5)

@@ -192,14 +192,6 @@ class TestThreatAssessorGating:
         trajectory = StateTrajectory(samples)
         assert assessor.assess(self.ego, self.spec, trajectory, self.spec) is None
 
-    def test_gating_disabled_includes_everything(self):
-        params = ZhuyiParams(gate_lateral=False)
-        assessor = ThreatAssessor(params=params)
-        trajectory = straight_trajectory(40.0, 3.5, speed=15.0)
-        assert assessor.assess(
-            self.ego, self.spec, trajectory, self.spec
-        ) is not None
-
     def test_faster_follower_in_lane_gated_out(self):
         # The front_right_activity_1 regression: a faster actor behind the
         # ego crosses the ego's *original* position but can never be hit
@@ -267,15 +259,6 @@ class TestTraceGate:
                 is not None
             )
             assert per_tick == bool(verdict), t0
-
-    def test_gate_disabled_all_true(self):
-        assessor = ThreatAssessor(params=ZhuyiParams(gate_lateral=False))
-        trajectory = straight_trajectory(60.0, 0.0, speed=4.0)
-        times = np.arange(0.0, 3.0, 0.5)
-        table = assessor.could_collide_trace(
-            self._states(times), self.spec, trajectory, self.spec, times
-        )
-        assert table.all()
 
 
 class TestTraceSampler:
@@ -364,18 +347,6 @@ class TestTraceSampler:
         layout = CorridorLayout.of(rel_times)
         assert np.array_equal(layout.instants, rel_times)
         assert isinstance(layout.mask_columns, slice)
-
-    def test_gate_disabled_skips_corridor(self):
-        assessor = ThreatAssessor(params=ZhuyiParams(gate_lateral=False))
-        trajectory = straight_trajectory(30.0, 0.0, speed=5.0)
-        t0s = np.array([0.0, 1.0])
-        rel = np.arange(0.0, 2.0, 0.5)
-        gaps, speeds = assessor.sample_threats_trace(
-            [vstate(0.0), vstate(5.0)], self.spec, trajectory, self.spec,
-            t0s, rel,
-        )
-        assert gaps.shape == (2, rel.size)
-        assert np.isfinite(gaps).all()
 
 
 class TestCorridorMaskQuantization:
@@ -524,17 +495,6 @@ class TestFuturesBatch:
                     is not None
                 )
                 assert bool(batch[i]) == per_tick, (with_road, i)
-
-    def test_gate_all_true_without_lateral_gating(self):
-        spec = VehicleSpec()
-        params, _, t0s, ego_states, trajectories = self.per_tick_setup()
-        assessor = ThreatAssessor(
-            params=ZhuyiParams(gate_lateral=False), road=None
-        )
-        batch = assessor.could_collide_futures(
-            ego_states, spec, self.rollout_rows(trajectories), spec, t0s
-        )
-        assert batch.all()
 
     def _assert_samples_match_per_tick(
         self, monkeypatch, with_road, rel_times=None

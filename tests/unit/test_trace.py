@@ -65,10 +65,6 @@ class TestQueries:
         with pytest.raises(TraceError):
             make_trace().actor_trajectory("ghost")
 
-    def test_step_at_picks_nearest(self):
-        step = make_trace().step_at(0.44)
-        assert step.time == pytest.approx(0.4)
-
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceError):
             ScenarioTrace(scenario="x", dt=0.1, steps=[])
