@@ -6,8 +6,6 @@ bench quantifies the speedup and the conservatism gap on a grid of
 situations, and sweeps K (the confirmation-frame count).
 """
 
-import numpy as np
-
 from benchmarks.conftest import emit
 from repro.analysis.report import format_table
 from repro.core.ego_profile import EgoMotion

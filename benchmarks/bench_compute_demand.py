@@ -1,12 +1,11 @@
 """Section 4.2 — the Zhuyi model's own compute demand.
 
 The analytic cap is |A| x |T| x M x L x C = 60 kops for two actors with
-one future each; this bench also measures the *actual* constraint
-evaluations of the paper-strategy search and the wall-clock time of a
-full two-actor estimation tick in this Python implementation.
+one future each; this bench also counts the *actual* constraint
+evaluations of the paper-strategy search. pytest-benchmark times a full
+two-actor estimation tick in this Python implementation (20 rounds);
+the artifact holds only the counts, so it is identical run to run.
 """
-
-import time
 
 from benchmarks.conftest import emit
 from repro.analysis.report import format_table
@@ -40,10 +39,6 @@ def test_compute_demand(benchmark, artifact_dir):
     measured_iterations = sum(result.iterations for result in results)
     measured_ops = model.ops_from_iterations(measured_iterations)
 
-    start = time.perf_counter()
-    _two_actor_tick(paper_search, params)
-    wall = time.perf_counter() - start
-
     rows = [
         ("analytic cap |A|*|T|*M*L*C", f"{analytic_ops:,} ops"),
         ("paper claim", "60,000 ops for 2 actors, 1 future"),
@@ -51,7 +46,6 @@ def test_compute_demand(benchmark, artifact_dir):
         ("measured ops", f"{measured_ops:,}"),
         ("modelled time @10 GOPS", f"{model.execution_time(analytic_ops, 10.0)*1e3:.3f} ms"),
         ("paper claim", "< 2 ms on 10+ GOPS"),
-        ("this Python implementation", f"{wall*1e3:.2f} ms wall"),
     ]
     emit(
         artifact_dir,

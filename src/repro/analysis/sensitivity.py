@@ -13,7 +13,7 @@ white; :class:`SensitivityGrid` marks the white region with NaN
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

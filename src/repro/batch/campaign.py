@@ -40,8 +40,9 @@ DEFAULT_VARIANT = "default"
 #: 2: bare header, streamed run lines, ``completed`` footer, shard tag.
 SCHEMA_VERSION = 2
 
-#: Named predictors an online variant may request. ``maneuver`` takes
-#: the cell's road so lane-change hypotheses bend with the geometry.
+#: Named predictors an online variant may request. ``maneuver`` gets
+#: the cell's road but no target lane, so it rolls out its four straight
+#: hypotheses and never a lane change.
 PREDICTORS = ("cv", "ca", "maneuver")
 
 #: Former ``ZhuyiParams`` fields that headers written before their

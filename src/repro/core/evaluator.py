@@ -502,9 +502,8 @@ class OfflineEvaluator:
     simulator perceives with.
 
     Attributes:
+        road: road geometry for lateral threat gating.
         params: the Zhuyi constants.
-        road: road geometry for lateral threat gating (falls back to the
-            ego heading frame when omitted).
         stride: evaluation period along the trace (seconds). The paper
             evaluates at every simulation step; 50 ms is the coarsest
             stride that still catches the shortest binding windows in
@@ -525,8 +524,8 @@ class OfflineEvaluator:
             draws keep every backend bit-identical under noise too.
     """
 
+    road: Road
     params: ZhuyiParams = field(default_factory=ZhuyiParams)
-    road: Road | None = None
     stride: float = 0.05
     backend: str = "batched"
     noise: PerceptionNoise | None = None
@@ -691,7 +690,7 @@ class TraceJob:
     trace: ScenarioTrace
     samples: TraceSamples
     l0: float
-    road: Road | None = None
+    road: Road
 
 
 #: Element budget of one block window: stacked ticks x actors x

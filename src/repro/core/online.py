@@ -76,8 +76,8 @@ class OnlineEstimator:
     Attributes:
         params: the Zhuyi constants.
         predictor: trajectory predictor supplying the set ``T`` of Eq 4.
-        aggregator: Equation 4 reduction (paper default: 99th percentile).
         road: road geometry for threat gating.
+        aggregator: Equation 4 reduction (paper default: 99th percentile).
         backend: ``"batched"`` (default) and ``"crosstrace"`` run one
             row program over a tick axis: :meth:`replay` feeds it a
             whole trace and :meth:`estimate` one tick, every gated
@@ -103,8 +103,8 @@ class OnlineEstimator:
 
     params: ZhuyiParams
     predictor: Predictor
+    road: Road
     aggregator: Aggregator = field(default_factory=PercentileAggregator)
-    road: Road | None = None
     backend: str = "batched"
     noise: PerceptionNoise | None = None
 

@@ -33,7 +33,7 @@ from repro.dynamics.state import (
     VehicleState,
 )
 from repro.errors import EstimationError
-from repro.geometry.vec import Vec2
+from repro.road.lane import StraightCenterline
 from repro.road.track import Road
 
 
@@ -111,6 +111,25 @@ class FixedGapThreat:
         )
 
 
+def _lateral_offsets(road: Road, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Lateral road offset of many world points (vectorized).
+
+    A straight centerline is pure array arithmetic — the lateral of
+    :meth:`~repro.road.lane.StraightCenterline.to_frenet_batch` bit for
+    bit, without computing the station; other centerline shapes batch
+    through :meth:`repro.road.track.Road.to_frenet_batch`.
+    """
+    centerline = road.centerline
+    if isinstance(centerline, StraightCenterline):
+        dx = xs - centerline.start.x
+        dy = ys - centerline.start.y
+        sin_h = math.sin(centerline.heading)
+        cos_h = math.cos(centerline.heading)
+        return -sin_h * dx + cos_h * dy
+    _, lateral = road.to_frenet_batch(xs, ys)
+    return lateral
+
+
 @dataclass(frozen=True)
 class CorridorSpec:
     """The ego's lane corridor, for masking out-of-corridor instants.
@@ -120,39 +139,13 @@ class CorridorSpec:
     the distance constraint is vacuous (``s_n = inf``).
     """
 
-    road: Road | None
-    ego_frame_origin: "VehicleState"
+    road: Road
     ego_lateral: float
     overlap_width: float
 
-    def lateral_offsets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Lateral path offset of many world points (vectorized).
-
-        Straight centerlines (and the no-road ego-heading fallback) use
-        pure array arithmetic; other centerline shapes batch through
-        :meth:`repro.road.track.Road.to_frenet_batch`.
-        """
-        from repro.road.lane import StraightCenterline
-
-        if self.road is None:
-            frame = self.ego_frame_origin.frame()
-            dx = xs - frame.origin.x
-            dy = ys - frame.origin.y
-            sin_h, cos_h = math.sin(frame.heading), math.cos(frame.heading)
-            return -sin_h * dx + cos_h * dy
-        centerline = self.road.centerline
-        if isinstance(centerline, StraightCenterline):
-            dx = xs - centerline.start.x
-            dy = ys - centerline.start.y
-            sin_h = math.sin(centerline.heading)
-            cos_h = math.cos(centerline.heading)
-            return -sin_h * dx + cos_h * dy
-        _, lateral = self.road.to_frenet_batch(xs, ys)
-        return lateral
-
     def in_corridor(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Boolean mask of points inside the ego's corridor."""
-        offsets = self.lateral_offsets(xs, ys)
+        offsets = _lateral_offsets(self.road, xs, ys)
         return np.abs(offsets - self.ego_lateral) <= self.overlap_width
 
 
@@ -178,8 +171,8 @@ class TrajectoryThreat:
     frozen position with a non-zero speed would be a physically
     impossible ghost that spuriously caps the distance budget).
 
-    With a :class:`CorridorSpec`, instants where the actor is laterally
-    clear of the ego's corridor report an infinite gap — the ego cannot
+    Instants where the actor is laterally clear of the ego's
+    :class:`CorridorSpec` report an infinite gap — the ego cannot
     collide with an actor that is not in its path at that moment, so
     the distance constraint must not bind there (this matters for the
     strict prefix check against cut-in/cut-out trajectories).
@@ -191,8 +184,8 @@ class TrajectoryThreat:
         ego_spec: VehicleSpec,
         actor_trajectory: StateTrajectory,
         actor_spec: VehicleSpec,
+        corridor: CorridorSpec,
         t0: float = 0.0,
-        corridor: CorridorSpec | None = None,
     ):
         self._ego_position = ego_state.position
         self._trajectory = actor_trajectory
@@ -216,9 +209,7 @@ class TrajectoryThreat:
             xs - self._ego_position.x, ys - self._ego_position.y
         )
         gaps = np.maximum(0.0, distances - self._half_lengths)
-        if self._corridor is not None:
-            gaps = np.where(self._corridor_mask(times), gaps, np.inf)
-        return gaps, speeds
+        return np.where(self._corridor_mask(times), gaps, np.inf), speeds
 
     def _corridor_mask(self, times: np.ndarray) -> np.ndarray:
         """In-corridor mask at the queried times (cached master grid).
@@ -330,10 +321,7 @@ class EgoPathRows:
 
     Attributes:
         xs / ys: per-tick ego world coordinates.
-        s / d: per-tick ego path coordinates — road Frenet station and
-            lateral when a road is present, zeros without one (each
-            tick's gate and corridor then work in that tick's own ego
-            heading frame, where the ego sits at the origin).
+        s / d: per-tick ego road Frenet station and lateral offset.
     """
 
     xs: np.ndarray
@@ -356,8 +344,7 @@ class ThreatAssessor:
     """Decides whether an actor is a collision threat to the ego.
 
     The decision samples the actor's predicted motion over the horizon in
-    road Frenet coordinates (falling back to the ego's heading frame when
-    no road is given) and requires that
+    road Frenet coordinates and requires that
 
     * the actor is not behind the ego's rear bumper at ``t0`` (a braking
       ego cannot collide with traffic approaching from behind — that
@@ -373,7 +360,7 @@ class ThreatAssessor:
     """
 
     params: ZhuyiParams
-    road: Road | None = None
+    road: Road
 
     def assess(
         self,
@@ -406,7 +393,6 @@ class ThreatAssessor:
         :meth:`could_collide_trace` table — build threats directly;
         :meth:`assess` is the gate-then-build convenience.
         """
-        _, ego_d = self._path_coordinates(ego_state, ego_state)
         return TrajectoryThreat(
             ego_state=ego_state,
             ego_spec=ego_spec,
@@ -415,37 +401,13 @@ class ThreatAssessor:
             t0=t0,
             corridor=CorridorSpec(
                 road=self.road,
-                ego_frame_origin=ego_state,
-                ego_lateral=ego_d,
+                ego_lateral=self.road.to_frenet(ego_state.position).d,
                 overlap_width=(
                     (ego_spec.width + actor_spec.width) / 2.0
                     + self.params.lateral_margin
                 ),
             ),
         )
-
-    def _path_coordinates(self, state: VehicleState, ego_state: VehicleState):
-        """(station, lateral offset) of ``state`` along the ego's path."""
-        if self.road is not None:
-            frenet = self.road.to_frenet(state.position)
-            return frenet.s, frenet.d
-        # No road: treat the ego's current heading as a straight path.
-        frame = ego_state.frame()
-        local = frame.to_local(state.position)
-        return local.x, local.y
-
-    def _path_coordinates_batch(
-        self, xs: np.ndarray, ys: np.ndarray, ego_state: VehicleState
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_path_coordinates` over many world points."""
-        if self.road is not None:
-            return self.road.to_frenet_batch(xs, ys)
-        frame = ego_state.frame()
-        dx = xs - frame.origin.x
-        dy = ys - frame.origin.y
-        cos_h = math.cos(frame.heading)
-        sin_h = math.sin(frame.heading)
-        return cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy
 
     def _could_collide(
         self,
@@ -455,12 +417,12 @@ class ThreatAssessor:
         actor_spec: VehicleSpec,
         t0: float,
     ) -> bool:
-        ego_s, ego_d = self._path_coordinates(ego_state, ego_state)
+        ego = self.road.to_frenet(ego_state.position)
         overlap_width = (
             (ego_spec.width + actor_spec.width) / 2.0 + self.params.lateral_margin
         )
         half_lengths = (ego_spec.length + actor_spec.length) / 2.0
-        rear_bumper = ego_s - half_lengths
+        rear_bumper = ego.s - half_lengths
 
         horizon = min(
             self.params.horizon,
@@ -482,29 +444,24 @@ class ThreatAssessor:
             # last bits and break every curved golden.
             t += _GATE_STEP
         xs, ys, _ = actor_trajectory.sample_extrapolated(np.array(gate_times))
-        stations, laterals = self._path_coordinates_batch(xs, ys, ego_state)
+        stations, laterals = self.road.to_frenet_batch(xs, ys)
 
         if stations[0] < rear_bumper:
             return False
-        laterally_overlapping = np.abs(laterals - ego_d) <= overlap_width
-        fully_ahead = stations >= ego_s + half_lengths
+        laterally_overlapping = np.abs(laterals - ego.d) <= overlap_width
+        fully_ahead = stations >= ego.s + half_lengths
         return bool(np.any(laterally_overlapping & fully_ahead))
 
     def ego_path_rows(self, ego_states) -> EgoPathRows:
         """The :class:`EgoPathRows` for a trace's tick axis.
 
-        One batched Frenet conversion (or the no-road zeros) serving
-        every per-actor gate and sampler call on these ticks — the
-        same arrays those calls derive on their own when no cache is
-        passed.
+        One batched Frenet conversion serving every per-actor gate and
+        sampler call on these ticks — the same arrays those calls
+        derive on their own when no cache is passed.
         """
         xs = np.array([state.position.x for state in ego_states])
         ys = np.array([state.position.y for state in ego_states])
-        if self.road is not None:
-            s, d = self.road.to_frenet_batch(xs, ys)
-        else:
-            s = np.zeros(xs.shape)
-            d = np.zeros(xs.shape)
+        s, d = self.road.to_frenet_batch(xs, ys)
         return EgoPathRows(xs=xs, ys=ys, s=s, d=d)
 
     def could_collide_trace(
@@ -658,10 +615,6 @@ class ThreatAssessor:
         verdicts — one derivation serving both the offline trace gate
         and the replay futures gate, so the two cannot drift.
         """
-        # Per-tick ego path coordinates. With a road these are absolute
-        # Frenet coordinates; without one, each tick's gate works in
-        # that tick's ego heading frame — where the ego itself sits at
-        # the origin, exactly as the scalar fallback computes it.
         if ego_rows is None:
             ego_rows = self.ego_path_rows(ego_states)
         ego_s, ego_d = ego_rows.s, ego_rows.d
@@ -692,15 +645,7 @@ class ThreatAssessor:
 
         queries = t0s[:, None] + gate_rel[None, :]
         xs, ys, _ = sampler(queries)
-        if self.road is not None:
-            stations, laterals = self.road.to_frenet_batch(xs, ys)
-        else:
-            stations = np.empty(queries.shape)
-            laterals = np.empty(queries.shape)
-            for n, state in enumerate(ego_states):
-                stations[n], laterals[n] = self._path_coordinates_batch(
-                    xs[n], ys[n], state
-                )
+        stations, laterals = self.road.to_frenet_batch(xs, ys)
 
         overlapping = np.abs(laterals - ego_d[:, None]) <= overlap_width
         ahead = stations >= (ego_s + half_lengths)[:, None]
@@ -744,40 +689,20 @@ class ThreatAssessor:
         xs, ys, speeds = sampler(t0s[:, None] + layout.instants[None, :])
         if ego_rows is None:
             ego_rows = self.ego_path_rows(ego_states)
-        ego_xs, ego_ys = ego_rows.xs, ego_rows.ys
         distances = np.hypot(
-            xs[:, :n_rel] - ego_xs[:, None], ys[:, :n_rel] - ego_ys[:, None]
+            xs[:, :n_rel] - ego_rows.xs[:, None],
+            ys[:, :n_rel] - ego_rows.ys[:, None],
         )
         gaps = np.maximum(0.0, distances - half_lengths)
         speeds = speeds[:, :n_rel]
-        mask_xs = xs[:, layout.mask_columns]
-        mask_ys = ys[:, layout.mask_columns]
-        if self.road is None:
-            # Each tick's own ego heading frame: the arithmetic of
-            # CorridorSpec.lateral_offsets' no-road branch, with its
-            # per-tick math.sin/cos rotation constants as columns.
-            headings = [state.heading for state in ego_states]
-            sin_h = np.array([math.sin(h) for h in headings])[:, None]
-            cos_h = np.array([math.cos(h) for h in headings])[:, None]
-            offsets = -sin_h * (mask_xs - ego_xs[:, None]) + cos_h * (
-                mask_ys - ego_ys[:, None]
-            )
-        else:
-            # The road branch of CorridorSpec.lateral_offsets ignores the
-            # per-tick frame fields; one spec serves every tick.
-            corridor = CorridorSpec(
-                road=self.road,
-                ego_frame_origin=ego_states[0],
-                ego_lateral=0.0,
-                overlap_width=0.0,
-            )
-            offsets = corridor.lateral_offsets(mask_xs, mask_ys)
+        offsets = _lateral_offsets(
+            self.road, xs[:, layout.mask_columns], ys[:, layout.mask_columns]
+        )
         # Per-tick ego laterals batch through the exact Frenet kernel:
         # to_frenet_batch is bit-identical to the scalar to_frenet
         # build_threat calls (the road/lane.py contract), so a
         # corridor-edge tick lands on the same side in both backends
-        # without a per-tick scalar fallback. Without a road the ego
-        # sits at its own frame's origin (zeros).
+        # without a per-tick scalar fallback.
         overlap_width = (
             (ego_spec.width + actor_spec.width) / 2.0
             + self.params.lateral_margin
@@ -804,9 +729,7 @@ class ThreatAssessor:
         same arithmetic as building a per-tick :class:`TrajectoryThreat`
         and sampling it (including the 10 ms corridor-mask
         quantization), so the values are identical and only the
-        per-tick interpreter overhead disappears. Without a road the
-        corridor works in each tick's ego heading frame, as the
-        per-tick threat's does.
+        per-tick interpreter overhead disappears.
 
         Args:
             ego_states: ego state at each queried tick.

@@ -14,6 +14,7 @@ RNG004    every stream-tag literal is centrally registered, no
           key-word collisions
 IO005     durability-critical modules write through ``repro.ioutil``
 PAR006    backend selectors come from the canonical ``BACKENDS`` table
+IMP007    every module-level imported name is read
 ========  ==========================================================
 
 Suppression is explicit and audited: ``# reprolint: disable=RULE --

@@ -86,6 +86,7 @@ def default_rules() -> list[Rule]:
         StatefulRandomRule,
         WallClockRule,
     )
+    from repro.lint.rules.imports import UnusedImportRule
     from repro.lint.rules.io import DurableWriteRule
     from repro.lint.rules.parallel import BackendSelectorRule
     from repro.lint.rules.rng import StreamRegistryRule
@@ -97,9 +98,10 @@ def default_rules() -> list[Rule]:
         StreamRegistryRule(),
         DurableWriteRule(),
         BackendSelectorRule(),
+        UnusedImportRule(),
     ]
 
 
 ALL_RULE_IDS = tuple(
-    ("DET001", "DET002", "DET003", "RNG004", "IO005", "PAR006")
+    ("DET001", "DET002", "DET003", "RNG004", "IO005", "PAR006", "IMP007")
 )

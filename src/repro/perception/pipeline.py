@@ -18,7 +18,7 @@ from typing import Hashable, Mapping
 from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.errors import ConfigurationError
 from repro.perception.detection import Detection, DetectionModel, KeyWords
-from repro.perception.sensor import CameraRig, default_rig
+from repro.perception.sensor import default_rig
 from repro.perception.tracker import ConfirmationTracker
 from repro.perception.world_model import PerceivedActor, WorldModel
 
@@ -62,14 +62,15 @@ class _PendingFrame:
 class PerceptionSystem:
     """Multi-camera perception with per-camera processing rates.
 
+    The cameras are the paper's five-camera rig
+    (:func:`~repro.perception.sensor.default_rig`); a frame's processing
+    latency is one frame period, the paper's ``l0 = 1/FPR``.
+
     Args:
-        rig: the camera rig (defaults to the paper's five-camera layout).
         detection_model: shared detection characteristics.
         fpr: initial rate for every camera — a scalar applied to all, or
             a per-camera mapping; each must pass :func:`check_fpr`.
         confirmation_hits: the tracker's ``K``.
-        latency_factor: processing latency as a multiple of the frame
-            period (1.0 reproduces the paper's ``l0 = 1/FPR``).
         seed: root seed for detection noise. Draws are counter-keyed
             (:mod:`repro.core.rng`) on ``(seed, camera, capture time,
             actor)`` — no generator state lives here, so equal inputs
@@ -79,28 +80,19 @@ class PerceptionSystem:
 
     def __init__(
         self,
-        rig: CameraRig | None = None,
         detection_model: DetectionModel | None = None,
         fpr: float | Mapping[str, float] = 30.0,
         confirmation_hits: int = 5,
-        latency_factor: float = 1.0,
-        max_misses: int = 3,
         seed: int = 0,
     ):
-        if latency_factor < 0.0:
-            raise ConfigurationError("latency factor must be non-negative")
-        self.rig = rig if rig is not None else default_rig()
+        self.rig = default_rig()
         self.detection_model = (
             detection_model if detection_model is not None else DetectionModel()
         )
-        self.tracker = ConfirmationTracker(
-            confirmation_hits=confirmation_hits, max_misses=max_misses
-        )
+        self.tracker = ConfirmationTracker(confirmation_hits=confirmation_hits)
         self.world_model = WorldModel()
-        self._latency_factor = latency_factor
         self.seed = int(seed)
         self._confirmation_hits = confirmation_hits
-        self._max_misses = max_misses
         self._fpr: dict[str, float] = {}
         self._next_capture: dict[str, float] = {}
         self._frames_captured: dict[str, int] = {
@@ -147,8 +139,8 @@ class PerceptionSystem:
         self._fpr[camera] = min(max(rate, MIN_FPR), MAX_FPR)
 
     def processing_latency(self, camera: str) -> float:
-        """The camera's ``l0`` — one frame period times the factor."""
-        return self._latency_factor / self.fpr(camera)
+        """The camera's ``l0`` — one frame period."""
+        return 1.0 / self.fpr(camera)
 
     def frames_captured(self, camera: str | None = None) -> int:
         """Frames captured so far (one camera, or all when ``None``)."""
@@ -173,8 +165,7 @@ class PerceptionSystem:
         satisfy (its draw stream carried across runs).
         """
         self.tracker = ConfirmationTracker(
-            confirmation_hits=self._confirmation_hits,
-            max_misses=self._max_misses,
+            confirmation_hits=self._confirmation_hits
         )
         self.world_model = WorldModel()
         self._fpr = dict(self._initial_fpr)

@@ -8,7 +8,7 @@ of standard 3.5 m width on straight and curved highways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.geometry.vec import Vec2

@@ -19,7 +19,7 @@ average" protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -28,10 +28,8 @@ from repro.actors.vehicle import Actor
 from repro.dynamics.state import VehicleSpec, VehicleState
 from repro.core.rng import derive_seed
 from repro.errors import ConfigurationError
-from repro.geometry.vec import Vec2
 from repro.perception.detection import DetectionModel
 from repro.perception.pipeline import PerceptionSystem
-from repro.perception.sensor import default_rig
 from repro.planning.planner import Planner, PlannerConfig
 from repro.road.lane import FrenetPoint
 from repro.road.track import Road
@@ -137,35 +135,27 @@ class BuiltScenario:
         self,
         fpr: float | Mapping[str, float] = 30.0,
         hooks: Sequence[SimHook] = (),
-        detection_model: DetectionModel | None = None,
         sim_config: SimulationConfig | None = None,
-        confirmation_hits: int = 5,
-        ego_spec: VehicleSpec | None = None,
     ) -> ScenarioTrace:
         """Run the closed loop once and return the trace.
+
+        The ego is a default :class:`VehicleSpec` car whose perception
+        has occlusion on (DriveSim cameras cannot see through vehicles —
+        this is what makes cut-out reveals sudden) and confirms a track
+        after the paper's K = 5 hits.
 
         Args:
             fpr: fixed rate for all cameras, or a per-camera mapping.
             hooks: simulation hooks (e.g. the Zhuyi online system).
-            detection_model: perception characteristics; the default has
-                occlusion on (DriveSim cameras cannot see through
-                vehicles — this is what makes cut-out reveals sudden).
-            sim_config: overrides duration / dt.
-            confirmation_hits: the tracker's ``K``.
-            ego_spec: the ego's physical spec.
+            sim_config: overrides the scenario's duration.
         """
         spec = self.spec
-        ego_spec = ego_spec if ego_spec is not None else VehicleSpec()
-        detection = (
-            detection_model
-            if detection_model is not None
-            else DetectionModel(position_noise=0.08, occlusion=True)
-        )
+        ego_spec = VehicleSpec()
         perception = PerceptionSystem(
-            rig=default_rig(),
-            detection_model=detection,
+            detection_model=DetectionModel(
+                position_noise=0.08, occlusion=True
+            ),
             fpr=fpr,
-            confirmation_hits=confirmation_hits,
             # Decorrelate detection noise from the choreography jitter:
             # the derived stream keeps the counter-keyed perception
             # draws off build_actors' generator for every seed pair.

@@ -31,7 +31,6 @@ from repro.actors.maneuvers import (
     TriggeredLaneChange,
 )
 from repro.actors.vehicle import Actor
-from repro.dynamics.state import VehicleSpec
 from repro.errors import ConfigurationError
 from repro.road.track import Road, three_lane_curved_road, three_lane_straight_road
 from repro.scenarios.base import BuiltScenario, ScenarioSpec, jittered

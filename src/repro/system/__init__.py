@@ -8,12 +8,7 @@ and the **MRF verdict** used to validate the model (Table 1's "Min
 Required FPR" column, computed from a campaign's collision outcomes).
 """
 
-from repro.system.safety_check import (
-    Alarm,
-    MitigationAction,
-    SafetyChecker,
-    SafetyVerdict,
-)
+from repro.system.safety_check import Alarm, SafetyChecker, SafetyVerdict
 from repro.system.prioritization import (
     WorkPrioritizer,
     allocate_frame_budget,
@@ -24,7 +19,6 @@ from repro.system.mrf import MRFResult, mrf_verdict
 
 __all__ = [
     "Alarm",
-    "MitigationAction",
     "SafetyChecker",
     "SafetyVerdict",
     "WorkPrioritizer",

@@ -6,23 +6,16 @@ If not, there is a safety concern with a high potential for a collision
 ... the Safety check block can send an alarm to the AV system which can
 take one of the following actions": activate a backup system, drop
 non-essential work, or raise the under-provisioned cameras' rates.
+A verdict reports the alarms; choosing the response is left to the AV
+system.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.evaluator import EvaluationTick
-
-
-class MitigationAction(enum.Enum):
-    """The paper's three responses to a safety alarm."""
-
-    ACTIVATE_BACKUP = "activate-backup"
-    LIMITED_FUNCTIONALITY = "limited-functionality"
-    RAISE_PROCESSING_RATE = "raise-processing-rate"
 
 
 @dataclass(frozen=True)
@@ -42,7 +35,6 @@ class SafetyVerdict:
     time: float
     safe: bool
     alarms: tuple[Alarm, ...]
-    recommended_action: MitigationAction | None
 
 
 @dataclass
@@ -50,8 +42,7 @@ class SafetyChecker:
     """Compares operating rates against Zhuyi estimates.
 
     A camera alarms when its operating rate is below its estimate (the
-    paper's plain comparison); an alarmed verdict recommends raising the
-    under-provisioned cameras' rates.
+    paper's plain comparison).
     """
 
     _history: list[SafetyVerdict] = field(default_factory=list, init=False)
@@ -89,9 +80,6 @@ class SafetyChecker:
             time=tick.time,
             safe=not alarms,
             alarms=tuple(alarms),
-            recommended_action=(
-                MitigationAction.RAISE_PROCESSING_RATE if alarms else None
-            ),
         )
         self._history.append(verdict)
         return verdict

@@ -6,7 +6,7 @@ as whole-block array programs — must produce summaries (and JSONL run
 lines) *equal* to the per-cell ``"batched"`` execution, on real
 closed-loop traces including multi-actor density variants. The
 block kernel itself, :func:`evaluate_trace_block` over stacked
-roadless traces, gets the same treatment against the scalar reference.
+traces, gets the same treatment against the scalar reference.
 """
 
 import json
@@ -325,20 +325,28 @@ class TestNoBlockRetry:
 
 
 def assert_block_matches_scalar(traces, stride, noise=None):
-    """Stacked roadless traces: one block equals per-trace scalar runs."""
+    """Stacked catalog traces: one block equals per-trace scalar runs."""
     samples = [presample_trace(trace, stride, noise=noise) for trace in traces]
+    roads = [build_scenario(trace.scenario).road for trace in traces]
     block = evaluate_trace_block(
         [
-            TraceJob(trace=trace, samples=trace_samples, l0=trace.default_l0())
-            for trace, trace_samples in zip(traces, samples)
+            TraceJob(
+                trace=trace,
+                samples=trace_samples,
+                l0=trace.default_l0(),
+                road=road,
+            )
+            for trace, trace_samples, road in zip(traces, samples, roads)
         ],
         [ZhuyiParams()],
         stride,
     )
-    for trace, trace_samples, (series,) in zip(traces, samples, block):
+    for trace, trace_samples, road, (series,) in zip(
+        traces, samples, roads, block
+    ):
         assert not trace.has_collision, trace.scenario
         alone = OfflineEvaluator(
-            stride=stride, backend="scalar", noise=noise
+            road=road, stride=stride, backend="scalar", noise=noise
         ).evaluate(trace, samples=trace_samples)
         assert len(series.ticks) == len(alone.ticks)
         for tick_a, tick_b in zip(series.ticks, alone.ticks):

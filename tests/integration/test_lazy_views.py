@@ -10,7 +10,7 @@ what the eager objects held, bit for bit.
 
 from dataclasses import replace
 
-from repro import OfflineEvaluator
+from repro import OfflineEvaluator, build_scenario
 from repro.batch import Campaign, CampaignRunner, ParamVariant
 from repro.core.evaluator import EvaluationSeries, EvaluationTick, presample_trace
 from repro.core.latency import LatencyResult
@@ -100,9 +100,9 @@ class TestSeriesRoundTrip:
             return tick
 
         monkeypatch.setattr(OfflineEvaluator, "_evaluate_tick", keep)
-        series = OfflineEvaluator(stride=0.25, backend="scalar").evaluate(
-            cut_out_trace_30
-        )
+        series = OfflineEvaluator(
+            road=build_scenario("cut_out").road, stride=0.25, backend="scalar"
+        ).evaluate(cut_out_trace_30)
 
         assert any(len(tick.actor_latencies) > 1 for tick in recorded)
         assert len(series.ticks) == len(recorded)
@@ -114,9 +114,9 @@ class TestSeriesRoundTrip:
             )
 
     def test_series_summaries_read_the_recorded_ticks(self, cut_out_trace_30):
-        series = OfflineEvaluator(stride=0.5, backend="scalar").evaluate(
-            cut_out_trace_30
-        )
+        series = OfflineEvaluator(
+            road=build_scenario("cut_out").road, stride=0.5, backend="scalar"
+        ).evaluate(cut_out_trace_30)
         again = EvaluationSeries(
             series.scenario, list(series.ticks), series.params, series.l0
         )

@@ -3,10 +3,12 @@
 import pytest
 
 from repro import OfflineEvaluator, build_scenario
+from repro.core.evaluator import TraceJob, presample_trace
 from repro.dynamics.state import VehicleState
 from repro.errors import EstimationError
 from repro.geometry.vec import Vec2
 from repro.perception.sensor import ANALYZED_CAMERAS
+from repro.road.track import three_lane_straight_road
 from repro.sim.trace import ScenarioTrace, TraceStep
 
 
@@ -96,7 +98,20 @@ class TestEvaluatorOptions:
 
     def test_rejects_bad_stride(self):
         with pytest.raises(EstimationError):
-            OfflineEvaluator(stride=0.0)
+            OfflineEvaluator(road=three_lane_straight_road(), stride=0.0)
+
+    def test_requires_road(self):
+        with pytest.raises(TypeError, match="road"):
+            OfflineEvaluator(stride=0.5)
+
+    def test_trace_job_requires_road(self, cut_in_trace_30):
+        samples = presample_trace(cut_in_trace_30, 0.5)
+        with pytest.raises(TypeError, match="road"):
+            TraceJob(
+                trace=cut_in_trace_30,
+                samples=samples,
+                l0=cut_in_trace_30.default_l0(),
+            )
 
 
 def _synthetic_trace(times) -> ScenarioTrace:
@@ -117,7 +132,9 @@ class TestTickGrid:
     def test_stride_not_dividing_duration(self):
         # 1.0 s trace, 0.3 s stride: ticks at 0, 0.3, 0.6, 0.9 only.
         trace = _synthetic_trace([0.0, 0.5, 1.0])
-        series = OfflineEvaluator(stride=0.3).evaluate(trace)
+        series = OfflineEvaluator(
+            road=three_lane_straight_road(), stride=0.3
+        ).evaluate(trace)
         assert series.times() == pytest.approx([0.0, 0.3, 0.6, 0.9])
 
     def test_no_tick_past_trace_end(self):
@@ -126,7 +143,9 @@ class TestTickGrid:
         # used to walk past the recorded end.
         end = 0.9999999999
         trace = _synthetic_trace([0.0, 0.5, end])
-        series = OfflineEvaluator(stride=0.05).evaluate(trace)
+        series = OfflineEvaluator(
+            road=three_lane_straight_road(), stride=0.05
+        ).evaluate(trace)
         assert len(series.ticks) == 20
         assert series.times()[-1] <= end
 
@@ -135,7 +154,9 @@ class TestTickGrid:
         # closed-form grid stays exact and keeps the final tick.
         times = [i * 0.01 for i in range(3501)]  # 35 s at 10 ms
         trace = _synthetic_trace(times)
-        series = OfflineEvaluator(stride=0.05).evaluate(trace)
+        series = OfflineEvaluator(
+            road=three_lane_straight_road(), stride=0.05
+        ).evaluate(trace)
         assert len(series.ticks) == 701
         for i, t in enumerate(series.times()):
             assert t == i * 0.05  # exact, not approx

@@ -63,6 +63,12 @@ class TestOnlineEstimation:
         _, _, trace = online_run
         assert not trace.has_collision
 
+    def test_estimator_requires_road(self):
+        with pytest.raises(TypeError, match="road"):
+            OnlineEstimator(
+                params=ZhuyiParams(), predictor=ManeuverPredictor()
+            )
+
 
 @pytest.mark.slow
 class TestSafetyCheckAlarms:

@@ -7,10 +7,10 @@ scenario — and the dense multi-actor variants that actually load the
 not approximately equal, to the scalar per-tick reference, with the
 multi-hypothesis :class:`ManeuverPredictor` supplying several futures
 per actor per tick (the earlier parity suite only replayed
-single-future defaults). Aggregator choices and the perception-margin
-extension ride the same contract. Replay rows solve in the offline
-block's bounded, prefix-trimmed windows, and a vectorized replay that
-cannot run vectorized raises instead of looping per tick.
+single-future defaults). Aggregator choices ride the same contract.
+Replay rows solve in the offline block's bounded, prefix-trimmed
+windows, and a vectorized replay that cannot run vectorized raises
+instead of looping per tick.
 """
 
 import numpy as np
@@ -331,6 +331,7 @@ class TestReplaySamples:
         return OnlineEstimator(
             params=ZhuyiParams(),
             predictor=ConstantVelocityPredictor(),
+            road=build_scenario("cut_in").road,
             backend="batched",
             **kwargs,
         )
@@ -358,32 +359,6 @@ class TestReplaySamples:
             self.estimator(noise=noise).replay(
                 cut_in_trace_30, period=0.5, samples=samples
             )
-
-
-class TestRoadlessReplay:
-    """Roadless lateral gating stays on the whole-trace array program."""
-
-    def test_matches_scalar_without_per_tick_fallback(
-        self, monkeypatch, cut_out_trace_30
-    ):
-        def estimator(backend):
-            return OnlineEstimator(
-                params=ZhuyiParams(),
-                predictor=ConstantVelocityPredictor(),
-                road=None,
-                backend=backend,
-            )
-
-        scalar = estimator("scalar").replay(cut_out_trace_30, period=0.5)
-
-        def per_tick(*args, **kwargs):
-            raise AssertionError("the batched replay fell back per tick")
-
-        batched = estimator("batched")
-        monkeypatch.setattr(batched, "estimate", per_tick)
-        series = batched.replay(cut_out_trace_30, period=0.5)
-        assert_series_identical(scalar, series)
-        assert any(tick.actor_latencies for tick in series.ticks)
 
 
 @pytest.mark.slow

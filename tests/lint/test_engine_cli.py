@@ -20,6 +20,7 @@ from repro.lint.baseline import (
 from repro.lint.cli import default_scan_root, main
 from repro.lint.engine import iter_source_files, package_relpath
 from repro.lint.findings import Finding
+from repro.lint.rules import ALL_RULE_IDS
 from repro.lint.rules.parallel import BACKEND_VOCAB
 
 REPO = Path(__file__).resolve().parents[2]
@@ -169,7 +170,7 @@ def test_cli_out_artifact_and_json_format(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "DET003", "RNG004", "IO005", "PAR006"):
+    for rule_id in ALL_RULE_IDS:
         assert rule_id in out
 
 

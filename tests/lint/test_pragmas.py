@@ -58,7 +58,7 @@ def test_one_pragma_may_name_several_rules():
         "# reprolint: disable-file=DET002, DET001 -- legacy timing "
         "module with a seeded jitter generator\n"
         + _CLOCK
-        + "import random\n"
+        + "import random\n\nJITTER = random.random()\n"
     )
     assert lint_source(source, RELPATH) == []
 

@@ -22,6 +22,7 @@ from repro.lint.rules.determinism import (
     StatefulRandomRule,
     WallClockRule,
 )
+from repro.lint.rules.imports import UnusedImportRule
 from repro.lint.rules.io import DurableWriteRule
 from repro.lint.rules.parallel import BackendSelectorRule
 from repro.lint.rules.rng import StreamRegistryRule, tag_word
@@ -43,6 +44,7 @@ CASES: dict[str, tuple] = {
     ),
     "IO005": (DurableWriteRule, "repro/store/_fixture.py"),
     "PAR006": (BackendSelectorRule, "repro/batch/_fixture.py"),
+    "IMP007": (UnusedImportRule, "repro/core/_fixture.py"),
 }
 
 
@@ -99,6 +101,14 @@ def test_layer_scoped_rules_skip_foreign_layers(rule_id, foreign_relpath):
     factory, _ = CASES[rule_id]
     source = _corpus(rule_id, "bad")
     assert lint_source(source, foreign_relpath, rules=[factory()]) == []
+
+
+def test_package_init_reexports_are_not_findings():
+    source = _corpus("IMP007", "bad")
+    findings = lint_source(
+        source, "repro/core/__init__.py", rules=[UnusedImportRule()]
+    )
+    assert findings == []
 
 
 def test_every_finding_reports_the_fixture_display_path():

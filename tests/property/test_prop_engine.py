@@ -16,7 +16,7 @@ from repro.core.engine import LatencyEngine
 from repro.core.ego_profile import EgoMotion
 from repro.core.latency import LatencySearch
 from repro.core.parameters import ZhuyiParams
-from repro.core.threat import FixedGapThreat, TrajectoryThreat
+from repro.core.threat import FixedGapThreat, ThreatAssessor
 from repro.dynamics.state import (
     StateTrajectory,
     TimedState,
@@ -24,6 +24,7 @@ from repro.dynamics.state import (
     VehicleState,
 )
 from repro.geometry.vec import Vec2
+from repro.road.track import three_lane_straight_road
 
 PARAMS = ZhuyiParams()
 SPEC = VehicleSpec()
@@ -132,7 +133,9 @@ class TestTrajectoryParity:
             position=Vec2(0.0, 0.0), heading=0.0, speed=v, accel=a
         )
         motion = EgoMotion.from_state(v, a, PARAMS)
-        threat = TrajectoryThreat(ego_state, SPEC, trajectory, SPEC)
+        threat = ThreatAssessor(
+            params=PARAMS, road=three_lane_straight_road()
+        ).build_threat(ego_state, SPEC, trajectory, SPEC)
         assert_same(
             LatencySearch(params=PARAMS).tolerable_latency(
                 motion, threat, current

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.actors.behavior import (
-    ActorCommand,
     AtTime,
     Immediately,
     Never,

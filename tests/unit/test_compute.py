@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.compute import ComputeDemandModel
-from repro.core.parameters import ZhuyiParams
 from repro.errors import ConfigurationError
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.evaluator import EvaluationSeries, EvaluationTick
 from repro.core.fpr import CameraEstimate
-from repro.core.parameters import ZhuyiParams
 from repro.errors import EstimationError
 
 

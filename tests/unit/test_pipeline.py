@@ -127,7 +127,6 @@ class TestLatencyAndConfirmation:
             detection_model=DetectionModel(position_noise=0.0),
             fpr=10.0,
             confirmation_hits=1,
-            max_misses=2,
         )
         actors = {"a": static_actor(50)}
         run_system(system, 0.5, actors)
@@ -219,9 +218,3 @@ class TestRepeatability:
             seed=13,
         )
         assert self._collect(make()) == self._collect(make())
-
-
-class TestValidation:
-    def test_rejects_negative_latency_factor(self):
-        with pytest.raises(ConfigurationError):
-            PerceptionSystem(latency_factor=-1.0)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import (
     CorridorLayout,
+    CorridorSpec,
     FixedGapThreat,
     ThreatAssessor,
     TrajectoryThreat,
@@ -18,6 +19,7 @@ from repro.dynamics.state import (
 )
 from repro.errors import EstimationError
 from repro.geometry.vec import Vec2
+from repro.road.track import three_lane_straight_road
 
 
 def vstate(x: float, y: float = 0.0, speed: float = 10.0,
@@ -91,48 +93,72 @@ class TestFixedGapThreat:
             FixedGapThreat(gap=1.0, actor_speed=-1.0)
 
 
+class TestRoadRequired:
+    """Threat geometry is the road's: omitting it raises, never falls back."""
+
+    def test_assessor_requires_road(self):
+        with pytest.raises(TypeError, match="road"):
+            ThreatAssessor(params=ZhuyiParams())
+
+    def test_corridor_requires_road(self):
+        with pytest.raises(TypeError, match="road"):
+            CorridorSpec(ego_lateral=0.0, overlap_width=1.0)
+
+    def test_trajectory_threat_requires_corridor(self):
+        spec = VehicleSpec()
+        trajectory = straight_trajectory(50.0, 0.0, speed=0.0)
+        with pytest.raises(TypeError, match="corridor"):
+            TrajectoryThreat(vstate(0.0), spec, trajectory, spec)
+
+
 class TestTrajectoryThreat:
     def setup_method(self):
         self.spec = VehicleSpec(length=4.8)
         self.ego = vstate(0.0, speed=20.0)
 
+    def threat(self, trajectory, t0=0.0) -> TrajectoryThreat:
+        assessor = ThreatAssessor(
+            params=ZhuyiParams(), road=three_lane_straight_road()
+        )
+        return assessor.build_threat(
+            self.ego, self.spec, trajectory, self.spec, t0=t0
+        )
+
     def test_gap_subtracts_half_lengths(self):
         trajectory = straight_trajectory(50.0, 0.0, speed=0.0)
-        threat = TrajectoryThreat(self.ego, self.spec, trajectory, self.spec)
+        threat = self.threat(trajectory)
         assert threat.gap_at(0.0) == pytest.approx(50.0 - 4.8)
 
     def test_gap_grows_with_receding_actor(self):
         trajectory = straight_trajectory(50.0, 0.0, speed=10.0)
-        threat = TrajectoryThreat(self.ego, self.spec, trajectory, self.spec)
+        threat = self.threat(trajectory)
         assert threat.gap_at(2.0) == pytest.approx(70.0 - 4.8)
 
     def test_gap_never_negative(self):
         trajectory = straight_trajectory(1.0, 0.0, speed=0.0)
-        threat = TrajectoryThreat(self.ego, self.spec, trajectory, self.spec)
+        threat = self.threat(trajectory)
         assert threat.gap_at(0.0) == 0.0
 
     def test_speed_query(self):
         trajectory = straight_trajectory(50.0, 0.0, speed=7.5)
-        threat = TrajectoryThreat(self.ego, self.spec, trajectory, self.spec)
+        threat = self.threat(trajectory)
         assert threat.actor_speed_at(1.0) == pytest.approx(7.5)
 
     def test_t0_offset(self):
         trajectory = straight_trajectory(50.0, 0.0, speed=10.0)
-        threat = TrajectoryThreat(
-            self.ego, self.spec, trajectory, self.spec, t0=2.0
-        )
+        threat = self.threat(trajectory, t0=2.0)
         # Relative t=0 is absolute t=2: actor at 70.
         assert threat.gap_at(0.0) == pytest.approx(70.0 - 4.8)
 
     def test_coasts_past_prediction_end(self):
         trajectory = straight_trajectory(50.0, 0.0, speed=10.0, duration=2.0)
-        threat = TrajectoryThreat(self.ego, self.spec, trajectory, self.spec)
+        threat = self.threat(trajectory)
         # At t=5 the record ends at x=70; coasting adds 3 s * 10 m/s.
         assert threat.gap_at(5.0) == pytest.approx(100.0 - 4.8)
 
     def test_vectorized_matches_scalar(self):
         trajectory = straight_trajectory(50.0, 1.0, speed=4.0, duration=3.0)
-        threat = TrajectoryThreat(self.ego, self.spec, trajectory, self.spec)
+        threat = self.threat(trajectory)
         times = np.array([0.0, 0.5, 2.9, 3.5, 8.0])
         gaps, speeds = threat.sample(times)
         for i, t in enumerate(times):
@@ -143,7 +169,9 @@ class TestTrajectoryThreat:
 class TestThreatAssessorGating:
     def setup_method(self):
         self.params = ZhuyiParams()
-        self.assessor = ThreatAssessor(params=self.params)
+        self.assessor = ThreatAssessor(
+            params=self.params, road=three_lane_straight_road()
+        )
         self.spec = VehicleSpec()
         self.ego = vstate(0.0, 0.0, speed=20.0)
 
@@ -184,7 +212,9 @@ class TestThreatAssessorGating:
     def test_cut_in_beyond_horizon_gated_out(self):
         # Merge starts after the assessor's horizon: not yet a threat.
         params = ZhuyiParams(horizon=3.0)
-        assessor = ThreatAssessor(params=params)
+        assessor = ThreatAssessor(
+            params=params, road=three_lane_straight_road()
+        )
         samples = []
         for t in np.arange(0.0, 12.25, 0.25):
             y = 3.5 if t < 10.0 else 0.0
@@ -223,7 +253,10 @@ class TestSampleGrid:
 
         spec = VehicleSpec()
         trajectory = straight_trajectory(30.0, 0.0, speed=8.0)
-        threat = TrajectoryThreat(vstate(0.0), spec, trajectory, spec)
+        assessor = ThreatAssessor(
+            params=ZhuyiParams(), road=three_lane_straight_road()
+        )
+        threat = assessor.build_threat(vstate(0.0), spec, trajectory, spec)
         times = np.linspace(0.0, 6.0, 10).reshape(2, 5)
         gaps, speeds = sample_grid(threat, times)
         flat_gaps, flat_speeds = threat.sample(times.ravel())
@@ -241,8 +274,6 @@ class TestTraceGate:
 
     @pytest.mark.parametrize("lane_y", [0.0, 3.5])
     def test_matches_per_tick_assess(self, lane_y):
-        from repro.road.track import three_lane_straight_road
-
         road = three_lane_straight_road(length=1500.0)
         assessor = ThreatAssessor(params=ZhuyiParams(), road=road)
         trajectory = straight_trajectory(60.0, lane_y, speed=4.0, duration=20.0)
@@ -274,8 +305,8 @@ class TestTraceSampler:
     t0s = np.arange(0.0, 12.0, 0.8)
 
     def _ego_states(self):
-        # A slowly turning ego: without a road, each tick's corridor
-        # lives in that tick's own heading frame.
+        # A slowly turning ego: the corridor follows the road, not the
+        # ego's heading.
         return [
             vstate(5.0 * t, 0.0, speed=5.0, heading=0.02 * t) for t in self.t0s
         ]
@@ -316,26 +347,13 @@ class TestTraceSampler:
     off_grid = np.arange(0.0, 9.0, 0.037)
 
     def test_matches_per_tick_threats(self):
-        from repro.road.track import three_lane_straight_road
-
         queries = self._assert_matches_per_tick(
             three_lane_straight_road(length=1500.0), self.off_grid
         )
         assert self.off_grid.size < queries.shape[1] < 2 * self.off_grid.size
 
-    def test_requires_road_when_gated(self):
-        """Lateral gating with ``road=None`` is served, not refused.
-
-        The corridor then lives in each tick's own ego heading frame,
-        bit for bit as the per-tick threat's does.
-        """
-        self._assert_matches_per_tick(None, self.off_grid)
-
-    @pytest.mark.parametrize("with_road", [True, False])
-    def test_trace_grid_instants_sampled_once(self, with_road):
-        from repro.road.track import three_lane_straight_road
-
-        road = three_lane_straight_road(length=1500.0) if with_road else None
+    def test_trace_grid_instants_sampled_once(self):
+        road = three_lane_straight_road(length=1500.0)
         rel_times, width = trace_grid_instants(self._ego_states())
         # Every quantized mask instant of a real 10 ms grid is one of
         # its scan instants: T + L columns, not 2 x (T + L).
@@ -367,7 +385,9 @@ class TestCorridorMaskQuantization:
             )
             for t in np.arange(0.0, 10.0 + 0.25, 0.25)
         )
-        assessor = ThreatAssessor(params=ZhuyiParams(), road=None)
+        assessor = ThreatAssessor(
+            params=ZhuyiParams(), road=three_lane_straight_road()
+        )
         return assessor.build_threat(
             vstate(0.0, speed=20.0), VehicleSpec(), trajectory, VehicleSpec()
         )
@@ -452,17 +472,14 @@ class TestFuturesBatch:
             end_vy=np.array([k[4][1] for k in knots]),
         )
 
-    def per_tick_setup(self, road=None):
-        from repro.road.track import three_lane_straight_road
-
+    def per_tick_setup(self):
         params = ZhuyiParams()
         assessor = ThreatAssessor(
-            params=params,
-            road=three_lane_straight_road() if road else None,
+            params=params, road=three_lane_straight_road()
         )
         t0s = np.array([0.0, 0.5, 1.0, 1.5])
-        # A slowly turning ego: without a road, each tick's gate and
-        # corridor live in that tick's own heading frame.
+        # A slowly turning ego: the gate and corridor follow the road,
+        # not the ego's heading.
         ego_states = [
             vstate(5.0 * t, 0.0, speed=20.0, heading=0.04 * t) for t in t0s
         ]
@@ -476,37 +493,34 @@ class TestFuturesBatch:
 
     def test_gate_matches_per_tick_assess(self):
         spec = VehicleSpec()
-        for with_road in (False, True):
-            params, assessor, t0s, ego_states, trajectories = (
-                self.per_tick_setup(road=with_road)
-            )
-            batch = assessor.could_collide_futures(
-                ego_states, spec, self.rollout_rows(trajectories), spec, t0s
-            )
-            for i in range(len(t0s)):
-                per_tick = (
-                    assessor.assess(
-                        ego_states[i],
-                        spec,
-                        trajectories[i],
-                        spec,
-                        t0=float(t0s[i]),
-                    )
-                    is not None
+        params, assessor, t0s, ego_states, trajectories = (
+            self.per_tick_setup()
+        )
+        batch = assessor.could_collide_futures(
+            ego_states, spec, self.rollout_rows(trajectories), spec, t0s
+        )
+        for i in range(len(t0s)):
+            per_tick = (
+                assessor.assess(
+                    ego_states[i],
+                    spec,
+                    trajectories[i],
+                    spec,
+                    t0=float(t0s[i]),
                 )
-                assert bool(batch[i]) == per_tick, (with_road, i)
+                is not None
+            )
+            assert bool(batch[i]) == per_tick, i
 
-    def _assert_samples_match_per_tick(
-        self, monkeypatch, with_road, rel_times=None
-    ):
+    def _assert_samples_match_per_tick(self, monkeypatch, rel_times=None):
         from repro.dynamics.state import RolloutArrays
 
         spec = VehicleSpec()
         if rel_times is None:
             # Mostly off the 10 ms grid; 30 s clamps to 24.99 s.
             rel_times = np.array([0.0, 0.1, 0.37, 1.0, 2.5, 7.0, 30.0])
-        params, assessor, t0s, ego_states, trajectories = self.per_tick_setup(
-            road=with_road
+        params, assessor, t0s, ego_states, trajectories = (
+            self.per_tick_setup()
         )
         calls = []
         monkeypatch.setattr(
@@ -536,40 +550,26 @@ class TestFuturesBatch:
         return ego_states, queries
 
     def test_samples_match_per_tick_trajectory_threat(self, monkeypatch):
-        _, queries = self._assert_samples_match_per_tick(
-            monkeypatch, with_road=True
-        )
+        _, queries = self._assert_samples_match_per_tick(monkeypatch)
         # Every on-grid scan instant is its own mask instant; only 30 s,
         # clamped to 24.99 s, is appended.
         assert queries.shape[1] == 7 + 1
 
-    def test_sampling_requires_road_when_gating(self, monkeypatch):
-        """Lateral gating with ``road=None`` is served, not refused.
-
-        Each row's corridor lives in that tick's own ego heading frame,
-        bit for bit as the per-tick threat's does.
-        """
-        self._assert_samples_match_per_tick(monkeypatch, with_road=False)
-
-    @pytest.mark.parametrize("with_road", [True, False])
-    def test_trace_grid_instants_sampled_once(self, monkeypatch, with_road):
-        _, _, _, ego_states, _ = self.per_tick_setup(road=with_road)
+    def test_trace_grid_instants_sampled_once(self, monkeypatch):
+        _, _, _, ego_states, _ = self.per_tick_setup()
         rel_times, width = trace_grid_instants(ego_states)
         _, queries = self._assert_samples_match_per_tick(
-            monkeypatch, with_road, rel_times
+            monkeypatch, rel_times
         )
         assert queries.shape[1] == width
         assert np.unique(queries[0]).size == width
 
-    @pytest.mark.parametrize("with_road", [True, False])
-    def test_shared_ego_rows_change_nothing(self, with_road):
+    def test_shared_ego_rows_change_nothing(self):
         # The live tick and the replay pass one ego-side cache, cut to
         # the ticks at hand, to every (actor, hypothesis) call; gates and
         # samples are those each call derives on its own.
         spec = VehicleSpec()
-        _, assessor, t0s, ego_states, trajectories = self.per_tick_setup(
-            road=with_road
-        )
+        _, assessor, t0s, ego_states, trajectories = self.per_tick_setup()
         ticks = np.array([1, 3])
         states = [ego_states[i] for i in ticks]
         futures = self.rollout_rows([trajectories[i] for i in ticks])
@@ -594,7 +594,7 @@ class TestFuturesBatch:
             assert np.array_equal(got, want)
 
     def test_take_selects_tick_rows(self):
-        _, assessor, _, ego_states, _ = self.per_tick_setup(road=True)
+        _, assessor, _, ego_states, _ = self.per_tick_setup()
         ticks = np.array([3, 0, 2])
         taken = assessor.ego_path_rows(ego_states).take(ticks)
         expected = assessor.ego_path_rows([ego_states[i] for i in ticks])
